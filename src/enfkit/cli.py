@@ -2,8 +2,8 @@
 
 Subcommands: check, normalize, synthesize, simulate, bisim, verify.
 Exit codes: 0 the query holds / all checks pass, 1 it fails, 2 usage or
-parse error, 3 inconclusive.  Output is deterministic for fixed inputs and
-seeds.
+parse error, 3 inconclusive (a state, closure or minterm bound was hit).
+Output is deterministic for fixed inputs and seeds.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import sys
 
 from .bisim import bisim
 from .harness import (
+    BOUND_ERRORS,
     DEFAULT_DEPTH,
     check_nvtt,
     check_soundness,
@@ -171,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="state-space exploration bound (default %(default)s)",
     )
-    top.add_argument("--seed", type=int, default=0, help="global seed (reserved)")
     sub = top.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="does a named process satisfy a named formula?")
@@ -229,6 +229,9 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BOUND_ERRORS as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except Exception as exc:  # noqa: BLE001 - surface tool errors with exit 2
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,16 +15,14 @@ from dataclasses import dataclass
 from typing import Union
 
 from .symbolic import (
-    Binder,
     Domain,
     SymbolicAction,
     Substitution,
-    Var,
+    avoid_capture,
     cond_vars,
     disjoint_under,
-    fresh_name,
-    subst_condition,
-    subst_pattern,
+    narrow,
+    paren,
 )
 
 
@@ -48,16 +46,20 @@ class FFalse:
 class FAnd:
     items: tuple
 
+    PREC = 2
+
     def __str__(self):
-        return " && ".join(_paren(i, 3) for i in self.items)
+        return " && ".join(paren(i, 3) for i in self.items)
 
 
 @dataclass(frozen=True)
 class FOr:
     items: tuple
 
+    PREC = 1
+
     def __str__(self):
-        return " || ".join(_paren(i, 2) for i in self.items)
+        return " || ".join(paren(i, 2) for i in self.items)
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class Box:
     body: "Formula"
 
     def __str__(self):
-        return f"[{self.action}]{_paren(self.body, 3)}"
+        return f"[{self.action}]{paren(self.body, 3)}"
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,15 @@ class Dia:
     body: "Formula"
 
     def __str__(self):
-        return f"<{self.action}>{_paren(self.body, 3)}"
+        return f"<{self.action}>{paren(self.body, 3)}"
 
 
 @dataclass(frozen=True)
 class Max:
     var: str
     body: "Formula"
+
+    PREC = 0
 
     def __str__(self):
         return f"max {self.var}.{self.body}"
@@ -91,6 +95,8 @@ class Max:
 class Min:
     var: str
     body: "Formula"
+
+    PREC = 0
 
     def __str__(self):
         return f"min {self.var}.{self.body}"
@@ -108,21 +114,6 @@ Formula = Union[FTrue, FFalse, FAnd, FOr, Box, Dia, Max, Min, FVar]
 
 TT = FTrue()
 FF = FFalse()
-
-
-def _prec(f) -> int:
-    if isinstance(f, (Max, Min)):
-        return 0
-    if isinstance(f, FOr):
-        return 1
-    if isinstance(f, FAnd):
-        return 2
-    return 3
-
-
-def _paren(f, at_least: int) -> str:
-    text = str(f)
-    return f"({text})" if _prec(f) < at_least else text
 
 
 def conj(items) -> Formula:
@@ -272,45 +263,15 @@ def subst_data(f: Formula, sub: Substitution) -> Formula:
     if isinstance(f, (Max, Min)):
         return type(f)(f.var, subst_data(f.body, sub))
     if isinstance(f, (Box, Dia)):
-        sa, body = _subst_under_pattern(f.action, f.body, sub)
-        return type(f)(sa, body)
-    return f
-
-
-def _subst_under_pattern(sa: SymbolicAction, body, sub: Substitution):
-    narrowed = {k: v for k, v in sub.items() if k not in sa.binders}
-    if not narrowed:
-        return sa, body
-    # freshen binders that would capture a renaming target
-    targets = {v.name for v in narrowed.values() if isinstance(v, Var)}
-    captured = sa.binders & targets
-    if captured:
-        pat, cond, renamed_body = sa.pattern, sa.condition, body
-        for name in sorted(captured):
-            taken = (
-                set(targets)
-                | set(narrowed.keys())
-                | pat.binders
-                | cond_vars(cond)
-                | free_data_vars(renamed_body)
+        sa, body = f.action, f.body
+        narrowed, captures = narrow(sub, sa.binders)
+        if captures:
+            pattern, condition, body = avoid_capture(
+                sa.pattern, sa.condition, body, narrowed, free_data_vars, subst_data
             )
-            fresh = fresh_name(taken)
-            ren = {name: Var(fresh)}
-            pat = _rename_binder(pat, name, fresh)
-            cond = subst_condition(cond, ren)
-            renamed_body = subst_data(renamed_body, ren)
-        sa = SymbolicAction(subst_pattern(pat, narrowed), subst_condition(cond, narrowed))
-        return sa, subst_data(renamed_body, narrowed)
-    return sa.subst(narrowed), subst_data(body, narrowed)
-
-
-def _rename_binder(pat, old: str, new: str):
-    def fix(slot):
-        if isinstance(slot, Binder) and slot.name == old:
-            return Binder(new)
-        return slot
-
-    return type(pat)(fix(pat.port), pat.is_input, fix(pat.payload))
+            sa = SymbolicAction(pattern, condition)
+        return type(f)(sa.subst(narrowed), subst_data(body, narrowed))
+    return f
 
 
 def unfold(f) -> Formula:
@@ -363,7 +324,7 @@ def is_shml(f: Formula) -> bool:
     return False
 
 
-def _necessity_branches(f):
+def necessity_branches(f):
     """View a formula as a conjunction of necessity branches, or None."""
     if isinstance(f, Box):
         return (f,)
@@ -381,7 +342,7 @@ def is_shmlnf(f: Formula, d: Domain) -> bool:
         if f.var not in free_logic_vars(f.body):
             return False
         return is_shmlnf(f.body, d)
-    branches = _necessity_branches(f)
+    branches = necessity_branches(f)
     if branches is None:
         return False
     for i in range(len(branches)):

@@ -37,13 +37,13 @@ from .formulas import (
     TT,
     classify,
     conj,
+    necessity_branches,
     subst_data,
     unfold,
 )
-from .modelcheck import mc_eval, sat_oracle, satisfies
-from .normalizer import normalize
+from .modelcheck import ClosureBoundExceeded, mc_eval, sat_oracle, satisfies
+from .normalizer import MintermBlowup, normalize
 from .processes import (
-    LTS,
     NIL,
     Choice,
     Prefix,
@@ -51,6 +51,8 @@ from .processes import (
     Rec,
     PVar,
     StateBoundExceeded,
+    as_lts,
+    free_proc_vars,
     reachable,
     traces,
     weak_step,
@@ -82,6 +84,10 @@ class HarnessError(Exception):
 
 DEFAULT_BOUND = 10_000
 DEFAULT_DEPTH = 6
+
+#: Errors raised when a state, closure or minterm bound cuts a computation
+#: short.  They make a check inconclusive, never a usage error.
+BOUND_ERRORS = (StateBoundExceeded, ClosureBoundExceeded, MintermBlowup)
 
 
 @dataclass(frozen=True)
@@ -124,12 +130,7 @@ def violates(system, trace, f: Formula, domain: Domain, bound: int = DEFAULT_BOU
         raise HarnessError("violating traces are defined for safety formulas")
     if not flags_needed.guarded:
         raise HarnessError("formula is not guarded")
-    if isinstance(system, LTS):
-        lts, root = system, system.initial
-    elif isinstance(system, tuple) and len(system) == 2 and isinstance(system[0], LTS):
-        lts, root = system
-    else:
-        lts, root = reachable(system, bound), system
+    lts, root = as_lts(system, bound)
     memo: dict = {}
 
     def go(state, t, g) -> bool:
@@ -169,11 +170,8 @@ def after(f: Formula, label) -> Formula:
         return f
     if isinstance(f, Max):
         return after(unfold(f), label)
-    if isinstance(f, Box):
-        branches = (f,)
-    elif isinstance(f, FAnd) and all(isinstance(i, Box) for i in f.items):
-        branches = f.items
-    else:
+    branches = necessity_branches(f)
+    if branches is None:
         raise HarnessError(f"residual needs a normal-form formula, got {f}")
     for b in branches:
         sub = sym_match(b.action, label)
@@ -240,7 +238,7 @@ def check_soundness(
                 witness = _violating_witness(comp, comp.initial, f, d, depth)
                 witness = witness or f"instrumented {p} falsifies the formula"
                 return Verdict("soundness", (str(f), str(p)), "fail", witness)
-    except StateBoundExceeded as exc:
+    except BOUND_ERRORS as exc:
         return Verdict("soundness", subject, "inconclusive", str(exc))
     return Verdict("soundness", subject, "pass")
 
@@ -270,7 +268,7 @@ def check_transparency(
                     "fail",
                     f"split on label {witness[0]}",
                 )
-    except StateBoundExceeded as exc:
+    except BOUND_ERRORS as exc:
         return Verdict("transparency", subject, "inconclusive", str(exc))
     return Verdict("transparency", subject, "pass")
 
@@ -314,7 +312,7 @@ def check_nvtt(
                     "fail",
                     f"trace {_trace_text(t)} invents derivative {sorted(map(str, extra))[0]}",
                 )
-    except StateBoundExceeded as exc:
+    except BOUND_ERRORS as exc:
         return Verdict("nvtt", subject, "inconclusive", str(exc))
     return Verdict("nvtt", subject, "pass")
 
@@ -374,7 +372,7 @@ def check_violation_semantics(
                     "inconclusive",
                     f"no violating trace within depth {depth}",
                 )
-    except StateBoundExceeded as exc:
+    except BOUND_ERRORS as exc:
         return Verdict("violation-sem", subject, "inconclusive", str(exc))
     return inconclusive or Verdict("violation-sem", subject, "pass")
 
@@ -396,7 +394,7 @@ def check_normalization(
                 "normalization-equivalence", subject, "fail", f"output not normal: {nf}"
             )
         for system in systems:
-            lts = system if isinstance(system, LTS) else reachable(system, bound)
+            lts, _ = as_lts(system, bound)
             before = mc_eval(f, lts, {}, d)
             after_ = mc_eval(nf, lts, {}, d)
             if before != after_:
@@ -407,7 +405,7 @@ def check_normalization(
                     "fail",
                     f"denotations differ at state {delta}",
                 )
-    except StateBoundExceeded as exc:
+    except BOUND_ERRORS as exc:
         return Verdict("normalization-equivalence", subject, "inconclusive", str(exc))
     return Verdict("normalization-equivalence", subject, "pass")
 
@@ -420,7 +418,7 @@ def check_oracle_agreement(
         lts = reachable(p, bound)
         denotational = satisfies((lts, p), f, d, bound)
         coinductive = sat_oracle((lts, p), f, d, bound)
-    except StateBoundExceeded as exc:
+    except BOUND_ERRORS as exc:
         return Verdict("oracle-agreement", subject, "inconclusive", str(exc))
     if denotational != coinductive:
         return Verdict(
@@ -531,23 +529,11 @@ def gen_process(d: Domain, size: int, seed: int) -> Process:
         counter[0] += 1
         var = f"R{counter[0]}"
         body = go(budget - 1, usable_vars, pending_vars | {var})
-        if var in _pvars(body):
+        if var in free_proc_vars(body):
             return Rec(var, body)
         return body
 
     return go(size, frozenset(), frozenset())
-
-
-def _pvars(p) -> frozenset:
-    if isinstance(p, PVar):
-        return frozenset((p.name,))
-    if isinstance(p, Prefix):
-        return _pvars(p.cont)
-    if isinstance(p, Choice):
-        return frozenset().union(*(_pvars(b) for b in p.branches))
-    if isinstance(p, Rec):
-        return _pvars(p.body) - {p.var}
-    return frozenset()
 
 
 def make_corpus(d: Domain, n: int, seed: int, max_formula_size: int = 8, max_process_size: int = 24):

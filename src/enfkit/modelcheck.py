@@ -30,7 +30,7 @@ from .formulas import (
     subst_data,
     unfold,
 )
-from .processes import LTS, reachable, weak_step
+from .processes import LTS, as_lts, weak_step
 from .symbolic import Domain, sym_match
 
 
@@ -44,14 +44,6 @@ class ClosureBoundExceeded(ModelCheckError):
 
 DEFAULT_STATE_BOUND = 10_000
 DEFAULT_CLOSURE_BOUND = 200_000
-
-
-def _as_lts(system, bound) -> tuple:
-    if isinstance(system, LTS):
-        return system, system.initial
-    if isinstance(system, tuple) and len(system) == 2 and isinstance(system[0], LTS):
-        return system[0], system[1]
-    return reachable(system, bound), system
 
 
 def mc_eval(f: Formula, lts: LTS, valuation, domain: Domain) -> frozenset:
@@ -126,7 +118,7 @@ def satisfies(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BOU
     """
     if free_logic_vars(f):
         raise ModelCheckError("formula must be closed in logical variables")
-    lts, state = _as_lts(system, bound)
+    lts, state = as_lts(system, bound)
     return state in mc_eval(f, lts, {}, domain)
 
 
@@ -151,7 +143,7 @@ def sat_oracle(
     """
     if not is_shml(f) or free_logic_vars(f):
         raise ModelCheckError("the satisfaction oracle handles closed safety formulas")
-    lts, root_state = _as_lts(system, bound)
+    lts, root_state = as_lts(system, bound)
     weak_cache: dict = {}
 
     def weak(s, a):

@@ -59,8 +59,8 @@ from .symbolic import (
     conjoin,
     fresh_name,
     normalize_pattern,
+    rename_binders,
     satisfiable,
-    subst_condition,
 )
 
 
@@ -278,12 +278,18 @@ class _Builder:
     normal shape, so a fixpoint, its unfolding, and bound-name variants all
     share a variable; bodies flatten conjunctions, drop tt members and let
     ff absorb.
+
+    The body of a variable at stages 2, 3 and 4 (raw, aligned, minterms) is
+    memoised here, so stages 3 to 5 share one alignment and one minterm
+    split per variable.
     """
 
     def __init__(self):
         self.ids: dict = {}
         self.formulas: list = []
         self._raw: dict = {}
+        self._aligned: dict = {}
+        self._minterms: dict = {}
         self._keys = _KeyMaker()
 
     def intern(self, f: Formula) -> int:
@@ -334,6 +340,26 @@ class _Builder:
         body = "ff" if absorbed else ("tt" if not branches else tuple(branches))
         self._raw[key] = body
         return body
+
+    def aligned_body(self, key: int, domain: Domain | None):
+        """The stage-3 body: same-shaped binders aligned."""
+        memo = (key, domain)
+        if memo not in self._aligned:
+            body = self.raw_body(key)
+            self._aligned[memo] = (
+                body if body in ("tt", "ff") else _align_branches(self, body, domain)
+            )
+        return self._aligned[memo]
+
+    def minterm_body(self, key: int, domain: Domain):
+        """The stage-4 body: the aligned guards split into minterms."""
+        memo = (key, domain)
+        if memo not in self._minterms:
+            body = self.aligned_body(key, domain)
+            self._minterms[memo] = (
+                body if body in ("tt", "ff") else _mintermize_branches(body, domain)
+            )
+        return self._minterms[memo]
 
 
 def _snapshot(builder: _Builder, start: int, body_fn, domain=None) -> EquationSystem:
@@ -386,18 +412,10 @@ def _rename_branch(builder, br: Branch, mapping: dict) -> Branch:
     re-interned so the connection between binder and use survives."""
     if not mapping:
         return br
-    sub = {old: Var(new) for old, new in mapping.items()}
-    pat = br.action.pattern
-
-    def fix(slot):
-        if isinstance(slot, Binder) and slot.name in mapping:
-            return Binder(mapping[slot.name])
-        return slot
-
-    new_pat = type(pat)(fix(pat.port), pat.is_input, fix(pat.payload))
-    new_cond = subst_condition(br.action.condition, sub)
-    new_cont = subst_data(builder.formulas[br.target], sub)
-    return Branch(SymbolicAction(new_pat, new_cond), builder.intern(new_cont))
+    pat, cond, cont = rename_binders(
+        br.action.pattern, br.action.condition, builder.formulas[br.target], mapping, subst_data
+    )
+    return Branch(SymbolicAction(pat, cond), builder.intern(cont))
 
 
 def _binder_names(pat):
@@ -436,17 +454,9 @@ def _align_branches(builder, branches, domain: Domain | None):
 
 def stage3_align(eqs: EquationSystem) -> EquationSystem:
     builder = eqs.builder
-    cache: dict = {}
-
-    def aligned(key):
-        if key not in cache:
-            body = builder.raw_body(key)
-            cache[key] = (
-                body if body in ("tt", "ff") else _align_branches(builder, body, eqs.domain)
-            )
-        return cache[key]
-
-    return _snapshot(builder, eqs.start, aligned, eqs.domain)
+    return _snapshot(
+        builder, eqs.start, lambda key: builder.aligned_body(key, eqs.domain), eqs.domain
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -512,27 +522,7 @@ def _mintermize_branches(branches, d: Domain):
 
 def stage4_minterms(eqs: EquationSystem, d: Domain) -> EquationSystem:
     builder = eqs.builder
-    aligned_cache: dict = {}
-
-    def aligned(key):
-        if key not in aligned_cache:
-            body = builder.raw_body(key)
-            aligned_cache[key] = (
-                body if body in ("tt", "ff") else _align_branches(builder, body, d)
-            )
-        return aligned_cache[key]
-
-    minterm_cache: dict = {}
-
-    def minterms(key):
-        if key not in minterm_cache:
-            body = aligned(key)
-            minterm_cache[key] = (
-                body if body in ("tt", "ff") else _mintermize_branches(body, d)
-            )
-        return minterm_cache[key]
-
-    return _snapshot(builder, eqs.start, minterms, d)
+    return _snapshot(builder, eqs.start, lambda key: builder.minterm_body(key, d), d)
 
 
 # ---------------------------------------------------------------------------
@@ -544,20 +534,11 @@ def stage5_powerset(eqs: EquationSystem, d: Domain | None = None) -> EquationSys
     if d is None:
         raise NormalizeError("determinisation needs the action domain")
     builder = eqs.builder
-    member_cache: dict = {}
-
-    def member_body(key):
-        # recompute the stage-4 view for any variable, including ones interned
-        # later while aligning merged bodies
-        if key not in member_cache:
-            body = builder.raw_body(key)
-            if body not in ("tt", "ff"):
-                body = _mintermize_branches(_align_branches(builder, body, d), d)
-            member_cache[key] = body
-        return member_cache[key]
 
     def set_body(keys: frozenset):
-        parts = [member_body(k) for k in sorted(keys)]
+        # the stage-4 view covers variables interned while aligning merged
+        # bodies too
+        parts = [builder.minterm_body(k, d) for k in sorted(keys)]
         if any(p == "ff" for p in parts):
             return "ff"
         merged = tuple(br for p in parts if p != "tt" for br in p)
@@ -713,14 +694,6 @@ def normalize(f: Formula, d: Domain) -> Formula:
     eqs = stage4_minterms(eqs, d)
     power = stage5_powerset(eqs, d)
     return _renumber_binders(stage6_rebuild(power))
-
-
-def _formula_nodes(f: Formula) -> int:
-    if isinstance(f, (FAnd, FOr)):
-        return 1 + sum(_formula_nodes(i) for i in f.items)
-    if isinstance(f, (Box, Dia, Max, Min)):
-        return 1 + _formula_nodes(f.body)
-    return 1
 
 
 def _unfold_estimate(f: Formula) -> int:

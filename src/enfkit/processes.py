@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from collections import deque
 from typing import Union
 
-from .symbolic import TAU, label_key
+from .symbolic import TAU, label_key, paren
 
 
 class ProcessError(Exception):
@@ -34,22 +34,28 @@ class Prefix:
     label: object  # Action or TAU
     cont: "Process"
 
+    PREC = 2
+
     def __str__(self):
-        return f"{self.label}.{_paren(self.cont, 2)}"
+        return f"{self.label}.{paren(self.cont, 2)}"
 
 
 @dataclass(frozen=True)
 class Choice:
     branches: tuple
 
+    PREC = 1
+
     def __str__(self):
-        return " + ".join(_paren(b, 2) for b in self.branches)
+        return " + ".join(paren(b, 2) for b in self.branches)
 
 
 @dataclass(frozen=True)
 class Rec:
     var: str
     body: "Process"
+
+    PREC = 0
 
     def __str__(self):
         return f"rec {self.var}.{self.body}"
@@ -66,21 +72,6 @@ class PVar:
 Process = Union[PNil, Prefix, Choice, Rec, PVar]
 
 NIL = PNil()
-
-
-def _prec(p) -> int:
-    if isinstance(p, Rec):
-        return 0
-    if isinstance(p, Choice):
-        return 1
-    if isinstance(p, Prefix):
-        return 2
-    return 3
-
-
-def _paren(p, at_least: int) -> str:
-    text = str(p)
-    return f"({text})" if _prec(p) < at_least else text
 
 
 def prefix_chain(labels, tail: Process = NIL) -> Process:
@@ -118,8 +109,9 @@ def subst_proc(p: Process, var: str, rep: Process) -> Process:
 
 
 def validate_process(p: Process, bound_vars=frozenset()):
-    """Reject open terms and unguarded recursion (e.g. rec X.X), which has no
-    well-defined transition semantics."""
+    """Reject objects that are not process terms, open terms, and unguarded
+    recursion (e.g. rec X.X), which has no well-defined transition
+    semantics."""
     _validate(p, frozenset(bound_vars), frozenset())
 
 
@@ -136,6 +128,8 @@ def _validate(p, bound, unguarded):
             _validate(b, bound, unguarded)
     elif isinstance(p, Rec):
         _validate(p.body, bound | {p.var}, unguarded | {p.var})
+    elif not isinstance(p, PNil):
+        raise ProcessError(f"not a process term: {p!r}")
 
 
 def step(p: Process):
@@ -239,6 +233,24 @@ def explore(initial, step_fn, bound: int) -> LTS:
 def reachable(p: Process, bound: int) -> LTS:
     validate_process(p)
     return explore(p, step, bound)
+
+
+def lts_view(system):
+    """The (LTS, state) an explicit system stands for: an LTS its initial
+    state, an (LTS, state) pair that state.  None for anything else, which
+    callers treat as a process term."""
+    if isinstance(system, LTS):
+        return system, system.initial
+    if isinstance(system, tuple) and len(system) == 2 and isinstance(system[0], LTS):
+        return system
+    return None
+
+
+def as_lts(system, bound: int) -> tuple:
+    """The (LTS, state) of a system: an LTS, an (LTS, state) pair, or a
+    process term explored up to `bound` states.  Anything else raises
+    ProcessError."""
+    return lts_view(system) or (reachable(system, bound), system)
 
 
 def tau_closure(lts: LTS, s) -> frozenset:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .processes import LTS, explore, step as process_step, validate_process
+from .processes import LTS, explore, lts_view, step as process_step, validate_process
 from .symbolic import INSERT, TAU, Domain, label_key
 from .transducers import ID, Transducer, tstep, validate_transducer
 
@@ -42,13 +42,13 @@ RULES = ("iTrn", "iAsy", "iIns", "iTer")
 def system_view(system):
     """Normalise the system argument to (initial state, step function).
 
-    Accepts a process term, an LTS (its initial state is used), or a pair
-    (LTS, state).
+    Accepts a process term, stepped lazily, an LTS (its initial state is
+    used), or a pair (LTS, state).
     """
-    if isinstance(system, LTS):
-        return system.initial, system.steps
-    if isinstance(system, tuple) and len(system) == 2 and isinstance(system[0], LTS):
-        return system[1], system[0].steps
+    view = lts_view(system)
+    if view is not None:
+        lts, state = view
+        return state, lts.steps
     validate_process(system)
     return system, process_step
 

@@ -244,16 +244,20 @@ class Cmp:
 class And:
     items: tuple
 
+    PREC = 2
+
     def __str__(self):
-        return " && ".join(_paren(i, 3) for i in self.items)
+        return " && ".join(paren(i, 3) for i in self.items)
 
 
 @dataclass(frozen=True)
 class Or:
     items: tuple
 
+    PREC = 1
+
     def __str__(self):
-        return " || ".join(_paren(i, 2) for i in self.items)
+        return " || ".join(paren(i, 2) for i in self.items)
 
 
 @dataclass(frozen=True)
@@ -261,7 +265,7 @@ class Not:
     item: "Condition"
 
     def __str__(self):
-        return f"!{_paren(self.item, 3)}"
+        return f"!{paren(self.item, 3)}"
 
 
 Condition = Union[CTrue, CFalse, Cmp, And, Or, Not]
@@ -270,19 +274,13 @@ TRUE = CTrue()
 FALSE = CFalse()
 
 
-def _prec(c) -> int:
-    if isinstance(c, Or):
-        return 1
-    if isinstance(c, And):
-        return 2
-    if isinstance(c, Not):
-        return 3
-    return 4
-
-
-def _paren(c, at_least: int) -> str:
-    text = str(c)
-    return f"({text})" if _prec(c) < at_least else text
+def paren(term, at_least: int) -> str:
+    """Print a term of any grammar, parenthesised when its class's `PREC`
+    binds looser than `at_least`.  Binders bind loosest (0), then sums and
+    disjunctions (1), conjunctions and prefixes (2); everything else binds
+    tightest (3)."""
+    text = str(term)
+    return f"({text})" if getattr(term, "PREC", 3) < at_least else text
 
 
 def conjoin(items: Iterable[Condition]) -> Condition:
@@ -353,6 +351,59 @@ def subst_pattern(p: Pattern, sub: Substitution) -> Pattern:
     return ActionPattern(
         subst_slot(p.port, sub), p.is_input, subst_slot(p.payload, sub)
     )
+
+
+# Pattern binders scope over the guard condition and over a *scope*: the
+# continuation formula of a modality, or the target and continuation of a
+# transform.  The helpers below take the scope with two functions, its free
+# data variables and substitution into it, so formulas, transducers and the
+# normaliser share one binder discipline.
+
+
+def narrow(sub: Substitution, binders: frozenset):
+    """The entries of `sub` that reach under a pattern's binders, and whether
+    a renaming target (Var) among them would be captured by a binder."""
+    narrowed = {k: v for k, v in sub.items() if k not in binders}
+    captures = any(isinstance(v, Var) and v.name in binders for v in narrowed.values())
+    return narrowed, captures
+
+
+def rename_binders(pattern: ActionPattern, condition, scope, mapping, subst_scope):
+    """Alpha-rename a pattern's binders (old name -> new name) through its
+    condition and scope; returns the new (pattern, condition, scope)."""
+    ren = {old: Var(new) for old, new in mapping.items()}
+
+    def fix(slot):
+        if isinstance(slot, Binder) and slot.name in mapping:
+            return Binder(mapping[slot.name])
+        return slot
+
+    return (
+        ActionPattern(fix(pattern.port), pattern.is_input, fix(pattern.payload)),
+        subst_condition(condition, ren),
+        subst_scope(scope, ren),
+    )
+
+
+def avoid_capture(pattern: ActionPattern, condition, scope, narrowed, scope_vars, subst_scope):
+    """Freshen the binders that a Var target of the narrowed substitution
+    would capture, one at a time in name order, so that the substitution can
+    then be applied under the pattern.  Each fresh name avoids the targets,
+    the substituted variables, the binders, and the free variables of the
+    condition and of the scope."""
+    targets = {v.name for v in narrowed.values() if isinstance(v, Var)}
+    for name in sorted(pattern.binders & targets):
+        taken = (
+            targets
+            | set(narrowed)
+            | pattern.binders
+            | cond_vars(condition)
+            | scope_vars(scope)
+        )
+        pattern, condition, scope = rename_binders(
+            pattern, condition, scope, {name: fresh_name(taken)}, subst_scope
+        )
+    return pattern, condition, scope
 
 
 # ---------------------------------------------------------------------------

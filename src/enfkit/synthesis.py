@@ -12,8 +12,6 @@ are ever emitted: no insertions, no replacements.
 from __future__ import annotations
 
 from .formulas import (
-    Box,
-    FAnd,
     FFalse,
     FTrue,
     FVar,
@@ -21,6 +19,7 @@ from .formulas import (
     Max,
     all_names,
     classify,
+    necessity_branches,
 )
 from .normalizer import normalize
 from .symbolic import TAU, Domain, underline
@@ -70,16 +69,6 @@ class _Names:
                 return name
 
 
-def _branches(f):
-    if isinstance(f, Box):
-        return (f,)
-    if isinstance(f, FAnd):
-        if not all(isinstance(i, Box) for i in f.items):
-            return None
-        return f.items
-    return None
-
-
 def synthesize(f: Formula, d: Domain | None = None) -> Transducer:
     """Translate a normal-form safety formula into a suppression enforcer.
 
@@ -97,7 +86,7 @@ def synthesize(f: Formula, d: Domain | None = None) -> Transducer:
             return TVar(names.for_var(g.name))
         if isinstance(g, Max):
             return TRec(names.for_var(g.var), syn(g.body))
-        branches = _branches(g)
+        branches = necessity_branches(g)
         if branches is None:
             raise SynthesisError(f"not a normal-form formula: {g}")
         if not branches:

@@ -23,11 +23,13 @@ from .symbolic import (
     Lit,
     Substitution,
     Var,
+    avoid_capture,
     cond_vars,
     eval_condition,
-    fresh_name,
     label_key,
     match,
+    narrow,
+    paren,
     subst_condition,
     subst_pattern,
     underline,
@@ -51,6 +53,8 @@ class TPrefix:
     target: object  # ActionPattern (no binders) | TAU
     cont: "Transducer"
 
+    PREC = 2
+
     def __str__(self):
         parts = [str(self.pattern)]
         if not isinstance(self.condition, CTrue):
@@ -61,21 +65,25 @@ class TPrefix:
             self.pattern
         ):
             parts.append(f"-> {self.target}")
-        return f"{{{' '.join(parts)}}}.{_paren(self.cont, 2)}"
+        return f"{{{' '.join(parts)}}}.{paren(self.cont, 2)}"
 
 
 @dataclass(frozen=True)
 class TSum:
     branches: tuple
 
+    PREC = 1
+
     def __str__(self):
-        return " + ".join(_paren(b, 2) for b in self.branches)
+        return " + ".join(paren(b, 2) for b in self.branches)
 
 
 @dataclass(frozen=True)
 class TRec:
     var: str
     body: "Transducer"
+
+    PREC = 0
 
     def __str__(self):
         return f"rec {self.var}.{self.body}"
@@ -92,21 +100,6 @@ class TVar:
 Transducer = Union[TId, TPrefix, TSum, TRec, TVar]
 
 ID = TId()
-
-
-def _prec(e) -> int:
-    if isinstance(e, TRec):
-        return 0
-    if isinstance(e, TSum):
-        return 1
-    if isinstance(e, TPrefix):
-        return 2
-    return 3
-
-
-def _paren(e, at_least: int) -> str:
-    text = str(e)
-    return f"({text})" if _prec(e) < at_least else text
 
 
 # ---------------------------------------------------------------------------
@@ -162,48 +155,35 @@ def subst_data(e: Transducer, sub: Substitution) -> Transducer:
     if isinstance(e, TRec):
         return TRec(e.var, subst_data(e.body, sub))
     if isinstance(e, TPrefix):
-        narrowed = {k: v for k, v in sub.items() if k not in e.pattern.binders}
+        narrowed, captures = narrow(sub, e.pattern.binders)
         if not narrowed:
             return e
-        targets = {v.name for v in narrowed.values() if isinstance(v, Var)}
-        pattern, cond, target, cont = e.pattern, e.condition, e.target, e.cont
-        for name in sorted(e.pattern.binders & targets):
-            taken = (
-                targets
-                | set(narrowed)
-                | pattern.binders
-                | cond_vars(cond)
-                | free_data_vars(cont)
+        pattern, cond, scope = e.pattern, e.condition, (e.target, e.cont)
+        if captures:
+            pattern, cond, scope = avoid_capture(
+                pattern, cond, scope, narrowed, _scope_vars, _subst_scope
             )
-            fresh = fresh_name(taken)
-            ren = {name: Var(fresh)}
-            pattern = _rename_binder(pattern, name, fresh)
-            cond = subst_condition(cond, ren)
-            if isinstance(target, ActionPattern):
-                target = subst_pattern(target, ren)
-            cont = subst_data(cont, ren)
-        new_target = (
-            subst_pattern(target, narrowed) if isinstance(target, ActionPattern) else target
-        )
+        target, cont = _subst_scope(scope, narrowed)
         return TPrefix(
-            subst_pattern(pattern, narrowed),
-            subst_condition(cond, narrowed),
-            new_target,
-            subst_data(cont, narrowed),
+            subst_pattern(pattern, narrowed), subst_condition(cond, narrowed), target, cont
         )
     return e
 
 
-def _rename_binder(pat, old, new):
-    if isinstance(pat, InsertPattern):
-        return pat
+# A prefix's binders scope over its target pattern and its continuation.
 
-    def fix(slot):
-        if isinstance(slot, Binder) and slot.name == old:
-            return Binder(new)
-        return slot
 
-    return ActionPattern(fix(pat.port), pat.is_input, fix(pat.payload))
+def _scope_vars(scope) -> frozenset:
+    target, cont = scope
+    own = target.free_vars if isinstance(target, ActionPattern) else frozenset()
+    return own | free_data_vars(cont)
+
+
+def _subst_scope(scope, sub: Substitution):
+    target, cont = scope
+    if isinstance(target, ActionPattern):
+        target = subst_pattern(target, sub)
+    return target, subst_data(cont, sub)
 
 
 # ---------------------------------------------------------------------------

@@ -145,3 +145,32 @@ def test_bisim_identity_composite_is_neutral():
 def test_verify_violation_semantics_random_corpus():
     code, out = run(["verify", "--property", "violation-sem", "--corpus", "random:40:42"])
     assert code == 0
+
+
+def test_bound_errors_exit_inconclusive():
+    code, _ = run(["--domain-bound", "1", "--spec", SPEC, "check", "phi1", "pg"])
+    assert code == 3
+    code, _ = run(["--domain-bound", "1", "--spec", SPEC, "bisim", "--left", "pg", "--right", "pg"])
+    assert code == 3
+
+
+def test_verify_minterm_blowup_is_inconclusive_per_pair(tmp_path):
+    # 13 distinct conditions on one pattern exceed the minterm bound
+    names = ["i", "j"] * 7
+    blowup = " && ".join(
+        f"[(x)?(y) when {' && '.join(f'x != {n}' for n in names[: k + 1])}]tt" for k in range(13)
+    )
+    spec = tmp_path / "blowup.spec"
+    spec.write_text(
+        "ports = {i, j}\npayloads = {req, ans, cls}\n"
+        "process pg = rec X.(i?req.i!ans.X + i?cls.nil)\n"
+        "process stopped = nil\n"
+        f"formula blowup = {blowup}\n"
+        "formula phi0 = max X.[i?req]([i!ans]X && [i?req]ff)\n"
+    )
+    code, out = run(["verify", "--property", "all", "--corpus", str(spec)])
+    lines = out.strip().splitlines()
+    # 2 formulas x 2 processes x 4 criteria: the blow-up aborts no pair
+    assert code == 3 and len(lines) == 16
+    inconclusive = [line for line in lines if " inconclusive [" in line]
+    assert inconclusive and all("the bound is 12" in line for line in inconclusive)

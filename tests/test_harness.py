@@ -16,11 +16,22 @@ from enfkit.harness import (
     make_corpus,
     violates,
 )
-from enfkit.modelcheck import satisfies
+from enfkit.modelcheck import sat_oracle, satisfies
 from enfkit.normalizer import normalize
 from enfkit.parsing import parse_formula, parse_process
-from enfkit.processes import NIL, reachable, traces, weak_step, weak_trace_derivatives
-from enfkit.runtime import composite_lts
+from enfkit.processes import (
+    NIL,
+    Choice,
+    Prefix,
+    PVar,
+    ProcessError,
+    Rec,
+    reachable,
+    traces,
+    weak_step,
+    weak_trace_derivatives,
+)
+from enfkit.runtime import composite_lts, simulate
 from enfkit.symbolic import TAU
 from enfkit.synthesis import compile_formula, optimize, synthesize
 from enfkit.transducers import alpha_eq
@@ -213,9 +224,27 @@ def test_residual_lemma_on_corpus(dom, seed):
     f = normalize(gen_formula(dom, 1 + (seed % 6), 8800 + seed), dom)
     if f == FF:
         pytest.skip("top-level falsehood: residual lemma does not apply")
-    p = gen_process(dom, 1 + (seed % 8), 8801 + seed)
+    _check_residual_lemma(f, gen_process(dom, 1 + (seed % 8), 8801 + seed), dom)
+
+
+@pytest.mark.parametrize("case", range(16))
+def test_residual_lemma_on_non_ff_corpus(dom, case):
+    # the same lemma on the first formula of each seed block whose normal form
+    # is not falsehood, so no case skips; a branch that can do every action
+    # forever makes the residuals matter
+    seeds = range(9400 + 20 * case, 9420 + 20 * case)
+    f = next(
+        nf for nf in (normalize(gen_formula(dom, 2 + (case % 6), s), dom) for s in seeds)
+        if nf != FF
+    )
+    chaos = Rec("X", Choice(tuple(Prefix(a, PVar("X")) for a in dom.actions)))
+    p = Choice((gen_process(dom, 2 + (case % 8), 9401 + case), chaos))
+    _check_residual_lemma(f, p, dom, depth=2)
+
+
+def _check_residual_lemma(f, p, dom, depth=3):
     lts = reachable(p, 400)
-    for t in sorted(traces(lts, p, 3), key=lambda t: (len(t), tuple(map(str, t)))):
+    for t in sorted(traces(lts, p, depth), key=lambda t: (len(t), tuple(map(str, t)))):
         if not t or violates((lts, p), t, f, dom):
             continue
         head, rest = t[0], t[1:]
@@ -292,3 +321,51 @@ def test_generator_distribution(dom):
 def test_oracle_and_normalization_checks_report_pass(dom, terms):
     assert check_oracle_agreement(terms["phi1"], terms["pb"], dom).outcome == "pass"
     assert check_normalization(terms["phi1"], [terms["pg"], terms["pb"]], dom).outcome == "pass"
+
+
+def test_system_forms_agree(dom):
+    # a process, its LTS and an (LTS, state) pair are one system to both
+    # satisfaction routes, the violation judgement and the normalisation check
+    for i in range(12):
+        f = gen_formula(dom, 1 + (i % 6), 700 + i)
+        p = gen_process(dom, 2 + (i % 8), 701 + i)
+        lts = reachable(p, 400)
+        forms = (p, lts, (lts, p))
+        for route in (satisfies, sat_oracle):
+            assert len({route(s, f, dom) for s in forms}) == 1, (route, f, p)
+        for t in traces(lts, p, 2):
+            assert len({violates(s, t, f, dom) for s in forms}) == 1, (f, p, t)
+        assert len({check_normalization(f, [s], dom) for s in forms}) == 1, (f, p)
+        for q in lts.states:
+            assert satisfies((lts, q), f, dom) == satisfies(q, f, dom), (f, q)
+
+
+def test_check_normalization_checks_the_given_lts(dom, terms, monkeypatch):
+    import enfkit.harness as harness
+
+    sizes = []
+    real_mc_eval = harness.mc_eval
+
+    def spy(f, lts, valuation, d):
+        sizes.append(len(lts))
+        return real_mc_eval(f, lts, valuation, d)
+
+    monkeypatch.setattr(harness, "mc_eval", spy)
+    lts = reachable(terms["pg"], 10)
+    assert check_normalization(terms["phi1"], [(lts, terms["pg"])], dom).outcome == "pass"
+    assert sizes == [3, 3]  # the formula and its normal form, on all of pg's states
+
+
+def test_non_systems_are_rejected(dom, terms):
+    f = terms["phi1"]
+    routes = (
+        lambda s: satisfies(s, f, dom),
+        lambda s: sat_oracle(s, f, dom),
+        lambda s: violates(s, (), f, dom),
+        lambda s: check_normalization(f, [s], dom),
+        lambda s: composite_lts(terms["ess"], s, dom),
+        lambda s: simulate(terms["ess"], s, 3, "first", dom),
+    )
+    for route in routes:
+        with pytest.raises(ProcessError):
+            route("hello")

@@ -1,11 +1,11 @@
 import pytest
 
-from enfkit.formulas import Box, FAnd, FOr, FVar, Max, classify, unfold
+from enfkit.formulas import Box, FAnd, FOr, FVar, Max, classify, subst_data, unfold
 from enfkit.modelcheck import ModelCheckError, mc_eval, sat_oracle, satisfies
 from enfkit.parsing import ParseError, parse_formula, parse_process
 from enfkit.processes import NIL, reachable
 from enfkit.harness import gen_formula, gen_process
-from enfkit.symbolic import TAU
+from enfkit.symbolic import TAU, Val, Var
 
 
 def test_parse_phi1_shape(dom, terms):
@@ -144,3 +144,22 @@ def test_least_fixpoint_termination_property(dom, terms):
     assert satisfies(terms["pb"], f, dom)
     loop = parse_process("rec X.i?req.X", dom)
     assert not satisfies(loop, f, dom)
+
+
+def test_subst_data_freshens_a_capturing_binder(dom, terms):
+    # x is free in the body below [(x)!ans]; substituting the name y for it
+    # renames the inner binder y instead of letting it capture the new y
+    body = lambda text: parse_formula(text, dom).body
+    renamed = subst_data(body("[(x)!ans][(y)?req when y != x]ff"), {"x": Var("y")})
+    assert renamed == body("[(y)!ans][(z)?req when z != y]ff")
+    by_hand = body("[(y)!ans][(w)?req when w != y]ff")
+    captured = body("[(y)!ans][(y)?req when y != y]ff")
+    systems = [reachable(p, 100) for p in (terms["pg"], parse_process("j?req.nil", dom))]
+    differs = False
+    for value in sorted(dom.values):
+        close = {"y": Val(value)}
+        for lts in systems:
+            got = mc_eval(subst_data(renamed, close), lts, {}, dom)
+            assert got == mc_eval(subst_data(by_hand, close), lts, {}, dom)
+            differs |= got != mc_eval(subst_data(captured, close), lts, {}, dom)
+    assert differs

@@ -6,9 +6,11 @@ from enfkit.processes import (
     Prefix,
     ProcessError,
     StateBoundExceeded,
+    as_lts,
     reachable,
     step,
     traces,
+    validate_process,
     weak_step,
     weak_trace_derivatives,
 )
@@ -130,3 +132,25 @@ def test_explicit_lts_file():
     assert lts.initial == "s0"
     assert len(lts) == 2
     assert weak_step(lts, "s0", act("i?req")) == {"s1", "s0"}
+
+
+def test_non_systems_are_rejected(terms):
+    # anything but a process term, an LTS or an (LTS, state) pair is an error,
+    # not a deadlocked one-state system
+    for junk in ("hello", 3, (terms["pg"], terms["pg"]), [reachable(terms["pg"], 10), terms["pg"]]):
+        with pytest.raises(ProcessError):
+            validate_process(junk)
+        with pytest.raises(ProcessError):
+            as_lts(junk, 10)
+    with pytest.raises(ProcessError):
+        validate_process(Prefix(act("i?req"), "hello"))
+
+
+def test_as_lts_forms(terms):
+    pg = terms["pg"]
+    lts = reachable(pg, 10)
+    assert as_lts(lts, 10) == (lts, pg)
+    q = lts.states[1]
+    assert as_lts((lts, q), 10) == (lts, q)
+    explored, state = as_lts(pg, 10)
+    assert state == pg and explored.states == lts.states

@@ -4,8 +4,8 @@ from enfkit.bisim import bisim
 from enfkit.parsing import parse_process, parse_transducer
 from enfkit.processes import NIL, Prefix, StateBoundExceeded, reachable, traces
 from enfkit.runtime import Config, composite_lts, istep, simulate
-from enfkit.symbolic import INSERT, TAU
-from enfkit.transducers import ID, tstep
+from enfkit.symbolic import INSERT, TAU, Val, Var
+from enfkit.transducers import ID, subst_data, tstep
 
 from conftest import act
 
@@ -165,3 +165,22 @@ def test_instrumentation_over_explicit_lts(dom, terms):
     scripted = simulate(terms["ess"], lts, 2, [("iTrn", act("i?req")), ("iTrn", TAU)], dom)
     assert [str(s.label) for s in scripted] == ["i?req", "tau"]
     assert scripted[-1].config.system == "s1"
+
+
+def test_subst_data_freshens_a_capturing_binder(dom):
+    # x and z are free in the continuation of {(x)!(z)}; substituting the name
+    # y for x renames the inner binder y, and the fresh name avoids the z of
+    # the target
+    cont = lambda text: parse_transducer(text, dom).cont
+    renamed = subst_data(cont("{(x)!(z)}.{(y)?req when y != x -> z!ans}.id"), {"x": Var("y")})
+    assert renamed == cont("{(y)!(z)}.{(w)?req when w != y -> z!ans}.id")
+    by_hand = cont("{(y)!(z)}.{(v)?req when v != y -> z!ans}.id")
+    captured = cont("{(y)!(z)}.{(z)?req when z != y -> z!ans}.id")
+    differs = False
+    for y in ("i", "j"):
+        for z in ("i", "j"):
+            close = {"y": Val(y), "z": Val(z)}
+            got = tstep(subst_data(renamed, close), dom)
+            assert got == tstep(subst_data(by_hand, close), dom)
+            differs |= got != tstep(subst_data(captured, close), dom)
+    assert differs
