@@ -35,7 +35,7 @@ def coarsest_partition(states, steps):
         signatures = {}
         for s in states:
             signatures[s] = frozenset(
-                (label_key(label), block_of[t]) for label, t in steps(s)
+                (label, block_of[t]) for label, t in steps(s)
             )
         renumber = {}
         new_block_of = {}

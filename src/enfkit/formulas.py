@@ -11,7 +11,6 @@ logical variables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .symbolic import (
@@ -23,6 +22,7 @@ from .symbolic import (
     disjoint_under,
     narrow,
     paren,
+    term,
 )
 
 
@@ -30,19 +30,19 @@ class FormulaError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@term
 class FTrue:
     def __str__(self):
         return "tt"
 
 
-@dataclass(frozen=True)
+@term
 class FFalse:
     def __str__(self):
         return "ff"
 
 
-@dataclass(frozen=True)
+@term
 class FAnd:
     items: tuple
 
@@ -52,7 +52,7 @@ class FAnd:
         return " && ".join(paren(i, 3) for i in self.items)
 
 
-@dataclass(frozen=True)
+@term
 class FOr:
     items: tuple
 
@@ -62,7 +62,7 @@ class FOr:
         return " || ".join(paren(i, 2) for i in self.items)
 
 
-@dataclass(frozen=True)
+@term
 class Box:
     action: SymbolicAction
     body: "Formula"
@@ -71,7 +71,7 @@ class Box:
         return f"[{self.action}]{paren(self.body, 3)}"
 
 
-@dataclass(frozen=True)
+@term
 class Dia:
     action: SymbolicAction
     body: "Formula"
@@ -80,7 +80,7 @@ class Dia:
         return f"<{self.action}>{paren(self.body, 3)}"
 
 
-@dataclass(frozen=True)
+@term
 class Max:
     var: str
     body: "Formula"
@@ -91,7 +91,7 @@ class Max:
         return f"max {self.var}.{self.body}"
 
 
-@dataclass(frozen=True)
+@term
 class Min:
     var: str
     body: "Formula"
@@ -102,7 +102,7 @@ class Min:
         return f"min {self.var}.{self.body}"
 
 
-@dataclass(frozen=True)
+@term
 class FVar:
     name: str
 
@@ -286,7 +286,7 @@ def unfold(f) -> Formula:
 # Classification
 
 
-@dataclass(frozen=True)
+@term
 class Classification:
     closed: bool
     guarded: bool

@@ -37,6 +37,8 @@ from .formulas import (
     TT,
     classify,
     conj,
+    is_guarded,
+    is_shml,
     necessity_branches,
     subst_data,
     unfold,
@@ -125,10 +127,9 @@ def violates(system, trace, f: Formula, domain: Domain, bound: int = DEFAULT_BOU
     action and violating the instantiated continuation along the rest, and a
     fixpoint through its unfolding.
     """
-    flags_needed = classify(f, domain)
-    if not flags_needed.shml:
+    if not is_shml(f):
         raise HarnessError("violating traces are defined for safety formulas")
-    if not flags_needed.guarded:
+    if not is_guarded(f):
         raise HarnessError("formula is not guarded")
     lts, root = as_lts(system, bound)
     memo: dict = {}

@@ -8,11 +8,10 @@ states).  An LTS can also be given explicitly, edge by edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import deque
 from typing import Union
 
-from .symbolic import TAU, label_key, paren
+from .symbolic import TAU, paren, term
 
 
 class ProcessError(Exception):
@@ -23,13 +22,13 @@ class StateBoundExceeded(ProcessError):
     """State-space exploration hit its configured bound."""
 
 
-@dataclass(frozen=True)
+@term
 class PNil:
     def __str__(self):
         return "nil"
 
 
-@dataclass(frozen=True)
+@term
 class Prefix:
     label: object  # Action or TAU
     cont: "Process"
@@ -40,7 +39,7 @@ class Prefix:
         return f"{self.label}.{paren(self.cont, 2)}"
 
 
-@dataclass(frozen=True)
+@term
 class Choice:
     branches: tuple
 
@@ -50,7 +49,7 @@ class Choice:
         return " + ".join(paren(b, 2) for b in self.branches)
 
 
-@dataclass(frozen=True)
+@term
 class Rec:
     var: str
     body: "Process"
@@ -61,7 +60,7 @@ class Rec:
         return f"rec {self.var}.{self.body}"
 
 
-@dataclass(frozen=True)
+@term
 class PVar:
     name: str
 
@@ -138,7 +137,7 @@ def step(p: Process):
     seen = set()
 
     def emit(label, target):
-        key = (label_key(label), target)
+        key = (label, target)
         if key not in seen:
             seen.add(key)
             out.append((label, target))
@@ -171,7 +170,7 @@ class LTS:
 
     def __init__(self, initial, edges, states=None):
         self.initial = initial
-        self._steps = {}
+        succ = {}
         order = []
         seen = set()
 
@@ -184,15 +183,15 @@ class LTS:
         for src, label, dst in edges:
             note(src)
             note(dst)
-            self._steps.setdefault(src, []).append((label, dst))
+            succ.setdefault(src, []).append((label, dst))
         for s in states or ():
             note(s)
         self.states = tuple(order)
-        for s in self.states:
-            self._steps.setdefault(s, [])
+        # successor tuples are built once; `steps` hands them out uncopied
+        self._steps = {s: tuple(succ.get(s, ())) for s in self.states}
 
     def steps(self, s):
-        return tuple(self._steps[s])
+        return self._steps[s]
 
     def labels(self):
         out = set()
@@ -238,10 +237,18 @@ def reachable(p: Process, bound: int) -> LTS:
 def lts_view(system):
     """The (LTS, state) an explicit system stands for: an LTS its initial
     state, an (LTS, state) pair that state.  None for anything else, which
-    callers treat as a process term."""
+    callers treat as a process term.  A pair whose state is not a state of
+    its LTS raises ProcessError."""
     if isinstance(system, LTS):
         return system, system.initial
     if isinstance(system, tuple) and len(system) == 2 and isinstance(system[0], LTS):
+        lts, state = system
+        try:
+            known = state in lts._steps
+        except TypeError:  # unhashable, so no LTS's state
+            known = False
+        if not known:
+            raise ProcessError(f"{state} is not a state of the LTS")
         return system
     return None
 

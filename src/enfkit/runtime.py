@@ -16,10 +16,9 @@ explicit LTS state.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .processes import LTS, explore, lts_view, step as process_step, validate_process
-from .symbolic import INSERT, TAU, Domain, label_key
+from .symbolic import INSERT, TAU, Domain, label_key, term
 from .transducers import ID, Transducer, tstep, validate_transducer
 
 
@@ -27,7 +26,7 @@ class SimulationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@term
 class Config:
     enforcer: Transducer
     system: object
@@ -60,7 +59,7 @@ def istep(cfg: Config, sys_steps, domain: Domain):
     transforms = tstep(cfg.enforcer, domain)
     sys_moves = sys_steps(cfg.system)
     inserts = [((g, u), e2) for (g, u), e2 in transforms if g is INSERT]
-    handled = {label_key(g) for (g, _), _ in transforms if g is not INSERT}
+    handled = {g for (g, _), _ in transforms if g is not INSERT}
 
     out = []
     # iTrn: visible system action composed with a matching transform
@@ -80,7 +79,7 @@ def istep(cfg: Config, sys_steps, domain: Domain):
     # iTer: unhandled visible action and no insertion available
     if not inserts:
         for label, target in sys_moves:
-            if label is TAU or label_key(label) in handled:
+            if label is TAU or label in handled:
                 continue
             out.append(("iTer", label, Config(ID, target)))
     return out
@@ -101,7 +100,7 @@ def composite_lts(enforcer: Transducer, system, domain: Domain, bound: int = 10_
     return explore(Config(enforcer, initial_sys), stepper, bound)
 
 
-@dataclass(frozen=True)
+@term
 class SimStep:
     rule: str
     label: object

@@ -7,14 +7,18 @@ data variables, or binders ``(x)`` -- with a boolean *condition* over those
 variables; it stands for the set of concrete actions whose values match the
 pattern and satisfy the condition.
 
-Everything here is immutable and hashable, so terms double as dict keys and
-LTS state components.
+Every term here is immutable and hashable, so terms double as dict keys and
+LTS state components.  The term classes of this module and of the formula,
+process, transducer and runtime modules are built by `term`: equality is
+structural, and each term computes its structural hash once, on first use,
+and keeps it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -24,6 +28,59 @@ class SymbolicError(Exception):
 
 class UnboundVariable(SymbolicError):
     """A condition or pattern mentions a variable with no binding."""
+
+
+# ---------------------------------------------------------------------------
+# Term classes
+
+
+class CachedHash:
+    """Base of every class built by `term`: a slot that keeps the structural
+    hash once it has been computed.
+
+    The slot is left unset by `__init__`, which keeps construction as cheap as
+    a plain frozen dataclass; `getattr` with a default tells an unset slot from
+    a set one.  The slot's own descriptor stores the hash, bypassing the
+    frozen `__setattr__`.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self._hash_key(self))
+            _store_hash(self, h)
+        return h
+
+
+_store_hash = CachedHash._hash.__set__
+
+
+def term(cls=None, *, order: bool = False):
+    """Class decorator for terms: a frozen, slotted dataclass on the
+    `CachedHash` base, whose structural hash, the hash of its field values,
+    is computed once per object and cached.  Terms are nested, so without
+    the cache every set or dict operation would rehash the whole term.  A
+    term without fields hashes by its class."""
+
+    def build(cls):
+        if cls.__bases__ != (object,):
+            raise TypeError(f"term class {cls.__name__} may not have a base class")
+        # The slotted class, on the CachedHash base, is made before
+        # dataclass() sees it: with slots=True, dataclass() would build a
+        # second class and keep the first one alive in its frozen __setattr__.
+        body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+        body["__slots__"] = tuple(vars(cls).get("__annotations__", ()))
+        cls = dataclass(frozen=True, order=order)(type(cls.__name__, (CachedHash,), body))
+        names = [f.name for f in fields(cls)] or ["__class__"]
+        # attrgetter runs in C, so the first hash of a deep term recurses
+        # through one Python frame per level
+        cls._hash_key = attrgetter(*names)
+        cls.__hash__ = CachedHash.__hash__
+        return cls
+
+    return build if cls is None else build(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +126,7 @@ def _domain_actions(d: Domain) -> tuple:
     return tuple(acts)
 
 
-@dataclass(frozen=True, order=True)
+@term(order=True)
 class Action:
     """One observable event: an input (?) or output (!) of a payload on a port."""
 
@@ -114,7 +171,7 @@ def label_key(label) -> str:
 # Patterns
 
 
-@dataclass(frozen=True)
+@term
 class Lit:
     value: str
 
@@ -122,7 +179,7 @@ class Lit:
         return self.value
 
 
-@dataclass(frozen=True)
+@term
 class Free:
     name: str
 
@@ -130,7 +187,7 @@ class Free:
         return self.name
 
 
-@dataclass(frozen=True)
+@term
 class Binder:
     name: str
 
@@ -141,7 +198,7 @@ class Binder:
 Slot = Union[Lit, Free, Binder]
 
 
-@dataclass(frozen=True)
+@term
 class ActionPattern:
     """A pattern over concrete actions; binder names must be pairwise distinct."""
 
@@ -170,7 +227,7 @@ class ActionPattern:
         return f"{self.port}{'?' if self.is_input else '!'}{self.payload}"
 
 
-@dataclass(frozen=True)
+@term
 class InsertPattern:
     """The special source pattern of an insertion transform; it has no slots."""
 
@@ -199,7 +256,7 @@ def pattern_of_action(action: Action) -> ActionPattern:
 # Terms inside conditions: either a data variable or a literal value name.
 
 
-@dataclass(frozen=True)
+@term
 class Var:
     name: str
 
@@ -207,7 +264,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@term
 class Val:
     name: str
 
@@ -218,19 +275,19 @@ class Val:
 Term = Union[Var, Val]
 
 
-@dataclass(frozen=True)
+@term
 class CTrue:
     def __str__(self):
         return "true"
 
 
-@dataclass(frozen=True)
+@term
 class CFalse:
     def __str__(self):
         return "false"
 
 
-@dataclass(frozen=True)
+@term
 class Cmp:
     left: Term
     right: Term
@@ -240,7 +297,7 @@ class Cmp:
         return f"{self.left} {'=' if self.equal else '!='} {self.right}"
 
 
-@dataclass(frozen=True)
+@term
 class And:
     items: tuple
 
@@ -250,7 +307,7 @@ class And:
         return " && ".join(paren(i, 3) for i in self.items)
 
 
-@dataclass(frozen=True)
+@term
 class Or:
     items: tuple
 
@@ -260,7 +317,7 @@ class Or:
         return " || ".join(paren(i, 2) for i in self.items)
 
 
-@dataclass(frozen=True)
+@term
 class Not:
     item: "Condition"
 
@@ -464,7 +521,7 @@ def _term_value(t: Term, sub: Substitution) -> str:
 # Symbolic actions
 
 
-@dataclass(frozen=True)
+@term
 class SymbolicAction:
     pattern: ActionPattern
     condition: Condition

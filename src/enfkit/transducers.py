@@ -8,7 +8,6 @@ the action, a `*` source pattern inserts one.  Transition labels are pairs
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .processes import LTS, explore
@@ -26,12 +25,12 @@ from .symbolic import (
     avoid_capture,
     cond_vars,
     eval_condition,
-    label_key,
     match,
     narrow,
     paren,
     subst_condition,
     subst_pattern,
+    term,
     underline,
 )
 
@@ -40,13 +39,13 @@ class TransducerError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@term
 class TId:
     def __str__(self):
         return "id"
 
 
-@dataclass(frozen=True)
+@term
 class TPrefix:
     pattern: object  # ActionPattern | InsertPattern
     condition: object
@@ -68,7 +67,7 @@ class TPrefix:
         return f"{{{' '.join(parts)}}}.{paren(self.cont, 2)}"
 
 
-@dataclass(frozen=True)
+@term
 class TSum:
     branches: tuple
 
@@ -78,7 +77,7 @@ class TSum:
         return " + ".join(paren(b, 2) for b in self.branches)
 
 
-@dataclass(frozen=True)
+@term
 class TRec:
     var: str
     body: "Transducer"
@@ -89,7 +88,7 @@ class TRec:
         return f"rec {self.var}.{self.body}"
 
 
-@dataclass(frozen=True)
+@term
 class TVar:
     name: str
 
@@ -249,7 +248,7 @@ def tstep(e: Transducer, domain):
     seen = set()
 
     def emit(gamma, produced, cont):
-        key = (label_key(gamma), label_key(produced), cont)
+        key = (gamma, produced, cont)
         if key not in seen:
             seen.add(key)
             out.append(((gamma, produced), cont))

@@ -2,6 +2,7 @@ import pytest
 
 from enfkit.formulas import FF, TT
 from enfkit.harness import (
+    HarnessError,
     Verdict,
     after,
     check_normalization,
@@ -369,3 +370,28 @@ def test_non_systems_are_rejected(dom, terms):
     for route in routes:
         with pytest.raises(ProcessError):
             route("hello")
+
+
+def test_foreign_states_are_rejected(dom, terms):
+    # an (LTS, state) pair must name a state of that LTS; before, satisfies
+    # answered False, sat_oracle True and violates True for the same pair
+    lts = reachable(terms["pg"], 10)
+    routes = (
+        lambda s: satisfies(s, TT, dom),
+        lambda s: sat_oracle(s, TT, dom),
+        lambda s: violates(s, (), FF, dom),
+        lambda s: check_normalization(terms["phi1"], [s], dom),
+        lambda s: composite_lts(terms["ess"], s, dom),
+        lambda s: simulate(terms["ess"], s, 3, "first", dom),
+    )
+    for state in ("bogus", terms["pb"], ["s0"]):
+        for route in routes:
+            with pytest.raises(ProcessError):
+                route((lts, state))
+
+
+def test_violates_needs_a_guarded_safety_formula(dom, terms):
+    with pytest.raises(HarnessError, match="defined for safety formulas"):
+        violates(terms["pg"], (), terms["phins"], dom)
+    with pytest.raises(HarnessError, match="not guarded"):
+        violates(terms["pg"], (), parse_formula("max X.(X && [i?req]ff)", dom), dom)
