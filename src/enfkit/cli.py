@@ -2,7 +2,8 @@
 
 Subcommands: check, normalize, synthesize, simulate, bisim, verify.
 Exit codes: 0 the query holds / all checks pass, 1 it fails, 2 usage or
-parse error, 3 inconclusive (a state, closure or minterm bound was hit).
+parse error, 3 inconclusive (a state, closure, minterm or equation bound
+was hit).
 Output is deterministic for fixed inputs and seeds.
 """
 from __future__ import annotations

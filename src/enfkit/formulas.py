@@ -8,9 +8,14 @@ no least fixpoints) and its normal form are recognised by `classify`.
 A modality's pattern binders scope over both the guard condition and the
 continuation formula, so formulas can be open in data variables as well as in
 logical variables.
+
+Derived facts about a formula (its free logical and data variables, whether
+it is guarded, whether it is a safety formula) are memoised by term, in
+bounded caches keyed on the formula value.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Union
 
 from .symbolic import (
@@ -130,58 +135,34 @@ def conj(items) -> Formula:
 
 
 # Formulas unfold into DAGs (substitution shares subterms), so the recursive
-# helpers below memoise by object identity; the memo holds a strong reference
-# to each key object, which keeps its id stable.
+# helpers below memoise by term.  Terms hash once and compare structurally,
+# so an unfolding and a reparse of one formula share entries.
 
-_FREE_MEMO_LIMIT = 1_000_000
-_flv_memo: dict = {}
-_fdv_memo: dict = {}
+_term_memo = lru_cache(maxsize=1 << 16)
 
 
-def _memo_get(memo, f):
-    entry = memo.get(id(f))
-    if entry is not None and entry[0] is f:
-        return entry[1]
-    return None
-
-
-def _memo_put(memo, f, value):
-    if len(memo) > _FREE_MEMO_LIMIT:
-        memo.clear()
-    memo[id(f)] = (f, value)
-    return value
-
-
+@_term_memo
 def free_logic_vars(f: Formula) -> frozenset:
-    cached = _memo_get(_flv_memo, f)
-    if cached is not None:
-        return cached
     if isinstance(f, FVar):
-        out = frozenset((f.name,))
-    elif isinstance(f, (FAnd, FOr)):
-        out = frozenset().union(*(free_logic_vars(i) for i in f.items))
-    elif isinstance(f, (Box, Dia)):
-        out = free_logic_vars(f.body)
-    elif isinstance(f, (Max, Min)):
-        out = free_logic_vars(f.body) - {f.var}
-    else:
-        out = frozenset()
-    return _memo_put(_flv_memo, f, out)
-
-
-def free_data_vars(f: Formula) -> frozenset:
-    cached = _memo_get(_fdv_memo, f)
-    if cached is not None:
-        return cached
+        return frozenset((f.name,))
     if isinstance(f, (FAnd, FOr)):
-        out = frozenset().union(*(free_data_vars(i) for i in f.items))
-    elif isinstance(f, (Box, Dia)):
-        out = f.action.free_vars | (free_data_vars(f.body) - f.action.binders)
-    elif isinstance(f, (Max, Min)):
-        out = free_data_vars(f.body)
-    else:
-        out = frozenset()
-    return _memo_put(_fdv_memo, f, out)
+        return frozenset().union(*(free_logic_vars(i) for i in f.items))
+    if isinstance(f, (Box, Dia)):
+        return free_logic_vars(f.body)
+    if isinstance(f, (Max, Min)):
+        return free_logic_vars(f.body) - {f.var}
+    return frozenset()
+
+
+@_term_memo
+def free_data_vars(f: Formula) -> frozenset:
+    if isinstance(f, (FAnd, FOr)):
+        return frozenset().union(*(free_data_vars(i) for i in f.items))
+    if isinstance(f, (Box, Dia)):
+        return f.action.free_vars | (free_data_vars(f.body) - f.action.binders)
+    if isinstance(f, (Max, Min)):
+        return free_data_vars(f.body)
+    return frozenset()
 
 
 def all_names(f: Formula) -> set:
@@ -294,6 +275,7 @@ class Classification:
     shmlnf: bool
 
 
+@_term_memo
 def is_guarded(f: Formula) -> bool:
     """Every occurrence of a logical variable must sit under a modality
     inside its binder."""
@@ -312,6 +294,7 @@ def is_guarded(f: Formula) -> bool:
     return go(f, frozenset())
 
 
+@_term_memo
 def is_shml(f: Formula) -> bool:
     if isinstance(f, (FTrue, FFalse, FVar)):
         return True

@@ -44,7 +44,7 @@ from .formulas import (
     unfold,
 )
 from .modelcheck import ClosureBoundExceeded, mc_eval, sat_oracle, satisfies
-from .normalizer import MintermBlowup, normalize
+from .normalizer import EquationBoundExceeded, MintermBlowup, normalize
 from .processes import (
     NIL,
     Choice,
@@ -86,10 +86,17 @@ class HarnessError(Exception):
 
 DEFAULT_BOUND = 10_000
 DEFAULT_DEPTH = 6
+#: Violation-semantics also tries every action sequence up to this length.
+EXHAUSTIVE_DEPTH = 2
 
-#: Errors raised when a state, closure or minterm bound cuts a computation
-#: short.  They make a check inconclusive, never a usage error.
-BOUND_ERRORS = (StateBoundExceeded, ClosureBoundExceeded, MintermBlowup)
+#: Errors raised when a state, closure, minterm or equation bound cuts a
+#: computation short.  They make a check inconclusive, never a usage error.
+BOUND_ERRORS = (
+    StateBoundExceeded,
+    ClosureBoundExceeded,
+    MintermBlowup,
+    EquationBoundExceeded,
+)
 
 
 @dataclass(frozen=True)
@@ -333,7 +340,6 @@ def check_violation_semantics(
     depth: int,
     d: Domain,
     bound: int = DEFAULT_BOUND,
-    exhaustive_depth: int = 2,
 ) -> Verdict:
     """Both violating-trace conditions, bounded: (1) every violating trace
     found must belong to a state-level violator and be weakly performable;
@@ -345,7 +351,7 @@ def check_violation_semantics(
         for p in processes:
             plts = reachable(p, bound)
             candidates = set(traces(plts, p, depth))
-            candidates.update(_shallow_traces(d, min(depth, exhaustive_depth)))
+            candidates.update(_shallow_traces(d, min(depth, EXHAUSTIVE_DEPTH)))
             sat_here = satisfies((plts, p), f, d, bound)
             found = []
             for t in sorted(candidates, key=lambda t: (len(t), tuple(map(str, t)))):
@@ -537,12 +543,16 @@ def gen_process(d: Domain, size: int, seed: int) -> Process:
     return go(size, frozenset(), frozenset())
 
 
-def make_corpus(d: Domain, n: int, seed: int, max_formula_size: int = 8, max_process_size: int = 24):
+CORPUS_FORMULA_SIZE = 8
+CORPUS_PROCESS_SIZE = 24
+
+
+def make_corpus(d: Domain, n: int, seed: int):
     """n seeded (formula, process) pairs with sizes cycling up to the caps."""
     out = []
     for i in range(n):
-        fsize = 1 + (i % max_formula_size)
-        psize = 1 + ((i * 7 + 3) % max_process_size)
+        fsize = 1 + (i % CORPUS_FORMULA_SIZE)
+        psize = 1 + ((i * 7 + 3) % CORPUS_PROCESS_SIZE)
         out.append(
             (gen_formula(d, fsize, seed + i), gen_process(d, psize, seed * 31 + i))
         )

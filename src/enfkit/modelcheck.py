@@ -50,13 +50,6 @@ def mc_eval(f: Formula, lts: LTS, valuation, domain: Domain) -> frozenset:
     """The set of states satisfying `f` under a valuation of its free
     logical variables.  Data variables must already be instantiated."""
     all_states = frozenset(lts.states)
-    weak_cache: dict = {}
-
-    def weak(s, a):
-        key = (s, a)
-        if key not in weak_cache:
-            weak_cache[key] = weak_step(lts, s, a)
-        return weak_cache[key]
 
     def ev(g, rho) -> frozenset:
         if isinstance(g, FTrue):
@@ -84,7 +77,7 @@ def mc_eval(f: Formula, lts: LTS, valuation, domain: Domain) -> frozenset:
                 if sub is None:
                     continue
                 body_set = ev(subst_data(g.body, sub), rho)
-                result = {s for s in result if weak(s, a) <= body_set}
+                result = {s for s in result if weak_step(lts, s, a) <= body_set}
             return frozenset(result)
         if isinstance(g, Dia):
             result = set()
@@ -93,7 +86,7 @@ def mc_eval(f: Formula, lts: LTS, valuation, domain: Domain) -> frozenset:
                 if sub is None:
                     continue
                 body_set = ev(subst_data(g.body, sub), rho)
-                result |= {s for s in all_states if weak(s, a) & body_set}
+                result |= {s for s in all_states if weak_step(lts, s, a) & body_set}
             return frozenset(result)
         if isinstance(g, (Max, Min)):
             greatest = isinstance(g, Max)
@@ -144,13 +137,6 @@ def sat_oracle(
     if not is_shml(f) or free_logic_vars(f):
         raise ModelCheckError("the satisfaction oracle handles closed safety formulas")
     lts, root_state = as_lts(system, bound)
-    weak_cache: dict = {}
-
-    def weak(s, a):
-        key = (s, a)
-        if key not in weak_cache:
-            weak_cache[key] = weak_step(lts, s, a)
-        return weak_cache[key]
 
     root = (root_state, f)
     requirements: dict = {}
@@ -180,7 +166,7 @@ def sat_oracle(
                 if sub is None:
                     continue
                 cont = subst_data(g.body, sub)
-                for q in weak(state, a):
+                for q in weak_step(lts, state, a):
                     found.append((q, cont))
             reqs = tuple(found)
         else:

@@ -37,7 +37,6 @@ from .formulas import (
     Min,
     TT,
     all_names,
-    classify,
     conj,
     free_data_vars,
     free_logic_vars,
@@ -70,6 +69,10 @@ class NormalizeError(Exception):
 
 class MintermBlowup(NormalizeError):
     """A single equation body mixes too many distinct guard conditions."""
+
+
+class EquationBoundExceeded(NormalizeError):
+    """The equation system grew past `MAX_EQUATIONS` variables."""
 
 
 MAX_MINTERM_CONDITIONS = 12
@@ -224,10 +227,10 @@ class _KeyMaker:
                 for v in free_logic_vars(g)
             )
         )
-        mkey = (id(g), dproj, lproj)
+        mkey = (g, dproj, lproj)
         cached = self._memo.get(mkey)
-        if cached is not None and cached[0] is g:
-            return cached[1]
+        if cached is not None:
+            return cached
         if isinstance(g, FTrue):
             out = self._cons("tt")
         elif isinstance(g, FFalse):
@@ -267,7 +270,7 @@ class _KeyMaker:
             out = self._cons(tag, pat.is_input, tuple(slots), cond, body)
         else:
             raise NormalizeError(f"cannot canonicalise {g!r}")
-        self._memo[mkey] = (g, out)
+        self._memo[mkey] = out
         return out
 
 
@@ -298,7 +301,7 @@ class _Builder:
         if key in self.ids:
             return self.ids[key]
         if len(self.formulas) >= MAX_EQUATIONS:
-            raise NormalizeError("equation system grew past the safety bound")
+            raise EquationBoundExceeded("equation system grew past the safety bound")
         var = len(self.formulas)
         self.ids[key] = var
         self.formulas.append(f)
@@ -681,10 +684,9 @@ def normalize(f: Formula, d: Domain) -> Formula:
     same system as materialising the one-step unfolding up front but avoids
     the exponential intermediate term on deeply nested inputs.
     """
-    flags = classify(f, d)
-    if not flags.closed:
+    if free_logic_vars(f) or free_data_vars(f):
         raise NormalizeError("formula must be closed")
-    if not flags.guarded:
+    if not is_guarded(f):
         raise NormalizeError("formula is not guarded")
     if not is_shml(f):
         raise NormalizeError("only the safety fragment can be normalised")

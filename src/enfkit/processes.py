@@ -165,7 +165,9 @@ class LTS:
     """An explicit finite LTS: states, labelled transitions, one initial state.
 
     States may be process terms, plain strings, or monitored configurations;
-    they only need to be hashable.
+    they only need to be hashable.  The LTS also holds the memos of its
+    tau-closures and weak steps, which `tau_closure` and `weak_step` fill on
+    demand, so every algorithm over one LTS derives each of them once.
     """
 
     def __init__(self, initial, edges, states=None):
@@ -189,6 +191,8 @@ class LTS:
         self.states = tuple(order)
         # successor tuples are built once; `steps` hands them out uncopied
         self._steps = {s: tuple(succ.get(s, ())) for s in self.states}
+        self._closures: dict = {}
+        self._weak: dict = {}
 
     def steps(self, s):
         return self._steps[s]
@@ -261,29 +265,33 @@ def as_lts(system, bound: int) -> tuple:
 
 
 def tau_closure(lts: LTS, s) -> frozenset:
-    out = {s}
-    queue = deque([s])
-    while queue:
-        cur = queue.popleft()
-        for label, dst in lts.steps(cur):
-            if label is TAU and dst not in out:
-                out.add(dst)
-                queue.append(dst)
-    return frozenset(out)
+    """The states `s` reaches by silent steps, itself included."""
+    out = lts._closures.get(s)
+    if out is None:
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            cur = queue.popleft()
+            for label, dst in lts.steps(cur):
+                if label is TAU and dst not in seen:
+                    seen.add(dst)
+                    queue.append(dst)
+        out = lts._closures[s] = frozenset(seen)
+    return out
 
 
 def weak_step(lts: LTS, s, label) -> frozenset:
     """Weak derivatives: tau* label tau* (for label tau: tau* passing one tau)."""
-    pre = tau_closure(lts, s)
-    mids = set()
-    for q in pre:
-        for lab, dst in lts.steps(q):
-            if lab == label or (lab is TAU and label is TAU):
-                mids.add(dst)
-    out = set()
-    for m in mids:
-        out |= tau_closure(lts, m)
-    return frozenset(out)
+    key = (s, label)
+    out = lts._weak.get(key)
+    if out is None:
+        mids = set()
+        for q in tau_closure(lts, s):
+            for lab, dst in lts.steps(q):
+                if lab == label or (lab is TAU and label is TAU):
+                    mids.add(dst)
+        out = lts._weak[key] = frozenset().union(*(tau_closure(lts, m) for m in mids))
+    return out
 
 
 def weak_trace_derivatives(lts: LTS, s, trace) -> frozenset:

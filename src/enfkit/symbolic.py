@@ -11,7 +11,9 @@ Every term here is immutable and hashable, so terms double as dict keys and
 LTS state components.  The term classes of this module and of the formula,
 process, transducer and runtime modules are built by `term`: equality is
 structural, and each term computes its structural hash once, on first use,
-and keeps it.
+and keeps it.  That makes terms cheap memo keys, so memos key on term
+values, never on object identity: equal terms share an entry, and an entry
+stays valid for as long as the memo holds it.
 """
 from __future__ import annotations
 
@@ -617,15 +619,14 @@ def disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
 _FRESH_POOL = ("y", "z", "w", "u", "v", "x")
 
 
-def fresh_name(used, base_index: int = 0) -> str:
+def fresh_name(used) -> str:
     """Pick a deterministic identifier not in `used`."""
-    pool = _FRESH_POOL[base_index:] + _FRESH_POOL[:base_index]
-    for name in pool:
+    for name in _FRESH_POOL:
         if name not in used:
             return name
     i = 1
     while True:
-        for name in pool:
+        for name in _FRESH_POOL:
             cand = f"{name}{i}"
             if cand not in used:
                 return cand

@@ -69,13 +69,12 @@ class _Names:
                 return name
 
 
-def synthesize(f: Formula, d: Domain | None = None) -> Transducer:
+def synthesize(f: Formula, d: Domain) -> Transducer:
     """Translate a normal-form safety formula into a suppression enforcer.
 
-    When a domain is supplied the input is checked to be in normal form,
-    including guard disjointness; otherwise only the grammar is enforced.
+    The input is checked to be in normal form, guard disjointness included.
     """
-    if d is not None and not classify(f, d).shmlnf:
+    if not classify(f, d).shmlnf:
         raise SynthesisError("synthesis needs a normal-form safety formula")
     names = _Names(avoid=all_names(f))
 
@@ -87,8 +86,6 @@ def synthesize(f: Formula, d: Domain | None = None) -> Transducer:
         if isinstance(g, Max):
             return TRec(names.for_var(g.var), syn(g.body))
         branches = necessity_branches(g)
-        if branches is None:
-            raise SynthesisError(f"not a normal-form formula: {g}")
         if not branches:
             return ID
         y = names.fresh_sum_var()

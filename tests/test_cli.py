@@ -2,6 +2,7 @@ import io
 import os
 from contextlib import redirect_stdout
 
+from enfkit import normalizer
 from enfkit.cli import main
 from enfkit.parsing import parse_transducer
 from enfkit.transducers import alpha_eq
@@ -174,3 +175,17 @@ def test_verify_minterm_blowup_is_inconclusive_per_pair(tmp_path):
     assert code == 3 and len(lines) == 16
     inconclusive = [line for line in lines if " inconclusive [" in line]
     assert inconclusive and all("the bound is 12" in line for line in inconclusive)
+
+
+def test_verify_equation_bound_is_inconclusive_per_pair(monkeypatch):
+    monkeypatch.setattr(normalizer, "MAX_EQUATIONS", 2)
+    code, out = run(["--spec", SPEC, "verify", "--property", "soundness", "--corpus", SPEC])
+    lines = out.strip().splitlines()
+    # 3 formulas x 4 processes: the bound aborts no pair
+    assert code == 3 and len(lines) == 12
+    inconclusive = [line for line in lines if " inconclusive [" in line]
+    assert inconclusive and all("grew past the safety bound" in line for line in inconclusive)
+    # with every criterion, the two nvtt failures of the bad server still
+    # decide the exit code, and all 48 verdicts are printed
+    code, out = run(["--spec", SPEC, "verify", "--property", "all", "--corpus", SPEC])
+    assert code == 1 and len(out.strip().splitlines()) == 48
