@@ -33,6 +33,7 @@ from .transducers import Transducer, alpha_eq, transducer_lts, tstep
 from .runtime import Config, composite_lts, istep, simulate
 from .bisim import bisim, naive_bisim
 from .harness import (
+    Pair,
     Verdict,
     after,
     check_nvtt,

@@ -15,6 +15,7 @@ from .bisim import bisim
 from .harness import (
     BOUND_ERRORS,
     DEFAULT_DEPTH,
+    Pair,
     check_nvtt,
     check_soundness,
     check_transparency,
@@ -24,7 +25,7 @@ from .harness import (
 from .modelcheck import satisfies
 from .normalizer import dump_stages, normalize
 from .parsing import ParseError, SpecFile, load_specfile, parse_lts
-from .processes import reachable
+from .processes import DEFAULT_STATE_BOUND, reachable
 from .runtime import composite_lts, simulate
 from .symbolic import Domain
 from .synthesis import compile_formula, synthesize
@@ -132,25 +133,26 @@ def _corpus_from(args, spec):
     return file_spec.domain, pairs
 
 
+#: The criteria `verify` runs, by name, in the order `--property all` prints
+#: them.  Each entry takes the pair and the trace depth; the check is looked
+#: up when it runs, so a wrapper later put on this module's name is seen.
+CRITERIA = {
+    "soundness": lambda pair, depth: check_soundness(pair, depth),
+    "transparency": lambda pair, depth: check_transparency(pair),
+    "nvtt": lambda pair, depth: check_nvtt(pair, depth),
+    "violation-sem": lambda pair, depth: check_violation_semantics(pair, depth),
+}
+
+
 def cmd_verify(args) -> int:
     spec = load_specfile(args.spec) if args.spec else None
     domain, pairs = _corpus_from(args, spec)
-    wanted = (
-        ["soundness", "transparency", "nvtt", "violation-sem"]
-        if args.property == "all"
-        else [args.property]
-    )
+    wanted = list(CRITERIA) if args.property == "all" else [args.property]
     worst = EXIT_OK
     for f, p in pairs:
-        for prop in wanted:
-            if prop == "soundness":
-                verdict = check_soundness(f, [p], domain, bound=args.domain_bound, depth=args.depth)
-            elif prop == "transparency":
-                verdict = check_transparency(f, [p], domain, bound=args.domain_bound)
-            elif prop == "nvtt":
-                verdict = check_nvtt(f, p, args.depth, domain, bound=args.domain_bound)
-            else:
-                verdict = check_violation_semantics(f, [p], args.depth, domain, bound=args.domain_bound)
+        pair = Pair(f, p, domain, bound=args.domain_bound)
+        for name in wanted:
+            verdict = CRITERIA[name](pair, args.depth)
             print(verdict.line())
             if verdict.outcome == "fail":
                 worst = EXIT_FAIL
@@ -169,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument(
         "--domain-bound",
         type=int,
-        default=10_000,
+        default=DEFAULT_STATE_BOUND,
         metavar="N",
         help="state-space exploration bound (default %(default)s)",
     )
@@ -204,11 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=cmd_bisim)
 
     v = sub.add_parser("verify", help="run a correctness-criterion suite")
-    v.add_argument(
-        "--property",
-        required=True,
-        choices=["soundness", "transparency", "nvtt", "violation-sem", "all"],
-    )
+    v.add_argument("--property", required=True, choices=[*CRITERIA, "all"])
     v.add_argument(
         "--corpus",
         required=True,

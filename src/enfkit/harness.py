@@ -15,6 +15,11 @@ witness), or inconclusive when a bound truncated the search.
                  required structure;
   oracle         the two satisfaction routes agree on safety formulas.
 
+The first four criteria, and the oracle agreement, take a `Pair`: one
+formula and one process, whose enforcer, LTS, composite and satisfaction are
+each derived once and shared by every check run on it.  Normalization takes
+one formula and many systems.
+
 Also here: the trace-level forcing relation (`violates`), the formula
 residual (`after`), and the seeded random generators feeding the suites.
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .bisim import bisim
@@ -46,6 +52,8 @@ from .formulas import (
 from .modelcheck import ClosureBoundExceeded, mc_eval, sat_oracle, satisfies
 from .normalizer import EquationBoundExceeded, MintermBlowup, normalize
 from .processes import (
+    DEFAULT_STATE_BOUND as DEFAULT_BOUND,
+    LTS,
     NIL,
     Choice,
     Prefix,
@@ -84,7 +92,6 @@ class HarnessError(Exception):
     pass
 
 
-DEFAULT_BOUND = 10_000
 DEFAULT_DEPTH = 6
 #: Violation-semantics also tries every action sequence up to this length.
 EXHAUSTIVE_DEPTH = 2
@@ -215,91 +222,97 @@ def is_sat(f: Formula, d: Domain, bound: int = DEFAULT_BOUND) -> bool:
 # Correctness criteria
 
 
-def _violating_witness(system_lts, init, f, domain, depth):
-    candidates = sorted(
-        traces(system_lts, init, depth), key=lambda t: (len(t), tuple(map(str, t)))
-    )
-    for t in candidates:
-        if t and violates((system_lts, init), t, f, domain):
-            return _trace_text(t)
-    return None
+class Pair:
+    """One formula/process pair under check, with what the criteria share.
+
+    The enforcer (the one given, else the synthesised one), the process's
+    LTS, the instrumented composite and whether the process satisfies the
+    formula are each derived on first use and kept.  A derivation that hits
+    a bound raises and keeps nothing, so every criterion that needs it meets
+    the error itself and reports its own inconclusive verdict.
+    """
+
+    def __init__(self, f: Formula, p: Process, d: Domain, enforcer=None, bound=DEFAULT_BOUND):
+        self.f, self.p, self.d, self.bound = f, p, d, bound
+        self.subject = (str(f), str(p))
+        if enforcer is not None:
+            self.enforcer = enforcer  # shadows the synthesised one
+
+    @cached_property
+    def enforcer(self) -> Transducer:
+        return compile_formula(self.f, self.d)
+
+    @cached_property
+    def system(self) -> LTS:
+        return reachable(self.p, self.bound)
+
+    @cached_property
+    def composite(self) -> LTS:
+        return composite_lts(self.enforcer, self.p, self.d, self.bound)
+
+    @cached_property
+    def holds(self) -> bool:
+        return satisfies((self.system, self.p), self.f, self.d, self.bound)
 
 
-def check_soundness(
-    f: Formula,
-    processes,
-    d: Domain,
-    enforcer: Transducer | None = None,
-    bound: int = DEFAULT_BOUND,
-    depth: int = DEFAULT_DEPTH,
-) -> Verdict:
-    """A satisfiable formula must hold of the instrumented system, for every
-    given process.  With no explicit enforcer the synthesised one is used."""
-    subject = (str(f), ";".join(str(p) for p in processes))
+def _in_order(ts):
+    return sorted(ts, key=lambda t: (len(t), tuple(map(str, t))))
+
+
+# Each check reads the pair's derivations in a fixed order (a bare
+# `pair.enforcer` derives the enforcer first), so the bound an inconclusive
+# verdict names does not depend on which criteria ran on the pair before.
+
+
+def check_soundness(pair: Pair, depth: int = DEFAULT_DEPTH) -> Verdict:
+    """A satisfiable formula must hold of the instrumented system; the
+    witness of a failure is the shortest violating trace within the depth."""
+    f, d = pair.f, pair.d
     try:
-        if not is_sat(f, d, bound):
-            return Verdict("soundness", subject, "pass")
-        e = enforcer if enforcer is not None else compile_formula(f, d)
-        for p in processes:
-            comp = composite_lts(e, p, d, bound)
-            if not satisfies((comp, comp.initial), f, d, bound):
-                witness = _violating_witness(comp, comp.initial, f, d, depth)
-                witness = witness or f"instrumented {p} falsifies the formula"
-                return Verdict("soundness", (str(f), str(p)), "fail", witness)
+        if is_sat(f, d, pair.bound):
+            comp = pair.composite
+            if not satisfies((comp, comp.initial), f, d, pair.bound):
+                witness = f"instrumented {pair.p} falsifies the formula"
+                for t in _in_order(traces(comp, comp.initial, depth)):
+                    if t and violates((comp, comp.initial), t, f, d):
+                        witness = _trace_text(t)
+                        break
+                return Verdict("soundness", pair.subject, "fail", witness)
     except BOUND_ERRORS as exc:
-        return Verdict("soundness", subject, "inconclusive", str(exc))
-    return Verdict("soundness", subject, "pass")
+        return Verdict("soundness", pair.subject, "inconclusive", str(exc))
+    return Verdict("soundness", pair.subject, "pass")
 
 
-def check_transparency(
-    f: Formula,
-    processes,
-    d: Domain,
-    enforcer: Transducer | None = None,
-    bound: int = DEFAULT_BOUND,
-) -> Verdict:
-    """Instrumentation must not disturb systems that already satisfy the
+def check_transparency(pair: Pair) -> Verdict:
+    """Instrumentation must not disturb a system that already satisfies the
     formula: the composite stays strongly bisimilar to the bare system."""
-    subject = (str(f), ";".join(str(p) for p in processes))
     try:
-        e = enforcer if enforcer is not None else compile_formula(f, d)
-        for p in processes:
-            plts = reachable(p, bound)
-            if not satisfies((plts, p), f, d, bound):
-                continue
-            comp = composite_lts(e, p, d, bound)
-            equal, witness = bisim(comp, comp.initial, plts, p)
+        pair.enforcer
+        if pair.holds:
+            comp = pair.composite
+            equal, witness = bisim(comp, comp.initial, pair.system, pair.p)
             if not equal:
                 return Verdict(
-                    "transparency",
-                    (str(f), str(p)),
-                    "fail",
-                    f"split on label {witness[0]}",
+                    "transparency", pair.subject, "fail", f"split on label {witness[0]}"
                 )
     except BOUND_ERRORS as exc:
-        return Verdict("transparency", subject, "inconclusive", str(exc))
-    return Verdict("transparency", subject, "pass")
+        return Verdict("transparency", pair.subject, "inconclusive", str(exc))
+    return Verdict("transparency", pair.subject, "pass")
 
 
-def check_nvtt(
-    f: Formula,
-    p: Process,
-    depth: int,
-    d: Domain,
-    enforcer: Transducer | None = None,
-    bound: int = DEFAULT_BOUND,
-) -> Verdict:
+def check_nvtt(pair: Pair, depth: int) -> Verdict:
     """Non-violating-trace transparency up to the given trace depth: every
     non-violating trace of the process is preserved by instrumentation, and
     the composite adds no such trace with new endpoints."""
-    subject = (str(f), str(p), f"depth={depth}")
+    f, p = pair.f, pair.p
+    subject = (*pair.subject, f"depth={depth}")
     try:
-        e = enforcer if enforcer is not None else compile_formula(f, d)
-        plts = reachable(p, bound)
-        comp = composite_lts(e, p, d, bound)
+        pair.enforcer
+        plts = pair.system
+        comp = pair.composite
         relevant = traces(plts, p, depth) | traces(comp, comp.initial, depth)
-        for t in sorted(relevant, key=lambda t: (len(t), tuple(map(str, t)))):
-            if violates((plts, p), t, f, d):
+        for t in _in_order(relevant):
+            if violates((plts, p), t, f, pair.d):
                 continue
             plain = weak_trace_derivatives(plts, p, t)
             composite = weak_trace_derivatives(comp, comp.initial, t)
@@ -334,54 +347,35 @@ def _shallow_traces(d: Domain, depth: int):
     return out
 
 
-def check_violation_semantics(
-    f: Formula,
-    processes,
-    depth: int,
-    d: Domain,
-    bound: int = DEFAULT_BOUND,
-) -> Verdict:
+def check_violation_semantics(pair: Pair, depth: int) -> Verdict:
     """Both violating-trace conditions, bounded: (1) every violating trace
     found must belong to a state-level violator and be weakly performable;
     (2) a state-level violator must exhibit some violating trace within the
     depth, otherwise the verdict is inconclusive rather than a false pass."""
-    subject = (str(f), ";".join(str(p) for p in processes), f"depth={depth}")
-    inconclusive = None
+    f, p, d = pair.f, pair.p, pair.d
+    subject = (*pair.subject, f"depth={depth}")
     try:
-        for p in processes:
-            plts = reachable(p, bound)
-            candidates = set(traces(plts, p, depth))
-            candidates.update(_shallow_traces(d, min(depth, EXHAUSTIVE_DEPTH)))
-            sat_here = satisfies((plts, p), f, d, bound)
-            found = []
-            for t in sorted(candidates, key=lambda t: (len(t), tuple(map(str, t)))):
-                if not violates((plts, p), t, f, d):
-                    continue
-                found.append(t)
-                if sat_here:
-                    return Verdict(
-                        "violation-sem",
-                        (str(f), str(p)),
-                        "fail",
-                        f"{_trace_text(t)} violates but the system satisfies the formula",
-                    )
-                if not weak_trace_derivatives(plts, p, t):
-                    return Verdict(
-                        "violation-sem",
-                        (str(f), str(p)),
-                        "fail",
-                        f"violating trace {_trace_text(t)} is not performable",
-                    )
-            if not sat_here and not found:
-                inconclusive = Verdict(
-                    "violation-sem",
-                    (str(f), str(p)),
-                    "inconclusive",
-                    f"no violating trace within depth {depth}",
-                )
+        plts = pair.system
+        candidates = set(traces(plts, p, depth))
+        candidates.update(_shallow_traces(d, min(depth, EXHAUSTIVE_DEPTH)))
+        holds = pair.holds
+        found = False
+        for t in _in_order(candidates):
+            if not violates((plts, p), t, f, d):
+                continue
+            if holds:
+                why = f"{_trace_text(t)} violates but the system satisfies the formula"
+                return Verdict("violation-sem", pair.subject, "fail", why)
+            if not weak_trace_derivatives(plts, p, t):
+                why = f"violating trace {_trace_text(t)} is not performable"
+                return Verdict("violation-sem", pair.subject, "fail", why)
+            found = True
+        if not holds and not found:
+            why = f"no violating trace within depth {depth}"
+            return Verdict("violation-sem", pair.subject, "inconclusive", why)
     except BOUND_ERRORS as exc:
         return Verdict("violation-sem", subject, "inconclusive", str(exc))
-    return inconclusive or Verdict("violation-sem", subject, "pass")
+    return Verdict("violation-sem", subject, "pass")
 
 
 def check_normalization(
@@ -417,24 +411,21 @@ def check_normalization(
     return Verdict("normalization-equivalence", subject, "pass")
 
 
-def check_oracle_agreement(
-    f: Formula, p: Process, d: Domain, bound: int = DEFAULT_BOUND
-) -> Verdict:
-    subject = (str(f), str(p))
+def check_oracle_agreement(pair: Pair) -> Verdict:
+    """The denotational and the coinductive satisfaction routes agree."""
     try:
-        lts = reachable(p, bound)
-        denotational = satisfies((lts, p), f, d, bound)
-        coinductive = sat_oracle((lts, p), f, d, bound)
+        denotational = pair.holds
+        coinductive = sat_oracle((pair.system, pair.p), pair.f, pair.d, pair.bound)
     except BOUND_ERRORS as exc:
-        return Verdict("oracle-agreement", subject, "inconclusive", str(exc))
+        return Verdict("oracle-agreement", pair.subject, "inconclusive", str(exc))
     if denotational != coinductive:
         return Verdict(
             "oracle-agreement",
-            subject,
+            pair.subject,
             "fail",
             f"denotational={denotational} coinductive={coinductive}",
         )
-    return Verdict("oracle-agreement", subject, "pass")
+    return Verdict("oracle-agreement", pair.subject, "pass")
 
 
 # ---------------------------------------------------------------------------

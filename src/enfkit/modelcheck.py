@@ -30,7 +30,7 @@ from .formulas import (
     subst_data,
     unfold,
 )
-from .processes import LTS, as_lts, weak_step
+from .processes import DEFAULT_STATE_BOUND, LTS, as_lts, weak_step
 from .symbolic import Domain, sym_match
 
 
@@ -42,7 +42,7 @@ class ClosureBoundExceeded(ModelCheckError):
     pass
 
 
-DEFAULT_STATE_BOUND = 10_000
+#: Cap on the (state, formula) pairs of `sat_oracle`'s closure.
 DEFAULT_CLOSURE_BOUND = 200_000
 
 
@@ -119,13 +119,7 @@ def satisfies(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BOU
 # Satisfaction-relation oracle for the safety fragment
 
 
-def sat_oracle(
-    system,
-    f: Formula,
-    domain: Domain,
-    bound: int = DEFAULT_STATE_BOUND,
-    closure_bound: int = DEFAULT_CLOSURE_BOUND,
-) -> bool:
+def sat_oracle(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BOUND) -> bool:
     """Coinductive satisfaction for safety formulas.
 
     Builds the reachable closure of (state, formula) pairs under the rules:
@@ -146,7 +140,7 @@ def sat_oracle(
         node = queue.popleft()
         if node in requirements or node in failed:
             continue
-        if len(requirements) + len(failed) > closure_bound:
+        if len(requirements) + len(failed) > DEFAULT_CLOSURE_BOUND:
             raise ClosureBoundExceeded("satisfaction closure grew past the bound")
         state, g = node
         if isinstance(g, FFalse):

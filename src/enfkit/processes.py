@@ -14,6 +14,11 @@ from typing import Union
 from .symbolic import TAU, paren, term
 
 
+#: The default cap on the states of an explored LTS (a process's, a
+#: transducer's or a composite's).
+DEFAULT_STATE_BOUND = 10_000
+
+
 class ProcessError(Exception):
     pass
 
@@ -107,11 +112,11 @@ def subst_proc(p: Process, var: str, rep: Process) -> Process:
     return p
 
 
-def validate_process(p: Process, bound_vars=frozenset()):
+def validate_process(p: Process):
     """Reject objects that are not process terms, open terms, and unguarded
     recursion (e.g. rec X.X), which has no well-defined transition
     semantics."""
-    _validate(p, frozenset(bound_vars), frozenset())
+    _validate(p, frozenset(), frozenset())
 
 
 def _validate(p, bound, unguarded):
@@ -196,12 +201,6 @@ class LTS:
 
     def steps(self, s):
         return self._steps[s]
-
-    def labels(self):
-        out = set()
-        for edges in self._steps.values():
-            out.update(label for label, _ in edges)
-        return out
 
     def __len__(self):
         return len(self.states)

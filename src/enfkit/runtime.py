@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import random
 
-from .processes import LTS, explore, lts_view, step as process_step, validate_process
+from .processes import DEFAULT_STATE_BOUND, LTS, explore, lts_view, validate_process
+from .processes import step as process_step
 from .symbolic import INSERT, TAU, Domain, label_key, term
 from .transducers import ID, Transducer, tstep, validate_transducer
 
@@ -85,7 +86,9 @@ def istep(cfg: Config, sys_steps, domain: Domain):
     return out
 
 
-def composite_lts(enforcer: Transducer, system, domain: Domain, bound: int = 10_000) -> LTS:
+def composite_lts(
+    enforcer: Transducer, system, domain: Domain, bound: int = DEFAULT_STATE_BOUND
+) -> LTS:
     """Reachable closure of the instrumentation from <enforcer, system>.
 
     A transducer that can insert forever makes this space infinite; the

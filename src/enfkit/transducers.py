@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .processes import LTS, explore
+from .processes import DEFAULT_STATE_BOUND, LTS, explore
 from .symbolic import (
     INSERT,
     TAU,
@@ -189,11 +189,11 @@ def _subst_scope(scope, sub: Substitution):
 # Well-formedness
 
 
-def validate_transducer(e: Transducer, rec_scope=frozenset(), data_scope=frozenset()):
+def validate_transducer(e: Transducer):
     """Check closedness and the prefix constraints: the target pattern has no
     binders and mentions only variables bound by the source pattern (or an
     enclosing one); recursion must be transform-guarded."""
-    _validate(e, frozenset(rec_scope), frozenset(data_scope), frozenset())
+    _validate(e, frozenset(), frozenset(), frozenset())
 
 
 def _validate(e, rec_scope, data_scope, unguarded):
@@ -277,7 +277,7 @@ def tstep(e: Transducer, domain):
     return out
 
 
-def transducer_lts(e: Transducer, domain, bound: int = 10_000) -> LTS:
+def transducer_lts(e: Transducer, domain, bound: int = DEFAULT_STATE_BOUND) -> LTS:
     """The LTS of a transducer, labelled by (consumed, produced) pairs."""
     validate_transducer(e)
     return explore(e, lambda t: tstep(t, domain), bound)

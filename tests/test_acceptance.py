@@ -12,6 +12,7 @@ import pytest
 
 from enfkit.bisim import bisim, naive_bisim
 from enfkit.harness import (
+    Pair,
     check_normalization,
     check_nvtt,
     check_oracle_agreement,
@@ -137,13 +138,13 @@ def test_criterion_03_synthesis_reproduces_handwritten_enforcer(dom, terms):
 def test_criterion_04_soundness_and_transparency_verdicts(dom, terms):
     t0 = time.perf_counter()
     failures = []
-    v = check_soundness(terms["phi1"], [terms["pb"]], dom, enforcer=terms["ei"])
+    v = check_soundness(Pair(terms["phi1"], terms["pb"], dom, enforcer=terms["ei"]))
     if v.outcome != "fail":
         failures.append(f"insertion enforcer should break soundness: {v.line()}")
-    v = check_transparency(terms["phi1"], [terms["pg"]], dom, enforcer=terms["es"])
+    v = check_transparency(Pair(terms["phi1"], terms["pg"], dom, enforcer=terms["es"]))
     if v.outcome != "fail":
         failures.append(f"blunt suppressor should break transparency: {v.line()}")
-    v = check_transparency(terms["phi1"], [terms["reqnil"]], dom, enforcer=terms["er"])
+    v = check_transparency(Pair(terms["phi1"], terms["reqnil"], dom, enforcer=terms["er"]))
     if v.outcome != "fail":
         failures.append(f"replacement should break transparency: {v.line()}")
     comp = composite_lts(terms["ess"], terms["pg"], dom)
@@ -157,7 +158,7 @@ def test_criterion_04_soundness_and_transparency_verdicts(dom, terms):
 def test_criterion_05_soundness_suite(dom, corpus):
     t0 = time.perf_counter()
     failures = [
-        v.line() for v in (check_soundness(f, [p], dom) for f, p in corpus) if v.outcome != "pass"
+        v.line() for v in (check_soundness(Pair(f, p, dom)) for f, p in corpus) if v.outcome != "pass"
     ]
     report(5, f"soundness on {len(corpus)} seeded pairs", t0, failures, budget=60.0)
 
@@ -166,7 +167,7 @@ def test_criterion_06_transparency_suite(dom, corpus):
     t0 = time.perf_counter()
     failures = [
         v.line()
-        for v in (check_transparency(f, [p], dom) for f, p in corpus)
+        for v in (check_transparency(Pair(f, p, dom)) for f, p in corpus)
         if v.outcome != "pass"
     ]
     report(6, f"transparency on {len(corpus)} seeded pairs", t0, failures, budget=60.0)
@@ -199,7 +200,7 @@ def test_criterion_08_nvtt_suite(dom, terms, corpus):
     if violates(pb, t, phi1, dom) or plain != projected:
         failures.append("worked instance: req·ans not preserved both directions")
     for f, p in corpus:
-        v = check_nvtt(f, p, 6, dom)
+        v = check_nvtt(Pair(f, p, dom), 6)
         if v.outcome != "pass":
             failures.append(v.line())
     if failures:
@@ -220,7 +221,7 @@ def test_criterion_09_oracle_agreements(dom, corpus):
     t0 = time.perf_counter()
     failures = []
     for f, p in corpus[:100]:
-        v = check_oracle_agreement(f, p, dom)
+        v = check_oracle_agreement(Pair(f, p, dom))
         if v.outcome != "pass":
             failures.append(v.line())
     small = []
@@ -245,7 +246,7 @@ def test_criterion_10_violating_trace_semantics(dom, corpus):
     failures = []
     inconclusive = 0
     for f, p in corpus:
-        v = check_violation_semantics(f, [p], 6, dom)
+        v = check_violation_semantics(Pair(f, p, dom), 6)
         if v.outcome == "fail":
             failures.append(v.line())
         elif v.outcome == "inconclusive":

@@ -1,6 +1,9 @@
 import io
 import os
 from contextlib import redirect_stdout
+from itertools import zip_longest
+
+import pytest
 
 from enfkit import normalizer
 from enfkit.cli import main
@@ -8,6 +11,7 @@ from enfkit.parsing import parse_transducer
 from enfkit.transducers import alpha_eq
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "server.spec")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "verify_random_200_42.txt")
 
 
 def run(argv):
@@ -189,3 +193,17 @@ def test_verify_equation_bound_is_inconclusive_per_pair(monkeypatch):
     # decide the exit code, and all 48 verdicts are printed
     code, out = run(["--spec", SPEC, "verify", "--property", "all", "--corpus", SPEC])
     assert code == 1 and len(out.strip().splitlines()) == 48
+
+
+def test_verify_output_matches_the_golden_file():
+    # every verdict line of the pinned corpus, byte for byte
+    code, out = run(["verify", "--property", "all", "--corpus", "random:200:42"])
+    with open(GOLDEN, encoding="utf-8") as fh:
+        want = fh.read()
+    assert code == 1
+    for i, (got_line, want_line) in enumerate(
+        zip_longest(out.splitlines(), want.splitlines()), 1
+    ):
+        if got_line != want_line:
+            pytest.fail(f"line {i} differs:\n got: {got_line}\nwant: {want_line}")
+    assert out == want

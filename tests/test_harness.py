@@ -1,8 +1,16 @@
+import io
+from collections import Counter
+from contextlib import redirect_stdout
+
 import pytest
 
+import enfkit.harness as harness
+from enfkit import modelcheck
+from enfkit.cli import main
 from enfkit.formulas import FF, TT
 from enfkit.harness import (
     HarnessError,
+    Pair,
     Verdict,
     after,
     check_normalization,
@@ -62,17 +70,17 @@ def test_is_sat_examples(dom, terms):
 
 
 def test_soundness_of_compiled_enforcers(dom, terms):
-    v = check_soundness(terms["phi1"], [terms["pg"], terms["pb"]], dom)
-    assert v.outcome == "pass"
+    for p in (terms["pg"], terms["pb"]):
+        assert check_soundness(Pair(terms["phi1"], p, dom)).outcome == "pass"
 
 
 def test_soundness_vacuous_for_unsatisfiable(dom, terms):
-    v = check_soundness(FF, [terms["pg"]], dom)
+    v = check_soundness(Pair(FF, terms["pg"], dom))
     assert v.outcome == "pass"
 
 
 def test_insertion_enforcer_breaks_soundness_with_paper_witness(dom, terms):
-    v = check_soundness(terms["phi1"], [terms["pb"]], dom, enforcer=terms["ei"])
+    v = check_soundness(Pair(terms["phi1"], terms["pb"], dom, enforcer=terms["ei"]))
     assert v.outcome == "fail"
     assert v.witness == "i?req·i!ans·i?req·i?req"
 
@@ -80,25 +88,26 @@ def test_insertion_enforcer_breaks_soundness_with_paper_witness(dom, terms):
 def test_hand_written_enforcers_other_than_insertion_are_sound(dom, terms):
     # the replacement and both suppressors bring the flaky server in line
     for name in ("er", "es", "ess"):
-        v = check_soundness(terms["phi1"], [terms["pg"], terms["pb"]], dom, enforcer=terms[name])
-        assert v.outcome == "pass", (name, v.line())
+        for p in (terms["pg"], terms["pb"]):
+            v = check_soundness(Pair(terms["phi1"], p, dom, enforcer=terms[name]))
+            assert v.outcome == "pass", (name, v.line())
 
 
 def test_transparency_of_compiled_enforcer_on_good_system(dom, terms):
-    assert check_transparency(terms["phi1"], [terms["pg"]], dom).outcome == "pass"
+    assert check_transparency(Pair(terms["phi1"], terms["pg"], dom)).outcome == "pass"
 
 
 def test_transparency_vacuous_on_violating_system(dom, terms):
-    assert check_transparency(terms["phi1"], [terms["pb"]], dom).outcome == "pass"
+    assert check_transparency(Pair(terms["phi1"], terms["pb"], dom)).outcome == "pass"
 
 
 def test_blunt_suppressor_breaks_transparency(dom, terms):
-    v = check_transparency(terms["phi1"], [terms["pg"]], dom, enforcer=terms["es"])
+    v = check_transparency(Pair(terms["phi1"], terms["pg"], dom, enforcer=terms["es"]))
     assert v.outcome == "fail" and "label" in v.witness
 
 
 def test_replacement_breaks_transparency(dom, terms):
-    v = check_transparency(terms["phi1"], [terms["reqnil"]], dom, enforcer=terms["er"])
+    v = check_transparency(Pair(terms["phi1"], terms["reqnil"], dom, enforcer=terms["er"]))
     assert v.outcome == "fail"
 
 
@@ -154,9 +163,9 @@ def test_after_no_match_gives_truth(dom, terms):
 
 
 def test_nvtt_paper_instances(dom, terms):
-    assert check_nvtt(terms["phi1"], terms["pb"], 2, dom).outcome == "pass"
-    assert check_nvtt(terms["phi1"], terms["pg"], 4, dom).outcome == "pass"
-    assert check_nvtt(TT, terms["pb"], 3, dom).outcome == "pass"
+    assert check_nvtt(Pair(terms["phi1"], terms["pb"], dom), 2).outcome == "pass"
+    assert check_nvtt(Pair(terms["phi1"], terms["pg"], dom), 4).outcome == "pass"
+    assert check_nvtt(Pair(TT, terms["pb"], dom), 3).outcome == "pass"
 
 
 def test_nvtt_req_ans_preserved_both_directions(dom, terms):
@@ -177,7 +186,7 @@ def test_nvtt_backward_inclusion_fails_on_eager_suppressor(dom):
     # the bare process can only reach by a visible step.
     f = parse_formula("[i?req]ff", dom)
     p = parse_process("i?req.i?ans.nil", dom)
-    v = check_nvtt(f, p, 2, dom)
+    v = check_nvtt(Pair(f, p, dom), 2)
     assert v.outcome == "fail"
     assert "invents" in v.witness
 
@@ -187,8 +196,8 @@ def test_nvtt_backward_inclusion_fails_on_eager_suppressor(dom):
 
 
 def test_violation_semantics_on_worked_example(dom, terms):
-    v = check_violation_semantics(terms["phi1"], [terms["pg"], terms["pb"]], 6, dom)
-    assert v.outcome == "pass"
+    for p in (terms["pg"], terms["pb"]):
+        assert check_violation_semantics(Pair(terms["phi1"], p, dom), 6).outcome == "pass"
 
 
 def test_violation_semantics_condition1_instance(dom, terms):
@@ -209,7 +218,7 @@ def test_violation_semantics_satisfying_system_has_no_violations(dom, terms):
 def test_violation_semantics_ff_everywhere(dom, terms):
     for p in (terms["pg"], terms["pb"], NIL):
         assert violates(p, (), FF, dom)
-    assert check_violation_semantics(FF, [terms["pg"]], 3, dom).outcome == "pass"
+    assert check_violation_semantics(Pair(FF, terms["pg"], dom), 3).outcome == "pass"
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +329,7 @@ def test_generator_distribution(dom):
 
 
 def test_oracle_and_normalization_checks_report_pass(dom, terms):
-    assert check_oracle_agreement(terms["phi1"], terms["pb"], dom).outcome == "pass"
+    assert check_oracle_agreement(Pair(terms["phi1"], terms["pb"], dom)).outcome == "pass"
     assert check_normalization(terms["phi1"], [terms["pg"], terms["pb"]], dom).outcome == "pass"
 
 
@@ -395,3 +404,70 @@ def test_violates_needs_a_guarded_safety_formula(dom, terms):
         violates(terms["pg"], (), terms["phins"], dom)
     with pytest.raises(HarnessError, match="not guarded"):
         violates(terms["pg"], (), parse_formula("max X.(X && [i?req]ff)", dom), dom)
+
+
+# ---------------------------------------------------------------------------
+# the shared pair
+
+
+def test_verify_derives_each_pair_once(monkeypatch):
+    counts = Counter()
+    for name in ("compile_formula", "reachable", "composite_lts"):
+        real = getattr(harness, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, spy)
+    with redirect_stdout(io.StringIO()):
+        main(["verify", "--property", "all", "--corpus", "random:40:42"])
+    assert counts["compile_formula"] <= 40
+    assert counts["reachable"] == 40
+    assert counts["composite_lts"] <= 40
+
+
+def test_given_enforcer_is_not_compiled(dom, terms, monkeypatch):
+    monkeypatch.setattr(harness, "compile_formula", None)
+    pair = Pair(terms["phi1"], terms["pg"], dom, enforcer=terms["ess"])
+    assert pair.enforcer is terms["ess"]
+    assert check_transparency(pair).outcome == "pass"
+
+
+def test_bound_errors_are_not_kept(dom, terms):
+    pair = Pair(terms["phi1"], terms["pg"], dom, bound=1)
+    for check in (check_transparency, check_oracle_agreement):
+        v = check(pair)
+        assert v.outcome == "inconclusive" and "more than 1 reachable states" in v.witness
+    assert "system" not in vars(pair) and "holds" not in vars(pair)
+
+
+def test_transparency_compiles_before_reading_the_system(tmp_path):
+    # 13 distinct, overlapping guards on one pattern exceed the minterm bound,
+    # and pg violates the first; a check that asked whether pg satisfies the
+    # formula before compiling it would pass vacuously
+    guards = (
+        "x != j", "x != j && y != ans", "x != j && y != cls", "x != j && y = req",
+        "x != j && y != req", "x = i", "x = i && y != ans", "x = i && y != cls",
+        "x = i && y = req", "x = i && y != req", "y = req", "y = req && x != j",
+        "y != cls",
+    )
+    formula = " && ".join(f"[(x)?(y) when {g}]ff" for g in guards)
+    spec = tmp_path / "guards.spec"
+    spec.write_text(
+        "ports = {i, j}\npayloads = {req, ans, cls}\n"
+        "process pg = rec X.(i?req.i!ans.X + i?cls.nil)\n"
+        f"formula guards = {formula}\n"
+    )
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", "--property", "transparency", "--corpus", str(spec)])
+    lines = out.getvalue().splitlines()
+    assert code == 3 and len(lines) == 1
+    assert " inconclusive [" in lines[0] and "the bound is 12" in lines[0]
+
+
+def test_oracle_agreement_is_inconclusive_past_the_closure_bound(dom, terms, monkeypatch):
+    monkeypatch.setattr(modelcheck, "DEFAULT_CLOSURE_BOUND", 1)
+    v = check_oracle_agreement(Pair(terms["phi1"], terms["pg"], dom))
+    assert v.outcome == "inconclusive" and "closure" in v.witness

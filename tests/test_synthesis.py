@@ -1,7 +1,7 @@
 import pytest
 
 from enfkit.bisim import bisim
-from enfkit.harness import check_soundness, gen_formula
+from enfkit.harness import Pair, check_soundness, gen_formula
 from enfkit.normalizer import normalize
 from enfkit.parsing import parse_formula, parse_transducer
 from enfkit.symbolic import TAU, InsertPattern, underline
@@ -79,7 +79,7 @@ def test_compile_trivials(dom):
 
 
 def test_compile_phi0_is_sound_on_pb(dom, terms):
-    verdict = check_soundness(terms["phi0"], [terms["pb"]], dom)
+    verdict = check_soundness(Pair(terms["phi0"], terms["pb"], dom))
     assert verdict.outcome == "pass"
 
 
