@@ -332,7 +332,12 @@ def is_shmlnf(f: Formula, d: Domain) -> bool:
         for j in range(i + 1, len(branches)):
             if not disjoint_under(branches[i].action, branches[j].action, d):
                 return False
-    return all(is_shmlnf(b.body, d) for b in branches)
+    # a plain loop: all(genexpr) would add a generator frame per level of
+    # nesting and overflow the stack on shallower formulas
+    for b in branches:
+        if not is_shmlnf(b.body, d):
+            return False
+    return True
 
 
 def classify(f: Formula, d: Domain) -> Classification:

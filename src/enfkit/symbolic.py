@@ -14,6 +14,15 @@ structural, and each term computes its structural hash once, on first use,
 and keeps it.  That makes terms cheap memo keys, so memos key on term
 values, never on object identity: equal terms share an entry, and an entry
 stays valid for as long as the memo holds it.
+
+Satisfiability of a condition and disjointness of two guards are decided by
+one small solver, `_decide`, over equality classes rather than over
+assignments: conditions only compare variables and names, so union-find over
+the equalities, a check of the disequalities, and a colouring of the free
+classes with domain values at the leaves of the search over disjunctions
+settle them.  Disjointness becomes one such query by equating both patterns
+with a shared action.  The enumerating `naive_satisfiable` and
+`naive_disjoint_under` are kept as test oracles.
 """
 from __future__ import annotations
 
@@ -582,18 +591,32 @@ def assignments(variables, d: Domain):
         yield dict(zip(names, combo))
 
 
-@lru_cache(maxsize=200_000)
-def _satisfiable_cached(c: Condition, names: tuple, d: Domain) -> bool:
-    return any(eval_condition(c, values_sub(env)) for env in assignments(names, d))
-
-
-def satisfiable(c: Condition, variables, d: Domain) -> bool:
-    """Decide by enumeration whether some assignment of the variables into the
-    domain makes the condition true."""
+def _check_declared(c: Condition, variables) -> None:
     missing = cond_vars(c) - frozenset(variables)
     if missing:
         raise UnboundVariable(f"condition mentions undeclared variables {sorted(missing)}")
-    return _satisfiable_cached(c, tuple(sorted(variables)), d)
+
+
+@lru_cache(maxsize=200_000)
+def _satisfiable_cached(c: Condition, variables: frozenset, d: Domain) -> bool:
+    # the check runs once per key: a raising call is not cached
+    _check_declared(c, variables)
+    values = d.values
+    return _decide(c, lambda name: values)
+
+
+def satisfiable(c: Condition, variables, d: Domain) -> bool:
+    """Decide whether some assignment of the variables into the domain's
+    value universe makes the condition true, by the equality-class search of
+    `_decide`.  Every variable of the condition must be declared; declared
+    variables the condition does not mention cannot change the answer."""
+    return _satisfiable_cached(c, frozenset(variables), d)
+
+
+def naive_satisfiable(c: Condition, variables, d: Domain) -> bool:
+    """`satisfiable` by enumerating every assignment: the test oracle."""
+    _check_declared(c, variables)
+    return any(eval_condition(c, values_sub(env)) for env in assignments(variables, d))
 
 
 def disjoint(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
@@ -601,9 +624,42 @@ def disjoint(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
     return not (denote(sa1, d) & denote(sa2, d))
 
 
+# Variables of a disjointness query that no condition can name: the two slots
+# of the shared action, and binders renamed apart by pattern (`1.x`, `2.x`).
+_PORT, _PAYLOAD = Var(".port"), Var(".payload")
+
+
 def disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
     """Disjointness of possibly open guards: they must not overlap under any
-    assignment of their outer free variables."""
+    assignment of their outer free variables.
+
+    Decided as one query: some assignment of the outer variables and some
+    action (port, payload) match both patterns and satisfy both conditions
+    exactly when the guards are not disjoint."""
+    if sa1.pattern.is_input != sa2.pattern.is_input:
+        return True
+    parts = []
+    for tag, sa in (("1", sa1), ("2", sa2)):
+        pattern = sa.pattern
+        ren = {b: Var(f"{tag}.{b}") for b in pattern.binders}
+        for slot, var in ((pattern.port, _PORT), (pattern.payload, _PAYLOAD)):
+            if isinstance(slot, Lit):
+                parts.append(Cmp(var, Val(slot.value), True))
+            elif isinstance(slot, Binder):
+                parts.append(Cmp(var, ren[slot.name], True))
+            elif slot.name in ren:
+                raise UnboundVariable(f"pattern slot {slot} names a binder of its own pattern")
+            else:
+                parts.append(Cmp(var, Var(slot.name), True))
+        parts.append(subst_condition(sa.condition, ren))
+    values = d.values
+    slot_domain = {_PORT.name: d.ports, _PAYLOAD.name: d.payloads}
+    return not _decide(And(tuple(parts)), lambda name: slot_domain.get(name, values))
+
+
+def naive_disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
+    """`disjoint_under` by enumerating every assignment of the outer variables
+    and intersecting denotations: the test oracle."""
     outer = sa1.free_vars | sa2.free_vars
     if not outer:
         return disjoint(sa1, sa2, d)
@@ -611,6 +667,133 @@ def disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
         not (denote_under(sa1, d, env) & denote_under(sa2, d, env))
         for env in assignments(outer, d)
     )
+
+
+# ---------------------------------------------------------------------------
+# The equality-class decision procedure
+#
+# A condition is a boolean combination of (dis)equalities between variables
+# and literal names, so whether some assignment satisfies it depends only on
+# which terms are equal.  `_decide` puts the condition into negation normal
+# form, a clause of atoms and disjunctions, and searches over it: equalities
+# merge classes of terms by union-find, each class keeping the values its
+# members may take (a variable's domain, a literal's own name), and a class
+# left with no value is a conflict.  Disequalities are recorded and checked
+# as classes merge.  All atoms of a clause are applied before one of its
+# disjunctions is branched on.  At a leaf the classes joined by
+# disequalities must be coloured with distinct values from their own sets;
+# only that step backtracks over values (Nelson and Oppen, "Fast decision
+# procedures based on congruence closure", JACM 1980).
+
+
+def _clause(c: Condition, positive: bool):
+    """The negation normal form of `c` (of `!c` when not `positive`) as a
+    clause `(atoms, disjunctions)`: atoms are `(equal, term, term)` triples and
+    each disjunction is a tuple of clauses.  None stands for false."""
+    if isinstance(c, Not):
+        return _clause(c.item, not positive)
+    if isinstance(c, (CTrue, CFalse)):
+        return ((), ()) if isinstance(c, CTrue) == positive else None
+    if isinstance(c, Cmp):
+        equal = c.equal == positive
+        left, right = c.left, c.right
+        if left == right or (isinstance(left, Val) and isinstance(right, Val)):
+            return ((), ()) if (left == right) == equal else None
+        return (((equal, left, right),), ())
+    if isinstance(c, And) == positive:
+        atoms, ors = [], []
+        for item in c.items:
+            sub = _clause(item, positive)
+            if sub is None:
+                return None
+            atoms += sub[0]
+            ors += sub[1]
+        return tuple(atoms), tuple(ors)
+    alternatives = []
+    for item in c.items:
+        sub = _clause(item, positive)
+        if sub == ((), ()):
+            return sub
+        if sub is not None:
+            alternatives.append(sub)
+    if len(alternatives) <= 1:
+        return alternatives[0] if alternatives else None
+    return (), (tuple(alternatives),)
+
+
+def _decide(c: Condition, domain_of) -> bool:
+    """Whether some assignment, mapping each variable name to a value of
+    `domain_of(name)`, makes the condition true."""
+    clause = _clause(c, True)
+    if clause is None:
+        return False
+    return _search({}, {}, [], clause[0], clause[1], domain_of)
+
+
+def _search(parent, values, diseqs, atoms, ors, domain_of) -> bool:
+    """Apply the atoms to the classes (`parent`: union-find links, `values`:
+    the values each class root may take, `diseqs`: pairs that must differ),
+    then branch on the first pending disjunction."""
+
+    def find(t):
+        root = parent.get(t)
+        if root is None:
+            parent[t] = t
+            values[t] = domain_of(t.name) if isinstance(t, Var) else frozenset((t.name,))
+            return t
+        while root != parent[root]:
+            parent[root] = parent[parent[root]]
+            root = parent[root]
+        return root
+
+    for equal, left, right in atoms:
+        a, b = find(left), find(right)
+        if equal:
+            if a != b:
+                common = values[a] & values[b]
+                if not common:
+                    return False
+                parent[b] = a
+                values[a] = common
+        else:
+            diseqs.append((left, right))
+    for left, right in diseqs:
+        a, b = find(left), find(right)
+        if a == b or (len(values[a]) == 1 and values[a] == values[b]):
+            return False
+    if not ors:
+        return _colourable({(find(l), find(r)) for l, r in diseqs}, values)
+    first, rest = ors[0], ors[1:]
+    return any(
+        _search(dict(parent), dict(values), list(diseqs), sub_atoms, sub_ors + rest, domain_of)
+        for sub_atoms, sub_ors in first
+    )
+
+
+def _colourable(edges, values) -> bool:
+    """Whether the classes joined by disequality edges can take pairwise
+    distinct values, each from its own set; backtracks, fewest values first."""
+    neighbours: dict = {}
+    for a, b in edges:
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    order = sorted(neighbours, key=lambda r: len(values[r]))
+    chosen: dict = {}
+
+    def colour(i):
+        if i == len(order):
+            return True
+        root = order[i]
+        taken = {chosen[n] for n in neighbours[root] if n in chosen}
+        for v in values[root]:
+            if v not in taken:
+                chosen[root] = v
+                if colour(i + 1):
+                    return True
+        chosen.pop(root, None)
+        return False
+
+    return colour(0)
 
 
 # ---------------------------------------------------------------------------

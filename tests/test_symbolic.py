@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from enfkit.symbolic import (
     INSERT,
@@ -13,16 +13,23 @@ from enfkit.symbolic import (
     InsertPattern,
     Lit,
     And,
+    Not,
+    Or,
     SymbolicAction,
     SymbolicError,
     TRUE,
+    UnboundVariable,
     Val,
     Var,
+    cond_vars,
     denote,
     denote_under,
     disjoint,
+    disjoint_under,
     eval_condition,
     match,
+    naive_disjoint_under,
+    naive_satisfiable,
     normalize_pattern,
     satisfiable,
     underline,
@@ -244,3 +251,102 @@ def test_match_substitution_domain_property(port, is_input, payload):
         sub = match(p, a)
         if sub is not None:
             assert set(sub) == p.binders
+
+
+# ---------------------------------------------------------------------------
+# the equality-class solver against the enumerating oracles
+
+D34 = Domain({"i", "j", "k"}, {"req", "ans", "cls", "ack"})
+# ports and payloads share the name a; with one name, any x != y is false
+SHARED = Domain({"a"}, {"a", "b"})
+ONE = Domain({"a"}, {"a"})
+# at most three outer variables keep the enumeration near 0.3 s per example
+VARS = ("x", "y", "z")
+var_names = st.sampled_from(VARS)
+
+
+def strategies_for(d):
+    """Conditions and guards over the variables x, y, z, the domain's names
+    and one name that the domain does not declare."""
+    names = st.sampled_from(sorted(d.values) + ["zz"])
+    terms = st.one_of(st.builds(Var, var_names), st.builds(Val, names))
+    conds = st.recursive(
+        st.one_of(st.builds(Cmp, terms, terms, st.booleans()), st.sampled_from([TRUE, FALSE])),
+        lambda inner: st.one_of(
+            st.builds(And, st.lists(inner, max_size=3).map(tuple)),
+            st.builds(Or, st.lists(inner, max_size=3).map(tuple)),
+            st.builds(Not, inner),
+        ),
+        max_leaves=8,
+    )
+    slots = st.one_of(
+        st.builds(Binder, var_names), st.builds(Free, var_names), st.builds(Lit, names)
+    )
+
+    @st.composite
+    def guards(draw):
+        port, payload = draw(slots), draw(slots)
+        bound = [s.name for s in (port, payload) if not isinstance(s, Lit)]
+        # a pattern binds each name once and never names its own binder freely
+        assume(len(bound) == len(set(bound)))
+        return SymbolicAction(ActionPattern(port, draw(st.booleans()), payload), draw(conds))
+
+    return conds, guards()
+
+
+# domain -> (condition strategy, guard strategy), built once
+STRATEGIES = {d: strategies_for(d) for d in (D, D34, SHARED, ONE)}
+domains = st.sampled_from(sorted(STRATEGIES, key=lambda d: sorted(d.values)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=domains, data=st.data())
+def test_satisfiable_agrees_with_enumeration(d, data):
+    c = data.draw(STRATEGIES[d][0])
+    variables = cond_vars(c) | data.draw(st.sets(var_names))
+    assert satisfiable(c, variables, d) == naive_satisfiable(c, variables, d)
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=domains, data=st.data())
+def test_disjoint_under_agrees_with_enumeration(d, data):
+    sa1, sa2 = data.draw(STRATEGIES[d][1]), data.draw(STRATEGIES[d][1])
+    want = naive_disjoint_under(sa1, sa2, d)
+    assert disjoint_under(sa1, sa2, d) == want
+    assert disjoint_under(sa2, sa1, d) == want
+
+
+def test_satisfiable_needs_distinct_values():
+    # pairwise distinct variables: only the colouring step sees the conflict
+    x, y, z = Var("x"), Var("y"), Var("z")
+    c = And((Cmp(x, y, False), Cmp(y, z, False), Cmp(x, z, False)))
+    assert not satisfiable(c, {"x", "y", "z"}, SHARED)
+    assert satisfiable(c, {"x", "y", "z"}, D)
+    assert not satisfiable(Cmp(x, Val("zz"), True), {"x"}, D)
+    assert satisfiable(Not(Cmp(x, Val("zz"), True)), {"x"}, D)
+
+
+def test_satisfiable_rejects_undeclared_variables():
+    c = Cmp(Var("x"), Val("i"), True)
+    for decide in (satisfiable, naive_satisfiable):
+        with pytest.raises(UnboundVariable):
+            decide(c, set(), D)
+
+
+def test_disjoint_under_renames_binders_apart():
+    # (x) binds the port in the first guard; x is an outer variable in the
+    # second, so the guards overlap where the outer x is the bound port
+    bound = SymbolicAction(pat(Binder("x"), True, Lit("req")), Cmp(Var("x"), Val("i"), True))
+    outer = SymbolicAction(pat(Free("x"), True, Binder("y")), Cmp(Var("y"), Val("req"), True))
+    assert not disjoint_under(bound, outer, D)
+    assert disjoint_under(bound, SymbolicAction(outer.pattern, FALSE), D)
+    # the slot variables differ in range: a port is never the payload b
+    port_b = SymbolicAction(pat(Binder("x"), True, Binder("y")), Cmp(Var("x"), Val("b"), True))
+    assert disjoint_under(port_b, SymbolicAction(pat(Lit("a"), True, Lit("a")), TRUE), SHARED)
+    # no port of D is neither i nor j: only the colouring step sees it
+    not_i = SymbolicAction(pat(Binder("x"), True, Lit("req")), Cmp(Var("x"), Val("i"), False))
+    not_j = SymbolicAction(pat(Free("y"), True, Binder("z")), Cmp(Var("y"), Val("j"), False))
+    assert disjoint_under(not_i, not_j, D)
+    assert not disjoint_under(not_i, not_j, D34)
+    any_a = SymbolicAction(pat(Binder("x"), True, Binder("y")), Cmp(Var("y"), Val("a"), True))
+    assert not disjoint_under(any_a, SymbolicAction(pat(Lit("a"), True, Lit("a")), TRUE), SHARED)

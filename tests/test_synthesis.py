@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import pytest
 
 from enfkit.bisim import bisim
@@ -117,3 +120,31 @@ def test_synthesis_is_deterministic(dom, seed):
     nf = normalize(f, dom)
     assert synthesize(nf, dom) == synthesize(nf, dom)
     assert str(compile_formula(f, dom)) == str(compile_formula(f, dom))
+
+
+def test_compile_deep_necessity_chain(dom):
+    # 450 nested necessities stay within the default recursion limit
+    f = parse_formula("max X." + "[i?req]" * 450 + "X", dom)
+    e = compile_formula(f, dom)
+    assert isinstance(e, TRec)
+    # rec x.{i?req}. ... .{i?req}.x, walked without recursion
+    node, depth = e.body, 0
+    while isinstance(node, TPrefix):
+        node, depth = node.cont, depth + 1
+    assert depth == 450 and node == TVar(e.var)
+
+
+LADDER_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "compile_ladder_2x3.txt")
+
+
+def test_compile_ladder_matches_the_golden_file(dom):
+    # one line per formula of the 2x3 domain: size, seed and the sha256 of
+    # the printed enforcer
+    with open(LADDER_GOLDEN, encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    got = []
+    for size in range(8, 21, 2):
+        for seed in range(10):
+            text = str(compile_formula(gen_formula(dom, size, seed), dom))
+            got.append(f"{size} {seed} {hashlib.sha256(text.encode()).hexdigest()}")
+    assert got == want
