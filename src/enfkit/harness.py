@@ -133,19 +133,20 @@ def _trace_text(t) -> str:
 # Violating traces and formula residuals
 
 
-def violates(system, trace, f: Formula, domain: Domain, bound: int = DEFAULT_BOUND) -> bool:
+def violates(system, trace, f: Formula, domain: Domain) -> bool:
     """Does the system violate the safety formula along this trace?
 
     Least-relation membership: falsehood is violated along the empty trace, a
     conjunction along any branch, a necessity by weakly firing a matching
     action and violating the instantiated continuation along the rest, and a
-    fixpoint through its unfolding.
+    fixpoint through its unfolding.  A process term is explored up to
+    `DEFAULT_STATE_BOUND` states.
     """
     if not is_shml(f):
         raise HarnessError("violating traces are defined for safety formulas")
     if not is_guarded(f):
         raise HarnessError("formula is not guarded")
-    lts, root = as_lts(system, bound)
+    lts, root = as_lts(system, DEFAULT_BOUND)
     memo: dict = {}
 
     def go(state, t, g) -> bool:
@@ -378,12 +379,7 @@ def check_violation_semantics(pair: Pair, depth: int) -> Verdict:
     return Verdict("violation-sem", subject, "pass")
 
 
-def check_normalization(
-    f: Formula,
-    systems,
-    d: Domain,
-    bound: int = DEFAULT_BOUND,
-) -> Verdict:
+def check_normalization(f: Formula, systems, d: Domain) -> Verdict:
     """Normal-form conversion must preserve denotations on every given system
     and produce a formula passing both structural normal-form clauses."""
     subject = (str(f),)
@@ -395,7 +391,7 @@ def check_normalization(
                 "normalization-equivalence", subject, "fail", f"output not normal: {nf}"
             )
         for system in systems:
-            lts, _ = as_lts(system, bound)
+            lts, _ = as_lts(system, DEFAULT_BOUND)
             before = mc_eval(f, lts, {}, d)
             after_ = mc_eval(nf, lts, {}, d)
             if before != after_:

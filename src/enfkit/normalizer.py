@@ -50,14 +50,14 @@ from .symbolic import (
     And,
     Binder,
     Domain,
-    Lit,
     Not,
     SymbolicAction,
-    Var,
+    cond_key,
     cond_vars,
     conjoin,
     fresh_name,
     normalize_pattern,
+    pattern_key,
     rename_binders,
     satisfiable,
 )
@@ -176,10 +176,12 @@ class _KeyMaker:
 
     Bound names (pattern binders and fixpoint variables) are replaced by
     binder-relative indices while free names stay put, so alpha-variants of
-    one formula share a handle.  Unfolded formulas are DAGs — substitution
-    shares subterms — and the handle of a shared subterm depends only on the
-    relative binding depths of its free variables, which makes the
-    computation memoisable per (subterm, depth profile).
+    one formula share a handle.  Guards are keyed by `symbolic.pattern_key`
+    and `symbolic.cond_key`; fixpoint variables are numbered the same way
+    here.  Unfolded formulas are DAGs — substitution shares subterms — and
+    the handle of a shared subterm depends only on the relative binding
+    depths of its free variables, which makes the computation memoisable per
+    (subterm, depth profile).
     """
 
     def __init__(self):
@@ -192,25 +194,6 @@ class _KeyMaker:
             handle = len(self._table)
             self._table[parts] = handle
         return handle
-
-    def _term_key(self, t, dlevel, denv):
-        if isinstance(t, Var):
-            return ("v", dlevel - denv[t.name]) if t.name in denv else ("v.", t.name)
-        return ("c", t.name)
-
-    def _cond_key(self, c, dlevel, denv):
-        from .symbolic import CFalse, Cmp, CTrue, Or
-
-        if isinstance(c, CTrue):
-            return ("tt",)
-        if isinstance(c, CFalse):
-            return ("ff",)
-        if isinstance(c, Cmp):
-            return ("cmp", c.equal, self._term_key(c.left, dlevel, denv), self._term_key(c.right, dlevel, denv))
-        if isinstance(c, Not):
-            return ("not", self._cond_key(c.item, dlevel, denv))
-        tag = "and" if isinstance(c, And) else "or"
-        return (tag, tuple(self._cond_key(i, dlevel, denv) for i in c.items))
 
     def handle(self, g: Formula, dlevel=0, llevel=0, denv=None, lenv=None) -> int:
         denv = denv or {}
@@ -252,22 +235,10 @@ class _KeyMaker:
             out = self._cons(tag, body)
         elif isinstance(g, (Box, Dia)):
             tag = "box" if isinstance(g, Box) else "dia"
-            pat = g.action.pattern
-            inner = dict(denv)
-            level = dlevel
-            slots = []
-            for slot in (pat.port, pat.payload):
-                if isinstance(slot, Binder):
-                    inner[slot.name] = level
-                    level += 1
-                    slots.append(("b",))
-                elif isinstance(slot, Lit):
-                    slots.append(("l", slot.value))
-                else:
-                    slots.append(self._term_key(Var(slot.name), dlevel, denv))
-            cond = self._cond_key(g.action.condition, level, inner)
+            pat, level, inner = pattern_key(g.action.pattern, dlevel, denv)
+            cond = cond_key(g.action.condition, level, inner)
             body = self.handle(g.body, level, llevel, inner, lenv)
-            out = self._cons(tag, pat.is_input, tuple(slots), cond, body)
+            out = self._cons(tag, pat, cond, body)
         else:
             raise NormalizeError(f"cannot canonicalise {g!r}")
         self._memo[mkey] = out
@@ -393,15 +364,6 @@ def stage2_equations(f: Formula) -> EquationSystem:
 # Stage 3: binder alignment
 
 
-def _pattern_kind(pat):
-    def tag(slot):
-        if isinstance(slot, Binder):
-            return ("b",)
-        return ("l", slot.value) if hasattr(slot, "value") else ("f", slot.name)
-
-    return (pat.is_input, tag(pat.port), tag(pat.payload))
-
-
 def _branch_free_names(builder, br: Branch) -> set:
     cont = builder.formulas[br.target]
     return set(
@@ -429,7 +391,7 @@ def _align_branches(builder, branches, domain: Domain | None):
     """Give same-shaped patterns within one body identical binder names."""
     groups: dict = {}
     for idx, br in enumerate(branches):
-        groups.setdefault(_pattern_kind(br.action.pattern), []).append(idx)
+        groups.setdefault(pattern_key(br.action.pattern, 0, {})[0], []).append(idx)
     out = list(branches)
     avoid = set(domain.values) if domain else set()
     for idxs in groups.values():

@@ -41,6 +41,7 @@ from .symbolic import (
     FALSE,
     Free,
     InsertPattern,
+    KEYWORDS,
     Lit,
     Not,
     SymbolicAction,
@@ -64,8 +65,6 @@ class ParseError(Exception):
 _TOKEN_RE = re.compile(
     r"\s+|(?P<comment>#[^\n]*)|(?P<op>->|&&|\|\||!=|=|\?|!|\.|\+|\(|\)|\[|\]|<|>|\{|\}|\*)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
 )
-
-KEYWORDS = {"tt", "ff", "nil", "id", "tau", "max", "min", "rec", "when", "true", "false"}
 
 
 @dataclass
@@ -451,8 +450,8 @@ def parse_label(text: str):
 
 
 def parse_lts(text: str) -> P.LTS:
-    """Line-oriented explicit LTS: one `init state` line and
-    `state -label-> state` transition lines."""
+    """Line-oriented explicit LTS: `state -label-> state` transition lines and
+    one `init STATE` line, the word `init` and one state name."""
     initial = None
     edges = []
     states = []
@@ -460,19 +459,20 @@ def parse_lts(text: str) -> P.LTS:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("init"):
-            if initial is not None:
-                raise ParseError("duplicate init line")
-            initial = line[len("init"):].strip()
-            if not initial:
-                raise ParseError("init line needs a state name")
-            continue
         m = re.fullmatch(r"(\S+)\s*-(.+?)->\s*(\S+)", line)
-        if not m:
+        if m:
+            src, label, dst = m.group(1), parse_label(m.group(2)), m.group(3)
+            edges.append((src, label, dst))
+            states.extend((src, dst))
+            continue
+        words = line.split()
+        if words[0] != "init":
             raise ParseError(f"bad LTS line {raw_line!r}")
-        src, label, dst = m.group(1), parse_label(m.group(2)), m.group(3)
-        edges.append((src, label, dst))
-        states.extend((src, dst))
+        if len(words) != 2:
+            raise ParseError("init line needs exactly one state name")
+        if initial is not None:
+            raise ParseError("duplicate init line")
+        initial = words[1]
     if initial is None:
         raise ParseError("LTS file is missing an init line")
     return P.LTS(initial, edges, states=states)

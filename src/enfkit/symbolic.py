@@ -23,6 +23,11 @@ classes with domain values at the leaves of the search over disjunctions
 settle them.  Disjointness becomes one such query by equating both patterns
 with a shared action.  The enumerating `naive_satisfiable` and
 `naive_disjoint_under` are kept as test oracles.
+
+Binders are handled here once for every term grammar: substitution and
+binder renaming (`narrow`, `rename_binders`, `avoid_capture`), and keys up to
+binder names (`term_key`, `cond_key`, `pattern_key`), on which
+`transducers.alpha_eq` and the normaliser's equation interning both rest.
 """
 from __future__ import annotations
 
@@ -98,6 +103,12 @@ def term(cls=None, *, order: bool = False):
 # Domain and actions
 
 
+#: Reserved words of the concrete syntax; no domain name may be one of them.
+KEYWORDS = frozenset(
+    {"tt", "ff", "nil", "id", "tau", "max", "min", "rec", "when", "true", "false"}
+)
+
+
 @dataclass(frozen=True)
 class Domain:
     """A finite universe of port and payload names.
@@ -117,6 +128,8 @@ class Domain:
         for name in self.values:
             if not name.isidentifier():
                 raise SymbolicError(f"domain name {name!r} is not an identifier")
+            if name in KEYWORDS:
+                raise SymbolicError(f"domain name {name!r} is a keyword")
 
     @property
     def values(self) -> frozenset:
@@ -472,6 +485,59 @@ def avoid_capture(pattern: ActionPattern, condition, scope, narrowed, scope_vars
             pattern, condition, scope, {name: fresh_name(taken)}, subst_scope
         )
     return pattern, condition, scope
+
+
+# ---------------------------------------------------------------------------
+# Keys up to binder names
+#
+# Terms that differ only in the names of their pattern binders get equal keys.
+# A key is a nested tuple read in a scope `(level, env)`: `level` counts the
+# binders opened so far and `env` maps each bound name to the level that bound
+# it.  A bound variable is keyed by its binder distance, `level - env[name]`
+# (de Bruijn, "Lambda calculus notation with nameless dummies", Indag. Math.
+# 1972), a free variable by its name, and a literal by itself.
+
+
+def _name_key(name: str, level: int, env: Mapping[str, int]):
+    bound = env.get(name)
+    return name if bound is None else level - bound
+
+
+def term_key(t: Term, level: int, env: Mapping[str, int]):
+    return t if isinstance(t, Val) else _name_key(t.name, level, env)
+
+
+def cond_key(c: Condition, level: int, env: Mapping[str, int]):
+    if isinstance(c, Cmp):
+        op = "=" if c.equal else "!="
+        return (op, term_key(c.left, level, env), term_key(c.right, level, env))
+    if isinstance(c, (CTrue, CFalse)):
+        return str(c)
+    if isinstance(c, Not):
+        return ("!", cond_key(c.item, level, env))
+    op = "&&" if isinstance(c, And) else "||"
+    return (op, *(cond_key(i, level, env) for i in c.items))
+
+
+def pattern_key(p: Pattern, level: int, env: Mapping[str, int]):
+    """The key of a pattern, and the `(level, env)` its binders open.  A
+    `Free` slot is keyed in the scope outside the pattern."""
+    if isinstance(p, InsertPattern):
+        return "*", level, env
+    slots = []
+    inner, inner_level = env, level
+    for slot in (p.port, p.payload):
+        if isinstance(slot, Binder):
+            if inner is env:
+                inner = dict(env)
+            inner[slot.name] = inner_level
+            inner_level += 1
+            slots.append(None)
+        elif isinstance(slot, Lit):
+            slots.append(slot)
+        else:
+            slots.append(_name_key(slot.name, level, env))
+    return (p.is_input, *slots), inner_level, inner
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,20 @@ from .processes import DEFAULT_STATE_BOUND, LTS, explore
 from .symbolic import (
     INSERT,
     TAU,
+    Action,
     ActionPattern,
-    Binder,
     CTrue,
-    Free,
     InsertPattern,
     Lit,
     Substitution,
-    Var,
     avoid_capture,
+    cond_key,
     cond_vars,
     eval_condition,
     match,
     narrow,
     paren,
+    pattern_key,
     subst_condition,
     subst_pattern,
     term,
@@ -236,8 +236,6 @@ def _instantiate_target(target, sub):
         if not isinstance(slot, Lit):
             raise TransducerError(f"transform target {target} is not fully instantiated")
         parts.append(slot.value)
-    from .symbolic import Action
-
     return Action(parts[0], concrete.is_input, parts[1])
 
 
@@ -288,88 +286,24 @@ def transducer_lts(e: Transducer, domain, bound: int = DEFAULT_STATE_BOUND) -> L
 
 
 def alpha_eq(e1: Transducer, e2: Transducer) -> bool:
-    return _alpha(e1, e2, {}, {})
+    return _alpha_key(e1, 0, {}, 0, {}) == _alpha_key(e2, 0, {}, 0, {})
 
 
-def _slot_alpha(s1, s2, dmap) -> bool:
-    if isinstance(s1, Lit) and isinstance(s2, Lit):
-        return s1.value == s2.value
-    if isinstance(s1, Free) and isinstance(s2, Free):
-        return dmap.get(s1.name, s1.name) == s2.name
-    return False
-
-
-def _term_alpha(t1, t2, dmap) -> bool:
-    from .symbolic import Val
-
-    if isinstance(t1, Val) and isinstance(t2, Val):
-        return t1.name == t2.name
-    if isinstance(t1, Var) and isinstance(t2, Var):
-        return dmap.get(t1.name, t1.name) == t2.name
-    return False
-
-
-def _cond_alpha(c1, c2, dmap) -> bool:
-    from .symbolic import And, CFalse, Cmp, CTrue, Not, Or
-
-    if type(c1) is not type(c2):
-        return False
-    if isinstance(c1, (CTrue, CFalse)):
-        return True
-    if isinstance(c1, Cmp):
-        return (
-            c1.equal == c2.equal
-            and _term_alpha(c1.left, c2.left, dmap)
-            and _term_alpha(c1.right, c2.right, dmap)
-        )
-    if isinstance(c1, Not):
-        return _cond_alpha(c1.item, c2.item, dmap)
-    if isinstance(c1, (And, Or)):
-        return len(c1.items) == len(c2.items) and all(
-            _cond_alpha(a, b, dmap) for a, b in zip(c1.items, c2.items)
-        )
-    return False
-
-
-def _pattern_alpha(p1, p2, dmap):
-    """Returns the extended data map when p2 is p1 up to binder renaming."""
-    if isinstance(p1, InsertPattern) and isinstance(p2, InsertPattern):
-        return dmap
-    if not (isinstance(p1, ActionPattern) and isinstance(p2, ActionPattern)):
-        return None
-    if p1.is_input != p2.is_input:
-        return None
-    new = dict(dmap)
-    for s1, s2 in ((p1.port, p2.port), (p1.payload, p2.payload)):
-        if isinstance(s1, Binder) and isinstance(s2, Binder):
-            new[s1.name] = s2.name
-        elif not _slot_alpha(s1, s2, new):
-            return None
-    return new
-
-
-def _alpha(e1, e2, rmap, dmap) -> bool:
-    if type(e1) is not type(e2):
-        return False
-    if isinstance(e1, TId):
-        return True
-    if isinstance(e1, TVar):
-        return rmap.get(e1.name, e1.name) == e2.name
-    if isinstance(e1, TSum):
-        return len(e1.branches) == len(e2.branches) and all(
-            _alpha(a, b, rmap, dmap) for a, b in zip(e1.branches, e2.branches)
-        )
-    if isinstance(e1, TRec):
-        return _alpha(e1.body, e2.body, {**rmap, e1.var: e2.var}, dmap)
-    if isinstance(e1, TPrefix):
-        inner = _pattern_alpha(e1.pattern, e2.pattern, dmap)
-        if inner is None:
-            return False
-        if not _cond_alpha(e1.condition, e2.condition, inner):
-            return False
-        if (e1.target is TAU) != (e2.target is TAU):
-            return False
-        if e1.target is not TAU and _pattern_alpha(e1.target, e2.target, inner) is None:
-            return False
-        return _alpha(e1.cont, e2.cont, rmap, inner)
-    return False
+def _alpha_key(e, rlevel, renv, level, env):
+    """The key of `e` up to binder names: recursion variables are numbered by
+    binder distance in `(rlevel, renv)`, data as in `symbolic.pattern_key`
+    in `(level, env)`.  A transform target is keyed inside its source
+    pattern's scope."""
+    if isinstance(e, TVar):
+        bound = renv.get(e.name)
+        return e.name if bound is None else rlevel - bound
+    if isinstance(e, TSum):
+        return ("+", *(_alpha_key(b, rlevel, renv, level, env) for b in e.branches))
+    if isinstance(e, TRec):
+        return ("rec", _alpha_key(e.body, rlevel + 1, {**renv, e.var: rlevel}, level, env))
+    if isinstance(e, TPrefix):
+        source, level, env = pattern_key(e.pattern, level, env)
+        target = e.target if e.target is TAU else pattern_key(e.target, level, env)[0]
+        cont = _alpha_key(e.cont, rlevel, renv, level, env)
+        return ("{}", source, cond_key(e.condition, level, env), target, cont)
+    return e

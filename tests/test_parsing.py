@@ -73,6 +73,17 @@ def test_lts_requires_init():
         parse_lts("a -i?req-> b\n")
 
 
+def test_lts_init_line_is_the_word_init_and_one_state():
+    lts = parse_lts("init s0\ns0 -i?req-> initial\ninitial -i!ans-> init2\ninit2 -j?req-> s0\n")
+    assert lts.initial == "s0"
+    assert set(lts.states) == {"s0", "initial", "init2"}
+    assert len(list(lts.transitions())) == 3
+    assert parse_lts("a -i?req-> b\n  init   b  # comment\n").initial == "b"
+    for bad in ("init a b\n", "init\n", "init a\ninit a\n", "initial a\n"):
+        with pytest.raises(ParseError):
+            parse_lts(bad)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_formula_print_parse_roundtrip(dom, seed):
     f = gen_formula(dom, 1 + (seed % 8), 6100 + seed)

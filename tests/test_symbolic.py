@@ -11,6 +11,7 @@ from enfkit.symbolic import (
     FALSE,
     Free,
     InsertPattern,
+    KEYWORDS,
     Lit,
     And,
     Not,
@@ -21,6 +22,7 @@ from enfkit.symbolic import (
     UnboundVariable,
     Val,
     Var,
+    cond_key,
     cond_vars,
     denote,
     denote_under,
@@ -31,7 +33,9 @@ from enfkit.symbolic import (
     naive_disjoint_under,
     naive_satisfiable,
     normalize_pattern,
+    pattern_key,
     satisfiable,
+    term_key,
     underline,
     values_sub,
 )
@@ -76,6 +80,33 @@ def test_match_reconstructs_action():
         if sub is None:
             continue
         assert sub["x"] == Val(a.port) and sub["y"] == Val(a.payload)
+
+
+@pytest.mark.parametrize("name", sorted(KEYWORDS))
+def test_domain_rejects_keywords(name):
+    # a term naming the value could not be parsed back
+    with pytest.raises(SymbolicError, match="keyword"):
+        Domain({"i", name}, {"req"})
+    with pytest.raises(SymbolicError, match="keyword"):
+        Domain({"i"}, {"req", name})
+
+
+def test_binder_keys_count_distance_and_keep_free_names():
+    p = pat(Binder("x"), True, Free("x"))
+    pkey, level, env = pattern_key(p, 1, {"x": 0})
+    # the free slot names the outer x, one binder out; the binder opens level 1
+    assert pkey == (True, None, 1) and level == 2 and env == {"x": 1}
+    assert cond_key(Cmp(Var("x"), Var("z"), True), level, env) == ("=", 1, "z")
+    assert term_key(Val("x"), level, env) != term_key(Var("x"), 0, {})
+    a = SymbolicAction(pat(Binder("x"), True, Lit("req")), Cmp(Var("x"), Val("j"), False))
+    b = SymbolicAction(pat(Binder("y"), True, Lit("req")), Cmp(Var("y"), Val("j"), False))
+
+    def key(sa):
+        k, level, env = pattern_key(sa.pattern, 0, {})
+        return k, cond_key(sa.condition, level, env)
+
+    assert key(a) == key(b)
+    assert pattern_key(InsertPattern(), 3, {})[0] != pattern_key(p, 3, {})[0]
 
 
 def test_double_binder_rejected():
