@@ -1,10 +1,10 @@
 """Conversion of safety formulas into their enforceable normal form.
 
-The pipeline turns a closed, guarded safety formula with normalised patterns
-into an equivalent formula whose conjunctions guard pairwise-disjoint
+A closed, guarded safety formula, its guards rewritten to binder slots only,
+becomes an equivalent formula whose conjunctions guard pairwise-disjoint
 symbolic actions and whose fixpoint binders are all used:
 
-  1. unfold every fixpoint once, pushing recursive definitions inward;
+  1. unfold fixpoints, pushing recursive definitions inward;
   2. read the result off as a system of equations X = tt | ff | AND [sa]X';
   3. align binder names of same-shaped patterns within each equation body;
   4. split overlapping guards on one pattern into satisfiable sign-complete
@@ -14,9 +14,14 @@ symbolic actions and whose fixpoint binders are all used:
   6. rebuild a formula from the determinised system, introducing fixpoint
      binders exactly at back-edges.
 
-Equation bodies keep continuation formulas open in the data variables bound
-by ancestor patterns; renaming a pattern's binders therefore renames the
-continuation formula and re-interns it as a (possibly new) equation variable.
+`normalize` and `dump_stages` run one chain.  Stage 1 is never materialised:
+stage 2 unfolds the top-level fixpoints of each formula it interns, which
+avoids the exponential one-step unfolding of nested inputs but can give a
+smaller system than reading off `stage1_unfold` (`max X.[a](max Y.X)` gives
+two equations eagerly, one lazily).  Stage 2's builder keeps the action
+domain for stages 3 to 5.  Equation bodies keep continuation formulas open in
+the data variables bound by ancestor patterns; renaming a pattern's binders
+renames the continuation and re-interns it as a (possibly new) variable.
 """
 from __future__ import annotations
 
@@ -102,8 +107,7 @@ class EquationSystem:
     start: object
     order: tuple
     bodies: dict
-    domain: Domain | None = None
-    builder: object = field(default=None, repr=False)
+    builder: _Builder = field(repr=False)
 
     def body(self, key):
         return self.bodies[key]
@@ -246,7 +250,8 @@ class _KeyMaker:
 
 
 class _Builder:
-    """Interns formulas as equation variables and derives their bodies.
+    """Interns formulas as equation variables and derives their bodies over
+    the action domain `domain`.
 
     Interning chases top-level fixpoints first and keys variables by alpha-
     normal shape, so a fixpoint, its unfolding, and bound-name variants all
@@ -254,11 +259,12 @@ class _Builder:
     ff absorb.
 
     The body of a variable at stages 2, 3 and 4 (raw, aligned, minterms) is
-    memoised here, so stages 3 to 5 share one alignment and one minterm
-    split per variable.
+    memoised here by variable, so stages 3 to 5 share one alignment and one
+    minterm split per variable.
     """
 
-    def __init__(self):
+    def __init__(self, domain: Domain):
+        self.domain = domain
         self.ids: dict = {}
         self.formulas: list = []
         self._raw: dict = {}
@@ -315,28 +321,26 @@ class _Builder:
         self._raw[key] = body
         return body
 
-    def aligned_body(self, key: int, domain: Domain | None):
+    def aligned_body(self, key: int):
         """The stage-3 body: same-shaped binders aligned."""
-        memo = (key, domain)
-        if memo not in self._aligned:
+        if key not in self._aligned:
             body = self.raw_body(key)
-            self._aligned[memo] = (
-                body if body in ("tt", "ff") else _align_branches(self, body, domain)
+            self._aligned[key] = (
+                body if body in ("tt", "ff") else _align_branches(self, body)
             )
-        return self._aligned[memo]
+        return self._aligned[key]
 
-    def minterm_body(self, key: int, domain: Domain):
+    def minterm_body(self, key: int):
         """The stage-4 body: the aligned guards split into minterms."""
-        memo = (key, domain)
-        if memo not in self._minterms:
-            body = self.aligned_body(key, domain)
-            self._minterms[memo] = (
-                body if body in ("tt", "ff") else _mintermize_branches(body, domain)
+        if key not in self._minterms:
+            body = self.aligned_body(key)
+            self._minterms[key] = (
+                body if body in ("tt", "ff") else _mintermize_branches(body, self.domain)
             )
-        return self._minterms[memo]
+        return self._minterms[key]
 
 
-def _snapshot(builder: _Builder, start: int, body_fn, domain=None) -> EquationSystem:
+def _snapshot(builder: _Builder, start, body_fn) -> EquationSystem:
     order = []
     bodies = {}
     queue = [start]
@@ -351,11 +355,11 @@ def _snapshot(builder: _Builder, start: int, body_fn, domain=None) -> EquationSy
                 if br.target not in seen:
                     seen.add(br.target)
                     queue.append(br.target)
-    return EquationSystem(start, tuple(order), bodies, domain, builder)
+    return EquationSystem(start, tuple(order), bodies, builder)
 
 
-def stage2_equations(f: Formula) -> EquationSystem:
-    builder = _Builder()
+def stage2_equations(f: Formula, d: Domain) -> EquationSystem:
+    builder = _Builder(d)
     start = builder.intern(f)
     return _snapshot(builder, start, builder.raw_body)
 
@@ -364,12 +368,8 @@ def stage2_equations(f: Formula) -> EquationSystem:
 # Stage 3: binder alignment
 
 
-def _branch_free_names(builder, br: Branch) -> set:
-    cont = builder.formulas[br.target]
-    return set(
-        (cond_vars(br.action.condition) | br.action.pattern.free_vars | free_data_vars(cont))
-        - br.action.binders
-    )
+def _branch_free_names(builder, br: Branch) -> frozenset:
+    return free_data_vars(Box(br.action, builder.formulas[br.target]))
 
 
 def _rename_branch(builder, br: Branch, mapping: dict) -> Branch:
@@ -387,13 +387,12 @@ def _binder_names(pat):
     return [s.name for s in (pat.port, pat.payload) if isinstance(s, Binder)]
 
 
-def _align_branches(builder, branches, domain: Domain | None):
+def _align_branches(builder, branches):
     """Give same-shaped patterns within one body identical binder names."""
     groups: dict = {}
     for idx, br in enumerate(branches):
         groups.setdefault(pattern_key(br.action.pattern, 0, {})[0], []).append(idx)
     out = list(branches)
-    avoid = set(domain.values) if domain else set()
     for idxs in groups.values():
         members = [branches[i] for i in idxs]
         if len(members) == 1 or not members[0].action.binders:
@@ -402,7 +401,7 @@ def _align_branches(builder, branches, domain: Domain | None):
         # keep the first branch's names unless they occur free in a sibling
         # (renaming would capture them); then use fresh names for the group
         if any(set(canonical) & _branch_free_names(builder, m) for m in members):
-            used = set(avoid)
+            used = set(builder.domain.values)
             for m in members:
                 used |= _branch_free_names(builder, m) | m.action.binders
             canonical = []
@@ -418,10 +417,7 @@ def _align_branches(builder, branches, domain: Domain | None):
 
 
 def stage3_align(eqs: EquationSystem) -> EquationSystem:
-    builder = eqs.builder
-    return _snapshot(
-        builder, eqs.start, lambda key: builder.aligned_body(key, eqs.domain), eqs.domain
-    )
+    return _snapshot(eqs.builder, eqs.start, eqs.builder.aligned_body)
 
 
 # ---------------------------------------------------------------------------
@@ -485,31 +481,27 @@ def _mintermize_branches(branches, d: Domain):
     return tuple(out)
 
 
-def stage4_minterms(eqs: EquationSystem, d: Domain) -> EquationSystem:
-    builder = eqs.builder
-    return _snapshot(builder, eqs.start, lambda key: builder.minterm_body(key, d), d)
+def stage4_minterms(eqs: EquationSystem) -> EquationSystem:
+    return _snapshot(eqs.builder, eqs.start, eqs.builder.minterm_body)
 
 
 # ---------------------------------------------------------------------------
 # Stage 5: powerset determinisation
 
 
-def stage5_powerset(eqs: EquationSystem, d: Domain | None = None) -> EquationSystem:
-    d = d or eqs.domain
-    if d is None:
-        raise NormalizeError("determinisation needs the action domain")
+def stage5_powerset(eqs: EquationSystem) -> EquationSystem:
+    """Determinise from `eqs.start`, reading bodies through the builder's
+    stage-4 view, which covers variables interned while aligning merges."""
     builder = eqs.builder
 
     def set_body(keys: frozenset):
-        # the stage-4 view covers variables interned while aligning merged
-        # bodies too
-        parts = [builder.minterm_body(k, d) for k in sorted(keys)]
+        parts = [builder.minterm_body(k) for k in sorted(keys)]
         if any(p == "ff" for p in parts):
             return "ff"
         merged = tuple(br for p in parts if p != "tt" for br in p)
         if not merged:
             return "tt"
-        merged = _mintermize_branches(_align_branches(builder, merged, d), d)
+        merged = _mintermize_branches(_align_branches(builder, merged), builder.domain)
         grouped: dict = {}
         order = []
         for br in merged:
@@ -520,8 +512,7 @@ def stage5_powerset(eqs: EquationSystem, d: Domain | None = None) -> EquationSys
         return tuple(Branch(sa, frozenset(grouped[sa])) for sa in order)
 
     start = frozenset((eqs.start,))
-    snapshot = _snapshot(builder, start, set_body, d)
-    return _merge_duplicate_bodies(snapshot)
+    return _merge_duplicate_bodies(_snapshot(builder, start, set_body))
 
 
 def _merge_duplicate_bodies(eqs: EquationSystem) -> EquationSystem:
@@ -563,7 +554,7 @@ def _merge_duplicate_bodies(eqs: EquationSystem) -> EquationSystem:
             body = tuple(Branch(b.action, resolve(b.target)) for b in body)
         order.append(k)
         bodies[k] = body
-    return EquationSystem(resolve(eqs.start), tuple(order), bodies, eqs.domain, eqs.builder)
+    return EquationSystem(resolve(eqs.start), tuple(order), bodies, eqs.builder)
 
 
 # ---------------------------------------------------------------------------
@@ -637,15 +628,9 @@ def _renumber_binders(f: Formula) -> Formula:
     return go(f, {})
 
 
-def normalize(f: Formula, d: Domain) -> Formula:
-    """Normal-form conversion; the result is semantically equivalent on every
-    finite LTS and satisfies both normal-form structural conditions.
-
-    Fixpoint unfolding happens lazily inside the equation builder (each
-    interned formula has its top-level fixpoints chased), which yields the
-    same system as materialising the one-step unfolding up front but avoids
-    the exponential intermediate term on deeply nested inputs.
-    """
+def _run_stages(f: Formula, d: Domain) -> tuple:
+    """Check `f`, run the pattern pre-pass and stages 2 to 5 once; returns
+    the formula stage 2 reads and the four equation systems."""
     if free_logic_vars(f) or free_data_vars(f):
         raise NormalizeError("formula must be closed")
     if not is_guarded(f):
@@ -653,40 +638,29 @@ def normalize(f: Formula, d: Domain) -> Formula:
     if not is_shml(f):
         raise NormalizeError("only the safety fragment can be normalised")
     prepared = normalize_formula_patterns(f, d)
-    eqs = stage2_equations(prepared)
-    eqs = stage3_align(EquationSystem(eqs.start, eqs.order, eqs.bodies, d, eqs.builder))
-    eqs = stage4_minterms(eqs, d)
-    power = stage5_powerset(eqs, d)
-    return _renumber_binders(stage6_rebuild(power))
+    raw = stage2_equations(prepared, d)
+    aligned = stage3_align(raw)
+    minterms = stage4_minterms(aligned)
+    return prepared, raw, aligned, minterms, stage5_powerset(minterms)
 
 
-def _unfold_estimate(f: Formula) -> int:
-    """Upper bound on the node count of the one-step unfolding (each binder
-    multiplies its body by the number of variable occurrences plus one)."""
-    if isinstance(f, (FAnd, FOr)):
-        return 1 + sum(_unfold_estimate(i) for i in f.items)
-    if isinstance(f, (Box, Dia)):
-        return 1 + _unfold_estimate(f.body)
-    if isinstance(f, (Max, Min)):
-        occurrences = str(f.body).count(f.var)  # coarse but only used as a cap
-        return (occurrences + 1) * (1 + _unfold_estimate(f.body))
-    return 1
+def normalize(f: Formula, d: Domain) -> Formula:
+    """Normal-form conversion; the result is semantically equivalent on every
+    finite LTS and satisfies both normal-form structural conditions.  Stage 2
+    unfolds fixpoints on demand; stage 1 is never materialised."""
+    return _renumber_binders(stage6_rebuild(_run_stages(f, d)[-1]))
 
 
 def dump_stages(f: Formula, d: Domain) -> str:
-    """The intermediate equation systems, for the `--dump-stages` flag."""
-    prepared = normalize_formula_patterns(f, d)
-    if _unfold_estimate(prepared) <= 50_000:
-        out = [f"stage 1 (unfolded formula):\n{stage1_unfold(prepared)}"]
-    else:
-        out = ["stage 1 (unfolded formula): elided, expansion would be very large"]
-    eqs = stage2_equations(prepared)
-    out.append(f"stage 2 (equations):\n{eqs.pretty()}")
-    eqs = stage3_align(EquationSystem(eqs.start, eqs.order, eqs.bodies, d, eqs.builder))
-    out.append(f"stage 3 (aligned binders):\n{eqs.pretty()}")
-    eqs = stage4_minterms(eqs, d)
-    out.append(f"stage 4 (condition products):\n{eqs.pretty()}")
-    power = stage5_powerset(eqs, d)
-    out.append(f"stage 5 (determinised):\n{power.pretty()}")
-    out.append(f"stage 6 (rebuilt formula):\n{stage6_rebuild(power)}")
-    return "\n\n".join(out)
+    """The stages `normalize` runs, for the `--dump-stages` flag.  Stage 1 is
+    the formula stage 2 reads: patterns normalised, fixpoints not yet
+    unfolded."""
+    prepared, raw, aligned, minterms, power = _run_stages(f, d)
+    return "\n\n".join((
+        f"stage 1 (normalised patterns; fixpoints unfold on demand):\n{prepared}",
+        f"stage 2 (equations):\n{raw.pretty()}",
+        f"stage 3 (aligned binders):\n{aligned.pretty()}",
+        f"stage 4 (condition products):\n{minterms.pretty()}",
+        f"stage 5 (determinised):\n{power.pretty()}",
+        f"stage 6 (rebuilt formula):\n{stage6_rebuild(power)}",
+    ))

@@ -35,6 +35,7 @@ from .symbolic import (
     TAU,
     Action,
     ActionPattern,
+    And,
     Binder,
     Cmp,
     Domain,
@@ -44,6 +45,7 @@ from .symbolic import (
     KEYWORDS,
     Lit,
     Not,
+    Or,
     SymbolicAction,
     TRUE,
     Val,
@@ -185,7 +187,10 @@ class Parser:
 
     # -- patterns ----------------------------------------------------------
 
-    def slot(self, scope: _Scope, binders: list, allow_binders=True):
+    def slot(self, scope: _Scope, other=None, allow_binders=True):
+        """One pattern slot; `other` is the port slot when this is the payload.
+        A name is either a binder or a free slot of one pattern."""
+        pos = self.peek().pos
         if self.eat("("):
             name = self.expect_name("binder")
             self.expect(")")
@@ -194,28 +199,28 @@ class Parser:
             d = self._require_domain()
             if name in d.values:
                 raise self.error(f"binder {name!r} collides with a domain value")
-            if name in binders:
-                raise self.error(f"pattern binds {name!r} twice")
-            binders.append(name)
-            return Binder(name)
-        name = self.expect_name("slot")
-        if name in scope.data:
-            return Free(name)
-        d = self._require_domain()
-        if name in d.values:
-            return Lit(name)
-        raise self.error(f"{name!r} is neither a bound variable nor a domain value")
+            slot = Binder(name)
+        else:
+            name = self.expect_name("slot")
+            if name in scope.data:
+                slot = Free(name)
+            elif name in self._require_domain().values:
+                return Lit(name)
+            else:
+                raise self.error(f"{name!r} is neither a bound variable nor a domain value")
+        if Binder in (type(slot), type(other)) and getattr(other, "name", None) == name:
+            raise ParseError(f"pattern names the binder {name!r} twice", pos, self.text)
+        return slot
 
     def pattern(self, scope: _Scope, allow_binders=True) -> ActionPattern:
-        binders: list = []
-        port = self.slot(scope, binders, allow_binders)
+        port = self.slot(scope, None, allow_binders)
         if self.eat("?"):
             is_input = True
         elif self.eat("!"):
             is_input = False
         else:
             raise self.error("expected '?' or '!' in pattern")
-        payload = self.slot(scope, binders, allow_binders)
+        payload = self.slot(scope, port, allow_binders)
         return ActionPattern(port, is_input, payload)
 
     # -- conditions ----------------------------------------------------------
@@ -238,8 +243,6 @@ class Parser:
             items.append(self._cond_and(scope))
         if len(items) == 1:
             return items[0]
-        from .symbolic import Or
-
         return Or(tuple(items))
 
     def _cond_and(self, scope):
@@ -248,8 +251,6 @@ class Parser:
             items.append(self._cond_atom(scope))
         if len(items) == 1:
             return items[0]
-        from .symbolic import And
-
         return And(tuple(items))
 
     def _cond_atom(self, scope):

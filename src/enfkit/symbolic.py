@@ -224,16 +224,19 @@ Slot = Union[Lit, Free, Binder]
 
 @term
 class ActionPattern:
-    """A pattern over concrete actions; binder names must be pairwise distinct."""
+    """A pattern over concrete actions.  A name is either a binder or a free
+    slot of one pattern: two slots may share a name only when both are free."""
 
     port: Slot
     is_input: bool
     payload: Slot
 
     def __post_init__(self):
-        b = [s.name for s in (self.port, self.payload) if isinstance(s, Binder)]
-        if len(b) != len(set(b)):
-            raise SymbolicError(f"pattern binds {b[0]!r} twice")
+        port, payload = self.port, self.payload
+        if Binder in (type(port), type(payload)) and getattr(port, "name", 0) == getattr(
+            payload, "name", 1
+        ):
+            raise SymbolicError(f"pattern {self} names the binder {port.name!r} twice")
 
     @property
     def binders(self) -> frozenset:
@@ -470,14 +473,15 @@ def avoid_capture(pattern: ActionPattern, condition, scope, narrowed, scope_vars
     """Freshen the binders that a Var target of the narrowed substitution
     would capture, one at a time in name order, so that the substitution can
     then be applied under the pattern.  Each fresh name avoids the targets,
-    the substituted variables, the binders, and the free variables of the
-    condition and of the scope."""
+    the substituted variables, the binders and the free variables of the
+    pattern, of the condition and of the scope."""
     targets = {v.name for v in narrowed.values() if isinstance(v, Var)}
     for name in sorted(pattern.binders & targets):
         taken = (
             targets
             | set(narrowed)
             | pattern.binders
+            | pattern.free_vars
             | cond_vars(condition)
             | scope_vars(scope)
         )
@@ -713,8 +717,6 @@ def disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
                 parts.append(Cmp(var, Val(slot.value), True))
             elif isinstance(slot, Binder):
                 parts.append(Cmp(var, ren[slot.name], True))
-            elif slot.name in ren:
-                raise UnboundVariable(f"pattern slot {slot} names a binder of its own pattern")
             else:
                 parts.append(Cmp(var, Var(slot.name), True))
         parts.append(subst_condition(sa.condition, ren))

@@ -1,6 +1,8 @@
 import pytest
 
-from enfkit.formulas import Box, FAnd, FOr, FVar, Max, classify, subst_data, unfold
+from enfkit.formulas import (
+    Box, FAnd, FOr, FVar, Max, classify, free_data_vars, subst_data, unfold,
+)
 from enfkit.modelcheck import ModelCheckError, mc_eval, sat_oracle, satisfies
 from enfkit.parsing import ParseError, parse_formula, parse_process
 from enfkit.processes import NIL, reachable
@@ -144,6 +146,14 @@ def test_least_fixpoint_termination_property(dom, terms):
     assert satisfies(terms["pb"], f, dom)
     loop = parse_process("rec X.i?req.X", dom)
     assert not satisfies(loop, f, dom)
+
+
+def test_subst_data_freshens_a_binder_away_from_the_free_slot(dom):
+    # renaming the captured binder y must not pick u, the pattern's free slot
+    g = parse_formula("[(u)!(x)][(z)?(w)][u?(y) when y = x && z = w]ff", dom).body.body
+    renamed = subst_data(g, {"x": Var("y")})
+    assert str(renamed) == "[u?(v) when v = y && z = w]ff"
+    assert free_data_vars(renamed) == {"u", "y", "z", "w"}
 
 
 def test_subst_data_freshens_a_capturing_binder(dom, terms):

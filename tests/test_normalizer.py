@@ -1,14 +1,17 @@
+import hashlib
+import os
+
 import pytest
 
 from enfkit.formulas import Box, FAnd, FF, Max, TT, classify
 from enfkit.harness import gen_formula, gen_process
 from enfkit.modelcheck import mc_eval
 from enfkit.normalizer import (
-    EquationSystem,
     MintermBlowup,
     NormalizeError,
     dump_stages,
     normalize,
+    normalize_formula_patterns,
     stage1_unfold,
     stage2_equations,
     stage3_align,
@@ -49,19 +52,19 @@ def test_stage1_rejects_unguarded(dom):
 
 def test_stage2_worked_example(dom):
     f = stage1_unfold(parse_formula("max X.([i?req]X && [i!ans]ff)", dom))
-    eqs = stage2_equations(f)
+    eqs = stage2_equations(f, dom)
     assert eqs.pretty() == "X0 = [i?req]X0 && [i!ans]X1\nX1 = ff"
 
 
 def test_stage2_trivials(dom):
-    assert stage2_equations(TT).pretty() == "X0 = tt"
-    eqs = stage2_equations(parse_formula("[i?req]tt", dom))
+    assert stage2_equations(TT, dom).pretty() == "X0 = tt"
+    eqs = stage2_equations(parse_formula("[i?req]tt", dom), dom)
     assert eqs.pretty() == "X0 = [i?req]X1\nX1 = tt"
 
 
 def test_stage3_alignment_renames_to_first_branch(dom):
     f = parse_formula("[(x1)?(x2) when x1 = i]ff && [(x3)?(x4) when x4 = req]tt", dom)
-    eqs = stage3_align(_with_domain(stage2_equations(f), dom))
+    eqs = stage3_align(stage2_equations(f, dom))
     body = eqs.body(eqs.start)
     pats = [b.action.pattern for b in body]
     assert pats[0] == pats[1]
@@ -72,27 +75,23 @@ def test_stage3_alignment_renames_to_first_branch(dom):
 
 def test_stage3_leaves_single_branches_alone(dom):
     f = parse_formula("[(x)?(y) when x = i]ff", dom)
-    eqs = stage3_align(_with_domain(stage2_equations(f), dom))
+    eqs = stage3_align(stage2_equations(f, dom))
     body = eqs.body(eqs.start)
     assert body[0].action.pattern.binders == {"x", "y"}
 
 
 def test_stage3_aligns_only_same_direction(dom):
     f = parse_formula("[(x1)?(x2)]ff && [(x3)!(x4)]ff", dom)
-    eqs = stage3_align(_with_domain(stage2_equations(f), dom))
+    eqs = stage3_align(stage2_equations(f, dom))
     body = eqs.body(eqs.start)
     assert body[0].action.pattern.is_input != body[1].action.pattern.is_input
     assert body[1].action.pattern.binders == {"x3", "x4"}
 
 
-def _with_domain(eqs, dom):
-    return EquationSystem(eqs.start, eqs.order, eqs.bodies, dom, eqs.builder)
-
-
 def test_stage4_worked_example(dom):
     # two branches on one pattern with overlapping conditions c1, c3
     f = parse_formula("[(x)?(y) when x != j]tt && [(x)?(y) when y = req]ff", dom)
-    eqs = stage4_minterms(stage3_align(_with_domain(stage2_equations(f), dom)), dom)
+    eqs = stage4_minterms(stage3_align(stage2_equations(f, dom)))
     body = eqs.body(eqs.start)
     c1 = Cmp(Var("x"), Val("j"), False)
     c3 = Cmp(Var("y"), Val("req"), True)
@@ -108,19 +107,19 @@ def test_stage4_worked_example(dom):
 
 def test_stage4_single_condition_unchanged(dom):
     f = parse_formula("[(x)?(y) when x != j]ff", dom)
-    eqs = stage4_minterms(stage3_align(_with_domain(stage2_equations(f), dom)), dom)
+    eqs = stage4_minterms(stage3_align(stage2_equations(f, dom)))
     body = eqs.body(eqs.start)
     assert [b.action.condition for b in body] == [Cmp(Var("x"), Val("j"), False)]
     trivial = parse_formula("[(x)?(y)]ff", dom)
-    eqs = stage4_minterms(stage3_align(_with_domain(stage2_equations(trivial), dom)), dom)
+    eqs = stage4_minterms(stage3_align(stage2_equations(trivial, dom)))
     assert eqs.body(eqs.start) == stage3_align(
-        _with_domain(stage2_equations(trivial), dom)
+        stage2_equations(trivial, dom)
     ).body(eqs.start)
 
 
 def test_stage4_unsatisfiable_minterm_dropped(dom):
     f = parse_formula("[(x)?(y) when x != j]tt && [(x)?(y) when x = j]ff", dom)
-    eqs = stage4_minterms(stage3_align(_with_domain(stage2_equations(f), dom)), dom)
+    eqs = stage4_minterms(stage3_align(stage2_equations(f, dom)))
     conds = [b.action.condition for b in eqs.body(eqs.start)]
     # the joint cell x != j && x = j is unsatisfiable and disappears
     assert conds == [Cmp(Var("x"), Val("j"), False), Cmp(Var("x"), Val("j"), True)]
@@ -135,13 +134,13 @@ def test_stage4_blowup_guard(dom):
     )
     f = parse_formula(branches, dom)
     with pytest.raises(MintermBlowup):
-        stage4_minterms(stage3_align(_with_domain(stage2_equations(f), dom)), dom)
+        stage4_minterms(stage3_align(stage2_equations(f, dom)))
 
 
 def test_stage5_worked_example(dom):
     f = parse_formula("max X.([(x)?(y) when x != j]X && [(x)?(y) when y = req]ff)", dom)
     prepared = stage1_unfold(f)
-    eqs = stage4_minterms(stage3_align(_with_domain(stage2_equations(prepared), dom)), dom)
+    eqs = stage4_minterms(stage3_align(stage2_equations(prepared, dom)))
     power = stage5_powerset(eqs)
     # the overlap cell now has a single branch to the unified {loop, ff} set,
     # which is absorbed to ff by its ff member
@@ -162,13 +161,13 @@ def test_stage5_absorbs_ff_members(dom):
 def test_stage6_back_edge_and_leaf(dom):
     f = parse_formula("max X.[i?req]X", dom)
     power = stage5_powerset(
-        stage4_minterms(stage3_align(_with_domain(stage2_equations(stage1_unfold(f)), dom)), dom)
+        stage4_minterms(stage3_align(stage2_equations(stage1_unfold(f), dom)))
     )
     out = stage6_rebuild(power)
     assert isinstance(out, Max)
     assert str(out.body.body) == out.var
     assert stage6_rebuild(stage5_powerset(stage4_minterms(
-        stage3_align(_with_domain(stage2_equations(TT), dom)), dom
+        stage3_align(stage2_equations(TT, dom))
     ))) == TT
 
 
@@ -228,3 +227,42 @@ def test_dump_stages_is_printable(dom, terms):
     text = dump_stages(terms["phi1"], dom)
     for marker in ["stage 1", "stage 2", "stage 3", "stage 4", "stage 5", "stage 6"]:
         assert marker in text
+
+
+def test_dump_stages_stage1_is_what_stage2_reads(dom, terms):
+    f = terms["phi1"]
+    prepared = normalize_formula_patterns(f, dom)
+    sections = dump_stages(f, dom).split("\n\n")
+    assert sections[0].splitlines()[1:] == [str(prepared)]
+    assert sections[1] == "stage 2 (equations):\n" + stage2_equations(prepared, dom).pretty()
+
+
+def test_dump_stages_prints_nested_fixpoints_without_unfolding(dom):
+    # seven nested fixpoints, each used under every deeper one: the one-step
+    # unfolding prints as some 15.8M characters, stage 1 as about 1.5k
+    body = "ff"
+    for k in reversed(range(7)):
+        uses = " && ".join(f"[i?req]X{m}" for m in range(k + 1))
+        body = f"max X{k}.([j?req]{body} && {uses})"
+    f = parse_formula(body, dom)
+    stage1 = dump_stages(f, dom).split("\n\n")[0]
+    assert stage1.splitlines()[1:] == [str(normalize_formula_patterns(f, dom))]
+
+
+NORMALIZE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "normalize_2x3.txt")
+
+
+def test_normalize_matches_the_golden_file(dom):
+    # one line per formula of the 2x3 domain: size, seed, the sha256 of the
+    # printed normal form and that of `dump_stages` from stage 2 on
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    with open(NORMALIZE_GOLDEN, encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    got = []
+    for size in range(1, 17):
+        for seed in range(10):
+            f = gen_formula(dom, size, seed)
+            stages = dump_stages(f, dom)
+            stages = stages[stages.index("stage 2"):]
+            got.append(f"{size} {seed} {digest(str(normalize(f, dom)))} {digest(stages)}")
+    assert got == want

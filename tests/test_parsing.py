@@ -113,3 +113,23 @@ def test_worked_terms_roundtrip(dom, terms):
             assert parse_process(text, dom) == term
         else:
             assert parse_transducer(text, dom) == term
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("[(x)?(x)]ff", 6),
+        ("[(z)?(y)][z?(z)]ff", 13),
+        ("[(z)?(y)][(z)?z]ff", 15),
+    ],
+)
+def test_a_pattern_cannot_name_its_binder_twice(dom, text, column):
+    # a name is either a binder or a free slot of one pattern
+    with pytest.raises(ParseError, match="names the binder '[xz]' twice") as err:
+        parse_formula(text, dom)
+    assert f"column {column})" in str(err.value)
+
+
+def test_a_repeated_free_slot_name_parses(dom):
+    f = parse_formula("[(z)?(y)][z?z]ff", dom)
+    assert f.body.action.pattern.free_vars == {"z"}

@@ -1,11 +1,11 @@
 import pytest
 
 from enfkit.bisim import bisim
-from enfkit.parsing import parse_process, parse_transducer
+from enfkit.parsing import ParseError, parse_process, parse_transducer
 from enfkit.processes import NIL, Prefix, StateBoundExceeded, reachable, traces
 from enfkit.runtime import Config, composite_lts, istep, simulate
-from enfkit.symbolic import INSERT, TAU, Val, Var
-from enfkit.transducers import ID, subst_data, tstep
+from enfkit.symbolic import INSERT, TAU, Domain, Val, Var
+from enfkit.transducers import ID, free_data_vars, subst_data, tstep
 
 from conftest import act
 
@@ -165,6 +165,25 @@ def test_instrumentation_over_explicit_lts(dom, terms):
     scripted = simulate(terms["ess"], lts, 2, [("iTrn", act("i?req")), ("iTrn", TAU)], dom)
     assert [str(s.label) for s in scripted] == ["i?req", "tau"]
     assert scripted[-1].config.system == "s1"
+
+
+def test_subst_data_freshens_a_binder_away_from_the_free_slot(dom):
+    # renaming the captured binder y must not pick u, the pattern's free slot
+    e = parse_transducer("{(u)!(x)}.{(z)?(w)}.{u?(y) when y = x && z = w -> i!req}.id", dom)
+    renamed = subst_data(e.cont.cont, {"x": Var("y")})
+    assert str(renamed) == "{u?(v) when v = y && z = w -> i!req}.id"
+    assert free_data_vars(renamed) == {"u", "y", "z", "w"}
+
+
+def test_a_step_never_leaves_a_slot_naming_its_own_binder(dom):
+    # {(y)!(z)}.{z?(z)}.id is rejected, so its i!i step cannot open a
+    # pattern that reads z both ways
+    d = Domain({"i", "j"}, {"i", "req"})
+    with pytest.raises(ParseError):
+        parse_transducer("{(y)!(z)}.{z?(z)}.id", d)
+    e = parse_transducer("{(y)!(z)}.{z?(w)}.id", d)
+    [after] = [cont for (gamma, _), cont in tstep(e, d) if str(gamma) == "i!i"]
+    assert str(after) == "{i?(w)}.id" and tstep(after, d)
 
 
 def test_subst_data_freshens_a_capturing_binder(dom):

@@ -92,11 +92,12 @@ def test_domain_rejects_keywords(name):
 
 
 def test_binder_keys_count_distance_and_keep_free_names():
-    p = pat(Binder("x"), True, Free("x"))
+    p = pat(Binder("y"), True, Free("x"))
     pkey, level, env = pattern_key(p, 1, {"x": 0})
     # the free slot names the outer x, one binder out; the binder opens level 1
-    assert pkey == (True, None, 1) and level == 2 and env == {"x": 1}
-    assert cond_key(Cmp(Var("x"), Var("z"), True), level, env) == ("=", 1, "z")
+    assert pkey == (True, None, 1) and level == 2 and env == {"x": 0, "y": 1}
+    assert cond_key(Cmp(Var("y"), Var("z"), True), level, env) == ("=", 1, "z")
+    assert cond_key(Cmp(Var("x"), Var("z"), True), level, env) == ("=", 2, "z")
     assert term_key(Val("x"), level, env) != term_key(Var("x"), 0, {})
     a = SymbolicAction(pat(Binder("x"), True, Lit("req")), Cmp(Var("x"), Val("j"), False))
     b = SymbolicAction(pat(Binder("y"), True, Lit("req")), Cmp(Var("y"), Val("j"), False))
@@ -112,6 +113,25 @@ def test_binder_keys_count_distance_and_keep_free_names():
 def test_double_binder_rejected():
     with pytest.raises(SymbolicError):
         pat(Binder("x"), True, Binder("x"))
+
+
+def test_a_binder_name_cannot_name_the_other_slot():
+    # a name is either a binder or a free slot of one pattern
+    for port, payload in ((Binder("x"), Free("x")), (Free("x"), Binder("x"))):
+        with pytest.raises(SymbolicError):
+            pat(port, True, payload)
+    assert pat(Free("x"), True, Free("x")).free_vars == {"x"}
+
+
+def test_disjoint_under_reads_a_repeated_free_slot_as_one_outer_variable():
+    d = Domain({"i", "j"}, {"i", "req"})
+    same = SymbolicAction(pat(Free("x"), True, Free("x")), TRUE)
+    on_i = SymbolicAction(pat(Lit("i"), True, Binder("y")), TRUE)
+    on_j = SymbolicAction(pat(Lit("j"), True, Binder("y")), TRUE)
+    # x?x meets i?(y) for x = i; no payload is named j
+    assert not disjoint_under(same, on_i, d) and disjoint_under(same, on_j, d)
+    for other in (on_i, on_j):
+        assert disjoint_under(same, other, d) == naive_disjoint_under(same, other, d)
 
 
 # ---------------------------------------------------------------------------
