@@ -16,7 +16,7 @@ from .symbolic import (
     underline,
 )
 from .formulas import Formula, classify
-from .processes import LTS, Process, reachable, step, traces, weak_step
+from .processes import LTS, Process, reachable, step, trace_tree, traces, weak_step
 from .modelcheck import mc_eval, sat_oracle, satisfies
 from .normalizer import (
     EquationSystem,
@@ -47,6 +47,7 @@ from .harness import (
     is_sat,
     make_corpus,
     violates,
+    violating_traces,
 )
 from .parsing import (
     SpecFile,

@@ -20,8 +20,17 @@ formula and one process, whose enforcer, LTS, composite and satisfaction are
 each derived once and shared by every check run on it.  Normalization takes
 one formula and many systems.
 
-Also here: the trace-level forcing relation (`violates`), the formula
-residual (`after`), and the seeded random generators feeding the suites.
+The trace-based criteria decide violation for all their candidate traces at
+once: `violating_traces` walks the prefix trie of the candidates and carries
+the open obligations from each prefix to its extensions, so a prefix shared
+by many candidates is derived once (formula derivatives over a trie, after
+Brzozowski, JACM 1964).  nvtt reads each trace's derivatives from the
+`trace_tree` of the process and of the composite.  `violates`, the
+trace-level forcing relation decided for one trace, is the oracle the walk
+is tested against.
+
+Also here: the formula residual (`after`) and the seeded random generators
+feeding the suites.
 """
 from __future__ import annotations
 
@@ -64,6 +73,7 @@ from .processes import (
     as_lts,
     free_proc_vars,
     reachable,
+    trace_tree,
     traces,
     weak_step,
     weak_trace_derivatives,
@@ -133,6 +143,13 @@ def _trace_text(t) -> str:
 # Violating traces and formula residuals
 
 
+def _require_safety(f: Formula):
+    if not is_shml(f):
+        raise HarnessError("violating traces are defined for safety formulas")
+    if not is_guarded(f):
+        raise HarnessError("formula is not guarded")
+
+
 def violates(system, trace, f: Formula, domain: Domain) -> bool:
     """Does the system violate the safety formula along this trace?
 
@@ -142,10 +159,7 @@ def violates(system, trace, f: Formula, domain: Domain) -> bool:
     fixpoint through its unfolding.  A process term is explored up to
     `DEFAULT_STATE_BOUND` states.
     """
-    if not is_shml(f):
-        raise HarnessError("violating traces are defined for safety formulas")
-    if not is_guarded(f):
-        raise HarnessError("formula is not guarded")
+    _require_safety(f)
     lts, root = as_lts(system, DEFAULT_BOUND)
     memo: dict = {}
 
@@ -173,6 +187,109 @@ def violates(system, trace, f: Formula, domain: Domain) -> bool:
         return result
 
     return go(root, tuple(trace), f)
+
+
+class _TrieNode:
+    __slots__ = ("children", "trace")
+
+    def __init__(self):
+        self.children = {}
+        self.trace = None  # the candidate ending here, if any
+
+
+def violating_traces(system, candidates, f: Formula, domain: Domain) -> frozenset:
+    """The candidate traces along which the system violates the safety
+    formula: `violates` for every candidate, decided in one walk.
+
+    The walk visits the prefix trie of the candidates with an explicit
+    stack.  A node holds the obligations open at its prefix, as the states
+    that must still meet each necessity.  They are closed under conjunction
+    items and fixpoint unfolding over a visited set, so cycles contribute
+    nothing and the relation stays least.  A child fires every necessity
+    whose action matches its own along weak steps of the states, and
+    instantiates the continuation.  A node violates when falsehood is in its
+    closure and its trace is a candidate.  A process term is explored up to
+    `DEFAULT_STATE_BOUND` states.
+    """
+    _require_safety(f)
+    lts, root = as_lts(system, DEFAULT_BOUND)
+    trie = _TrieNode()
+    for t in candidates:
+        node = trie
+        for a in t:
+            child = node.children.get(a)
+            if child is None:
+                child = node.children[a] = _TrieNode()
+            node = child
+        node.trace = tuple(t)
+
+    closures: dict = {}
+
+    def closure(g):
+        # the necessities g reaches through conjunction items and
+        # unfoldings, and whether it reaches falsehood: the same at any state
+        out = closures.get(g)
+        if out is None:
+            boxes, falsified = [], False
+            seen, stack = {g}, [g]
+            while stack:
+                h = stack.pop()
+                if isinstance(h, FFalse):
+                    falsified = True
+                    continue
+                if isinstance(h, FAnd):
+                    parts = h.items
+                elif isinstance(h, Max):
+                    parts = (unfold(h),)
+                else:
+                    if isinstance(h, Box):
+                        boxes.append(h)
+                    continue
+                for part in parts:
+                    if part not in seen:
+                        seen.add(part)
+                        stack.append(part)
+            out = closures[g] = (boxes, falsified)
+        return out
+
+    fired: dict = {}
+
+    def fire(box, a):
+        # the closure of the continuation a necessity leaves after action a,
+        # or None when a does not match it
+        key = (box, a)
+        if key not in fired:
+            sub = sym_match(box.action, a)
+            fired[key] = None if sub is None else closure(subst_data(box.body, sub))
+        return fired[key]
+
+    boxes, falsified = closure(f)
+    found = set()
+    stack = [(trie, {box: {root} for box in boxes}, falsified)]
+    while stack:
+        node, open_, falsified = stack.pop()
+        if falsified and node.trace is not None:
+            found.add(node.trace)
+        if not open_:
+            continue
+        for a, child in node.children.items():
+            nxt, reached = {}, False
+            for box, states in open_.items():
+                cont = fire(box, a)
+                if cont is None:
+                    continue
+                targets = set()
+                for s in states:
+                    targets |= weak_step(lts, s, a)
+                if not targets:
+                    continue
+                cont_boxes, cont_falsified = cont
+                reached = reached or cont_falsified
+                for b in cont_boxes:
+                    nxt.setdefault(b, set()).update(targets)
+            if nxt or reached:
+                stack.append((child, nxt, reached))
+    return frozenset(found)
 
 
 def after(f: Formula, label) -> Formula:
@@ -274,8 +391,9 @@ def check_soundness(pair: Pair, depth: int = DEFAULT_DEPTH) -> Verdict:
             comp = pair.composite
             if not satisfies((comp, comp.initial), f, d, pair.bound):
                 witness = f"instrumented {pair.p} falsifies the formula"
-                for t in _in_order(traces(comp, comp.initial, depth)):
-                    if t and violates((comp, comp.initial), t, f, d):
+                found = traces(comp, comp.initial, depth)
+                for t in _in_order(violating_traces((comp, comp.initial), found, f, d)):
+                    if t:
                         witness = _trace_text(t)
                         break
                 return Verdict("soundness", pair.subject, "fail", witness)
@@ -311,12 +429,14 @@ def check_nvtt(pair: Pair, depth: int) -> Verdict:
         pair.enforcer
         plts = pair.system
         comp = pair.composite
-        relevant = traces(plts, p, depth) | traces(comp, comp.initial, depth)
+        # a trace missing from a tree is not performable there: no derivatives
+        plain_tree = trace_tree(plts, p, depth)
+        comp_tree = trace_tree(comp, comp.initial, depth)
+        relevant = plain_tree.keys() | comp_tree.keys()
+        relevant -= violating_traces((plts, p), relevant, f, pair.d)
         for t in _in_order(relevant):
-            if violates((plts, p), t, f, pair.d):
-                continue
-            plain = weak_trace_derivatives(plts, p, t)
-            composite = weak_trace_derivatives(comp, comp.initial, t)
+            plain = plain_tree.get(t, frozenset())
+            composite = comp_tree.get(t, frozenset())
             projected = {cfg.system for cfg in composite}
             missing = plain - projected
             if missing:
@@ -361,9 +481,7 @@ def check_violation_semantics(pair: Pair, depth: int) -> Verdict:
         candidates.update(_shallow_traces(d, min(depth, EXHAUSTIVE_DEPTH)))
         holds = pair.holds
         found = False
-        for t in _in_order(candidates):
-            if not violates((plts, p), t, f, d):
-                continue
+        for t in _in_order(violating_traces((plts, p), candidates, f, d)):
             if holds:
                 why = f"{_trace_text(t)} violates but the system satisfies the formula"
                 return Verdict("violation-sem", pair.subject, "fail", why)

@@ -654,7 +654,7 @@ def normalize(f: Formula, d: Domain) -> Formula:
 def dump_stages(f: Formula, d: Domain) -> str:
     """The stages `normalize` runs, for the `--dump-stages` flag.  Stage 1 is
     the formula stage 2 reads: patterns normalised, fixpoints not yet
-    unfolded."""
+    unfolded.  Stage 6 is the normal form `normalize` returns."""
     prepared, raw, aligned, minterms, power = _run_stages(f, d)
     return "\n\n".join((
         f"stage 1 (normalised patterns; fixpoints unfold on demand):\n{prepared}",
@@ -662,5 +662,5 @@ def dump_stages(f: Formula, d: Domain) -> str:
         f"stage 3 (aligned binders):\n{aligned.pretty()}",
         f"stage 4 (condition products):\n{minterms.pretty()}",
         f"stage 5 (determinised):\n{power.pretty()}",
-        f"stage 6 (rebuilt formula):\n{stage6_rebuild(power)}",
+        f"stage 6 (rebuilt formula):\n{_renumber_binders(stage6_rebuild(power))}",
     ))

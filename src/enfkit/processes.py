@@ -306,16 +306,19 @@ def weak_trace_derivatives(lts: LTS, s, trace) -> frozenset:
     return current
 
 
-def traces(lts: LTS, s, depth: int) -> frozenset:
-    """All observable traces of length at most `depth`, as tuples of actions."""
+def trace_tree(lts: LTS, s, depth: int) -> dict:
+    """Every observable trace of length at most `depth`, mapped to its weak
+    derivatives (what `weak_trace_derivatives` gives for it).  Each trace
+    extends a shorter one by one action, so the keys close under prefixes
+    and every derivative set is derived once from its parent's."""
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    found = {()}
-    frontier = {(): tau_closure(lts, s)}
+    tree = {(): tau_closure(lts, s)}
+    frontier = [()]
     for _ in range(depth):
         nxt = {}
-        for trace, states in frontier.items():
-            for q in states:
+        for trace in frontier:
+            for q in tree[trace]:
                 for label, dst in lts.steps(q):
                     if label is TAU:
                         continue
@@ -323,6 +326,12 @@ def traces(lts: LTS, s, depth: int) -> frozenset:
                     nxt.setdefault(extended, set()).update(tau_closure(lts, dst))
         if not nxt:
             break
-        found.update(nxt.keys())
-        frontier = {t: frozenset(ss) for t, ss in nxt.items()}
-    return frozenset(found)
+        for trace, states in nxt.items():
+            tree[trace] = frozenset(states)
+        frontier = list(nxt)
+    return tree
+
+
+def traces(lts: LTS, s, depth: int) -> frozenset:
+    """All observable traces of length at most `depth`, as tuples of actions."""
+    return frozenset(trace_tree(lts, s, depth))

@@ -3,6 +3,7 @@ from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import enfkit.harness as harness
 from enfkit import modelcheck
@@ -24,6 +25,7 @@ from enfkit.harness import (
     is_sat,
     make_corpus,
     violates,
+    violating_traces,
 )
 from enfkit.modelcheck import sat_oracle, satisfies
 from enfkit.normalizer import normalize
@@ -131,6 +133,66 @@ def test_violates_nonempty_trace_of_ff_is_not_violating(dom, terms):
 def test_violates_requires_performable_steps(dom, terms):
     f = parse_formula("[i!ans]ff", dom)
     assert not violates(terms["pb"], (act("i!ans"),), f, dom)  # pb cannot output first
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fsize=st.integers(1, 10),
+    fseed=st.integers(0, 10_000),
+    psize=st.integers(1, 24),
+    pseed=st.integers(0, 10_000),
+)
+def test_violating_traces_agree_with_violates(dom, fsize, fseed, psize, pseed):
+    # one walk over every candidate against one `violates` call per trace, on
+    # the process and on its instrumented composite
+    f, p = gen_formula(dom, fsize, fseed), gen_process(dom, psize, pseed)
+    plts = reachable(p, 500)
+    comp = composite_lts(compile_formula(f, dom), p, dom)
+    for system, (lts, state) in ((p, (plts, p)), ((comp, comp.initial), (comp, comp.initial))):
+        found = traces(lts, state, 4)
+        candidates = set(found) | set(harness._shallow_traces(dom, 2))
+        # sequences the system cannot perform: every trace extended by every
+        # action, and a run of one action past the depth
+        for t in harness._in_order(found)[:6]:
+            candidates.update(t + (a,) for a in dom.actions)
+        candidates.add((dom.actions[0],) * 6)
+        want = {t for t in candidates if violates(system, t, f, dom)}
+        assert violating_traces(system, candidates, f, dom) == want
+        # a set that is not prefix-closed: only candidates decide
+        odd = {t for t in candidates if len(t) % 2}
+        assert violating_traces(system, odd, f, dom) == {t for t in want if len(t) % 2}
+
+
+def test_violating_traces_examples(dom, terms):
+    pb, phi1 = terms["pb"], terms["phi1"]
+    req, ans = act("i?req"), act("i!ans")
+    candidates = {(), (req,), (req, req), (req, ans), (req, req, req)}
+    # a violating trace's extension is violating only if it is a candidate
+    assert violating_traces(pb, candidates, phi1, dom) == {(req, req)}
+    assert violating_traces(pb, (), phi1, dom) == frozenset()
+    # falsehood along the empty trace only, and only where a candidate ends
+    assert violating_traces(pb, candidates, FF, dom) == {()}
+    assert violating_traces(pb, {(req,)}, FF, dom) == frozenset()
+    assert violating_traces(pb, candidates, TT, dom) == frozenset()
+    # steps must be performable: pb cannot output first
+    assert violating_traces(pb, {(ans,)}, parse_formula("[i!ans]ff", dom), dom) == frozenset()
+
+
+def test_violating_traces_decide_a_deep_candidate(dom):
+    # 5000 requests then an answer: the walk keeps its trie on an explicit
+    # stack, so the depth is not bounded by the recursion limit
+    p = parse_process("rec X.(i?req.X + i!ans.nil)", dom)
+    f = parse_formula("max X.([i?req]X && [i!ans]ff)", dom)
+    req, ans = act("i?req"), act("i!ans")
+    deep = (req,) * 5000 + (ans,)
+    assert violating_traces(p, {deep, deep[:-1]}, f, dom) == {deep}
+
+
+def test_violating_traces_need_a_guarded_safety_formula(dom, terms):
+    with pytest.raises(HarnessError, match="defined for safety formulas"):
+        violating_traces(terms["pg"], {()}, terms["phins"], dom)
+    with pytest.raises(HarnessError, match="not guarded"):
+        violating_traces(terms["pg"], {()}, parse_formula("max X.(X && [i?req]ff)", dom), dom)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +434,7 @@ def test_non_systems_are_rejected(dom, terms):
         lambda s: satisfies(s, f, dom),
         lambda s: sat_oracle(s, f, dom),
         lambda s: violates(s, (), f, dom),
+        lambda s: violating_traces(s, {()}, f, dom),
         lambda s: check_normalization(f, [s], dom),
         lambda s: composite_lts(terms["ess"], s, dom),
         lambda s: simulate(terms["ess"], s, 3, "first", dom),
@@ -389,6 +452,7 @@ def test_foreign_states_are_rejected(dom, terms):
         lambda s: satisfies(s, TT, dom),
         lambda s: sat_oracle(s, TT, dom),
         lambda s: violates(s, (), FF, dom),
+        lambda s: violating_traces(s, {()}, FF, dom),
         lambda s: check_normalization(terms["phi1"], [s], dom),
         lambda s: composite_lts(terms["ess"], s, dom),
         lambda s: simulate(terms["ess"], s, 3, "first", dom),

@@ -249,6 +249,15 @@ def test_dump_stages_prints_nested_fixpoints_without_unfolding(dom):
     assert stage1.splitlines()[1:] == [str(normalize_formula_patterns(f, dom))]
 
 
+def test_dump_stages_ends_in_the_normal_form(dom):
+    # the stage-6 section prints what `normalize` returns, binder names too
+    for size in range(1, 17):
+        for seed in range(40):
+            f = gen_formula(dom, size, seed)
+            last = dump_stages(f, dom).split("\n\n")[-1]
+            assert last == "stage 6 (rebuilt formula):\n" + str(normalize(f, dom)), (size, seed)
+
+
 NORMALIZE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "normalize_2x3.txt")
 
 

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from enfkit.harness import gen_formula, gen_process
 from enfkit.parsing import parse_lts, parse_process
 from enfkit.processes import (
     NIL,
@@ -9,12 +11,15 @@ from enfkit.processes import (
     as_lts,
     reachable,
     step,
+    trace_tree,
     traces,
     validate_process,
     weak_step,
     weak_trace_derivatives,
 )
+from enfkit.runtime import composite_lts
 from enfkit.symbolic import TAU
+from enfkit.synthesis import compile_formula
 
 from conftest import act
 
@@ -117,6 +122,36 @@ def test_weak_trace_derivatives(terms):
     pb = terms["pb"]
     lts = reachable(pb, 100)
     assert weak_trace_derivatives(lts, pb, (act("i?req"), act("i!ans"))) == {pb}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fsize=st.integers(1, 10),
+    fseed=st.integers(0, 10_000),
+    psize=st.integers(1, 24),
+    pseed=st.integers(0, 10_000),
+    depth=st.integers(0, 5),
+)
+def test_trace_tree_is_traces_with_their_derivatives(dom, fsize, fseed, psize, pseed, depth):
+    p = gen_process(dom, psize, pseed)
+    plts = reachable(p, 500)
+    comp = composite_lts(compile_formula(gen_formula(dom, fsize, fseed), dom), p, dom)
+    for lts, state in ((plts, p), (comp, comp.initial)):
+        tree = trace_tree(lts, state, depth)
+        assert tree.keys() == traces(lts, state, depth)
+        assert () in tree
+        for t, derivatives in tree.items():
+            assert derivatives == weak_trace_derivatives(lts, state, t)
+            # the keys are exactly the performable sequences up to the depth
+            assert derivatives
+            if len(t) < depth:
+                for a in dom.actions:
+                    assert (t + (a,) in tree) == bool(weak_trace_derivatives(lts, state, t + (a,)))
+
+
+def test_trace_tree_rejects_a_negative_depth(terms):
+    with pytest.raises(ValueError):
+        trace_tree(reachable(terms["pg"], 10), terms["pg"], -1)
 
 
 def test_explicit_lts_file():
