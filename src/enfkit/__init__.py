@@ -21,7 +21,6 @@ from .modelcheck import mc_eval, sat_oracle, satisfies
 from .normalizer import (
     EquationSystem,
     normalize,
-    stage1_unfold,
     stage2_equations,
     stage3_align,
     stage4_minterms,

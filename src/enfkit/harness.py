@@ -16,9 +16,11 @@ witness), or inconclusive when a bound truncated the search.
   oracle         the two satisfaction routes agree on safety formulas.
 
 The first four criteria, and the oracle agreement, take a `Pair`: one
-formula and one process, whose enforcer, LTS, composite and satisfaction are
-each derived once and shared by every check run on it.  Normalization takes
-one formula and many systems.
+formula and one process, whose enforcer, LTS, composite, satisfaction and
+trace tree at each depth are derived once and shared by every check run on
+it.  Normalization takes one formula and many systems.  Soundness asks only
+whether the formula is satisfiable, which `is_sat` decides on the inert
+process `nil`.
 
 The trace-based criteria decide violation for all their candidate traces at
 once: `violating_traces` walks the prefix trie of the candidates and carries
@@ -52,6 +54,8 @@ from .formulas import (
     TT,
     classify,
     conj,
+    free_data_vars,
+    free_logic_vars,
     is_guarded,
     is_shml,
     necessity_branches,
@@ -318,22 +322,18 @@ def after(f: Formula, label) -> Formula:
 
 
 def is_sat(f: Formula, d: Domain, bound: int = DEFAULT_BOUND) -> bool:
-    """Satisfiability of a safety formula, decided on the normal form (the
-    binder-stripped body is falsehood exactly when nothing satisfies it) and
-    cross-validated against the inert system, which satisfies every
-    satisfiable safety formula."""
-    nf = normalize(f, d)
-    core = nf
-    while isinstance(core, Max):
-        core = core.body
-    by_normal_form = not isinstance(core, FFalse)
-    by_nil_witness = satisfies(NIL, f, d, bound)
-    if by_normal_form != by_nil_witness:
-        raise HarnessError(
-            f"satisfiability routes disagree on {f}: "
-            f"normal form says {by_normal_form}, nil witness says {by_nil_witness}"
-        )
-    return by_normal_form
+    """Satisfiability of a closed, guarded safety formula, decided on the
+    inert system `nil`.  Having no transitions, `nil` meets every necessity
+    vacuously and fails a safety formula only when conjunctions and
+    unfoldings alone reach falsehood; then every system fails it.  So `nil`
+    satisfies exactly the satisfiable safety formulas."""
+    if free_logic_vars(f) or free_data_vars(f):
+        raise HarnessError("formula must be closed")
+    if not is_guarded(f):
+        raise HarnessError("formula is not guarded")
+    if not is_shml(f):
+        raise HarnessError("satisfiability is decided for safety formulas")
+    return satisfies(NIL, f, d, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +344,17 @@ class Pair:
     """One formula/process pair under check, with what the criteria share.
 
     The enforcer (the one given, else the synthesised one), the process's
-    LTS, the instrumented composite and whether the process satisfies the
-    formula are each derived on first use and kept.  A derivation that hits
-    a bound raises and keeps nothing, so every criterion that needs it meets
-    the error itself and reports its own inconclusive verdict.
+    LTS, the instrumented composite, whether the process satisfies the
+    formula and the process's trace tree at each depth are each derived on
+    first use and kept.  A derivation that hits a bound raises and keeps
+    nothing, so every criterion that needs it meets the error itself and
+    reports its own inconclusive verdict.
     """
 
     def __init__(self, f: Formula, p: Process, d: Domain, enforcer=None, bound=DEFAULT_BOUND):
         self.f, self.p, self.d, self.bound = f, p, d, bound
         self.subject = (str(f), str(p))
+        self._trees: dict = {}
         if enforcer is not None:
             self.enforcer = enforcer  # shadows the synthesised one
 
@@ -371,6 +373,13 @@ class Pair:
     @cached_property
     def holds(self) -> bool:
         return satisfies((self.system, self.p), self.f, self.d, self.bound)
+
+    def trace_tree(self, depth: int) -> dict:
+        """The process's traces up to the depth, with their weak derivatives."""
+        tree = self._trees.get(depth)
+        if tree is None:
+            tree = self._trees[depth] = trace_tree(self.system, self.p, depth)
+        return tree
 
 
 def _in_order(ts):
@@ -430,7 +439,7 @@ def check_nvtt(pair: Pair, depth: int) -> Verdict:
         plts = pair.system
         comp = pair.composite
         # a trace missing from a tree is not performable there: no derivatives
-        plain_tree = trace_tree(plts, p, depth)
+        plain_tree = pair.trace_tree(depth)
         comp_tree = trace_tree(comp, comp.initial, depth)
         relevant = plain_tree.keys() | comp_tree.keys()
         relevant -= violating_traces((plts, p), relevant, f, pair.d)
@@ -438,22 +447,10 @@ def check_nvtt(pair: Pair, depth: int) -> Verdict:
             plain = plain_tree.get(t, frozenset())
             composite = comp_tree.get(t, frozenset())
             projected = {cfg.system for cfg in composite}
-            missing = plain - projected
-            if missing:
-                return Verdict(
-                    "nvtt",
-                    subject,
-                    "fail",
-                    f"trace {_trace_text(t)} loses derivative {sorted(map(str, missing))[0]}",
-                )
-            extra = projected - plain
-            if extra:
-                return Verdict(
-                    "nvtt",
-                    subject,
-                    "fail",
-                    f"trace {_trace_text(t)} invents derivative {sorted(map(str, extra))[0]}",
-                )
+            for verb, diff in (("loses", plain - projected), ("invents", projected - plain)):
+                if diff:
+                    why = f"trace {_trace_text(t)} {verb} derivative {sorted(map(str, diff))[0]}"
+                    return Verdict("nvtt", subject, "fail", why)
     except BOUND_ERRORS as exc:
         return Verdict("nvtt", subject, "inconclusive", str(exc))
     return Verdict("nvtt", subject, "pass")
@@ -477,21 +474,21 @@ def check_violation_semantics(pair: Pair, depth: int) -> Verdict:
     subject = (*pair.subject, f"depth={depth}")
     try:
         plts = pair.system
-        candidates = set(traces(plts, p, depth))
+        candidates = set(pair.trace_tree(depth))
         candidates.update(_shallow_traces(d, min(depth, EXHAUSTIVE_DEPTH)))
         holds = pair.holds
         found = False
         for t in _in_order(violating_traces((plts, p), candidates, f, d)):
             if holds:
                 why = f"{_trace_text(t)} violates but the system satisfies the formula"
-                return Verdict("violation-sem", pair.subject, "fail", why)
+                return Verdict("violation-sem", subject, "fail", why)
             if not weak_trace_derivatives(plts, p, t):
                 why = f"violating trace {_trace_text(t)} is not performable"
-                return Verdict("violation-sem", pair.subject, "fail", why)
+                return Verdict("violation-sem", subject, "fail", why)
             found = True
         if not holds and not found:
             why = f"no violating trace within depth {depth}"
-            return Verdict("violation-sem", pair.subject, "inconclusive", why)
+            return Verdict("violation-sem", subject, "inconclusive", why)
     except BOUND_ERRORS as exc:
         return Verdict("violation-sem", subject, "inconclusive", str(exc))
     return Verdict("violation-sem", subject, "pass")

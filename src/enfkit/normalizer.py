@@ -16,9 +16,9 @@ symbolic actions and whose fixpoint binders are all used:
 
 `normalize` and `dump_stages` run one chain.  Stage 1 is never materialised:
 stage 2 unfolds the top-level fixpoints of each formula it interns, which
-avoids the exponential one-step unfolding of nested inputs but can give a
-smaller system than reading off `stage1_unfold` (`max X.[a](max Y.X)` gives
-two equations eagerly, one lazily).  Stage 2's builder keeps the action
+avoids the exponential one-step unfolding of nested inputs and can give a
+smaller system than an eager unfolding (`max X.[a](max Y.X)` gives two
+equations eagerly, one lazily).  Stage 2's builder keeps the action
 domain for stages 3 to 5.  Equation bodies keep continuation formulas open in
 the data variables bound by ancestor patterns; renaming a pattern's binders
 renames the continuation and re-interns it as a (possibly new) variable.
@@ -48,7 +48,6 @@ from .formulas import (
     is_guarded,
     is_shml,
     subst_data,
-    subst_logic,
     unfold,
 )
 from .symbolic import (
@@ -144,31 +143,6 @@ def normalize_formula_patterns(f: Formula, d: Domain) -> Formula:
         return g
 
     return go(f)
-
-
-# ---------------------------------------------------------------------------
-# Stage 1: single top-down unfolding of every fixpoint
-
-
-def stage1_unfold(f: Formula) -> Formula:
-    """Replace each max X.phi with phi[max X.phi / X], processing bodies first
-    so that every fixpoint construct is expanded exactly once; the copies
-    substituted at variable positions are left folded."""
-    if not is_guarded(f):
-        raise NormalizeError("formula is not guarded")
-    return _unfold1(f)
-
-
-def _unfold1(f):
-    if isinstance(f, Max):
-        return subst_logic(_unfold1(f.body), f.var, f)
-    if isinstance(f, FAnd):
-        return FAnd(tuple(_unfold1(i) for i in f.items))
-    if isinstance(f, Box):
-        return Box(f.action, _unfold1(f.body))
-    if isinstance(f, (FOr, Dia, Min)):
-        raise NormalizeError("only the safety fragment can be normalised")
-    return f
 
 
 # ---------------------------------------------------------------------------

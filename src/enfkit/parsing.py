@@ -432,13 +432,6 @@ def parse_transducer(text: str, domain: Domain) -> T.Transducer:
     return out
 
 
-def parse_condition(text: str, domain: Domain, variables=()) -> object:
-    p = Parser(text, domain)
-    out = p.condition(_Scope(data=tuple(variables)))
-    p.done()
-    return out
-
-
 def parse_label(text: str):
     """An action or tau, without domain checking; for explicit LTS files."""
     text = text.strip()

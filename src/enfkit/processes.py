@@ -78,13 +78,6 @@ Process = Union[PNil, Prefix, Choice, Rec, PVar]
 NIL = PNil()
 
 
-def prefix_chain(labels, tail: Process = NIL) -> Process:
-    out = tail
-    for lab in reversed(list(labels)):
-        out = Prefix(lab, out)
-    return out
-
-
 def free_proc_vars(p: Process) -> frozenset:
     if isinstance(p, PVar):
         return frozenset((p.name,))

@@ -36,9 +36,6 @@ class Config:
         return f"<{self.enforcer} | {self.system}>"
 
 
-RULES = ("iTrn", "iAsy", "iIns", "iTer")
-
-
 def system_view(system):
     """Normalise the system argument to (initial state, step function).
 

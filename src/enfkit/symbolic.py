@@ -21,8 +21,8 @@ assignments: conditions only compare variables and names, so union-find over
 the equalities, a check of the disequalities, and a colouring of the free
 classes with domain values at the leaves of the search over disjunctions
 settle them.  Disjointness becomes one such query by equating both patterns
-with a shared action.  The enumerating `naive_satisfiable` and
-`naive_disjoint_under` are kept as test oracles.
+with a shared action.  The tests check both against enumerating every
+assignment.
 
 Binders are handled here once for every term grammar: substitution and
 binder renaming (`narrow`, `rename_binders`, `avoid_capture`), and keys up to
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import product
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
@@ -183,7 +182,6 @@ TAU = _Marker("tau")
 INSERT = _Marker("*")
 
 ExtendedAction = Union[Action, "_Marker"]  # Action or INSERT
-OutputLabel = Union[Action, "_Marker"]  # Action or TAU
 
 
 def label_key(label) -> str:
@@ -271,10 +269,6 @@ class InsertPattern:
 
 
 Pattern = Union[ActionPattern, InsertPattern]
-
-
-def pattern_of_action(action: Action) -> ActionPattern:
-    return ActionPattern(Lit(action.port), action.is_input, Lit(action.payload))
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +393,6 @@ def cond_vars(c: Condition) -> frozenset:
 # during binder renaming.
 
 Substitution = Mapping[str, Term]
-
-
-def values_sub(assignment: Mapping[str, str]) -> dict:
-    return {k: Val(v) for k, v in assignment.items()}
 
 
 def subst_term(t: Term, sub: Substitution) -> Term:
@@ -648,29 +638,12 @@ def denote(sa: SymbolicAction, d: Domain) -> frozenset:
     return frozenset(a for a in d.actions if sym_match(sa, a) is not None)
 
 
-def denote_under(sa: SymbolicAction, d: Domain, env: Mapping[str, str]) -> frozenset:
-    """Denotation of a possibly open symbolic action, closing it with env."""
-    return denote(sa.subst(values_sub(env)), d)
-
-
-def assignments(variables, d: Domain):
-    """All assignments of the given variables into the domain's value universe."""
-    names = sorted(variables)
-    values = sorted(d.values)
-    for combo in product(values, repeat=len(names)):
-        yield dict(zip(names, combo))
-
-
-def _check_declared(c: Condition, variables) -> None:
-    missing = cond_vars(c) - frozenset(variables)
-    if missing:
-        raise UnboundVariable(f"condition mentions undeclared variables {sorted(missing)}")
-
-
 @lru_cache(maxsize=200_000)
 def _satisfiable_cached(c: Condition, variables: frozenset, d: Domain) -> bool:
     # the check runs once per key: a raising call is not cached
-    _check_declared(c, variables)
+    missing = cond_vars(c) - variables
+    if missing:
+        raise UnboundVariable(f"condition mentions undeclared variables {sorted(missing)}")
     values = d.values
     return _decide(c, lambda name: values)
 
@@ -681,12 +654,6 @@ def satisfiable(c: Condition, variables, d: Domain) -> bool:
     `_decide`.  Every variable of the condition must be declared; declared
     variables the condition does not mention cannot change the answer."""
     return _satisfiable_cached(c, frozenset(variables), d)
-
-
-def naive_satisfiable(c: Condition, variables, d: Domain) -> bool:
-    """`satisfiable` by enumerating every assignment: the test oracle."""
-    _check_declared(c, variables)
-    return any(eval_condition(c, values_sub(env)) for env in assignments(variables, d))
 
 
 def disjoint(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
@@ -723,18 +690,6 @@ def disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
     values = d.values
     slot_domain = {_PORT.name: d.ports, _PAYLOAD.name: d.payloads}
     return not _decide(And(tuple(parts)), lambda name: slot_domain.get(name, values))
-
-
-def naive_disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
-    """`disjoint_under` by enumerating every assignment of the outer variables
-    and intersecting denotations: the test oracle."""
-    outer = sa1.free_vars | sa2.free_vars
-    if not outer:
-        return disjoint(sa1, sa2, d)
-    return all(
-        not (denote_under(sa1, d, env) & denote_under(sa2, d, env))
-        for env in assignments(outer, d)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,57 @@
+"""Enumerating test oracles for the guard solver of `enfkit.symbolic`.
+
+`satisfiable` and `disjoint_under` decide their queries by an equality-class
+search; the functions here decide the same queries by trying every
+assignment of the variables into the domain's value universe.
+"""
+from itertools import product
+from typing import Mapping
+
+from enfkit.symbolic import (
+    Condition,
+    Domain,
+    SymbolicAction,
+    UnboundVariable,
+    Val,
+    cond_vars,
+    denote,
+    disjoint,
+    eval_condition,
+)
+
+
+def values_sub(assignment: Mapping[str, str]) -> dict:
+    return {k: Val(v) for k, v in assignment.items()}
+
+
+def denote_under(sa: SymbolicAction, d: Domain, env: Mapping[str, str]) -> frozenset:
+    """Denotation of a possibly open symbolic action, closing it with env."""
+    return denote(sa.subst(values_sub(env)), d)
+
+
+def assignments(variables, d: Domain):
+    """All assignments of the given variables into the domain's value universe."""
+    names = sorted(variables)
+    values = sorted(d.values)
+    for combo in product(values, repeat=len(names)):
+        yield dict(zip(names, combo))
+
+
+def naive_satisfiable(c: Condition, variables, d: Domain) -> bool:
+    """`satisfiable` by enumerating every assignment."""
+    missing = cond_vars(c) - frozenset(variables)
+    if missing:
+        raise UnboundVariable(f"condition mentions undeclared variables {sorted(missing)}")
+    return any(eval_condition(c, values_sub(env)) for env in assignments(variables, d))
+
+
+def naive_disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
+    """`disjoint_under` by enumerating every assignment of the outer variables
+    and intersecting denotations."""
+    outer = sa1.free_vars | sa2.free_vars
+    if not outer:
+        return disjoint(sa1, sa2, d)
+    return all(
+        not (denote_under(sa1, d, env) & denote_under(sa2, d, env))
+        for env in assignments(outer, d)
+    )

@@ -160,11 +160,13 @@ def test_bound_errors_exit_inconclusive():
 
 
 def test_verify_minterm_blowup_is_inconclusive_per_pair(tmp_path):
-    # 13 distinct conditions on one pattern exceed the minterm bound
+    # 13 distinct conditions on one pattern exceed the minterm bound; the
+    # unused binder takes the formula out of normal form, so compiling it
+    # normalises it and meets the bound
     names = ["i", "j"] * 7
-    blowup = " && ".join(
+    blowup = "max Z.(" + " && ".join(
         f"[(x)?(y) when {' && '.join(f'x != {n}' for n in names[: k + 1])}]tt" for k in range(13)
-    )
+    ) + ")"
     spec = tmp_path / "blowup.spec"
     spec.write_text(
         "ports = {i, j}\npayloads = {req, ans, cls}\n"
@@ -181,18 +183,26 @@ def test_verify_minterm_blowup_is_inconclusive_per_pair(tmp_path):
     assert inconclusive and all("the bound is 12" in line for line in inconclusive)
 
 
-def test_verify_equation_bound_is_inconclusive_per_pair(monkeypatch):
+def test_verify_equation_bound_is_inconclusive_per_pair(monkeypatch, tmp_path):
     monkeypatch.setattr(normalizer, "MAX_EQUATIONS", 2)
-    code, out = run(["--spec", SPEC, "verify", "--property", "soundness", "--corpus", SPEC])
+    # phi0 under an unused binder is not in normal form: compiling it
+    # normalises it into three equations, past the bound
+    spec = tmp_path / "server.spec"
+    with open(SPEC, encoding="utf-8") as fh:
+        spec.write_text(
+            fh.read() + "formula phi0_loose = max Y.max X.[i?req]([i!ans]X && [i?req]ff)\n"
+        )
+    spec = str(spec)
+    code, out = run(["--spec", spec, "verify", "--property", "soundness", "--corpus", spec])
     lines = out.strip().splitlines()
-    # 3 formulas x 4 processes: the bound aborts no pair
-    assert code == 3 and len(lines) == 12
+    # 4 formulas x 4 processes: the bound aborts no pair
+    assert code == 3 and len(lines) == 16
     inconclusive = [line for line in lines if " inconclusive [" in line]
     assert inconclusive and all("grew past the safety bound" in line for line in inconclusive)
     # with every criterion, the two nvtt failures of the bad server still
-    # decide the exit code, and all 48 verdicts are printed
-    code, out = run(["--spec", SPEC, "verify", "--property", "all", "--corpus", SPEC])
-    assert code == 1 and len(out.strip().splitlines()) == 48
+    # decide the exit code, and all 64 verdicts are printed
+    code, out = run(["--spec", spec, "verify", "--property", "all", "--corpus", spec])
+    assert code == 1 and len(out.strip().splitlines()) == 64
 
 
 def test_verify_output_matches_the_golden_file():

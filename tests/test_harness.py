@@ -3,13 +3,14 @@ from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import enfkit.harness as harness
-from enfkit import modelcheck
+from enfkit import modelcheck, processes
 from enfkit.cli import main
-from enfkit.formulas import FF, TT
+from enfkit.formulas import FF, TT, Box, FVar, Max
 from enfkit.harness import (
+    BOUND_ERRORS,
     HarnessError,
     Pair,
     Verdict,
@@ -43,7 +44,7 @@ from enfkit.processes import (
     weak_trace_derivatives,
 )
 from enfkit.runtime import composite_lts, simulate
-from enfkit.symbolic import TAU
+from enfkit.symbolic import TAU, TRUE, ActionPattern, Domain, Free, Lit, SymbolicAction
 from enfkit.synthesis import compile_formula, optimize, synthesize
 from enfkit.transducers import alpha_eq
 
@@ -65,6 +66,44 @@ def test_is_sat_examples(dom, terms):
     f = parse_formula("max X.([(x)?req when x != j]ff && [(x)!ans]X)", dom)
     assert is_sat(f, dom)
     assert satisfies(NIL, f, dom)
+
+
+D34 = Domain({"i", "j", "k"}, {"req", "ans", "cls", "ack"})
+
+
+@pytest.mark.parametrize("domain, max_size", [("2x3", 12), ("3x4", 8)])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_is_sat_agrees_with_the_normal_form(dom, domain, max_size, data):
+    # a safety formula is unsatisfiable exactly when its normal form,
+    # fixpoint binders stripped, is falsehood
+    d = dom if domain == "2x3" else D34
+    size = data.draw(st.integers(1, max_size), label="size")
+    f = gen_formula(d, size, data.draw(st.integers(0, 10_000), label="seed"))
+    try:
+        core = normalize(f, d)
+    except BOUND_ERRORS:
+        assume(False)
+    while isinstance(core, Max):
+        core = core.body
+    assert is_sat(f, d) == (core != FF)
+
+
+def test_is_sat_rejects_what_nil_cannot_decide(dom, terms):
+    with pytest.raises(HarnessError, match="closed"):
+        is_sat(FVar("X"), dom)
+    open_guard = SymbolicAction(ActionPattern(Free("x"), True, Lit("req")), TRUE)
+    with pytest.raises(HarnessError, match="closed"):
+        is_sat(Box(open_guard, FF), dom)
+    with pytest.raises(HarnessError, match="not guarded"):
+        is_sat(Max("X", FVar("X")), dom)
+    # satisfiable, but not by nil: a possibility is not a safety formula
+    possible = parse_formula("<i?req>tt", dom)
+    assert satisfies(parse_process("i?req.nil", dom), possible, dom)
+    assert not satisfies(NIL, possible, dom)
+    for f in (possible, terms["phins"]):
+        with pytest.raises(HarnessError, match="safety formulas"):
+            is_sat(f, dom)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +314,22 @@ def test_violation_semantics_satisfying_system_has_no_violations(dom, terms):
     lts = reachable(pg, 100)
     for t in traces(lts, pg, 6):
         assert not violates(pg, t, phi1, dom)
+
+
+def test_violation_semantics_names_the_depth_on_every_outcome(dom, monkeypatch):
+    f = parse_formula("[i?req][i?req]ff", dom)
+    p = parse_process("i?req.i?req.nil", dom)
+    shallow = check_violation_semantics(Pair(f, p, dom), 1)
+    assert shallow.outcome == "inconclusive" and shallow.subject[-1] == "depth=1"
+    assert "no violating trace within depth 1" in shallow.witness
+    deep = check_violation_semantics(Pair(f, p, dom), 2)
+    assert deep.outcome == "pass" and deep.subject[-1] == "depth=2"
+    # a bogus violating trace fails the check whether or not p satisfies
+    # the formula: it is not performable, and tt has no violating trace
+    monkeypatch.setattr(harness, "violating_traces", lambda *args: {(act("j?cls"),)})
+    for g in (f, TT):
+        v = check_violation_semantics(Pair(g, p, dom), 1)
+        assert v.outcome == "fail" and v.subject[-1] == "depth=1"
 
 
 def test_violation_semantics_ff_everywhere(dom, terms):
@@ -489,6 +544,24 @@ def test_verify_derives_each_pair_once(monkeypatch):
     assert counts["compile_formula"] <= 40
     assert counts["reachable"] == 40
     assert counts["composite_lts"] <= 40
+
+
+def test_checks_share_the_process_trace_tree(dom, terms, monkeypatch):
+    roots = []
+    real = processes.trace_tree
+
+    def spy(lts, s, depth):
+        roots.append(s)
+        return real(lts, s, depth)
+
+    monkeypatch.setattr(harness, "trace_tree", spy)
+    monkeypatch.setattr(processes, "trace_tree", spy)
+    pair = Pair(terms["phi1"], terms["pb"], dom)
+    check_violation_semantics(pair, 4)
+    check_nvtt(pair, 4)
+    assert roots.count(terms["pb"]) == 1
+    check_nvtt(pair, 5)
+    assert roots.count(terms["pb"]) == 2
 
 
 def test_given_enforcer_is_not_compiled(dom, terms, monkeypatch):

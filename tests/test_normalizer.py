@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from enfkit.formulas import Box, FAnd, FF, Max, TT, classify
+from enfkit.formulas import Box, FF, Max, TT, classify
 from enfkit.harness import gen_formula, gen_process
 from enfkit.modelcheck import mc_eval
 from enfkit.normalizer import (
@@ -12,7 +12,6 @@ from enfkit.normalizer import (
     dump_stages,
     normalize,
     normalize_formula_patterns,
-    stage1_unfold,
     stage2_equations,
     stage3_align,
     stage4_minterms,
@@ -24,34 +23,8 @@ from enfkit.processes import reachable
 from enfkit.symbolic import And, Cmp, Not, Val, Var
 
 
-@pytest.fixture
-def sa_pair(dom):
-    # two distinct concrete guards usable as sa1/sa2 in the worked example
-    f = parse_formula("max X.([i?req]X && [i!ans]ff)", dom)
-    branches = f.body.items
-    return branches[0].action, branches[1].action
-
-
-def test_stage1_worked_example(dom, sa_pair):
-    f = parse_formula("max X.([i?req]X && [i!ans]ff)", dom)
-    out = stage1_unfold(f)
-    sa1, sa2 = sa_pair
-    assert out == FAnd((Box(sa1, f), Box(sa2, FF)))
-
-
-def test_stage1_trivial_and_single_branch(dom):
-    assert stage1_unfold(TT) == TT
-    f = parse_formula("max X.[i?req]X", dom)
-    assert stage1_unfold(f) == Box(f.body.action, f)
-
-
-def test_stage1_rejects_unguarded(dom):
-    with pytest.raises(NormalizeError):
-        stage1_unfold(Max("X", parse_formula("tt", dom)) and Max("X", __import__("enfkit").formulas.FVar("X")))
-
-
 def test_stage2_worked_example(dom):
-    f = stage1_unfold(parse_formula("max X.([i?req]X && [i!ans]ff)", dom))
+    f = parse_formula("max X.([i?req]X && [i!ans]ff)", dom)
     eqs = stage2_equations(f, dom)
     assert eqs.pretty() == "X0 = [i?req]X0 && [i!ans]X1\nX1 = ff"
 
@@ -139,8 +112,7 @@ def test_stage4_blowup_guard(dom):
 
 def test_stage5_worked_example(dom):
     f = parse_formula("max X.([(x)?(y) when x != j]X && [(x)?(y) when y = req]ff)", dom)
-    prepared = stage1_unfold(f)
-    eqs = stage4_minterms(stage3_align(stage2_equations(prepared, dom)))
+    eqs = stage4_minterms(stage3_align(stage2_equations(f, dom)))
     power = stage5_powerset(eqs)
     # the overlap cell now has a single branch to the unified {loop, ff} set,
     # which is absorbed to ff by its ff member
@@ -161,7 +133,7 @@ def test_stage5_absorbs_ff_members(dom):
 def test_stage6_back_edge_and_leaf(dom):
     f = parse_formula("max X.[i?req]X", dom)
     power = stage5_powerset(
-        stage4_minterms(stage3_align(stage2_equations(stage1_unfold(f), dom)))
+        stage4_minterms(stage3_align(stage2_equations(f, dom)))
     )
     out = stage6_rebuild(power)
     assert isinstance(out, Max)

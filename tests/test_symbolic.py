@@ -25,20 +25,18 @@ from enfkit.symbolic import (
     cond_key,
     cond_vars,
     denote,
-    denote_under,
     disjoint,
     disjoint_under,
     eval_condition,
     match,
-    naive_disjoint_under,
-    naive_satisfiable,
     normalize_pattern,
     pattern_key,
     satisfiable,
     term_key,
     underline,
-    values_sub,
 )
+
+from oracles import denote_under, naive_disjoint_under, naive_satisfiable, values_sub
 
 D = Domain({"i", "j"}, {"req", "ans", "cls"})
 
