@@ -122,6 +122,8 @@ def _corpus_from(args, spec):
         if len(parts) != 3:
             raise ParseError("random corpus spec must be random:N:SEED")
         n, seed = int(parts[1]), int(parts[2])
+        if n < 1:
+            raise ParseError("random corpus size must be at least 1")
         domain = spec.domain if spec else Domain({"i", "j"}, {"req", "ans", "cls"})
         return domain, make_corpus(domain, n, seed)
     file_spec = load_specfile(args.corpus)
@@ -145,6 +147,10 @@ CRITERIA = {
 
 
 def cmd_verify(args) -> int:
+    if args.depth < 0:
+        raise ParseError("--depth must be at least 0")
+    if args.domain_bound < 1:
+        raise ParseError("--domain-bound must be at least 1")
     spec = load_specfile(args.spec) if args.spec else None
     domain, pairs = _corpus_from(args, spec)
     wanted = list(CRITERIA) if args.property == "all" else [args.property]

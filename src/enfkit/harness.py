@@ -20,7 +20,8 @@ formula and one process, whose enforcer, LTS, composite, satisfaction and
 trace tree at each depth are derived once and shared by every check run on
 it.  Normalization takes one formula and many systems.  Soundness asks only
 whether the formula is satisfiable, which `is_sat` decides on the inert
-process `nil`.
+process `nil`.  Satisfaction is decided by `sat_oracle`; only the oracle
+agreement and normalization also evaluate denotations with `mc_eval`.
 
 The trace-based criteria decide violation for all their candidate traces at
 once: `violating_traces` walks the prefix trie of the candidates and carries
@@ -326,14 +327,15 @@ def is_sat(f: Formula, d: Domain, bound: int = DEFAULT_BOUND) -> bool:
     inert system `nil`.  Having no transitions, `nil` meets every necessity
     vacuously and fails a safety formula only when conjunctions and
     unfoldings alone reach falsehood; then every system fails it.  So `nil`
-    satisfies exactly the satisfiable safety formulas."""
+    satisfies exactly the satisfiable safety formulas; `sat_oracle` asks
+    whether it does."""
     if free_logic_vars(f) or free_data_vars(f):
         raise HarnessError("formula must be closed")
     if not is_guarded(f):
         raise HarnessError("formula is not guarded")
     if not is_shml(f):
         raise HarnessError("satisfiability is decided for safety formulas")
-    return satisfies(NIL, f, d, bound)
+    return sat_oracle(NIL, f, d, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +347,10 @@ class Pair:
 
     The enforcer (the one given, else the synthesised one), the process's
     LTS, the instrumented composite, whether the process satisfies the
-    formula and the process's trace tree at each depth are each derived on
-    first use and kept.  A derivation that hits a bound raises and keeps
-    nothing, so every criterion that needs it meets the error itself and
-    reports its own inconclusive verdict.
+    formula (by `sat_oracle`) and the process's trace tree at each depth
+    are each derived on first use and kept.  A derivation that hits a bound
+    raises and keeps nothing, so every criterion that needs it meets the
+    error itself and reports its own inconclusive verdict.
     """
 
     def __init__(self, f: Formula, p: Process, d: Domain, enforcer=None, bound=DEFAULT_BOUND):
@@ -372,7 +374,7 @@ class Pair:
 
     @cached_property
     def holds(self) -> bool:
-        return satisfies((self.system, self.p), self.f, self.d, self.bound)
+        return sat_oracle((self.system, self.p), self.f, self.d, self.bound)
 
     def trace_tree(self, depth: int) -> dict:
         """The process's traces up to the depth, with their weak derivatives."""
@@ -398,7 +400,7 @@ def check_soundness(pair: Pair, depth: int = DEFAULT_DEPTH) -> Verdict:
     try:
         if is_sat(f, d, pair.bound):
             comp = pair.composite
-            if not satisfies((comp, comp.initial), f, d, pair.bound):
+            if not sat_oracle((comp, comp.initial), f, d, pair.bound):
                 witness = f"instrumented {pair.p} falsifies the formula"
                 found = traces(comp, comp.initial, depth)
                 for t in _in_order(violating_traces((comp, comp.initial), found, f, d)):
@@ -523,10 +525,11 @@ def check_normalization(f: Formula, systems, d: Domain) -> Verdict:
 
 
 def check_oracle_agreement(pair: Pair) -> Verdict:
-    """The denotational and the coinductive satisfaction routes agree."""
+    """The coinductive satisfaction route, which the other criteria read as
+    `pair.holds`, agrees with the denotational one, `satisfies`."""
     try:
-        denotational = pair.holds
-        coinductive = sat_oracle((pair.system, pair.p), pair.f, pair.d, pair.bound)
+        coinductive = pair.holds
+        denotational = satisfies((pair.system, pair.p), pair.f, pair.d, pair.bound)
     except BOUND_ERRORS as exc:
         return Verdict("oracle-agreement", pair.subject, "inconclusive", str(exc))
     if denotational != coinductive:

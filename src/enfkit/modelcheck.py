@@ -1,14 +1,14 @@
 """Model checking over finite LTSs: denotational semantics and a coinductive
-satisfaction oracle for the safety fragment.
+satisfaction search for the safety fragment.
 
 `mc_eval` computes exact formula denotations by structural recursion, with
 fixpoints iterated to stabilisation (greatest from the full state set, least
 from the empty one) and modalities ranging over weak derivatives.
 
-`sat_oracle` is an independent second route for safety formulas: the largest
-relation between states and formulas closed under the satisfaction rules,
-computed as a greatest fixpoint over the reachable (state, formula) pairs.
-The two routes must agree on the safety fragment.
+`sat_oracle` decides closed safety formulas by a second, independent route:
+a search of the (state, formula) pairs the satisfaction rules demand, which
+fails exactly when it reaches falsehood.  The verify path asks only it; the
+two routes must agree on the safety fragment.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ class ClosureBoundExceeded(ModelCheckError):
     pass
 
 
-#: Cap on the (state, formula) pairs of `sat_oracle`'s closure.
+#: Cap on the (state, formula) pairs that one `sat_oracle` search visits.
 DEFAULT_CLOSURE_BOUND = 200_000
 
 
@@ -120,60 +120,47 @@ def satisfies(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BOU
 
 
 def sat_oracle(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BOUND) -> bool:
-    """Coinductive satisfaction for safety formulas.
+    """Coinductive satisfaction for closed safety formulas.
 
-    Builds the reachable closure of (state, formula) pairs under the rules:
-    truth holds; falsehood fails; a conjunction needs every conjunct; a
-    necessity needs the instantiated continuation at every matching weak
-    derivative; a fixpoint needs its unfolding.  The answer is membership of
-    the root pair in the largest rule-consistent subset.
+    Searches the (state, formula) pairs reachable from the root under the
+    rules: a conjunction needs every conjunct; a necessity needs the
+    instantiated continuation at every matching weak derivative; a fixpoint
+    needs its unfolding; truth needs nothing.  Every rule is conjunctive, so
+    the largest rule-consistent set of pairs is exactly the set of pairs that
+    reach no falsehood pair, and the search answers False at the first one it
+    meets.  More than `DEFAULT_CLOSURE_BOUND` pairs raise
+    `ClosureBoundExceeded`.
     """
     if not is_shml(f) or free_logic_vars(f):
         raise ModelCheckError("the satisfaction oracle handles closed safety formulas")
     lts, root_state = as_lts(system, bound)
 
     root = (root_state, f)
-    requirements: dict = {}
-    failed = set()
+    seen = {root}
     queue = deque([root])
     while queue:
-        node = queue.popleft()
-        if node in requirements or node in failed:
-            continue
-        if len(requirements) + len(failed) > DEFAULT_CLOSURE_BOUND:
-            raise ClosureBoundExceeded("satisfaction closure grew past the bound")
-        state, g = node
+        state, g = queue.popleft()
         if isinstance(g, FFalse):
-            failed.add(node)
-            continue
+            return False
         if isinstance(g, FTrue):
-            requirements[node] = ()
             continue
         if isinstance(g, FAnd):
-            reqs = tuple((state, item) for item in g.items)
+            reqs = [(state, item) for item in g.items]
         elif isinstance(g, Max):
-            reqs = ((state, unfold(g)),)
+            reqs = [(state, unfold(g))]
         elif isinstance(g, Box):
-            found = []
+            reqs = []
             for a in domain.actions:
                 sub = sym_match(g.action, a)
-                if sub is None:
-                    continue
-                cont = subst_data(g.body, sub)
-                for q in weak_step(lts, state, a):
-                    found.append((q, cont))
-            reqs = tuple(found)
+                if sub is not None:
+                    cont = subst_data(g.body, sub)
+                    reqs.extend((q, cont) for q in weak_step(lts, state, a))
         else:
             raise ModelCheckError(f"oracle cannot handle {g!r}")
-        requirements[node] = reqs
-        queue.extend(reqs)
-
-    alive = set(requirements)
-    changed = True
-    while changed:
-        changed = False
-        for node in list(alive):
-            if any(req not in alive for req in requirements[node]):
-                alive.discard(node)
-                changed = True
-    return root in alive
+        for node in reqs:
+            if node not in seen:
+                if len(seen) >= DEFAULT_CLOSURE_BOUND:
+                    raise ClosureBoundExceeded("satisfaction closure grew past the bound")
+                seen.add(node)
+                queue.append(node)
+    return True

@@ -12,6 +12,7 @@ from enfkit.transducers import alpha_eq
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "server.spec")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "verify_random_200_42.txt")
+SERVER_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "verify_server_spec.txt")
 
 
 def run(argv):
@@ -205,15 +206,42 @@ def test_verify_equation_bound_is_inconclusive_per_pair(monkeypatch, tmp_path):
     assert code == 1 and len(out.strip().splitlines()) == 64
 
 
-def test_verify_output_matches_the_golden_file():
-    # every verdict line of the pinned corpus, byte for byte
-    code, out = run(["verify", "--property", "all", "--corpus", "random:200:42"])
-    with open(GOLDEN, encoding="utf-8") as fh:
+def assert_matches_golden(out, golden):
+    with open(golden, encoding="utf-8") as fh:
         want = fh.read()
-    assert code == 1
     for i, (got_line, want_line) in enumerate(
         zip_longest(out.splitlines(), want.splitlines()), 1
     ):
         if got_line != want_line:
             pytest.fail(f"line {i} differs:\n got: {got_line}\nwant: {want_line}")
     assert out == want
+
+
+def test_verify_output_matches_the_golden_file():
+    # every verdict line of the pinned corpus, byte for byte
+    code, out = run(["verify", "--property", "all", "--corpus", "random:200:42"])
+    assert code == 1
+    assert_matches_golden(out, GOLDEN)
+
+
+def test_verify_server_spec_matches_the_golden_file():
+    # all 12 pairs of the worked server example under every criterion
+    code, out = run(["verify", "--property", "all", "--corpus", SPEC])
+    assert code == 1 and len(out.splitlines()) == 48
+    assert_matches_golden(out, SERVER_GOLDEN)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["verify", "--property", "all", "--corpus", "random:2:1", "--depth", "-1"], "--depth"),
+        (["verify", "--property", "all", "--corpus", "random:-3:1"], "corpus size"),
+        (["verify", "--property", "all", "--corpus", "random:0:1"], "corpus size"),
+        (["--domain-bound", "0", "verify", "--property", "all", "--corpus", "random:2:1"],
+         "--domain-bound"),
+    ],
+    ids=["negative_depth", "negative_corpus_size", "empty_corpus", "zero_domain_bound"],
+)
+def test_verify_rejects_bad_arguments_before_any_verdict(capsys, argv, error):
+    assert run(argv) == (2, "")
+    assert error in capsys.readouterr().err

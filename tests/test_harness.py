@@ -546,6 +546,23 @@ def test_verify_derives_each_pair_once(monkeypatch):
     assert counts["composite_lts"] <= 40
 
 
+def test_verify_never_evaluates_denotations(monkeypatch):
+    # every satisfaction query of verify goes to the closure search
+    calls = []
+    real = modelcheck.mc_eval
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(modelcheck, "mc_eval", spy)
+    monkeypatch.setattr(harness, "mc_eval", spy)
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(["verify", "--property", "all", "--corpus", "random:20:1"])
+    assert code in (0, 1) and len(out.getvalue().splitlines()) == 80
+    assert calls == []
+
+
 def test_checks_share_the_process_trace_tree(dom, terms, monkeypatch):
     roots = []
     real = processes.trace_tree
@@ -608,3 +625,16 @@ def test_oracle_agreement_is_inconclusive_past_the_closure_bound(dom, terms, mon
     monkeypatch.setattr(modelcheck, "DEFAULT_CLOSURE_BOUND", 1)
     v = check_oracle_agreement(Pair(terms["phi1"], terms["pg"], dom))
     assert v.outcome == "inconclusive" and "closure" in v.witness
+
+
+def test_verify_continues_past_a_closure_bound(monkeypatch):
+    # a pair whose satisfaction search hits the bound gets an inconclusive
+    # verdict; the other pairs are still checked, and verify exits 3
+    monkeypatch.setattr(modelcheck, "DEFAULT_CLOSURE_BOUND", 3)
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(["verify", "--property", "soundness", "--corpus", "random:20:1"])
+    lines = out.getvalue().splitlines()
+    inconclusive = [line for line in lines if " inconclusive [" in line]
+    assert code == 3 and len(lines) == 20
+    assert inconclusive and all("closure grew past the bound" in line for line in inconclusive)
+    assert sum(line.endswith(" pass") for line in lines) == 20 - len(inconclusive)

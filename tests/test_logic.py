@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from enfkit.formulas import (
@@ -5,8 +7,10 @@ from enfkit.formulas import (
 )
 from enfkit.modelcheck import ModelCheckError, mc_eval, sat_oracle, satisfies
 from enfkit.parsing import ParseError, parse_formula, parse_process
-from enfkit.processes import NIL, reachable
+from enfkit.processes import NIL, Prefix, reachable
 from enfkit.harness import gen_formula, gen_process
+from enfkit.runtime import composite_lts
+from enfkit.synthesis import compile_formula
 from enfkit.symbolic import TAU, Val, Var
 
 
@@ -100,10 +104,24 @@ def test_sat_oracle_rejects_non_safety(dom, terms):
 
 
 def test_oracle_agreement_on_corpus(dom):
+    # the closure search and the denotation agree at every state of the
+    # process, with and without a leading silent step, at every state of its
+    # composite with the compiled enforcer, and on nil; enough answers are
+    # False that the search's early exit runs
+    answers = Counter()
     for i in range(60):
-        f = gen_formula(dom, 1 + (i % 6), 900 + i)
-        p = gen_process(dom, 1 + (i % 8), 901 + i)
+        f = gen_formula(dom, 1 + (i % 8), 900 + i)
+        p = gen_process(dom, 1 + (i % 24), 901 + i)
         assert sat_oracle(p, f, dom) == satisfies(p, f, dom), (f, p)
+        systems = [NIL]
+        for q in (p, Prefix(TAU, p)):
+            for lts in (reachable(q, 500), composite_lts(compile_formula(f, dom), q, dom, 500)):
+                systems += [(lts, s) for s in lts.states]
+        for system in systems:
+            answer = sat_oracle(system, f, dom)
+            assert answer == satisfies(system, f, dom), (f, p, system)
+            answers[answer] += 1
+    assert answers[False] >= 200 and answers[True] >= 200, answers
 
 
 def test_tau_closure_of_safety(dom):
