@@ -15,12 +15,14 @@ from .bisim import bisim
 from .harness import (
     BOUND_ERRORS,
     DEFAULT_DEPTH,
+    HarnessError,
     Pair,
     check_nvtt,
     check_soundness,
     check_transparency,
     check_violation_semantics,
     make_corpus,
+    require_closed_safety,
 )
 from .modelcheck import satisfies
 from .normalizer import dump_stages, normalize
@@ -127,6 +129,12 @@ def _corpus_from(args, spec):
         domain = spec.domain if spec else Domain({"i", "j"}, {"req", "ans", "cls"})
         return domain, make_corpus(domain, n, seed)
     file_spec = load_specfile(args.corpus)
+    # a formula no criterion decides is rejected before the first verdict
+    for name, f in file_spec.formulas.items():
+        try:
+            require_closed_safety(f)
+        except HarnessError as exc:
+            raise ParseError(f"formula {name}: {exc}") from None
     pairs = [
         (f, p)
         for f in file_spec.formulas.values()

@@ -15,7 +15,6 @@ bounded caches keyed on the formula value.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Union
 
 from .symbolic import (
@@ -28,6 +27,7 @@ from .symbolic import (
     narrow,
     paren,
     term,
+    term_memo,
 )
 
 
@@ -135,13 +135,11 @@ def conj(items) -> Formula:
 
 
 # Formulas unfold into DAGs (substitution shares subterms), so the recursive
-# helpers below memoise by term.  Terms hash once and compare structurally,
-# so an unfolding and a reparse of one formula share entries.
-
-_term_memo = lru_cache(maxsize=1 << 16)
+# helpers below memoise by term; an unfolding and a reparse of one formula
+# share entries.
 
 
-@_term_memo
+@term_memo
 def free_logic_vars(f: Formula) -> frozenset:
     if isinstance(f, FVar):
         return frozenset((f.name,))
@@ -154,7 +152,7 @@ def free_logic_vars(f: Formula) -> frozenset:
     return frozenset()
 
 
-@_term_memo
+@term_memo
 def free_data_vars(f: Formula) -> frozenset:
     if isinstance(f, (FAnd, FOr)):
         return frozenset().union(*(free_data_vars(i) for i in f.items))
@@ -275,7 +273,7 @@ class Classification:
     shmlnf: bool
 
 
-@_term_memo
+@term_memo
 def is_guarded(f: Formula) -> bool:
     """Every occurrence of a logical variable must sit under a modality
     inside its binder."""
@@ -294,7 +292,7 @@ def is_guarded(f: Formula) -> bool:
     return go(f, frozenset())
 
 
-@_term_memo
+@term_memo
 def is_shml(f: Formula) -> bool:
     if isinstance(f, (FTrue, FFalse, FVar)):
         return True

@@ -329,13 +329,19 @@ def is_sat(f: Formula, d: Domain, bound: int = DEFAULT_BOUND) -> bool:
     unfoldings alone reach falsehood; then every system fails it.  So `nil`
     satisfies exactly the satisfiable safety formulas; `sat_oracle` asks
     whether it does."""
+    require_closed_safety(f)
+    return sat_oracle(NIL, f, d, bound)
+
+
+def require_closed_safety(f: Formula):
+    """Raise HarnessError unless `f` is a closed, guarded safety formula,
+    the formulas satisfiability and the criteria are decided for."""
     if free_logic_vars(f) or free_data_vars(f):
         raise HarnessError("formula must be closed")
     if not is_guarded(f):
         raise HarnessError("formula is not guarded")
     if not is_shml(f):
-        raise HarnessError("satisfiability is decided for safety formulas")
-    return sat_oracle(NIL, f, d, bound)
+        raise HarnessError("only safety formulas are decided")
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +354,11 @@ class Pair:
     The enforcer (the one given, else the synthesised one), the process's
     LTS, the instrumented composite, whether the process satisfies the
     formula (by `sat_oracle`) and the process's trace tree at each depth
-    are each derived on first use and kept.  A derivation that hits a bound
-    raises and keeps nothing, so every criterion that needs it meets the
-    error itself and reports its own inconclusive verdict.
+    are each derived on first use and kept.  The composite is built over
+    the process's LTS, so no process state is stepped twice.  A derivation
+    that hits a bound raises and keeps nothing, so every criterion that
+    needs it meets the error itself and reports its own inconclusive
+    verdict.
     """
 
     def __init__(self, f: Formula, p: Process, d: Domain, enforcer=None, bound=DEFAULT_BOUND):
@@ -370,7 +378,7 @@ class Pair:
 
     @cached_property
     def composite(self) -> LTS:
-        return composite_lts(self.enforcer, self.p, self.d, self.bound)
+        return composite_lts(self.enforcer, (self.system, self.p), self.d, self.bound)
 
     @cached_property
     def holds(self) -> bool:

@@ -128,8 +128,8 @@ def sat_oracle(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BO
     needs its unfolding; truth needs nothing.  Every rule is conjunctive, so
     the largest rule-consistent set of pairs is exactly the set of pairs that
     reach no falsehood pair, and the search answers False at the first one it
-    meets.  More than `DEFAULT_CLOSURE_BOUND` pairs raise
-    `ClosureBoundExceeded`.
+    meets, before it tests the bound.  More than `DEFAULT_CLOSURE_BOUND`
+    pairs raise `ClosureBoundExceeded`.
     """
     if not is_shml(f) or free_logic_vars(f):
         raise ModelCheckError("the satisfaction oracle handles closed safety formulas")
@@ -157,6 +157,10 @@ def sat_oracle(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BO
                     reqs.extend((q, cont) for q in weak_step(lts, state, a))
         else:
             raise ModelCheckError(f"oracle cannot handle {g!r}")
+        # a falsehood pair decides the search, so it is answered before the
+        # bound is tested for the pairs it would add
+        if any(isinstance(h, FFalse) for _, h in reqs):
+            return False
         for node in reqs:
             if node not in seen:
                 if len(seen) >= DEFAULT_CLOSURE_BOUND:

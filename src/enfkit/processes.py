@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Union
 
-from .symbolic import TAU, paren, term
+from .symbolic import TAU, paren, term, term_memo
 
 
 #: The default cap on the states of an explored LTS (a process's, a
@@ -153,6 +153,13 @@ def step(p: Process):
 
     walk(p)
     return out
+
+
+@term_memo
+def cached_step(p: Process) -> tuple:
+    """`step` of a closed process term, as a tuple, memoised by term: a
+    state met again, in this run or a later one, is not stepped again."""
+    return tuple(step(p))
 
 
 # ---------------------------------------------------------------------------

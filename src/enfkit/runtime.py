@@ -12,15 +12,27 @@ transitions come from four rules:
 
 The system side is any labelled-transition behaviour: a process term or an
 explicit LTS state.
+
+An enforcer's transforms depend only on its own state, and a process's
+moves only on the process state.  So `istep` reads both from memos keyed by
+term, `transducers.transform_table` (indexed by consumed action) and
+`processes.cached_step`, and `composite_lts` and `simulate` step each
+enforcer and process state once, however many configurations share it.
 """
 from __future__ import annotations
 
 import random
 
-from .processes import DEFAULT_STATE_BOUND, LTS, explore, lts_view, validate_process
-from .processes import step as process_step
-from .symbolic import INSERT, TAU, Domain, label_key, term
-from .transducers import ID, Transducer, tstep, validate_transducer
+from .processes import (
+    DEFAULT_STATE_BOUND,
+    LTS,
+    cached_step,
+    explore,
+    lts_view,
+    validate_process,
+)
+from .symbolic import TAU, Domain, label_key, term, term_memo
+from .transducers import ID, Transducer, transform_table, validate_transducer
 
 
 class SimulationError(Exception):
@@ -36,50 +48,58 @@ class Config:
         return f"<{self.enforcer} | {self.system}>"
 
 
+# `simulate` and `composite_lts` check their arguments on every call, and a
+# check walks the whole term.  A term that passed is remembered, so a term
+# met again costs one lookup; its hash is one the step memos need anyway.
+_checked_transducer = term_memo(validate_transducer)
+_checked_process = term_memo(validate_process)
+
+
 def system_view(system):
     """Normalise the system argument to (initial state, step function).
 
-    Accepts a process term, stepped lazily, an LTS (its initial state is
-    used), or a pair (LTS, state).
+    Accepts a process term, stepped lazily through the memo of its states'
+    steps, an LTS (its initial state is used), or a pair (LTS, state).
     """
     view = lts_view(system)
     if view is not None:
         lts, state = view
         return state, lts.steps
-    validate_process(system)
-    return system, process_step
+    try:
+        _checked_process(system)
+    except TypeError:  # unhashable, so no term: let the check say what it is
+        validate_process(system)
+    return system, cached_step
 
 
 def istep(cfg: Config, sys_steps, domain: Domain):
     """All instrumented transitions of a configuration, as
     (rule name, output label, next configuration), grouped by rule in the
-    fixed order iTrn < iAsy < iIns < iTer and source order inside a rule."""
-    transforms = tstep(cfg.enforcer, domain)
+    fixed order iTrn < iAsy < iIns < iTer and source order inside a rule.
+    The enforcer's transforms come from its memoised transform table, so
+    each system move costs one lookup."""
+    table = transform_table(cfg.enforcer, domain)
+    by_action, inserts = table.by_action, table.inserts
     sys_moves = sys_steps(cfg.system)
-    inserts = [((g, u), e2) for (g, u), e2 in transforms if g is INSERT]
-    handled = {g for (g, _), _ in transforms if g is not INSERT}
 
     out = []
     # iTrn: visible system action composed with a matching transform
     for label, target in sys_moves:
-        if label is TAU:
-            continue
-        for (gamma, produced), e2 in transforms:
-            if gamma is not INSERT and gamma == label:
+        if label is not TAU:
+            for produced, e2 in by_action.get(label, ()):
                 out.append(("iTrn", produced, Config(e2, target)))
     # iAsy: silent system moves pass through
     for label, target in sys_moves:
         if label is TAU:
             out.append(("iAsy", TAU, Config(cfg.enforcer, target)))
     # iIns: the enforcer inserts independently of the system
-    for (_, produced), e2 in inserts:
+    for produced, e2 in inserts:
         out.append(("iIns", produced, Config(e2, cfg.system)))
     # iTer: unhandled visible action and no insertion available
     if not inserts:
         for label, target in sys_moves:
-            if label is TAU or label in handled:
-                continue
-            out.append(("iTer", label, Config(ID, target)))
+            if label is not TAU and label not in by_action:
+                out.append(("iTer", label, Config(ID, target)))
     return out
 
 
@@ -91,7 +111,7 @@ def composite_lts(
     A transducer that can insert forever makes this space infinite; the
     state bound turns that into an explicit error.
     """
-    validate_transducer(enforcer)
+    _checked_transducer(enforcer)
     initial_sys, sys_steps = system_view(system)
 
     def stepper(cfg):
@@ -169,7 +189,7 @@ def simulate(enforcer: Transducer, system, steps: int, policy, domain: Domain):
     deterministic, `random:SEED` seeds an RNG, and a list of (rule, label)
     pairs replays a scripted run.
     """
-    validate_transducer(enforcer)
+    _checked_transducer(enforcer)
     initial_sys, sys_steps = system_view(system)
     choose = make_policy(policy)
     cfg = Config(enforcer, initial_sys)

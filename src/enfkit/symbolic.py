@@ -71,6 +71,11 @@ class CachedHash:
 
 _store_hash = CachedHash._hash.__set__
 
+#: Decorator for a pure function of terms: a bounded cache keyed on the
+#: argument values.  Terms hash once and compare structurally, so equal terms
+#: share an entry.  A call that raises caches nothing.
+term_memo = lru_cache(maxsize=1 << 16)
+
 
 def term(cls=None, *, order: bool = False):
     """Class decorator for terms: a frozen, slotted dataclass on the

@@ -8,7 +8,8 @@ the action, a `*` source pattern inserts one.  Transition labels are pairs
 """
 from __future__ import annotations
 
-from typing import Union
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Union
 
 from .processes import DEFAULT_STATE_BOUND, LTS, explore
 from .symbolic import (
@@ -31,6 +32,7 @@ from .symbolic import (
     subst_condition,
     subst_pattern,
     term,
+    term_memo,
     underline,
 )
 
@@ -273,6 +275,30 @@ def tstep(e: Transducer, domain):
 
     walk(e)
     return out
+
+
+class TransformTable(NamedTuple):
+    """The transforms of one transducer state over one domain, as `tstep`
+    gives them: `by_action` maps each consumed action to its (output,
+    continuation) pairs, `inserts` holds the insertions' pairs, each in
+    `tstep`'s source order.  Tables are shared through a memo: read only."""
+
+    by_action: Mapping
+    inserts: tuple
+
+
+@term_memo
+def transform_table(e: Transducer, domain) -> TransformTable:
+    """`tstep` of a transducer state, indexed by consumed action and memoised
+    by (term, domain), so each state is stepped once."""
+    by_action, inserts = {}, []
+    for (gamma, produced), cont in tstep(e, domain):
+        moves = inserts if gamma is INSERT else by_action.setdefault(gamma, [])
+        moves.append((produced, cont))
+    return TransformTable(
+        MappingProxyType({gamma: tuple(moves) for gamma, moves in by_action.items()}),
+        tuple(inserts),
+    )
 
 
 def transducer_lts(e: Transducer, domain, bound: int = DEFAULT_STATE_BOUND) -> LTS:

@@ -1,13 +1,20 @@
-"""Enumerating test oracles for the guard solver of `enfkit.symbolic`.
+"""Slow test oracles for the fast algorithms of `enfkit`.
 
 `satisfiable` and `disjoint_under` decide their queries by an equality-class
 search; the functions here decide the same queries by trying every
 assignment of the variables into the domain's value universe.
+
+`runtime.istep` reads memoised transform tables indexed by action;
+`naive_istep` steps the enforcer afresh with `tstep` and scans every
+transform for each system move.
 """
 from itertools import product
 from typing import Mapping
 
+from enfkit.runtime import Config
 from enfkit.symbolic import (
+    INSERT,
+    TAU,
     Condition,
     Domain,
     SymbolicAction,
@@ -18,6 +25,7 @@ from enfkit.symbolic import (
     disjoint,
     eval_condition,
 )
+from enfkit.transducers import ID, tstep
 
 
 def values_sub(assignment: Mapping[str, str]) -> dict:
@@ -55,3 +63,31 @@ def naive_disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) ->
         not (denote_under(sa1, d, env) & denote_under(sa2, d, env))
         for env in assignments(outer, d)
     )
+
+
+def naive_istep(cfg: Config, sys_steps, domain: Domain):
+    """`runtime.istep` by scanning every transform of a fresh `tstep` for
+    each system move: the same list, in the same order."""
+    transforms = tstep(cfg.enforcer, domain)
+    sys_moves = sys_steps(cfg.system)
+    inserts = [((g, u), e2) for (g, u), e2 in transforms if g is INSERT]
+    handled = {g for (g, _), _ in transforms if g is not INSERT}
+
+    out = []
+    for label, target in sys_moves:
+        if label is TAU:
+            continue
+        for (gamma, produced), e2 in transforms:
+            if gamma is not INSERT and gamma == label:
+                out.append(("iTrn", produced, Config(e2, target)))
+    for label, target in sys_moves:
+        if label is TAU:
+            out.append(("iAsy", TAU, Config(cfg.enforcer, target)))
+    for (_, produced), e2 in inserts:
+        out.append(("iIns", produced, Config(e2, cfg.system)))
+    if not inserts:
+        for label, target in sys_moves:
+            if label is TAU or label in handled:
+                continue
+            out.append(("iTer", label, Config(ID, target)))
+    return out

@@ -245,3 +245,22 @@ def test_verify_server_spec_matches_the_golden_file():
 def test_verify_rejects_bad_arguments_before_any_verdict(capsys, argv, error):
     assert run(argv) == (2, "")
     assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "formula, error",
+    [("[i?req]ff || [i!ans]ff", "only safety formulas"), ("max X.X", "not guarded")],
+    ids=["non_safety", "unguarded"],
+)
+def test_verify_rejects_a_bad_spec_formula_before_any_verdict(capsys, tmp_path, formula, error):
+    # the good formula comes first, so a check made pair by pair would
+    # print its verdicts before failing
+    spec = tmp_path / "bad.spec"
+    spec.write_text(
+        "ports = {i, j}\npayloads = {req, ans, cls}\n"
+        "process pg = rec X.(i?req.i!ans.X + i?cls.nil)\n"
+        f"formula phi0 = max X.[i?req]([i!ans]X && [i?req]ff)\nformula bad = {formula}\n"
+    )
+    assert run(["verify", "--property", "all", "--corpus", str(spec)]) == (2, "")
+    err = capsys.readouterr().err
+    assert "formula bad" in err and error in err

@@ -5,7 +5,10 @@ import pytest
 from enfkit.formulas import (
     Box, FAnd, FOr, FVar, Max, classify, free_data_vars, subst_data, unfold,
 )
-from enfkit.modelcheck import ModelCheckError, mc_eval, sat_oracle, satisfies
+from enfkit import modelcheck
+from enfkit.modelcheck import (
+    ClosureBoundExceeded, ModelCheckError, mc_eval, sat_oracle, satisfies,
+)
 from enfkit.parsing import ParseError, parse_formula, parse_process
 from enfkit.processes import NIL, Prefix, reachable
 from enfkit.harness import gen_formula, gen_process
@@ -96,6 +99,20 @@ def test_sat_oracle_examples(dom, terms):
     for p in (terms["pg"], terms["pb"], NIL):
         assert not sat_oracle(p, ff, dom)
     assert sat_oracle(NIL, terms["phi1"], dom)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_sat_oracle_answers_a_falsehood_pair_before_the_bound(dom, bound, monkeypatch):
+    # the root's own requirements include ff, so one pair decides the search
+    monkeypatch.setattr(modelcheck, "DEFAULT_CLOSURE_BOUND", bound)
+    assert not sat_oracle(NIL, parse_formula("(max X5.ff) && ff", dom), dom)
+    # here ff lies behind the unfolding: the search needs three pairs
+    deeper = parse_formula("(max X5.ff) && tt", dom)
+    if bound < 3:
+        with pytest.raises(ClosureBoundExceeded):
+            sat_oracle(NIL, deeper, dom)
+    else:
+        assert not sat_oracle(NIL, deeper, dom)
 
 
 def test_sat_oracle_rejects_non_safety(dom, terms):
