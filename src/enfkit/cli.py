@@ -79,6 +79,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 0:
+        raise ParseError("--steps must be at least 0")
     spec = _load_spec(args)
     e = spec.lookup("transducers", args.enforcer)
     p = spec.lookup("processes", args.process)

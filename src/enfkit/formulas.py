@@ -10,8 +10,9 @@ continuation formula, so formulas can be open in data variables as well as in
 logical variables.
 
 Derived facts about a formula (its free logical and data variables, whether
-it is guarded, whether it is a safety formula) are memoised by term, in
-bounded caches keyed on the formula value.
+it is guarded, whether it is a safety formula, and the necessities a safety
+formula demands of a state) are memoised by term, in bounded caches keyed
+on the formula value.
 """
 from __future__ import annotations
 
@@ -303,6 +304,37 @@ def is_shml(f: Formula) -> bool:
     if isinstance(f, Max):
         return is_shml(f.body)
     return False
+
+
+@term_memo
+def necessities(f: Formula) -> tuple:
+    """What a safety formula demands of a state: the necessities it reaches
+    through conjunction items and fixpoint unfoldings, in source order with
+    repeats kept, and whether it reaches falsehood that way.
+
+    A fixpoint met again on its own unfolding path is unguarded, and a free
+    logical variable or a non-safety operator has no such reading; each
+    raises FormulaError.
+    """
+    if free_logic_vars(f):
+        raise FormulaError("formula is open in logical variables")
+    boxes, falsified = [], False
+    stack = [(f, frozenset())]  # a subformula and the fixpoints unfolded above it
+    while stack:
+        g, unfolding = stack.pop()
+        if isinstance(g, Box):
+            boxes.append(g)
+        elif isinstance(g, FFalse):
+            falsified = True
+        elif isinstance(g, FAnd):
+            stack.extend((i, unfolding) for i in reversed(g.items))
+        elif isinstance(g, Max):
+            if g in unfolding:
+                raise FormulaError("fixpoint is not guarded")
+            stack.append((unfold(g), unfolding | {g}))
+        elif not isinstance(g, FTrue):
+            raise FormulaError(f"{type(g).__name__} is not a safety operator")
+    return tuple(boxes), falsified
 
 
 def necessity_branches(f):

@@ -59,6 +59,7 @@ from .formulas import (
     free_logic_vars,
     is_guarded,
     is_shml,
+    necessities,
     necessity_branches,
     subst_data,
     unfold,
@@ -81,7 +82,6 @@ from .processes import (
     trace_tree,
     traces,
     weak_step,
-    weak_trace_derivatives,
 )
 from .runtime import composite_lts
 from .symbolic import (
@@ -151,8 +151,7 @@ def _trace_text(t) -> str:
 def _require_safety(f: Formula):
     if not is_shml(f):
         raise HarnessError("violating traces are defined for safety formulas")
-    if not is_guarded(f):
-        raise HarnessError("formula is not guarded")
+    require_closed_safety(f)
 
 
 def violates(system, trace, f: Formula, domain: Domain) -> bool:
@@ -208,13 +207,12 @@ def violating_traces(system, candidates, f: Formula, domain: Domain) -> frozense
 
     The walk visits the prefix trie of the candidates with an explicit
     stack.  A node holds the obligations open at its prefix, as the states
-    that must still meet each necessity.  They are closed under conjunction
-    items and fixpoint unfolding over a visited set, so cycles contribute
-    nothing and the relation stays least.  A child fires every necessity
-    whose action matches its own along weak steps of the states, and
-    instantiates the continuation.  A node violates when falsehood is in its
-    closure and its trace is a candidate.  A process term is explored up to
-    `DEFAULT_STATE_BOUND` states.
+    that must still meet each necessity, read off `formulas.necessities`.
+    A child fires every necessity whose action matches its own along weak
+    steps of the states, and instantiates the continuation.  A node
+    violates when its obligations reach falsehood and its trace is a
+    candidate.  A process term is explored up to `DEFAULT_STATE_BOUND`
+    states.
     """
     _require_safety(f)
     lts, root = as_lts(system, DEFAULT_BOUND)
@@ -228,47 +226,18 @@ def violating_traces(system, candidates, f: Formula, domain: Domain) -> frozense
             node = child
         node.trace = tuple(t)
 
-    closures: dict = {}
-
-    def closure(g):
-        # the necessities g reaches through conjunction items and
-        # unfoldings, and whether it reaches falsehood: the same at any state
-        out = closures.get(g)
-        if out is None:
-            boxes, falsified = [], False
-            seen, stack = {g}, [g]
-            while stack:
-                h = stack.pop()
-                if isinstance(h, FFalse):
-                    falsified = True
-                    continue
-                if isinstance(h, FAnd):
-                    parts = h.items
-                elif isinstance(h, Max):
-                    parts = (unfold(h),)
-                else:
-                    if isinstance(h, Box):
-                        boxes.append(h)
-                    continue
-                for part in parts:
-                    if part not in seen:
-                        seen.add(part)
-                        stack.append(part)
-            out = closures[g] = (boxes, falsified)
-        return out
-
     fired: dict = {}
 
     def fire(box, a):
-        # the closure of the continuation a necessity leaves after action a,
+        # what the continuation a necessity leaves after action a demands,
         # or None when a does not match it
         key = (box, a)
         if key not in fired:
             sub = sym_match(box.action, a)
-            fired[key] = None if sub is None else closure(subst_data(box.body, sub))
+            fired[key] = None if sub is None else necessities(subst_data(box.body, sub))
         return fired[key]
 
-    boxes, falsified = closure(f)
+    boxes, falsified = necessities(f)
     found = set()
     stack = [(trie, {box: {root} for box in boxes}, falsified)]
     while stack:
@@ -484,7 +453,10 @@ def check_violation_semantics(pair: Pair, depth: int) -> Verdict:
     subject = (*pair.subject, f"depth={depth}")
     try:
         plts = pair.system
-        candidates = set(pair.trace_tree(depth))
+        # every candidate is within the depth, so it is performable exactly
+        # when it is in the trace tree
+        tree = pair.trace_tree(depth)
+        candidates = set(tree)
         candidates.update(_shallow_traces(d, min(depth, EXHAUSTIVE_DEPTH)))
         holds = pair.holds
         found = False
@@ -492,7 +464,7 @@ def check_violation_semantics(pair: Pair, depth: int) -> Verdict:
             if holds:
                 why = f"{_trace_text(t)} violates but the system satisfies the formula"
                 return Verdict("violation-sem", subject, "fail", why)
-            if not weak_trace_derivatives(plts, p, t):
+            if t not in tree:
                 why = f"violating trace {_trace_text(t)} is not performable"
                 return Verdict("violation-sem", subject, "fail", why)
             found = True

@@ -47,6 +47,7 @@ from .formulas import (
     free_logic_vars,
     is_guarded,
     is_shml,
+    necessities,
     subst_data,
     unfold,
 )
@@ -229,8 +230,8 @@ class _Builder:
 
     Interning chases top-level fixpoints first and keys variables by alpha-
     normal shape, so a fixpoint, its unfolding, and bound-name variants all
-    share a variable; bodies flatten conjunctions, drop tt members and let
-    ff absorb.
+    share a variable; a body is read off `formulas.necessities`, so it
+    flattens conjunctions, drops tt members and lets ff absorb.
 
     The body of a variable at stages 2, 3 and 4 (raw, aligned, minterms) is
     memoised here by variable, so stages 3 to 5 share one alignment and one
@@ -267,33 +268,13 @@ class _Builder:
         raise NormalizeError("fixpoint unfolding does not terminate")
 
     def raw_body(self, key: int):
-        if key in self._raw:
-            return self._raw[key]
-        f = self.formulas[key]
-        branches: list = []
-        absorbed = False
-
-        def member(g):
-            nonlocal absorbed
-            g = self.chase(g)
-            if isinstance(g, FTrue):
-                return
-            if isinstance(g, FFalse):
-                absorbed = True
-                return
-            if isinstance(g, FAnd):
-                for i in g.items:
-                    member(i)
-                return
-            if isinstance(g, Box):
-                branches.append(Branch(g.action, self.intern(g.body)))
-                return
-            raise NormalizeError(f"not a safety formula body: {g}")
-
-        member(f)
-        body = "ff" if absorbed else ("tt" if not branches else tuple(branches))
-        self._raw[key] = body
-        return body
+        """The stage-2 body: the necessities the variable's formula reaches,
+        each continuation interned in source order, even after ff absorbs."""
+        if key not in self._raw:
+            boxes, falsified = necessities(self.formulas[key])
+            branches = tuple(Branch(b.action, self.intern(b.body)) for b in boxes)
+            self._raw[key] = "ff" if falsified else (branches or "tt")
+        return self._raw[key]
 
     def aligned_body(self, key: int):
         """The stage-3 body: same-shaped binders aligned."""

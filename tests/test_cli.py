@@ -239,8 +239,11 @@ def test_verify_server_spec_matches_the_golden_file():
         (["verify", "--property", "all", "--corpus", "random:0:1"], "corpus size"),
         (["--domain-bound", "0", "verify", "--property", "all", "--corpus", "random:2:1"],
          "--domain-bound"),
+        (["--spec", SPEC, "simulate", "--enforcer", "ess", "--process", "pg", "--steps", "-3"],
+         "--steps"),
     ],
-    ids=["negative_depth", "negative_corpus_size", "empty_corpus", "zero_domain_bound"],
+    ids=["negative_depth", "negative_corpus_size", "empty_corpus", "zero_domain_bound",
+         "negative_steps"],
 )
 def test_verify_rejects_bad_arguments_before_any_verdict(capsys, argv, error):
     assert run(argv) == (2, "")

@@ -238,6 +238,18 @@ def test_violating_traces_need_a_guarded_safety_formula(dom, terms):
         violating_traces(terms["pg"], {()}, parse_formula("max X.(X && [i?req]ff)", dom), dom)
 
 
+def test_violation_functions_need_a_closed_formula(dom):
+    p = parse_process("i?req.nil", dom)
+    req = act("i?req")
+    logic_open = Box(parse_formula("[i?req]ff", dom).action, FVar("X"))
+    data_open = parse_formula("[(x)?req][x?req]ff", dom).body
+    for f in (logic_open, data_open):
+        with pytest.raises(HarnessError, match="formula must be closed"):
+            violating_traces(p, {(), (req,)}, f, dom)
+        with pytest.raises(HarnessError, match="formula must be closed"):
+            violates(p, (req,), f, dom)
+
+
 # ---------------------------------------------------------------------------
 # after
 

@@ -3,7 +3,8 @@ from collections import Counter
 import pytest
 
 from enfkit.formulas import (
-    Box, FAnd, FOr, FVar, Max, classify, free_data_vars, subst_data, unfold,
+    Box, FAnd, FOr, FVar, FormulaError, Max, classify, free_data_vars, necessities,
+    subst_data, unfold,
 )
 from enfkit import modelcheck
 from enfkit.modelcheck import (
@@ -139,6 +140,47 @@ def test_oracle_agreement_on_corpus(dom):
             assert answer == satisfies(system, f, dom), (f, p, system)
             answers[answer] += 1
     assert answers[False] >= 200 and answers[True] >= 200, answers
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_necessities_reach_falsehood_exactly_when_nil_fails(dom, seed):
+    # nil meets every necessity vacuously, so it fails a safety formula
+    # exactly when conjunctions and unfoldings alone reach ff
+    for size in range(1, 17):
+        f = gen_formula(dom, size, seed)
+        assert necessities(f)[1] == (not sat_oracle(NIL, f, dom)), f
+
+
+def test_necessities_keep_source_order_and_repeats(dom):
+    f = parse_formula("(max X.([i?req]ff && (tt && [j!ans]X))) && [i?req]ff", dom)
+    boxes, falsified = necessities(f)
+    loop = f"[j!ans]({f.items[0]})"
+    assert [str(b) for b in boxes] == ["[i?req]ff", loop, "[i?req]ff"]
+    assert not falsified
+    # the necessities after ff are still read
+    boxes, falsified = necessities(parse_formula("[i?req]ff && ff && [i!ans]tt", dom))
+    assert [str(b) for b in boxes] == ["[i?req]ff", "[i!ans]tt"] and falsified
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("max X.X", "not guarded"),
+        ("max X.(X && [i?req]ff)", "not guarded"),
+        ("max X.max Y.([i?req]ff && X)", "not guarded"),
+        ("[i?req]ff || [i!ans]ff", "not a safety operator"),
+    ],
+)
+def test_necessities_reject_what_has_no_reading(dom, text, error):
+    with pytest.raises(FormulaError, match=error):
+        necessities(parse_formula(text, dom))
+
+
+def test_necessities_reject_a_free_logical_variable(dom):
+    box = parse_formula("[i?req]ff", dom)
+    for f in (FVar("X"), Box(box.action, FVar("X"))):
+        with pytest.raises(FormulaError, match="open in logical variables"):
+            necessities(f)
 
 
 def test_tau_closure_of_safety(dom):

@@ -1,14 +1,17 @@
 """Memos keyed on term values: an LTS's tau-closure and weak-step memos, and
-the formula memos of free variables, guardedness and the safety fragment.
+the formula memos of free variables, guardedness, the safety fragment and
+the necessity view.
 A memo must return what a fresh computation returns, whoever filled it."""
 import pytest
 
 from enfkit.formulas import (
+    FormulaError,
     Max,
     free_data_vars,
     free_logic_vars,
     is_guarded,
     is_shml,
+    necessities,
     unfold,
 )
 from enfkit.harness import gen_formula, gen_process, violates
@@ -73,8 +76,17 @@ def _fixpoints(f):
         yield from _fixpoints(body)
 
 
+def _necessity_view(f):
+    try:
+        return necessities(f)
+    except FormulaError as exc:
+        return str(exc)
+
+
 def _facts(f):
-    return (free_logic_vars(f), free_data_vars(f), is_shml(f), is_guarded(f))
+    return (
+        free_logic_vars(f), free_data_vars(f), is_shml(f), is_guarded(f), _necessity_view(f)
+    )
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -103,14 +115,14 @@ def test_formula_memos_agree_across_equal_terms(dom, seed):
 )
 def test_formula_memos_on_hand_written_formulas(dom, text, facts):
     f = parse_formula(text, dom)
-    assert _facts(f) == facts
-    assert _facts(parse_formula(str(f), dom)) == facts
+    assert _facts(f)[:4] == facts
+    assert _facts(parse_formula(str(f), dom)) == _facts(f)
 
 
 def test_formula_memos_on_open_subterms(dom):
     f = parse_formula("max X.[(x)?req](<x!ans>X && max Y.Y)", dom)
     inner = f.body.body
-    assert _facts(inner) == (frozenset({"X"}), frozenset({"x"}), False, False)
+    assert _facts(inner)[:4] == (frozenset({"X"}), frozenset({"x"}), False, False)
     dia, loop = inner.items
-    assert _facts(dia) == (frozenset({"X"}), frozenset({"x"}), False, True)
-    assert _facts(loop) == (frozenset(), frozenset(), True, False)
+    assert _facts(dia)[:4] == (frozenset({"X"}), frozenset({"x"}), False, True)
+    assert _facts(loop) == (frozenset(), frozenset(), True, False, "fixpoint is not guarded")
