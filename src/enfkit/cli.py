@@ -142,6 +142,8 @@ def _corpus_from(args, spec):
         for f in file_spec.formulas.values()
         for p in file_spec.processes.values()
     ]
+    if not pairs:
+        raise ParseError("corpus spec declares no formula or no process")
     return file_spec.domain, pairs
 
 

@@ -19,9 +19,9 @@ The first four criteria, and the oracle agreement, take a `Pair`: one
 formula and one process, whose enforcer, LTS, composite, satisfaction and
 trace tree at each depth are derived once and shared by every check run on
 it.  Normalization takes one formula and many systems.  Soundness asks only
-whether the formula is satisfiable, which `is_sat` decides on the inert
-process `nil`.  Satisfaction is decided by `sat_oracle`; only the oracle
-agreement and normalization also evaluate denotations with `mc_eval`.
+whether the formula is satisfiable, which `is_sat` reads off the formula's
+`necessities` view.  Satisfaction is decided by `sat_oracle`; only the
+oracle agreement and normalization also evaluate denotations with `mc_eval`.
 
 The trace-based criteria decide violation for all their candidate traces at
 once: `violating_traces` walks the prefix trie of the candidates and carries
@@ -48,7 +48,6 @@ from .formulas import (
     FAnd,
     FF,
     FFalse,
-    FTrue,
     FVar,
     Formula,
     Max,
@@ -60,7 +59,6 @@ from .formulas import (
     is_guarded,
     is_shml,
     necessities,
-    necessity_branches,
     subst_data,
     unfold,
 )
@@ -267,24 +265,18 @@ def violating_traces(system, candidates, f: Formula, domain: Domain) -> frozense
 
 
 def after(f: Formula, label) -> Formula:
-    """The residual of a normal-form safety formula once the enforcer has
-    seen a label: silent steps and tt/ff leave it unchanged, fixpoints
-    unfold, and a conjunction steps into the (at most one) matching branch,
-    or collapses to tt when nothing matches."""
+    """The residual of a closed, guarded safety formula once the enforcer
+    has seen a label: unchanged by a silent step, falsehood when its view
+    reaches falsehood, else the conjunction (tt when empty) of the
+    instantiated continuations of the necessities the label matches."""
+    require_closed_safety(f)
     if label is TAU:
         return f
-    if isinstance(f, (FTrue, FFalse)):
-        return f
-    if isinstance(f, Max):
-        return after(unfold(f), label)
-    branches = necessity_branches(f)
-    if branches is None:
-        raise HarnessError(f"residual needs a normal-form formula, got {f}")
-    for b in branches:
-        sub = sym_match(b.action, label)
-        if sub is not None:
-            return subst_data(b.body, sub)
-    return TT
+    boxes, falsified = necessities(f)
+    if falsified:
+        return FF
+    subs = ((box, sym_match(box.action, label)) for box in boxes)
+    return conj(subst_data(box.body, sub) for box, sub in subs if sub is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +284,12 @@ def after(f: Formula, label) -> Formula:
 
 
 def is_sat(f: Formula, d: Domain, bound: int = DEFAULT_BOUND) -> bool:
-    """Satisfiability of a closed, guarded safety formula, decided on the
-    inert system `nil`.  Having no transitions, `nil` meets every necessity
-    vacuously and fails a safety formula only when conjunctions and
-    unfoldings alone reach falsehood; then every system fails it.  So `nil`
-    satisfies exactly the satisfiable safety formulas; `sat_oracle` asks
-    whether it does."""
+    """Satisfiability of a closed, guarded safety formula: a state with no
+    transitions meets every necessity vacuously, so only falsehood in the
+    `necessities` view makes every state fail it.  `d` and `bound` go
+    unused; they keep the signature that the benchmark tracer wraps."""
     require_closed_safety(f)
-    return sat_oracle(NIL, f, d, bound)
+    return not necessities(f)[1]
 
 
 def require_closed_safety(f: Formula):

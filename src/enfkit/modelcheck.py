@@ -6,9 +6,10 @@ fixpoints iterated to stabilisation (greatest from the full state set, least
 from the empty one) and modalities ranging over weak derivatives.
 
 `sat_oracle` decides closed safety formulas by a second, independent route:
-a search of the (state, formula) pairs the satisfaction rules demand, which
-fails exactly when it reaches falsehood.  The verify path asks only it; the
-two routes must agree on the safety fragment.
+a search of the (state, continuation) pairs the satisfaction rules demand,
+each read through `formulas.necessities`, which fails exactly when it reaches
+falsehood.  The verify path asks only it; the two routes must agree on the
+safety fragment.
 """
 from __future__ import annotations
 
@@ -26,9 +27,10 @@ from .formulas import (
     Max,
     Min,
     free_logic_vars,
+    is_guarded,
     is_shml,
+    necessities,
     subst_data,
-    unfold,
 )
 from .processes import DEFAULT_STATE_BOUND, LTS, as_lts, weak_step
 from .symbolic import Domain, sym_match
@@ -42,7 +44,7 @@ class ClosureBoundExceeded(ModelCheckError):
     pass
 
 
-#: Cap on the (state, formula) pairs that one `sat_oracle` search visits.
+#: Cap on the (state, continuation) pairs that one `sat_oracle` search visits.
 DEFAULT_CLOSURE_BOUND = 200_000
 
 
@@ -120,19 +122,15 @@ def satisfies(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BOU
 
 
 def sat_oracle(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BOUND) -> bool:
-    """Coinductive satisfaction for closed safety formulas.
-
-    Searches the (state, formula) pairs reachable from the root under the
-    rules: a conjunction needs every conjunct; a necessity needs the
-    instantiated continuation at every matching weak derivative; a fixpoint
-    needs its unfolding; truth needs nothing.  Every rule is conjunctive, so
-    the largest rule-consistent set of pairs is exactly the set of pairs that
-    reach no falsehood pair, and the search answers False at the first one it
-    meets, before it tests the bound.  More than `DEFAULT_CLOSURE_BOUND`
-    pairs raise `ClosureBoundExceeded`.
-    """
-    if not is_shml(f) or free_logic_vars(f):
-        raise ModelCheckError("the satisfaction oracle handles closed safety formulas")
+    """Coinductive satisfaction for closed, guarded safety formulas: a
+    breadth-first search of the (state, continuation) pairs from the root,
+    each read through `necessities`, where a necessity demands its
+    instantiated continuation at every matching weak derivative.  Every rule
+    is conjunctive, so the answer is False as soon as a pair's view reaches
+    falsehood, before the bound is tested.  More than `DEFAULT_CLOSURE_BOUND`
+    pairs raise `ClosureBoundExceeded`."""
+    if not is_shml(f) or free_logic_vars(f) or not is_guarded(f):
+        raise ModelCheckError("the satisfaction oracle handles closed, guarded safety formulas")
     lts, root_state = as_lts(system, bound)
 
     root = (root_state, f)
@@ -140,31 +138,21 @@ def sat_oracle(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BO
     queue = deque([root])
     while queue:
         state, g = queue.popleft()
-        if isinstance(g, FFalse):
+        boxes, falsified = necessities(g)
+        if falsified:
             return False
-        if isinstance(g, FTrue):
-            continue
-        if isinstance(g, FAnd):
-            reqs = [(state, item) for item in g.items]
-        elif isinstance(g, Max):
-            reqs = [(state, unfold(g))]
-        elif isinstance(g, Box):
-            reqs = []
+        for box in boxes:
             for a in domain.actions:
-                sub = sym_match(g.action, a)
-                if sub is not None:
-                    cont = subst_data(g.body, sub)
-                    reqs.extend((q, cont) for q in weak_step(lts, state, a))
-        else:
-            raise ModelCheckError(f"oracle cannot handle {g!r}")
-        # a falsehood pair decides the search, so it is answered before the
-        # bound is tested for the pairs it would add
-        if any(isinstance(h, FFalse) for _, h in reqs):
-            return False
-        for node in reqs:
-            if node not in seen:
-                if len(seen) >= DEFAULT_CLOSURE_BOUND:
+                sub = sym_match(box.action, a)
+                targets = () if sub is None else weak_step(lts, state, a)
+                if not targets:
+                    continue
+                cont = subst_data(box.body, sub)
+                if necessities(cont)[1]:  # decided before the bound is tested
+                    return False
+                new = [(q, cont) for q in targets if (q, cont) not in seen]
+                if len(seen) + len(new) > DEFAULT_CLOSURE_BOUND:
                     raise ClosureBoundExceeded("satisfaction closure grew past the bound")
-                seen.add(node)
-                queue.append(node)
+                seen.update(new)
+                queue.extend(new)
     return True

@@ -130,8 +130,8 @@ class Domain:
         if not self.ports or not self.payloads:
             raise SymbolicError("domain needs at least one port and one payload")
         for name in self.values:
-            if not name.isidentifier():
-                raise SymbolicError(f"domain name {name!r} is not an identifier")
+            if not (name.isascii() and name.isidentifier()):
+                raise SymbolicError(f"domain name {name!r} is not an ASCII identifier")
             if name in KEYWORDS:
                 raise SymbolicError(f"domain name {name!r} is a keyword")
 

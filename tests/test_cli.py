@@ -241,12 +241,15 @@ def test_verify_server_spec_matches_the_golden_file():
          "--domain-bound"),
         (["--spec", SPEC, "simulate", "--enforcer", "ess", "--process", "pg", "--steps", "-3"],
          "--steps"),
+        (["verify", "--property", "all", "--corpus", "{tmp}/no_formula.spec"],
+         "no formula or no process"),
     ],
     ids=["negative_depth", "negative_corpus_size", "empty_corpus", "zero_domain_bound",
-         "negative_steps"],
+         "negative_steps", "empty_spec_corpus"],
 )
-def test_verify_rejects_bad_arguments_before_any_verdict(capsys, argv, error):
-    assert run(argv) == (2, "")
+def test_verify_rejects_bad_arguments_before_any_verdict(capsys, tmp_path, argv, error):
+    (tmp_path / "no_formula.spec").write_text("ports = {i}\npayloads = {req}\nprocess p = nil\n")
+    assert run([arg.format(tmp=tmp_path) for arg in argv]) == (2, "")
     assert error in capsys.readouterr().err
 
 

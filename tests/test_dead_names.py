@@ -7,6 +7,9 @@ count.  A reference is a name read, an attribute, an import, or a string
 literal that spells the name exactly (the benchmark tracer names the
 functions it wraps by string); definitions, assignments, comments and
 docstrings do not keep a name alive.
+
+Every name a module under `src/enfkit` imports is also read in that module;
+`enfkit/__init__.py` is exempt, since it imports to re-export.
 """
 import ast
 import os
@@ -74,3 +77,27 @@ def unreferenced_names() -> list:
 
 def test_every_public_name_is_referenced():
     assert unreferenced_names() == []
+
+
+def unused_imports() -> list:
+    """`module.name` for every imported name its module never reads."""
+    unused = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        path = os.path.join(PACKAGE, name)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name[:-3]}.{n}" for n in sorted(imported - read)]
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

@@ -275,6 +275,21 @@ def test_after_no_match_gives_truth(dom, terms):
     assert after(terms["phi1"], act("j?req")) == TT
 
 
+def test_after_overlapping_guards_conjoins_both_continuations(dom):
+    f = parse_formula("[i?req][i!ans]ff && [(x)?req][x!cls]ff", dom)
+    assert str(after(f, act("i?req"))) == "[i!ans]ff && [i!cls]ff"
+    assert str(after(f, act("j?req"))) == "[j!cls]ff"
+    # falsehood reached through a conjunction or an unfolding stays
+    assert after(parse_formula("max X.([i?req]X && ff)", dom), act("i?req")) == FF
+
+
+def test_after_rejects_what_the_view_cannot_read(dom, terms):
+    with pytest.raises(HarnessError, match="not guarded"):
+        after(Max("X", FVar("X")), act("i?req"))
+    with pytest.raises(HarnessError, match="safety formulas"):
+        after(terms["phins"], act("i?req"))
+
+
 # ---------------------------------------------------------------------------
 # non-violating-trace transparency
 
@@ -646,7 +661,7 @@ def test_oracle_agreement_is_inconclusive_past_the_closure_bound(dom, terms, mon
 def test_verify_continues_past_a_closure_bound(monkeypatch):
     # a pair whose satisfaction search hits the bound gets an inconclusive
     # verdict; the other pairs are still checked, and verify exits 3
-    monkeypatch.setattr(modelcheck, "DEFAULT_CLOSURE_BOUND", 3)
+    monkeypatch.setattr(modelcheck, "DEFAULT_CLOSURE_BOUND", 2)
     with redirect_stdout(io.StringIO()) as out:
         code = main(["verify", "--property", "soundness", "--corpus", "random:20:1"])
     lines = out.getvalue().splitlines()

@@ -104,21 +104,36 @@ def test_sat_oracle_examples(dom, terms):
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 4])
 def test_sat_oracle_answers_a_falsehood_pair_before_the_bound(dom, bound, monkeypatch):
-    # the root's own requirements include ff, so one pair decides the search
     monkeypatch.setattr(modelcheck, "DEFAULT_CLOSURE_BOUND", bound)
-    assert not sat_oracle(NIL, parse_formula("(max X5.ff) && ff", dom), dom)
-    # here ff lies behind the unfolding: the search needs three pairs
-    deeper = parse_formula("(max X5.ff) && tt", dom)
-    if bound < 3:
+    # ff reached through a conjunction or an unfolding fails the root pair
+    for text in ("(max X5.ff) && ff", "(max X5.ff) && tt", "max X.(tt && (ff && [i?req]X))"):
+        assert not sat_oracle(NIL, parse_formula(text, dom), dom), text
+    # ff behind a matching necessity is the root's one continuation, answered
+    # before the bound is tested for its pair; nil meets the necessity
+    behind = parse_formula("[i?req]((max X5.ff) && tt)", dom)
+    assert not sat_oracle(parse_process("i?req.i?req.nil", dom), behind, dom)
+    assert sat_oracle(NIL, behind, dom)
+    # a search that meets no falsehood needs one pair per state, four here
+    loop = parse_formula("max X.[i?req]X", dom)
+    chain = parse_process("i?req.i?req.i?req.nil", dom)
+    if bound < 4:
         with pytest.raises(ClosureBoundExceeded):
-            sat_oracle(NIL, deeper, dom)
+            sat_oracle(chain, loop, dom)
     else:
-        assert not sat_oracle(NIL, deeper, dom)
+        assert sat_oracle(chain, loop, dom)
 
 
 def test_sat_oracle_rejects_non_safety(dom, terms):
     with pytest.raises(ModelCheckError):
         sat_oracle(NIL, terms["phins"], dom)
+
+
+def test_sat_oracle_rejects_an_unguarded_formula(dom):
+    # the necessity view has no reading for it; satisfies still decides it
+    f = parse_formula("max X.(X && [i?req]ff)", dom)
+    with pytest.raises(ModelCheckError, match="closed, guarded safety formulas"):
+        sat_oracle(NIL, f, dom)
+    assert satisfies(NIL, f, dom)
 
 
 def test_oracle_agreement_on_corpus(dom):
@@ -145,10 +160,11 @@ def test_oracle_agreement_on_corpus(dom):
 @pytest.mark.parametrize("seed", range(50))
 def test_necessities_reach_falsehood_exactly_when_nil_fails(dom, seed):
     # nil meets every necessity vacuously, so it fails a safety formula
-    # exactly when conjunctions and unfoldings alone reach ff
+    # exactly when conjunctions and unfoldings alone reach ff; the
+    # denotation decides it independently of the view
     for size in range(1, 17):
         f = gen_formula(dom, size, seed)
-        assert necessities(f)[1] == (not sat_oracle(NIL, f, dom)), f
+        assert necessities(f)[1] == (not satisfies(NIL, f, dom)), f
 
 
 def test_necessities_keep_source_order_and_repeats(dom):

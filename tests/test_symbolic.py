@@ -89,6 +89,15 @@ def test_domain_rejects_keywords(name):
         Domain({"i"}, {"req", name})
 
 
+@pytest.mark.parametrize("name", ["é", "réq"])
+def test_domain_rejects_names_the_tokenizer_cannot_read(name):
+    # a term naming the value could not be parsed back
+    with pytest.raises(SymbolicError, match="ASCII identifier"):
+        Domain({"i", name}, {"req"})
+    with pytest.raises(SymbolicError, match="ASCII identifier"):
+        Domain({"i"}, {"req", name})
+
+
 def test_binder_keys_count_distance_and_keep_free_names():
     p = pat(Binder("y"), True, Free("x"))
     pkey, level, env = pattern_key(p, 1, {"x": 0})
