@@ -5,9 +5,9 @@ import pytest
 
 from enfkit.bisim import bisim
 from enfkit.harness import Pair, check_soundness, gen_formula
-from enfkit.normalizer import normalize
+from enfkit.normalizer import dump_stages, normalize
 from enfkit.parsing import parse_formula, parse_transducer
-from enfkit.symbolic import TAU, InsertPattern, underline
+from enfkit.symbolic import TAU, Domain, InsertPattern, underline
 from enfkit.synthesis import SynthesisError, compile_formula, optimize, synthesize
 from enfkit.transducers import (
     ID,
@@ -135,6 +135,7 @@ def test_compile_deep_necessity_chain(dom):
 
 
 LADDER_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "compile_ladder_2x3.txt")
+LADDER_3X4_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "compile_ladder_3x4.txt")
 
 
 def test_compile_ladder_matches_the_golden_file(dom):
@@ -147,4 +148,27 @@ def test_compile_ladder_matches_the_golden_file(dom):
         for seed in range(10):
             text = str(compile_formula(gen_formula(dom, size, seed), dom))
             got.append(f"{size} {seed} {hashlib.sha256(text.encode()).hexdigest()}")
+    assert got == want
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_compile_ladder_3x4_matches_the_golden_file():
+    # one line per formula of the 3x4 domain: size, seed, the sha256 of the
+    # printed enforcer and the sha256 of the normaliser stages from stage 2
+    # on.  Unlike the 2x3 ladder, these compiles freshen pattern binders
+    # (`symbolic.avoid_capture`), e.g. gen_formula(3x4, 9, 36), so the file
+    # pins the fresh names the normaliser picks.
+    d = Domain({"i", "j", "k"}, {"req", "ans", "cls", "ack"})
+    with open(LADDER_3X4_GOLDEN, encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    got = []
+    for size in range(8, 17):
+        for seed in range(40):
+            f = gen_formula(d, size, seed)
+            stages = dump_stages(f, d)
+            stages = stages[stages.index("stage 2 ("):]
+            got.append(f"{size} {seed} {_sha(str(compile_formula(f, d)))} {_sha(stages)}")
     assert got == want
