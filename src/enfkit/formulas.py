@@ -16,16 +16,15 @@ on the formula value.
 """
 from __future__ import annotations
 
-from typing import Union
+from typing import NamedTuple, Union
 
+from . import symbolic
 from .symbolic import (
     Domain,
+    Shape,
     SymbolicAction,
-    Substitution,
-    avoid_capture,
     cond_vars,
     disjoint_under,
-    narrow,
     paren,
     term,
     term_memo,
@@ -36,19 +35,19 @@ class FormulaError(Exception):
     pass
 
 
-@term
+@term(shape=Shape())
 class FTrue:
     def __str__(self):
         return "tt"
 
 
-@term
+@term(shape=Shape())
 class FFalse:
     def __str__(self):
         return "ff"
 
 
-@term
+@term(shape=Shape("items"))
 class FAnd:
     items: tuple
 
@@ -58,7 +57,7 @@ class FAnd:
         return " && ".join(paren(i, 3) for i in self.items)
 
 
-@term
+@term(shape=Shape("items"))
 class FOr:
     items: tuple
 
@@ -68,7 +67,7 @@ class FOr:
         return " || ".join(paren(i, 2) for i in self.items)
 
 
-@term
+@term(shape=Shape("body", guard="action"))
 class Box:
     action: SymbolicAction
     body: "Formula"
@@ -77,7 +76,7 @@ class Box:
         return f"[{self.action}]{paren(self.body, 3)}"
 
 
-@term
+@term(shape=Shape("body", guard="action"))
 class Dia:
     action: SymbolicAction
     body: "Formula"
@@ -86,7 +85,15 @@ class Dia:
         return f"<{self.action}>{paren(self.body, 3)}"
 
 
-@term
+@term(shape=Shape(occurs="name"))
+class FVar:
+    name: str
+
+    def __str__(self):
+        return self.name
+
+
+@term(shape=Shape("body", binds="var", occurrence=FVar))
 class Max:
     var: str
     body: "Formula"
@@ -97,7 +104,7 @@ class Max:
         return f"max {self.var}.{self.body}"
 
 
-@term
+@term(shape=Shape("body", binds="var", occurrence=FVar))
 class Min:
     var: str
     body: "Formula"
@@ -106,14 +113,6 @@ class Min:
 
     def __str__(self):
         return f"min {self.var}.{self.body}"
-
-
-@term
-class FVar:
-    name: str
-
-    def __str__(self):
-        return self.name
 
 
 Formula = Union[FTrue, FFalse, FAnd, FOr, Box, Dia, Max, Min, FVar]
@@ -132,36 +131,12 @@ def conj(items) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Variables
+# Variables and substitution, on the engine of `symbolic`
 
-
-# Formulas unfold into DAGs (substitution shares subterms), so the recursive
-# helpers below memoise by term; an unfolding and a reparse of one formula
-# share entries.
-
-
-@term_memo
-def free_logic_vars(f: Formula) -> frozenset:
-    if isinstance(f, FVar):
-        return frozenset((f.name,))
-    if isinstance(f, (FAnd, FOr)):
-        return frozenset().union(*(free_logic_vars(i) for i in f.items))
-    if isinstance(f, (Box, Dia)):
-        return free_logic_vars(f.body)
-    if isinstance(f, (Max, Min)):
-        return free_logic_vars(f.body) - {f.var}
-    return frozenset()
-
-
-@term_memo
-def free_data_vars(f: Formula) -> frozenset:
-    if isinstance(f, (FAnd, FOr)):
-        return frozenset().union(*(free_data_vars(i) for i in f.items))
-    if isinstance(f, (Box, Dia)):
-        return f.action.free_vars | (free_data_vars(f.body) - f.action.binders)
-    if isinstance(f, (Max, Min)):
-        return free_data_vars(f.body)
-    return frozenset()
+free_logic_vars = symbolic.free_rec_vars
+free_data_vars = symbolic.free_data_vars
+subst_data = symbolic.subst_data
+subst_logic = symbolic.subst_var
 
 
 def all_names(f: Formula) -> set:
@@ -169,89 +144,18 @@ def all_names(f: Formula) -> set:
     used to pick fresh names that cannot capture anything."""
     out = set()
 
-    def walk(g):
-        if isinstance(g, (FAnd, FOr)):
-            for i in g.items:
-                walk(i)
-        elif isinstance(g, (Box, Dia)):
-            pat = g.action.pattern
-            for slot in (pat.port, pat.payload):
-                out.add(getattr(slot, "name", None) or getattr(slot, "value", None))
+    def enter(g, ctx):
+        if isinstance(g, (Box, Dia)):
+            slots = (g.action.pattern.port, g.action.pattern.payload)
+            out.update(getattr(slot, "name", None) or slot.value for slot in slots)
             out.update(cond_vars(g.action.condition))
-            walk(g.body)
-        elif isinstance(g, (Max, Min)):
-            out.add(g.var)
-            walk(g.body)
-        elif isinstance(g, FVar):
-            out.add(g.name)
+        elif isinstance(g, (Max, Min, FVar)):
+            out.add(g.name if isinstance(g, FVar) else g.var)
+        return g, ctx
 
-    walk(f)
-    out.discard(None)
+    symbolic.rebuild(f, enter)
     return out
 
-
-# ---------------------------------------------------------------------------
-# Substitution
-
-
-def subst_logic(f: Formula, var: str, rep: Formula) -> Formula:
-    """Capture-avoiding substitution of a formula for a logical variable.
-
-    Subtrees without the variable are returned as-is, so repeated fixpoint
-    unfolding shares structure instead of copying it.
-    """
-    rep_free = free_logic_vars(rep)
-
-    def go(g):
-        if var not in free_logic_vars(g):
-            return g
-        if isinstance(g, FVar):
-            return rep if g.name == var else g
-        if isinstance(g, (FAnd, FOr)):
-            return type(g)(tuple(go(i) for i in g.items))
-        if isinstance(g, (Box, Dia)):
-            return type(g)(g.action, go(g.body))
-        if isinstance(g, (Max, Min)):
-            if g.var == var:
-                return g
-            if g.var in rep_free:
-                fresh = g.var
-                taken = rep_free | free_logic_vars(g.body) | {var}
-                while fresh in taken:
-                    fresh += "'"
-                renamed = subst_logic(g.body, g.var, FVar(fresh))
-                return type(g)(fresh, go(renamed))
-            return type(g)(g.var, go(g.body))
-        return g
-
-    return go(f)
-
-
-def subst_data(f: Formula, sub: Substitution) -> Formula:
-    """Apply a data substitution, respecting pattern-binder scoping.
-
-    Renaming targets (Var) that would be captured by an inner binder cause
-    that binder to be freshened first.  Subtrees that mention none of the
-    substituted variables are returned unchanged.
-    """
-    if not sub:
-        return f
-    if not (set(sub) & free_data_vars(f)):
-        return f
-    if isinstance(f, (FAnd, FOr)):
-        return type(f)(tuple(subst_data(i, sub) for i in f.items))
-    if isinstance(f, (Max, Min)):
-        return type(f)(f.var, subst_data(f.body, sub))
-    if isinstance(f, (Box, Dia)):
-        sa, body = f.action, f.body
-        narrowed, captures = narrow(sub, sa.binders)
-        if captures:
-            pattern, condition, body = avoid_capture(
-                sa.pattern, sa.condition, body, narrowed, free_data_vars, subst_data
-            )
-            sa = SymbolicAction(pattern, condition)
-        return type(f)(sa.subst(narrowed), subst_data(body, narrowed))
-    return f
 
 
 def unfold(f) -> Formula:
@@ -266,44 +170,23 @@ def unfold(f) -> Formula:
 # Classification
 
 
-@term
-class Classification:
+class Classification(NamedTuple):
     closed: bool
     guarded: bool
     shml: bool
     shmlnf: bool
 
 
-@term_memo
 def is_guarded(f: Formula) -> bool:
     """Every occurrence of a logical variable must sit under a modality
     inside its binder."""
-
-    def go(g, unguarded: frozenset) -> bool:
-        if isinstance(g, FVar):
-            return g.name not in unguarded
-        if isinstance(g, (FAnd, FOr)):
-            return all(go(i, unguarded) for i in g.items)
-        if isinstance(g, (Box, Dia)):
-            return go(g.body, frozenset())
-        if isinstance(g, (Max, Min)):
-            return go(g.body, unguarded | {g.var})
-        return True
-
-    return go(f, frozenset())
+    return type(symbolic.unguarded(f)) is not str
 
 
-@term_memo
-def is_shml(f: Formula) -> bool:
-    if isinstance(f, (FTrue, FFalse, FVar)):
-        return True
-    if isinstance(f, FAnd):
-        return all(is_shml(i) for i in f.items)
-    if isinstance(f, Box):
-        return is_shml(f.body)
-    if isinstance(f, Max):
-        return is_shml(f.body)
-    return False
+_SAFETY = (FTrue, FFalse, FVar, FAnd, Box, Max)
+#: Whether a formula is in the safety fragment: no disjunction, possibility
+#: or least fixpoint anywhere.
+is_shml = symbolic.Fold(lambda f, shape, kids: isinstance(f, _SAFETY) and all(kids)).__getitem__
 
 
 @term_memo

@@ -26,6 +26,7 @@ from .formulas import (
     Formula,
     Max,
     Min,
+    free_data_vars,
     free_logic_vars,
     is_guarded,
     is_shml,
@@ -129,7 +130,7 @@ def sat_oracle(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BO
     is conjunctive, so the answer is False as soon as a pair's view reaches
     falsehood, before the bound is tested.  More than `DEFAULT_CLOSURE_BOUND`
     pairs raise `ClosureBoundExceeded`."""
-    if not is_shml(f) or free_logic_vars(f) or not is_guarded(f):
+    if not is_shml(f) or free_logic_vars(f) or free_data_vars(f) or not is_guarded(f):
         raise ModelCheckError("the satisfaction oracle handles closed, guarded safety formulas")
     lts, root_state = as_lts(system, bound)
 

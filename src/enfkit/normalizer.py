@@ -26,7 +26,7 @@ renames the continuation and re-interns it as a (possibly new) variable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import count, product
 
 from .formulas import (
     Box,
@@ -48,10 +48,10 @@ from .formulas import (
     is_guarded,
     is_shml,
     necessities,
-    subst_data,
     unfold,
 )
 from .symbolic import (
+    DONE,
     And,
     Binder,
     Domain,
@@ -63,6 +63,7 @@ from .symbolic import (
     fresh_name,
     normalize_pattern,
     pattern_key,
+    rebuild,
     rename_binders,
     satisfiable,
 )
@@ -132,18 +133,14 @@ def normalize_formula_patterns(f: Formula, d: Domain) -> Formula:
     """Rewrite every modality guard to use only binder slots."""
     used = set(all_names(f)) | set(d.values)
 
-    def go(g):
-        if isinstance(g, (FAnd, FOr)):
-            return type(g)(tuple(go(i) for i in g.items))
-        if isinstance(g, (Max, Min)):
-            return type(g)(g.var, go(g.body))
+    def enter(g, ctx):
         if isinstance(g, (Box, Dia)):
             sa = normalize_pattern(g.action, avoid=frozenset(used))
             used.update(sa.binders)
-            return type(g)(sa, go(g.body))
-        return g
+            g = type(g)(sa, g.body)
+        return g, ctx
 
-    return go(f)
+    return rebuild(f, enter)
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +329,8 @@ def _rename_branch(builder, br: Branch, mapping: dict) -> Branch:
     re-interned so the connection between binder and use survives."""
     if not mapping:
         return br
-    pat, cond, cont = rename_binders(
-        br.action.pattern, br.action.condition, builder.formulas[br.target], mapping, subst_data
-    )
-    return Branch(SymbolicAction(pat, cond), builder.intern(cont))
+    box = rename_binders(Box(br.action, builder.formulas[br.target]), mapping)
+    return Branch(box.action, builder.intern(box.body))
 
 
 def _binder_names(pat):
@@ -565,22 +560,17 @@ def stage6_rebuild(eqs: EquationSystem) -> Formula:
 def _renumber_binders(f: Formula) -> Formula:
     """Rename fixpoint binders positionally (X0, X1, ... in traversal order)
     so that alpha-equivalent rebuilds print identically."""
-    counter = [0]
+    counter = count()
 
-    def go(g, mapping):
+    def enter(g, mapping):
         if isinstance(g, FVar):
-            return FVar(mapping[g.name])
-        if isinstance(g, (FAnd, FOr)):
-            return type(g)(tuple(go(i, mapping) for i in g.items))
-        if isinstance(g, (Box, Dia)):
-            return type(g)(g.action, go(g.body, mapping))
+            return FVar(mapping[g.name]), DONE
         if isinstance(g, (Max, Min)):
-            fresh = f"X{counter[0]}"
-            counter[0] += 1
-            return type(g)(fresh, go(g.body, {**mapping, g.var: fresh}))
-        return g
+            fresh = f"X{next(counter)}"
+            return type(g)(fresh, g.body), {**mapping, g.var: fresh}
+        return g, mapping
 
-    return go(f, {})
+    return rebuild(f, enter, {})
 
 
 def _run_stages(f: Formula, d: Domain) -> tuple:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Union
 
-from .symbolic import TAU, paren, term, term_memo
+from . import symbolic
+from .symbolic import TAU, Action, Shape, paren, term, term_memo
 
 
 #: The default cap on the states of an explored LTS (a process's, a
@@ -27,13 +28,13 @@ class StateBoundExceeded(ProcessError):
     """State-space exploration hit its configured bound."""
 
 
-@term
+@term(shape=Shape())
 class PNil:
     def __str__(self):
         return "nil"
 
 
-@term
+@term(shape=Shape("cont", guard=()))
 class Prefix:
     label: object  # Action or TAU
     cont: "Process"
@@ -44,7 +45,7 @@ class Prefix:
         return f"{self.label}.{paren(self.cont, 2)}"
 
 
-@term
+@term(shape=Shape("branches"))
 class Choice:
     branches: tuple
 
@@ -54,7 +55,15 @@ class Choice:
         return " + ".join(paren(b, 2) for b in self.branches)
 
 
-@term
+@term(shape=Shape(occurs="name"))
+class PVar:
+    name: str
+
+    def __str__(self):
+        return self.name
+
+
+@term(shape=Shape("body", binds="var", occurrence=PVar))
 class Rec:
     var: str
     body: "Process"
@@ -65,68 +74,26 @@ class Rec:
         return f"rec {self.var}.{self.body}"
 
 
-@term
-class PVar:
-    name: str
-
-    def __str__(self):
-        return self.name
-
-
 Process = Union[PNil, Prefix, Choice, Rec, PVar]
 
 NIL = PNil()
 
 
-def free_proc_vars(p: Process) -> frozenset:
-    if isinstance(p, PVar):
-        return frozenset((p.name,))
-    if isinstance(p, Prefix):
-        return free_proc_vars(p.cont)
-    if isinstance(p, Choice):
-        return frozenset().union(*(free_proc_vars(b) for b in p.branches))
-    if isinstance(p, Rec):
-        return free_proc_vars(p.body) - {p.var}
-    return frozenset()
-
-
-def subst_proc(p: Process, var: str, rep: Process) -> Process:
-    if isinstance(p, PVar):
-        return rep if p.name == var else p
-    if isinstance(p, Prefix):
-        return Prefix(p.label, subst_proc(p.cont, var, rep))
-    if isinstance(p, Choice):
-        return Choice(tuple(subst_proc(b, var, rep) for b in p.branches))
-    if isinstance(p, Rec):
-        if p.var == var:
-            return p
-        # rep is always closed in the unfolding use, so no capture can occur
-        return Rec(p.var, subst_proc(p.body, var, rep))
-    return p
+# The walkers of process terms are the engine's (`symbolic`).
+free_proc_vars = symbolic.free_rec_vars
+subst_proc = symbolic.subst_var
 
 
 def validate_process(p: Process):
-    """Reject objects that are not process terms, open terms, and unguarded
-    recursion (e.g. rec X.X), which has no well-defined transition
-    semantics."""
-    _validate(p, frozenset(), frozenset())
+    """Reject objects that are not process terms, prefixes whose label is
+    neither an action nor tau, open terms, and unguarded recursion (e.g.
+    rec X.X), which has no well-defined transition semantics."""
+    symbolic.check_term(p, _is_process_node, ProcessError)
 
 
-def _validate(p, bound, unguarded):
-    if isinstance(p, PVar):
-        if p.name not in bound:
-            raise ProcessError(f"unbound process variable {p.name!r}")
-        if p.name in unguarded:
-            raise ProcessError(f"recursion variable {p.name!r} is not action-guarded")
-    elif isinstance(p, Prefix):
-        _validate(p.cont, bound, frozenset())
-    elif isinstance(p, Choice):
-        for b in p.branches:
-            _validate(b, bound, unguarded)
-    elif isinstance(p, Rec):
-        _validate(p.body, bound | {p.var}, unguarded | {p.var})
-    elif not isinstance(p, PNil):
-        raise ProcessError(f"not a process term: {p!r}")
+def _is_process_node(p) -> bool:
+    labelled = not isinstance(p, Prefix) or p.label is TAU or isinstance(p.label, Action)
+    return isinstance(p, Process.__args__) and labelled
 
 
 def step(p: Process):

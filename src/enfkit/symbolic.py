@@ -28,13 +28,16 @@ Binders are handled here once for every term grammar: substitution and
 binder renaming (`narrow`, `rename_binders`, `avoid_capture`), and keys up to
 binder names (`term_key`, `cond_key`, `pattern_key`), on which
 `transducers.alpha_eq` and the normaliser's equation interning both rest.
+The terms of formulas, processes and transducers declare their subterms and
+binders (`Shape`), and their walkers are rules on one fold and one map.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from operator import attrgetter
-from typing import Iterable, Mapping, Optional, Union
+from itertools import islice
+from operator import attrgetter, is_not
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 
 class SymbolicError(Exception):
@@ -77,12 +80,13 @@ _store_hash = CachedHash._hash.__set__
 term_memo = lru_cache(maxsize=1 << 16)
 
 
-def term(cls=None, *, order: bool = False):
+def term(cls=None, *, order: bool = False, shape: Optional["Shape"] = None):
     """Class decorator for terms: a frozen, slotted dataclass on the
     `CachedHash` base, whose structural hash, the hash of its field values,
     is computed once per object and cached.  Terms are nested, so without
     the cache every set or dict operation would rehash the whole term.  A
-    term without fields hashes by its class."""
+    term without fields hashes by its class.  A term of the three languages
+    declares its `shape`."""
 
     def build(cls):
         if cls.__bases__ != (object,):
@@ -98,9 +102,61 @@ def term(cls=None, *, order: bool = False):
         # through one Python frame per level
         cls._hash_key = attrgetter(*names)
         cls.__hash__ = CachedHash.__hash__
+        if shape is not None:
+            many = any(f.name == shape.child and f.type in ("tuple", tuple) for f in fields(cls))
+            SHAPES[cls] = shape._replace(names=tuple(f.name for f in fields(cls)), many=many)
         return cls
 
     return build if cls is None else build(cls)
+
+
+class Shape(NamedTuple):
+    """What a term class of the three languages declares to `term`: `child`,
+    the field of its subterm or tuple of subterms; `binds`, the field of a
+    recursion variable bound over them, whose occurrences are `occurrence`
+    terms; `occurs`, the name field of such an occurrence; and on a prefix,
+    which guards recursion, `guard`: `()` for a label, the field of a
+    `SymbolicAction`, or the (pattern, condition, target) fields of a
+    transform.  A guard's pattern binders scope over its condition, its
+    target and the subterms."""
+
+    child: Optional[str] = None
+    binds: Optional[str] = None
+    occurrence: Optional[type] = None
+    occurs: Optional[str] = None
+    guard: Union[str, tuple, None] = None
+    names: tuple = ()  # filled in by `term`: the class's fields,
+    many: bool = False  # and whether `child` holds a tuple
+
+    def kids(self, node) -> tuple:
+        if self.many:
+            return getattr(node, self.child)
+        return (getattr(node, self.child),) if self.child else ()
+
+    def remake(self, node, kids, **changes):
+        changes[self.child] = tuple(kids) if self.many else kids[0]
+        return type(node)(*[changes[n] if n in changes else getattr(node, n) for n in self.names])
+
+    def parts(self, node):
+        """A prefix's (pattern, condition, target or None); None if it has
+        no pattern."""
+        if type(self.guard) is str:
+            sa = getattr(node, self.guard)
+            return sa.pattern, sa.condition, None
+        if self.guard:
+            pattern, condition, target = map(getattr, (node,) * 3, self.guard)
+            return pattern, condition, target if isinstance(target, ActionPattern) else None
+
+    def reparts(self, node, pattern, condition, target, kids):
+        if type(self.guard) is str:
+            return self.remake(node, kids, **{self.guard: SymbolicAction(pattern, condition)})
+        parts = (pattern, condition, target)[: 2 + (target is not None)]
+        return self.remake(node, kids, **dict(zip(self.guard, parts)))
+
+
+#: The shape of each term class of the three languages; all else is a leaf.
+SHAPES: dict = {}
+_LEAF = Shape()
 
 
 # ---------------------------------------------------------------------------
@@ -432,58 +488,263 @@ def subst_pattern(p: Pattern, sub: Substitution) -> Pattern:
     )
 
 
-# Pattern binders scope over the guard condition and over a *scope*: the
-# continuation formula of a modality, or the target and continuation of a
-# transform.  The helpers below take the scope with two functions, its free
-# data variables and substitution into it, so formulas, transducers and the
-# normaliser share one binder discipline.
+# ---------------------------------------------------------------------------
+# One fold and one map over the declared shapes, on explicit stacks, so that
+# no walker's depth is bounded by the interpreter's recursion limit
+
+_MISSING = object()
+
+
+class Fold(dict):
+    """A fold memoised by term: `fold[t]` is `rule(node, shape, values at the
+    subterms)` at `t`, run once per distinct subterm, so a DAG (an unfolded
+    fixpoint) costs its distinct subterms.  At `LIMIT` entries the older
+    half is dropped."""
+
+    LIMIT = 1 << 17
+
+    def __init__(self, rule):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, t):
+        if len(self) >= self.LIMIT:
+            for old in list(islice(self, self.LIMIT // 2)):
+                del self[old]
+        rule, memo, shapes, values = self.rule, self.get, SHAPES.get, []
+        stack = [(t, None, None)]
+        while stack:
+            node, shape, kids = stack.pop()
+            if shape is None:
+                value = memo(node, _MISSING)
+                if value is not _MISSING:
+                    values.append(value)
+                    continue
+                shape = shapes(type(node), _LEAF)
+                kids = shape.kids(node)
+                if kids:
+                    stack.append((node, shape, kids))
+                    stack.extend([(k, None, None) for k in reversed(kids)])
+                    continue
+                value = rule(node, shape, kids)
+            else:  # the values of its subterms are on top
+                at = len(values) - len(kids)
+                value = rule(node, shape, values[at:])
+                del values[at:]
+            self[node] = value
+            values.append(value)
+        return values[0]
+
+
+#: Returned by an `enter` step for a node that is its own result.
+DONE = object()
+
+
+def rebuild(t, enter, ctx=None, leave=None):
+    """Map a term: `enter(node, ctx)` runs parents first, subterms left to
+    right, and returns `(result, DONE)` or `(node, ctx)`, whose subterms are
+    then mapped under `ctx`.  A node whose subterms come back changed is
+    rebuilt and hashed there, bottom-up, so no later hash of the result
+    recurses.  `leave(node)`, if given, then replaces each mapped node."""
+    done, stack = [], [(t, ctx, None)]
+    pop, push, emit, pop_done = stack.pop, stack.append, done.append, done.pop
+    shapes = SHAPES.get
+    while stack:
+        node, ctx, old = pop()
+        if old is None:
+            node, ctx = enter(node, ctx)
+            if ctx is DONE:
+                emit(node)
+                continue
+            shape = shapes(type(node), _LEAF)
+            if shape.many:
+                old = getattr(node, shape.child)
+                push((node, shape, old))
+                stack.extend([(k, ctx, None) for k in reversed(old)])
+                continue
+            if shape.child:
+                old = getattr(node, shape.child)
+                push((node, shape, old))
+                push((old, ctx, None))
+                continue
+        elif ctx.many:  # the subterms are mapped, and `ctx` is the node's shape
+            at = len(done) - len(old)
+            new = done[at:]
+            del done[at:]
+            if any(map(is_not, new, old)):
+                node = ctx.remake(node, new)
+                hash(node)
+        else:
+            new = pop_done()
+            if new is not old:
+                node = ctx.remake(node, (new,))
+                hash(node)
+        emit(node if leave is None else leave(node))
+    return done[0]
+
+
+_EMPTY = frozenset()
+
+
+def _union(sets) -> frozenset:  # shares a lone value instead of copying it
+    return sets[0].union(*sets[1:]) if len(sets) > 1 else sets[0] if sets else _EMPTY
+
+
+def free_rec_rule(node, shape, kids):
+    """The `Fold` rule of `free_rec_vars`."""
+    if shape.occurs:
+        return frozenset((getattr(node, shape.occurs),))
+    out = _union(kids)
+    bound = shape.binds and getattr(node, shape.binds)
+    return out - {bound} if bound in out else out
+
+
+def _free_data_rule(node, shape, kids):
+    parts = shape.guard and shape.parts(node)
+    if not parts:
+        return _union(kids)
+    pattern, condition, target = parts
+    inner = _union(kids).union(cond_vars(condition), getattr(target, "free_vars", ()))
+    return pattern.free_vars | (inner - pattern.binders)
+
+
+def _unguarded_rule(node, shape, kids):
+    bad = [k for k in kids if type(k) is str]
+    if bad or shape.occurs:
+        return bad[0] if bad else frozenset((getattr(node, shape.occurs),))
+    out = _EMPTY if shape.guard is not None else _union(kids)
+    bound = shape.binds and getattr(node, shape.binds)
+    return bound if bound in out else out
+
+
+#: The free recursion (and fixpoint) variables of a term.
+free_rec_vars = Fold(free_rec_rule).__getitem__
+#: The free data variables of a term, those no pattern binder binds.
+free_data_vars = Fold(_free_data_rule).__getitem__
+#: The recursion variables free in a term outside every prefix; or, as a
+#: str, a variable bound in the term with such an occurrence in its body.
+unguarded = Fold(_unguarded_rule).__getitem__
+
+
+def check_term(t, is_node, error):
+    """Raise `error` unless `is_node` holds at each subterm of `t` and `t` is
+    closed and guarded: one walk down, carrying the recursion variables in
+    scope, those not yet under a prefix, and the data variables in scope."""
+
+    def enter(node, scope):
+        if not is_node(node):
+            raise error(f"not a well-formed term: {node!r}")
+        bound, unguarded, data = scope
+        shape = SHAPES[type(node)]
+        name = shape.occurs and getattr(node, shape.occurs)
+        if name and name not in bound:
+            raise error(f"unbound recursion variable {name!r}")
+        if name in unguarded:
+            raise error(f"recursion variable {name!r} is not guarded")
+        if shape.binds:
+            name = getattr(node, shape.binds)
+            return node, (bound | {name}, unguarded | {name}, data)
+        parts = shape.guard and shape.parts(node)
+        if parts:
+            pattern, condition, target = parts
+            inner = data | pattern.binders
+            free = _EMPTY.union(cond_vars(condition), getattr(target, "free_vars", ()))
+            unbound = (pattern.free_vars - data) | (free - inner)
+            if unbound:
+                raise error(f"unbound data variables {sorted(unbound)}")
+            data = inner
+        return node, (bound, _EMPTY if shape.guard is not None else unguarded, data)
+
+    rebuild(t, enter, (_EMPTY, _EMPTY, _EMPTY))
+
+
+def subst_var(t, var: str, rep):
+    """Capture-avoiding substitution of `rep` for a recursion variable: a
+    binder of a variable free in `rep` is renamed first, `'` appended until
+    the name is free.  Subterms without `var` come back as they are, so
+    unfoldings share structure."""
+    rep_free = free_rec_vars(rep)
+
+    def enter(node, ctx):
+        if var not in free_rec_vars(node):
+            return node, DONE
+        shape = SHAPES[type(node)]
+        if shape.occurs:
+            return rep, DONE
+        bound = shape.binds and getattr(node, shape.binds)
+        if bound in rep_free:
+            kids = shape.kids(node)
+            fresh, taken = bound, rep_free.union(*map(free_rec_vars, kids), (var,))
+            while fresh in taken:
+                fresh += "'"
+            kids = [subst_var(k, bound, shape.occurrence(fresh)) for k in kids]
+            node = shape.remake(node, kids, **{shape.binds: fresh})
+        return node, ctx
+
+    return rebuild(t, enter)
 
 
 def narrow(sub: Substitution, binders: frozenset):
-    """The entries of `sub` that reach under a pattern's binders, and whether
-    a renaming target (Var) among them would be captured by a binder."""
+    """The entries of `sub` that reach under a prefix's pattern binders
+    (they scope over its condition, target and subterms), and whether a
+    renaming target (Var) among them would be captured by a binder."""
     narrowed = {k: v for k, v in sub.items() if k not in binders}
     captures = any(isinstance(v, Var) and v.name in binders for v in narrowed.values())
     return narrowed, captures
 
 
-def rename_binders(pattern: ActionPattern, condition, scope, mapping, subst_scope):
-    """Alpha-rename a pattern's binders (old name -> new name) through its
-    condition and scope; returns the new (pattern, condition, scope)."""
+def rename_binders(node, mapping):
+    """Alpha-rename a prefix's pattern binders (old name -> new name) through
+    its condition, target and subterms."""
+    shape = SHAPES[type(node)]
+    pattern, condition, target = shape.parts(node)
     ren = {old: Var(new) for old, new in mapping.items()}
-
-    def fix(slot):
-        if isinstance(slot, Binder) and slot.name in mapping:
-            return Binder(mapping[slot.name])
-        return slot
-
-    return (
-        ActionPattern(fix(pattern.port), pattern.is_input, fix(pattern.payload)),
-        subst_condition(condition, ren),
-        subst_scope(scope, ren),
+    port, payload = (
+        Binder(mapping.get(s.name, s.name)) if isinstance(s, Binder) else s
+        for s in (pattern.port, pattern.payload)
     )
+    pattern = ActionPattern(port, pattern.is_input, payload)
+    kids = [subst_data(k, ren) for k in shape.kids(node)]
+    target = target and subst_pattern(target, ren)
+    return shape.reparts(node, pattern, subst_condition(condition, ren), target, kids)
 
 
-def avoid_capture(pattern: ActionPattern, condition, scope, narrowed, scope_vars, subst_scope):
-    """Freshen the binders that a Var target of the narrowed substitution
-    would capture, one at a time in name order, so that the substitution can
-    then be applied under the pattern.  Each fresh name avoids the targets,
-    the substituted variables, the binders and the free variables of the
-    pattern, of the condition and of the scope."""
+def avoid_capture(node, narrowed):
+    """Freshen the binders of a prefix's pattern that a Var target of the
+    narrowed substitution would capture, one at a time in name order.  Each
+    fresh name avoids the targets, the substituted variables, the binders,
+    and the free variables of the pattern, condition, target and subterms."""
     targets = {v.name for v in narrowed.values() if isinstance(v, Var)}
-    for name in sorted(pattern.binders & targets):
-        taken = (
-            targets
-            | set(narrowed)
-            | pattern.binders
-            | pattern.free_vars
-            | cond_vars(condition)
-            | scope_vars(scope)
-        )
-        pattern, condition, scope = rename_binders(
-            pattern, condition, scope, {name: fresh_name(taken)}, subst_scope
-        )
-    return pattern, condition, scope
+    shape = SHAPES[type(node)]
+    for name in sorted(shape.parts(node)[0].binders & targets):
+        taken = targets | set(narrowed) | shape.parts(node)[0].binders | free_data_vars(node)
+        node = rename_binders(node, {name: fresh_name(taken)})
+    return node
+
+
+def subst_data(t, sub: Substitution):
+    """Apply a data substitution, respecting pattern-binder scoping; subterms
+    that mention none of the substituted variables come back as they are."""
+    if not sub or sub.keys().isdisjoint(free_data_vars(t)):
+        return t
+    return rebuild(t, _enter_data, sub)
+
+
+def _enter_data(node, sub):
+    if sub.keys().isdisjoint(free_data_vars(node)):
+        return node, DONE
+    shape = SHAPES[type(node)]
+    parts = shape.parts(node)
+    if parts is None:
+        return node, sub
+    narrowed, captures = narrow(sub, parts[0].binders)
+    if captures:
+        node = avoid_capture(node, narrowed)
+        parts = shape.parts(node)
+    pattern, condition, target = parts
+    pattern, condition = subst_pattern(pattern, narrowed), subst_condition(condition, narrowed)
+    target = target and subst_pattern(target, narrowed)
+    return shape.reparts(node, pattern, condition, target, shape.kids(node)), narrowed
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +874,6 @@ class SymbolicAction:
 
     def is_closed(self) -> bool:
         return not self.free_vars
-
-    def subst(self, sub: Substitution) -> "SymbolicAction":
-        narrowed = {k: v for k, v in sub.items() if k not in self.binders}
-        return SymbolicAction(
-            subst_pattern(self.pattern, narrowed),
-            subst_condition(self.condition, narrowed),
-        )
 
     def __str__(self):
         if isinstance(self.condition, CTrue):

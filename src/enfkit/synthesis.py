@@ -22,8 +22,8 @@ from .formulas import (
     necessity_branches,
 )
 from .normalizer import normalize
-from .symbolic import TAU, Domain, underline
-from .transducers import ID, TPrefix, TRec, TSum, TVar, Transducer, free_rec_vars
+from .symbolic import TAU, Domain, Fold, free_rec_rule, rebuild, underline
+from .transducers import ID, TPrefix, TRec, TSum, TVar, Transducer
 
 
 class SynthesisError(Exception):
@@ -106,16 +106,14 @@ def synthesize(f: Formula, d: Domain) -> Transducer:
 
 def optimize(e: Transducer) -> Transducer:
     """Drop recursive constructs whose variable is never used."""
-    if isinstance(e, TRec):
-        body = optimize(e.body)
-        if e.var not in free_rec_vars(body):
-            return body
-        return TRec(e.var, body)
-    if isinstance(e, TSum):
-        return TSum(tuple(optimize(b) for b in e.branches))
-    if isinstance(e, TPrefix):
-        return TPrefix(e.pattern, e.condition, e.target, optimize(e.cont))
-    return e
+    # a fold of its own: the shared memo would keep every synthesised node
+    # and compare each one, node by node, with an equal one compiled before
+    free = Fold(free_rec_rule)
+
+    def leave(t):
+        return t.body if isinstance(t, TRec) and t.var not in free[t.body] else t
+
+    return rebuild(e, lambda t, ctx: (t, ctx), leave=leave)
 
 
 def compile_formula(f: Formula, d: Domain) -> Transducer:

@@ -11,25 +11,22 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Union
 
+from . import symbolic
 from .processes import DEFAULT_STATE_BOUND, LTS, explore
 from .symbolic import (
     INSERT,
     TAU,
     Action,
-    ActionPattern,
     CTrue,
     InsertPattern,
     Lit,
-    Substitution,
-    avoid_capture,
+    Shape,
     cond_key,
-    cond_vars,
     eval_condition,
     match,
-    narrow,
     paren,
     pattern_key,
-    subst_condition,
+    subst_data,
     subst_pattern,
     term,
     term_memo,
@@ -41,13 +38,13 @@ class TransducerError(Exception):
     pass
 
 
-@term
+@term(shape=Shape())
 class TId:
     def __str__(self):
         return "id"
 
 
-@term
+@term(shape=Shape("cont", guard=("pattern", "condition", "target")))
 class TPrefix:
     pattern: object  # ActionPattern | InsertPattern
     condition: object
@@ -69,7 +66,7 @@ class TPrefix:
         return f"{{{' '.join(parts)}}}.{paren(self.cont, 2)}"
 
 
-@term
+@term(shape=Shape("branches"))
 class TSum:
     branches: tuple
 
@@ -79,7 +76,15 @@ class TSum:
         return " + ".join(paren(b, 2) for b in self.branches)
 
 
-@term
+@term(shape=Shape(occurs="name"))
+class TVar:
+    name: str
+
+    def __str__(self):
+        return self.name
+
+
+@term(shape=Shape("body", binds="var", occurrence=TVar))
 class TRec:
     var: str
     body: "Transducer"
@@ -90,139 +95,30 @@ class TRec:
         return f"rec {self.var}.{self.body}"
 
 
-@term
-class TVar:
-    name: str
-
-    def __str__(self):
-        return self.name
-
-
 Transducer = Union[TId, TPrefix, TSum, TRec, TVar]
 
 ID = TId()
 
 
 # ---------------------------------------------------------------------------
-# Variables and substitution
+# Variables, substitution and well-formedness, on the engine of `symbolic`
 
-
-def free_rec_vars(e: Transducer) -> frozenset:
-    if isinstance(e, TVar):
-        return frozenset((e.name,))
-    if isinstance(e, TPrefix):
-        return free_rec_vars(e.cont)
-    if isinstance(e, TSum):
-        return frozenset().union(*(free_rec_vars(b) for b in e.branches))
-    if isinstance(e, TRec):
-        return free_rec_vars(e.body) - {e.var}
-    return frozenset()
-
-
-def free_data_vars(e: Transducer) -> frozenset:
-    if isinstance(e, TPrefix):
-        inner = (
-            cond_vars(e.condition)
-            | (e.target.free_vars if isinstance(e.target, ActionPattern) else frozenset())
-            | free_data_vars(e.cont)
-        )
-        return e.pattern.free_vars | (inner - e.pattern.binders)
-    if isinstance(e, TSum):
-        return frozenset().union(*(free_data_vars(b) for b in e.branches))
-    if isinstance(e, TRec):
-        return free_data_vars(e.body)
-    return frozenset()
-
-
-def subst_rec(e: Transducer, var: str, rep: Transducer) -> Transducer:
-    if isinstance(e, TVar):
-        return rep if e.name == var else e
-    if isinstance(e, TPrefix):
-        return TPrefix(e.pattern, e.condition, e.target, subst_rec(e.cont, var, rep))
-    if isinstance(e, TSum):
-        return TSum(tuple(subst_rec(b, var, rep) for b in e.branches))
-    if isinstance(e, TRec):
-        if e.var == var:
-            return e
-        return TRec(e.var, subst_rec(e.body, var, rep))
-    return e
-
-
-def subst_data(e: Transducer, sub: Substitution) -> Transducer:
-    if not sub:
-        return e
-    if isinstance(e, TSum):
-        return TSum(tuple(subst_data(b, sub) for b in e.branches))
-    if isinstance(e, TRec):
-        return TRec(e.var, subst_data(e.body, sub))
-    if isinstance(e, TPrefix):
-        narrowed, captures = narrow(sub, e.pattern.binders)
-        if not narrowed:
-            return e
-        pattern, cond, scope = e.pattern, e.condition, (e.target, e.cont)
-        if captures:
-            pattern, cond, scope = avoid_capture(
-                pattern, cond, scope, narrowed, _scope_vars, _subst_scope
-            )
-        target, cont = _subst_scope(scope, narrowed)
-        return TPrefix(
-            subst_pattern(pattern, narrowed), subst_condition(cond, narrowed), target, cont
-        )
-    return e
-
-
-# A prefix's binders scope over its target pattern and its continuation.
-
-
-def _scope_vars(scope) -> frozenset:
-    target, cont = scope
-    own = target.free_vars if isinstance(target, ActionPattern) else frozenset()
-    return own | free_data_vars(cont)
-
-
-def _subst_scope(scope, sub: Substitution):
-    target, cont = scope
-    if isinstance(target, ActionPattern):
-        target = subst_pattern(target, sub)
-    return target, subst_data(cont, sub)
-
-
-# ---------------------------------------------------------------------------
-# Well-formedness
+free_rec_vars = symbolic.free_rec_vars
+free_data_vars = symbolic.free_data_vars
+subst_rec = symbolic.subst_var
 
 
 def validate_transducer(e: Transducer):
-    """Check closedness and the prefix constraints: the target pattern has no
-    binders and mentions only variables bound by the source pattern (or an
-    enclosing one); recursion must be transform-guarded."""
-    _validate(e, frozenset(), frozenset(), frozenset())
+    """Check that `e` is a transducer term, closed in recursion and data
+    variables, with transform-guarded recursion, and that no target pattern
+    binds: a target mentions only variables bound by its source pattern or
+    an enclosing one."""
+    symbolic.check_term(e, _is_transducer_node, TransducerError)
 
 
-def _validate(e, rec_scope, data_scope, unguarded):
-    if isinstance(e, TVar):
-        if e.name not in rec_scope:
-            raise TransducerError(f"unbound recursion variable {e.name!r}")
-        if e.name in unguarded:
-            raise TransducerError(
-                f"recursion variable {e.name!r} is not transform-guarded"
-            )
-    elif isinstance(e, TSum):
-        for b in e.branches:
-            _validate(b, rec_scope, data_scope, unguarded)
-    elif isinstance(e, TRec):
-        _validate(e.body, rec_scope | {e.var}, data_scope, unguarded | {e.var})
-    elif isinstance(e, TPrefix):
-        if isinstance(e.target, ActionPattern):
-            if e.target.binders:
-                raise TransducerError("transform targets may not bind variables")
-        inner_scope = data_scope | e.pattern.binders
-        bad = cond_vars(e.condition) - inner_scope
-        if isinstance(e.target, ActionPattern):
-            bad |= e.target.free_vars - inner_scope
-        bad |= e.pattern.free_vars - data_scope
-        if bad:
-            raise TransducerError(f"unbound data variables {sorted(bad)}")
-        _validate(e.cont, rec_scope, inner_scope, frozenset())
+def _is_transducer_node(e) -> bool:
+    binding_target = isinstance(e, TPrefix) and getattr(e.target, "binders", None)
+    return isinstance(e, Transducer.__args__) and not binding_target
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from enfkit.symbolic import (
     denote,
     disjoint,
     eval_condition,
+    subst_condition,
+    subst_pattern,
 )
 from enfkit.transducers import ID, tstep
 
@@ -34,7 +36,9 @@ def values_sub(assignment: Mapping[str, str]) -> dict:
 
 def denote_under(sa: SymbolicAction, d: Domain, env: Mapping[str, str]) -> frozenset:
     """Denotation of a possibly open symbolic action, closing it with env."""
-    return denote(sa.subst(values_sub(env)), d)
+    sub = {k: v for k, v in values_sub(env).items() if k not in sa.binders}
+    closed = SymbolicAction(subst_pattern(sa.pattern, sub), subst_condition(sa.condition, sub))
+    return denote(closed, d)
 
 
 def assignments(variables, d: Domain):

@@ -15,6 +15,7 @@ from enfkit.synthesis import compile_formula
 from conftest import act
 
 TERM_MODULES = (symbolic, formulas, processes, transducers, runtime)
+LANGUAGE_MODULES = {m.__name__ for m in (formulas, processes, transducers)}
 
 
 def _frozen_dataclasses():
@@ -38,6 +39,13 @@ def test_every_term_class_is_built_by_term():
         assert issubclass(cls, CachedHash), cls
         assert cls.__hash__ is CachedHash.__hash__, cls
         assert cls.__dictoffset__ == 0, f"{cls.__name__} instances carry a __dict__"
+    # a term class of the three languages without a declared shape would be
+    # a leaf to every walker: its subterms and binders would go unseen
+    languages = [cls for cls in classes if cls.__module__ in LANGUAGE_MODULES]
+    assert len(languages) == 19
+    for cls in languages:
+        assert isinstance(symbolic.SHAPES.get(cls), symbolic.Shape), cls
+    assert set(symbolic.SHAPES) == set(languages)
 
 
 def _generated_terms(dom):

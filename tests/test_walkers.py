@@ -2,10 +2,28 @@
 substitution, validation, and the fold and map they run on."""
 import pytest
 
-from enfkit.formulas import FF, FVar, subst_logic
+from enfkit.formulas import (
+    FF, Box, FVar, Max, all_names, free_data_vars, free_logic_vars, is_guarded, is_shml,
+    subst_data, subst_logic,
+)
+from enfkit.modelcheck import ModelCheckError, sat_oracle
+from enfkit.normalizer import _renumber_binders, normalize_formula_patterns
 from enfkit.parsing import parse_formula, parse_process, parse_transducer
-from enfkit.processes import NIL, PVar, subst_proc
-from enfkit.transducers import ID, TVar, subst_rec
+from enfkit.processes import (
+    NIL, Choice, Prefix, ProcessError, PVar, Rec, free_proc_vars, reachable, subst_proc,
+    validate_process,
+)
+from enfkit.runtime import composite_lts, simulate
+from enfkit.symbolic import (
+    TRUE, ActionPattern, Binder, Cmp, Fold, Free, Lit, SymbolicAction, Val, Var, underline,
+)
+from enfkit.synthesis import optimize
+from enfkit import transducers
+from enfkit.transducers import (
+    ID, TPrefix, TRec, TSum, TVar, TransducerError, free_rec_vars, subst_rec, validate_transducer,
+)
+
+from conftest import act
 
 
 # ---------------------------------------------------------------------------
@@ -44,3 +62,144 @@ def test_rec_substitution_replaces_every_free_occurrence(dom):
     assert str(subst_rec(e.body, "x", TVar("z"))) == "{i?req}.({i!ans}.z + {j?req}.z)"
     p = parse_process("rec X.i?req.(i!ans.X + j?req.X)", dom)
     assert str(subst_proc(p.body, "X", PVar("Z"))) == "i?req.(i!ans.Z + j?req.Z)"
+
+
+# ---------------------------------------------------------------------------
+# Validation
+
+
+def test_validation_rejects_terms_of_another_language(dom, terms):
+    pg = terms["pg"]
+    with pytest.raises(TransducerError):
+        validate_transducer(NIL)
+    with pytest.raises(TransducerError):
+        composite_lts(pg, pg, dom)
+    with pytest.raises(TransducerError):
+        simulate(NIL, pg, 3, "first", dom)
+    with pytest.raises(ProcessError):
+        validate_process(ID)
+    with pytest.raises(ProcessError):
+        validate_process(Prefix("garbage", NIL))
+    with pytest.raises(ProcessError):
+        validate_process(Prefix(act("i?req"), Prefix("garbage", NIL)))
+
+
+def test_validation_rejects_open_and_unguarded_terms(dom):
+    e = parse_transducer("rec x.{(y)?req -> y!ans}.x", dom)
+    with pytest.raises(TransducerError, match="unbound recursion variable 'x'"):
+        validate_transducer(e.body)
+    with pytest.raises(TransducerError, match=r"unbound data variables \['y'\]"):
+        validate_transducer(parse_transducer("{(y)?req}.{y!ans}.id", dom).cont)
+    with pytest.raises(TransducerError, match="'x' is not guarded"):
+        validate_transducer(TRec("x", TSum((TVar("x"), ID))))
+    with pytest.raises(ProcessError, match="'X' is not guarded"):
+        validate_process(Rec("X", Choice((PVar("X"), NIL))))
+
+
+# ---------------------------------------------------------------------------
+# The satisfaction oracle's gate
+
+
+def test_sat_oracle_rejects_a_data_open_formula(dom, terms):
+    # x is free in [i?x]ff: the oracle refuses it with its own error instead
+    # of failing to match the open slot
+    open_box = parse_formula("[(x)?req][i?x]ff", dom).body
+    assert str(open_box) == "[i?x]ff"
+    with pytest.raises(ModelCheckError, match="closed, guarded safety formulas"):
+        sat_oracle(terms["pg"], open_box, dom)
+
+
+# ---------------------------------------------------------------------------
+# The fold and the map: each distinct subterm once, and no recursion limit.
+# The deep chains are hashed as they are built, since the first hash of a
+# fresh deep term recurses; the outputs of the map are walked, not hashed.
+
+DEPTH = 10_000
+
+
+def _chain(depth, leaf, wrap):
+    """`wrap` applied `depth` times above `leaf`, each level hashed as it is
+    built, so no hash of the chain recurses."""
+    t = leaf
+    hash(t)
+    for k in range(depth):
+        t = wrap(t, k)
+        hash(t)
+    return t
+
+
+def _spine(t, field, depth):
+    for _ in range(depth):
+        t = getattr(t, field)
+    return t
+
+
+def _distinct_subterms(t):
+    seen, stack = {}, [t]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(getattr(node, "items", ()))
+            stack.extend(x for x in (getattr(node, "body", None),) if x is not None)
+    return set(seen.values())
+
+
+def test_the_fold_visits_each_distinct_subterm_once(dom):
+    f = parse_formula("max X.([i?req]X && [(x)!ans when x != j]X)", dom)
+    g = f
+    for _ in range(40):  # 2**40 paths as a tree
+        g = subst_logic(f.body, "X", g)
+    visits = []
+    fold = Fold(lambda node, shape, kids: visits.append(node) or len(visits))
+    fold[g]
+    assert len(visits) == len(set(visits)) == len(_distinct_subterms(g))
+    assert free_logic_vars(g) == free_data_vars(g) == frozenset()
+    assert is_guarded(g) and is_shml(g)
+
+
+def test_formula_walkers_pass_a_deep_chain(dom):
+    differ = Cmp(Var("x"), Var("y"), False)
+    bind = SymbolicAction(ActionPattern(Binder("x"), True, Binder("y")), differ)
+    use = SymbolicAction(ActionPattern(Free("z"), False, Lit("ans")), TRUE)
+    body = _chain(DEPTH, Box(use, FVar("X")), lambda t, k: Max("Y", Box(bind, t)))
+    f = Max("X", Box(SymbolicAction(ActionPattern(Binder("z"), True, Lit("req")), TRUE), body))
+    hash(f)
+    assert free_logic_vars(body) == {"X"} and free_data_vars(body) == {"z"}
+    assert free_logic_vars(f) == free_data_vars(f) == frozenset()
+    assert is_guarded(f) and is_shml(f)
+    assert all_names(f) == {"X", "Y", "x", "y", "z", "ans", "req"}
+    bottom = _spine(subst_logic(body, "X", FF), "body", 2 * DEPTH)
+    assert bottom == Box(use, FF)
+    bottom = _spine(subst_data(body, {"z": Val("i")}), "body", 2 * DEPTH)
+    assert str(bottom) == "[i!ans]X"
+    assert normalize_formula_patterns(f, dom).body.action.pattern.payload != Lit("req")
+    renumbered = _renumber_binders(f)
+    last = _spine(renumbered.body.body, "body", 2 * DEPTH - 2)
+    assert renumbered.var == "X0" and last.var == f"X{DEPTH}"
+    assert last.body.body == Box(use, FVar("X0"))
+
+
+def test_process_walkers_pass_a_deep_chain(dom):
+    chain = _chain(DEPTH, PVar("X"), lambda t, k: Prefix(act("i?req"), t))
+    p = Rec("X", chain)
+    hash(p)
+    assert free_proc_vars(chain) == {"X"} and free_proc_vars(p) == frozenset()
+    validate_process(p)
+    assert _spine(subst_proc(chain, "X", NIL), "cont", DEPTH) == NIL
+    assert len(reachable(p, 2 * DEPTH)) == DEPTH
+
+
+def test_transducer_walkers_pass_a_deep_chain(dom):
+    source = ActionPattern(Binder("y"), True, Lit("req"))
+    step = lambda t, k: TPrefix(source, Cmp(Var("y"), Var("z"), False), underline(source), t)
+    chain = _chain(DEPTH, TRec("w", TVar("x")), step)
+    outer = ActionPattern(Binder("z"), False, Lit("ans"))
+    e = TRec("x", TPrefix(outer, TRUE, underline(outer), chain))
+    hash(e)
+    assert free_rec_vars(chain) == {"x"} and transducers.free_data_vars(chain) == {"z"}
+    validate_transducer(e)
+    assert _spine(subst_rec(chain, "x", ID), "cont", DEPTH) == TRec("w", ID)
+    closed = _spine(transducers.subst_data(chain, {"z": Val("i")}), "cont", DEPTH - 1)
+    assert str(closed.condition) == "y != i"
+    assert _spine(optimize(e).body, "cont", DEPTH + 1) == TVar("x")
