@@ -231,26 +231,22 @@ def necessity_branches(f):
 
 def is_shmlnf(f: Formula, d: Domain) -> bool:
     """Normal form: conjunctions combine only necessities whose guards are
-    pairwise disjoint, and every fixpoint binder is used in its body."""
-    if isinstance(f, (FTrue, FFalse, FVar)):
-        return True
-    if isinstance(f, Max):
-        if f.var not in free_logic_vars(f.body):
+    pairwise disjoint, and every fixpoint binder is used in its body.  A
+    fold of its own per call, since the answer depends on the domain."""
+
+    def rule(g, shape, kids):
+        if not all(kids):
             return False
-        return is_shmlnf(f.body, d)
-    branches = necessity_branches(f)
-    if branches is None:
-        return False
-    for i in range(len(branches)):
-        for j in range(i + 1, len(branches)):
-            if not disjoint_under(branches[i].action, branches[j].action, d):
-                return False
-    # a plain loop: all(genexpr) would add a generator frame per level of
-    # nesting and overflow the stack on shallower formulas
-    for b in branches:
-        if not is_shmlnf(b.body, d):
-            return False
-    return True
+        if isinstance(g, Max):
+            return g.var in free_logic_vars(g.body)
+        if not isinstance(g, FAnd):
+            return isinstance(g, (FTrue, FFalse, FVar, Box))
+        items = g.items
+        pairs = ((a, b) for i, a in enumerate(items) for b in items[i + 1:])
+        return all(isinstance(b, Box) for b in items) and all(
+            disjoint_under(a.action, b.action, d) for a, b in pairs)
+
+    return symbolic.Fold(rule)[f]
 
 
 def classify(f: Formula, d: Domain) -> Classification:

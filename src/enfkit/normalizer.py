@@ -31,11 +31,7 @@ from itertools import count, product
 from .formulas import (
     Box,
     Dia,
-    FAnd,
     FF,
-    FFalse,
-    FOr,
-    FTrue,
     FVar,
     Formula,
     Max,
@@ -52,12 +48,12 @@ from .formulas import (
 )
 from .symbolic import (
     DONE,
+    AlphaKeys,
     And,
     Binder,
     Domain,
     Not,
     SymbolicAction,
-    cond_key,
     cond_vars,
     conjoin,
     fresh_name,
@@ -78,11 +74,13 @@ class MintermBlowup(NormalizeError):
 
 
 class EquationBoundExceeded(NormalizeError):
-    """The equation system grew past `MAX_EQUATIONS` variables."""
+    """The equation system grew past `MAX_EQUATIONS` variables, or the
+    formula stage 6 rebuilds from it past `MAX_REBUILD_BOXES` necessities."""
 
 
 MAX_MINTERM_CONDITIONS = 12
 MAX_EQUATIONS = 10_000
+MAX_REBUILD_BOXES = 200_000
 MAX_UNFOLD_CHAIN = 10_000
 
 
@@ -147,80 +145,6 @@ def normalize_formula_patterns(f: Formula, d: Domain) -> Formula:
 # Stage 2: equations
 
 
-class _KeyMaker:
-    """Alpha-normal formula shapes, hash-consed into integer handles.
-
-    Bound names (pattern binders and fixpoint variables) are replaced by
-    binder-relative indices while free names stay put, so alpha-variants of
-    one formula share a handle.  Guards are keyed by `symbolic.pattern_key`
-    and `symbolic.cond_key`; fixpoint variables are numbered the same way
-    here.  Unfolded formulas are DAGs — substitution shares subterms — and
-    the handle of a shared subterm depends only on the relative binding
-    depths of its free variables, which makes the computation memoisable per
-    (subterm, depth profile).
-    """
-
-    def __init__(self):
-        self._table: dict = {}
-        self._memo: dict = {}
-
-    def _cons(self, *parts) -> int:
-        handle = self._table.get(parts)
-        if handle is None:
-            handle = len(self._table)
-            self._table[parts] = handle
-        return handle
-
-    def handle(self, g: Formula, dlevel=0, llevel=0, denv=None, lenv=None) -> int:
-        denv = denv or {}
-        lenv = lenv or {}
-        dproj = tuple(
-            sorted(
-                (v, dlevel - denv[v]) if v in denv else (v, None)
-                for v in free_data_vars(g)
-            )
-        )
-        lproj = tuple(
-            sorted(
-                (v, llevel - lenv[v]) if v in lenv else (v, None)
-                for v in free_logic_vars(g)
-            )
-        )
-        mkey = (g, dproj, lproj)
-        cached = self._memo.get(mkey)
-        if cached is not None:
-            return cached
-        if isinstance(g, FTrue):
-            out = self._cons("tt")
-        elif isinstance(g, FFalse):
-            out = self._cons("ff")
-        elif isinstance(g, FVar):
-            out = (
-                self._cons("var", llevel - lenv[g.name])
-                if g.name in lenv
-                else self._cons("var.", g.name)
-            )
-        elif isinstance(g, (FAnd, FOr)):
-            tag = "conj" if isinstance(g, FAnd) else "disj"
-            out = self._cons(
-                tag, tuple(self.handle(i, dlevel, llevel, denv, lenv) for i in g.items)
-            )
-        elif isinstance(g, (Max, Min)):
-            tag = "max" if isinstance(g, Max) else "min"
-            body = self.handle(g.body, dlevel, llevel + 1, denv, {**lenv, g.var: llevel})
-            out = self._cons(tag, body)
-        elif isinstance(g, (Box, Dia)):
-            tag = "box" if isinstance(g, Box) else "dia"
-            pat, level, inner = pattern_key(g.action.pattern, dlevel, denv)
-            cond = cond_key(g.action.condition, level, inner)
-            body = self.handle(g.body, level, llevel, inner, lenv)
-            out = self._cons(tag, pat, cond, body)
-        else:
-            raise NormalizeError(f"cannot canonicalise {g!r}")
-        self._memo[mkey] = out
-        return out
-
-
 class _Builder:
     """Interns formulas as equation variables and derives their bodies over
     the action domain `domain`.
@@ -242,11 +166,11 @@ class _Builder:
         self._raw: dict = {}
         self._aligned: dict = {}
         self._minterms: dict = {}
-        self._keys = _KeyMaker()
+        self._keys = AlphaKeys()
 
     def intern(self, f: Formula) -> int:
         f = self.chase(f)
-        key = self._keys.handle(f)
+        key = self._keys(f)
         if key in self.ids:
             return self.ids[key]
         if len(self.formulas) >= MAX_EQUATIONS:
@@ -515,9 +439,11 @@ def stage6_rebuild(eqs: EquationSystem) -> Formula:
     """Expand the equation graph into a formula.  Every variable reached
     twice on one path becomes a fixpoint reference, and a binder is wrapped
     around exactly the copies whose subtree mentions it, so no binder is
-    vacuous.  Acyclic sharing is expanded per occurrence."""
+    vacuous.  Acyclic sharing is expanded per occurrence, up to
+    `MAX_REBUILD_BOXES` necessities."""
     names: dict = {}
     counter = [0]
+    made = count(1)
 
     def name_of(key):
         if key not in names:
@@ -538,6 +464,8 @@ def stage6_rebuild(eqs: EquationSystem) -> Formula:
         parts = []
         referenced: set = set()
         for br in body:
+            if next(made) > MAX_REBUILD_BOXES:
+                raise EquationBoundExceeded("the rebuilt formula grew past the safety bound")
             sub, refs = visit(br.target, inner)
             parts.append(Box(br.action, sub))
             referenced |= refs

@@ -26,16 +26,17 @@ assignment.
 
 Binders are handled here once for every term grammar: substitution and
 binder renaming (`narrow`, `rename_binders`, `avoid_capture`), and keys up to
-binder names (`term_key`, `cond_key`, `pattern_key`), on which
-`transducers.alpha_eq` and the normaliser's equation interning both rest.
-The terms of formulas, processes and transducers declare their subterms and
-binders (`Shape`), and their walkers are rules on one fold and one map.
+binder names (`term_key`, `cond_key`, `pattern_key`, and `AlphaKeys`, which
+hands any term an integer key), on which `transducers.alpha_eq` and the
+normaliser's equation interning both rest.  The terms of formulas, processes
+and transducers declare their subterms and binders (`Shape`), and their
+walkers are rules on one fold and one map.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, repeat
 from operator import attrgetter, is_not
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -104,7 +105,10 @@ def term(cls=None, *, order: bool = False, shape: Optional["Shape"] = None):
         cls.__hash__ = CachedHash.__hash__
         if shape is not None:
             many = any(f.name == shape.child and f.type in ("tuple", tuple) for f in fields(cls))
-            SHAPES[cls] = shape._replace(names=tuple(f.name for f in fields(cls)), many=many)
+            own = tuple(f.name for f in fields(cls))
+            guard = shape.guard if type(shape.guard) is tuple else (shape.guard,)
+            plain = tuple(n for n in own if n not in (shape.child, shape.binds, shape.occurs, *guard))
+            SHAPES[cls] = shape._replace(names=own, many=many, plain=plain)
         return cls
 
     return build if cls is None else build(cls)
@@ -126,7 +130,8 @@ class Shape(NamedTuple):
     occurs: Optional[str] = None
     guard: Union[str, tuple, None] = None
     names: tuple = ()  # filled in by `term`: the class's fields,
-    many: bool = False  # and whether `child` holds a tuple
+    many: bool = False  # whether `child` holds a tuple,
+    plain: tuple = ()  # and the fields that are none of these (a label)
 
     def kids(self, node) -> tuple:
         if self.many:
@@ -750,7 +755,7 @@ def _enter_data(node, sub):
 # ---------------------------------------------------------------------------
 # Keys up to binder names
 #
-# Terms that differ only in the names of their pattern binders get equal keys.
+# Terms that differ only in the names of their binders get equal keys.
 # A key is a nested tuple read in a scope `(level, env)`: `level` counts the
 # binders opened so far and `env` maps each bound name to the level that bound
 # it.  A bound variable is keyed by its binder distance, `level - env[name]`
@@ -798,6 +803,65 @@ def pattern_key(p: Pattern, level: int, env: Mapping[str, int]):
         else:
             slots.append(_name_key(slot.name, level, env))
     return (p.is_input, *slots), inner_level, inner
+
+
+class AlphaKeys(dict):
+    """Integer handles of terms up to binder names: `keys(t)` is one handle
+    for every term of the three languages that differs from `t` only in the
+    names of its recursion (or fixpoint) variables and pattern binders.
+
+    The key reads the declared `Shape`: an occurrence is keyed by its binder
+    distance, or by its name when free; a guard by `pattern_key` and
+    `cond_key`, a transform target inside its source pattern's scope; any
+    other field that is not a subterm as it is.  The handle of a subterm
+    depends only on the binder distances of its free variables, so it is
+    computed once per (subterm, distance profile), and an unfolded fixpoint
+    costs its distinct subterms.  The dict maps each key to its handle."""
+
+    def __init__(self):
+        super().__init__()
+        self._memo: dict = {}
+
+    def __call__(self, t) -> int:
+        memo, handles = self._memo, []
+        stack = [(t, (0, {}, 0, {}))]
+        while stack:
+            node, scope = stack.pop()
+            if scope is None:  # (memo key, key head, subterms): their handles are on top
+                mkey, head, n = node
+                at = len(handles) - n
+                handle = memo[mkey] = self.setdefault((*head, *handles[at:]), len(self))
+                del handles[at:]
+                handles.append(handle)
+                continue
+            rlevel, renv, level, env = scope
+            mkey = (node, _profile(free_rec_vars(node), rlevel, renv),
+                    _profile(free_data_vars(node), level, env))
+            handle = memo.get(mkey)
+            if handle is not None:
+                handles.append(handle)
+                continue
+            shape = SHAPES[type(node)]
+            head = [type(node), *map(node.__getattribute__, shape.plain)]
+            if shape.occurs:
+                head.append(_name_key(getattr(node, shape.occurs), rlevel, renv))
+            elif shape.binds:
+                rlevel, renv = rlevel + 1, {**renv, getattr(node, shape.binds): rlevel}
+            elif shape.guard:
+                pattern, condition, target = shape.parts(node)
+                source, level, env = pattern_key(pattern, level, env)
+                target = target and pattern_key(target, level, env)[0]
+                head += source, cond_key(condition, level, env), target
+            kids = shape.kids(node)
+            stack.append(((mkey, head, len(kids)), None))
+            stack.extend(zip(reversed(kids), repeat((rlevel, renv, level, env))))
+        return handles[0]
+
+
+def _profile(names: frozenset, level: int, env: Mapping[str, int]) -> frozenset:
+    """Each name with its binder distance in `(level, env)`, or with itself
+    when free."""
+    return names and frozenset([(n, level - env[n] if n in env else n) for n in names])
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,9 @@ from .symbolic import (
     InsertPattern,
     Lit,
     Shape,
-    cond_key,
     eval_condition,
     match,
     paren,
-    pattern_key,
     subst_data,
     subst_pattern,
     term,
@@ -208,24 +206,5 @@ def transducer_lts(e: Transducer, domain, bound: int = DEFAULT_STATE_BOUND) -> L
 
 
 def alpha_eq(e1: Transducer, e2: Transducer) -> bool:
-    return _alpha_key(e1, 0, {}, 0, {}) == _alpha_key(e2, 0, {}, 0, {})
-
-
-def _alpha_key(e, rlevel, renv, level, env):
-    """The key of `e` up to binder names: recursion variables are numbered by
-    binder distance in `(rlevel, renv)`, data as in `symbolic.pattern_key`
-    in `(level, env)`.  A transform target is keyed inside its source
-    pattern's scope."""
-    if isinstance(e, TVar):
-        bound = renv.get(e.name)
-        return e.name if bound is None else rlevel - bound
-    if isinstance(e, TSum):
-        return ("+", *(_alpha_key(b, rlevel, renv, level, env) for b in e.branches))
-    if isinstance(e, TRec):
-        return ("rec", _alpha_key(e.body, rlevel + 1, {**renv, e.var: rlevel}, level, env))
-    if isinstance(e, TPrefix):
-        source, level, env = pattern_key(e.pattern, level, env)
-        target = e.target if e.target is TAU else pattern_key(e.target, level, env)[0]
-        cont = _alpha_key(e.cont, rlevel, renv, level, env)
-        return ("{}", source, cond_key(e.condition, level, env), target, cont)
-    return e
+    keys = symbolic.AlphaKeys()
+    return keys(e1) == keys(e2)

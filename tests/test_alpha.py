@@ -1,20 +1,28 @@
 """Alpha-equivalence of transducers: equality up to the names of recursion
-variables and pattern binders, checked against strong bisimilarity."""
+variables and pattern binders, checked against strong bisimilarity; and
+what `symbolic.AlphaKeys`, the key under it, equates in all three term
+languages."""
 import itertools
 
 import pytest
 
 from enfkit.bisim import bisim
+from enfkit.formulas import Box, Max
 from enfkit.harness import gen_formula
-from enfkit.parsing import parse_transducer
+from enfkit.parsing import parse_formula, parse_process, parse_transducer
 from enfkit.symbolic import (
     TAU,
     ActionPattern,
+    AlphaKeys,
     Binder,
+    Cmp,
     Domain,
     Free,
+    Lit,
+    Val,
     Var,
     subst_condition,
+    underline,
 )
 from enfkit.synthesis import compile_formula
 from enfkit.transducers import TPrefix, TRec, TSum, TVar, alpha_eq, transducer_lts, tstep
@@ -149,3 +157,58 @@ def test_alpha_eq_is_symmetric_and_implies_bisimilarity(dom, size, seed):
         assert alpha_eq(a, b) == alpha_eq(b, a), (a, b)
         if alpha_eq(a, b):
             assert bisimilar(a, b, dom), (a, b)
+
+
+# ---------------------------------------------------------------------------
+# The key up to binder names, in every term language
+
+
+def test_alpha_keys_equate_renamed_binders(dom):
+    keys = AlphaKeys()
+    f, p = (lambda text: parse_formula(text, dom)), (lambda text: parse_process(text, dom))
+    assert keys(f("[(x)?req][x!ans]ff")) == keys(f("[(y)?req][y!ans]ff"))
+    assert keys(f("max X.[i?req]X")) == keys(f("max Y.[i?req]Y"))
+    assert keys(p("rec X.i?req.X")) == keys(p("rec Y.i?req.Y"))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("[i?req]ff", "<i?req>ff"),
+        ("[i?req]ff && [i!ans]ff", "[i?req]ff || [i!ans]ff"),
+        ("max X.[i?req]X", "min X.[i?req]X"),
+        # the inner binder shadows the outer one on the right only
+        ("[(x)?req][(y)?req when x = y]ff", "[(y)?req][(y)?req when y = y]ff"),
+        ("max X.[i?req](max Y.[i!ans]X)", "max Y.[i?req](max Y.[i!ans]Y)"),
+    ],
+)
+def test_alpha_keys_separate_near_misses(dom, left, right):
+    keys = AlphaKeys()
+    assert keys(parse_formula(left, dom)) != keys(parse_formula(right, dom))
+
+
+def test_alpha_keys_separate_free_from_bound_names(dom):
+    keys = AlphaKeys()
+    bound = parse_formula("[(x)?req][x!ans]ff", dom)
+    free = Box(parse_formula("[(y)?req]ff", dom).action, bound.body)  # [(y)?req][x!ans]ff
+    assert keys(bound) != keys(free)
+    loop = parse_formula("max X.[i?req]X", dom)
+    assert keys(loop) != keys(Max("Y", loop.body))  # max Y.[i?req]X
+    # a process label is keyed as it is
+    assert keys(parse_process("i?req.nil", dom)) != keys(parse_process("i!ans.nil", dom))
+
+
+def test_alpha_eq_keys_each_shared_subterm_once():
+    def nested(rec, binder):
+        source = ActionPattern(Binder(binder), True, Lit("req"))
+        t = TPrefix(source, Cmp(Var(binder), Val("i"), True), underline(source), TVar(rec))
+        for _ in range(40):  # 2**40 paths as a tree
+            t = TSum((t, t))
+        return TRec(rec, t)
+
+    left, right = nested("x", "y"), nested("z", "w")
+    assert alpha_eq(left, right)
+    keys = AlphaKeys()
+    assert keys(left) == keys(right)
+    # one handle per distinct subterm: the variable, the prefix, 40 sums, the rec
+    assert len(keys) == 43

@@ -206,6 +206,29 @@ def test_verify_equation_bound_is_inconclusive_per_pair(monkeypatch, tmp_path):
     assert code == 1 and len(out.strip().splitlines()) == 64
 
 
+def test_verify_rebuild_bound_is_inconclusive_per_pair():
+    # pair 8, gen_formula(2x3, 8, 2013), determinises to 156 equations whose
+    # stage-6 expansion passes `normalizer.MAX_REBUILD_BOXES`; every
+    # criterion that compiles it is inconclusive, and nothing else changes
+    code, out = run(["verify", "--property", "all", "--corpus", "random:8:2006"])
+    lines = out.splitlines()
+    assert code == 3 and len(lines) == 32
+    _, first = run(["verify", "--property", "all", "--corpus", "random:7:2006"])
+    assert lines[:28] == first.splitlines()
+    assert all(line.endswith("' pass") for line in lines[:28])
+    subject = (
+        "'max X5.[(y)!(z)][(w)!req when y != ans]([i!req when z != ans]X5 && (max X9.X5))"
+        " j?req.j!req.j!ans.i!ans.nil"
+    )
+    bound = " inconclusive [the rebuilt formula grew past the safety bound]"
+    assert lines[28:] == [
+        f"soundness {subject}'{bound}",
+        f"transparency {subject}'{bound}",
+        f"nvtt {subject} depth=6'{bound}",
+        f"violation-sem {subject} depth=6' pass",
+    ]
+
+
 def assert_matches_golden(out, golden):
     with open(golden, encoding="utf-8") as fh:
         want = fh.read()

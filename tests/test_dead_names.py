@@ -1,11 +1,11 @@
-"""Every public module-level name of `enfkit` is used somewhere.
+"""Every module-level name of `enfkit` is used somewhere.
 
 A function, class or constant defined at the top level of a module under
-`src/enfkit` must be referenced in `src/`, `tests/` or `perfbench/` beyond
-its own definition; an export from `enfkit/__init__.py` alone does not
-count.  A reference is a name read, an attribute, an import, or a string
-literal that spells the name exactly (the benchmark tracer names the
-functions it wraps by string); definitions, assignments, comments and
+`src/enfkit`, public or private, must be referenced in `src/`, `tests/` or
+`perfbench/` beyond its own definition; an export from `enfkit/__init__.py`
+alone does not count.  A reference is a name read, an attribute, an import,
+or a string literal that spells the name exactly (the benchmark tracer names
+the functions it wraps by string); definitions, assignments, comments and
 docstrings do not keep a name alive.
 
 Every name a module under `src/enfkit` imports is also read in that module;
@@ -20,7 +20,7 @@ PACKAGE = os.path.join(ROOT, "src", "enfkit")
 SEARCHED = ("src", "tests", "perfbench")
 
 
-def _public_definitions(path):
+def _definitions(path):
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), path)
     for node in tree.body:
@@ -32,7 +32,7 @@ def _public_definitions(path):
             names = [node.target.id]
         else:
             continue
-        yield from (name for name in names if not name.startswith("_"))
+        yield from (name for name in names if not name.startswith("__"))
 
 
 def _references(path) -> Counter:
@@ -61,12 +61,14 @@ def _python_files():
                     yield os.path.join(dirpath, name)
 
 
-def unreferenced_names() -> list:
-    """Public top-level names of the package that nothing else references."""
+def unreferenced_names(private=False) -> list:
+    """Public (or private) top-level names of the package that nothing else
+    references."""
     defined = set()
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py") and name != "__init__.py":
-            defined.update(_public_definitions(os.path.join(PACKAGE, name)))
+            path = os.path.join(PACKAGE, name)
+            defined.update(n for n in _definitions(path) if n.startswith("_") == private)
     referenced = Counter()
     exports = os.path.join(PACKAGE, "__init__.py")
     for path in _python_files():
@@ -77,6 +79,10 @@ def unreferenced_names() -> list:
 
 def test_every_public_name_is_referenced():
     assert unreferenced_names() == []
+
+
+def test_every_private_name_is_referenced():
+    assert unreferenced_names(private=True) == []
 
 
 def unused_imports() -> list:

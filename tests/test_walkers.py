@@ -1,10 +1,11 @@
 """The binder-aware walkers of the three term languages: recursion-variable
-substitution, validation, and the fold and map they run on."""
+substitution, validation, keys up to binder names, and the fold and map
+they run on."""
 import pytest
 
 from enfkit.formulas import (
-    FF, Box, FVar, Max, all_names, free_data_vars, free_logic_vars, is_guarded, is_shml,
-    subst_data, subst_logic,
+    FF, Box, FVar, Max, all_names, classify, free_data_vars, free_logic_vars, is_guarded,
+    is_shml, subst_data, subst_logic,
 )
 from enfkit.modelcheck import ModelCheckError, sat_oracle
 from enfkit.normalizer import _renumber_binders, normalize_formula_patterns
@@ -20,7 +21,8 @@ from enfkit.symbolic import (
 from enfkit.synthesis import optimize
 from enfkit import transducers
 from enfkit.transducers import (
-    ID, TPrefix, TRec, TSum, TVar, TransducerError, free_rec_vars, subst_rec, validate_transducer,
+    ID, TPrefix, TRec, TSum, TVar, TransducerError, alpha_eq, free_rec_vars, subst_rec,
+    validate_transducer,
 )
 
 from conftest import act
@@ -203,3 +205,20 @@ def test_transducer_walkers_pass_a_deep_chain(dom):
     closed = _spine(transducers.subst_data(chain, {"z": Val("i")}), "cont", DEPTH - 1)
     assert str(closed.condition) == "y != i"
     assert _spine(optimize(e).body, "cont", DEPTH + 1) == TVar("x")
+
+
+def test_alpha_eq_passes_a_deep_chain():
+    # the two chains differ at every level, so no lookup compares them
+    source = ActionPattern(Binder("v"), False, Lit("ans"))
+    step = lambda t, k: TPrefix(source, Cmp(Var("v"), Val("i"), False), underline(source), t)
+    under = lambda var: TRec(var, _chain(DEPTH, TVar(var), step))
+    assert alpha_eq(under("x"), under("y"))
+
+
+def test_classify_passes_a_deep_chain(dom):
+    # `max Z`, not `max X`: the chains of other tests share no subterm with
+    # this one, so no memo lookup compares two equal deep terms
+    req = SymbolicAction(ActionPattern(Lit("i"), True, Lit("req")), TRUE)
+    f = Max("Z", _chain(DEPTH, FVar("Z"), lambda t, k: Box(req, t)))
+    hash(f)
+    assert all(classify(f, dom))
