@@ -9,6 +9,7 @@ Output is deterministic for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bisim import bisim
@@ -179,7 +180,10 @@ def cmd_verify(args) -> int:
     return worst
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and `main` runs once per command of an in-process caller."""
     top = argparse.ArgumentParser(
         prog="enfkit",
         description="Compile safety formulas into suppression enforcers and "

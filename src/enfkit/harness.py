@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .bisim import bisim
@@ -315,40 +314,53 @@ class Pair:
     formula (by `sat_oracle`) and the process's trace tree at each depth
     are each derived on first use and kept.  The composite is built over
     the process's LTS, so no process state is stepped twice.  A derivation
-    that hits a bound raises and keeps nothing, so every criterion that
-    needs it meets the error itself and reports its own inconclusive
-    verdict.
+    that hits a bound keeps its error instead and raises it again at each
+    later use, so every criterion that needs it reports the same
+    inconclusive verdict without deriving it again.
     """
 
     def __init__(self, f: Formula, p: Process, d: Domain, enforcer=None, bound=DEFAULT_BOUND):
         self.f, self.p, self.d, self.bound = f, p, d, bound
         self.subject = (str(f), str(p))
-        self._trees: dict = {}
-        if enforcer is not None:
-            self.enforcer = enforcer  # shadows the synthesised one
+        self._kept: dict = {} if enforcer is None else {"enforcer": enforcer}
 
-    @cached_property
+    def _derived(self, key, derive):
+        """`derive()`, run once under `key`: its value, or the bound error it
+        raised, is kept."""
+        kept = self._kept
+        if key not in kept:
+            try:
+                kept[key] = derive()
+            except BOUND_ERRORS as exc:
+                kept[key] = exc
+        if isinstance(kept[key], BOUND_ERRORS):
+            raise kept[key]
+        return kept[key]
+
+    @property
     def enforcer(self) -> Transducer:
-        return compile_formula(self.f, self.d)
+        return self._derived("enforcer", lambda: compile_formula(self.f, self.d))
 
-    @cached_property
+    @property
     def system(self) -> LTS:
-        return reachable(self.p, self.bound)
+        return self._derived("system", lambda: reachable(self.p, self.bound))
 
-    @cached_property
+    @property
     def composite(self) -> LTS:
-        return composite_lts(self.enforcer, (self.system, self.p), self.d, self.bound)
+        return self._derived(
+            "composite",
+            lambda: composite_lts(self.enforcer, (self.system, self.p), self.d, self.bound),
+        )
 
-    @cached_property
+    @property
     def holds(self) -> bool:
-        return sat_oracle((self.system, self.p), self.f, self.d, self.bound)
+        return self._derived(
+            "holds", lambda: sat_oracle((self.system, self.p), self.f, self.d, self.bound)
+        )
 
     def trace_tree(self, depth: int) -> dict:
         """The process's traces up to the depth, with their weak derivatives."""
-        tree = self._trees.get(depth)
-        if tree is None:
-            tree = self._trees[depth] = trace_tree(self.system, self.p, depth)
-        return tree
+        return self._derived(depth, lambda: trace_tree(self.system, self.p, depth))
 
 
 def _in_order(ts):

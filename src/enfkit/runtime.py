@@ -50,7 +50,7 @@ class Config:
 
 # `simulate` and `composite_lts` check their arguments on every call, and a
 # check walks the whole term.  A term that passed is remembered, so a term
-# met again costs one lookup; its hash is one the step memos need anyway.
+# met again costs one lookup.
 _checked_transducer = term_memo(validate_transducer)
 _checked_process = term_memo(validate_process)
 

@@ -9,11 +9,13 @@ pattern and satisfy the condition.
 
 Every term here is immutable and hashable, so terms double as dict keys and
 LTS state components.  The term classes of this module and of the formula,
-process, transducer and runtime modules are built by `term`: equality is
-structural, and each term computes its structural hash once, on first use,
-and keeps it.  That makes terms cheap memo keys, so memos key on term
-values, never on object identity: equal terms share an entry, and an entry
-stays valid for as long as the memo holds it.
+process, transducer and runtime modules are built by `term`, which interns
+each term as it is built (hash-consing): structurally equal terms are one
+object, so a term's hash and equality are those of its identity.  They run
+in C and never recurse, however deep the term.  Memos key on terms: equal
+terms share an entry, and an entry stays valid for as long as the memo
+holds it.  The order of a set of terms follows their addresses, so output
+that lists such a set sorts it first.
 
 Satisfiability of a condition and disjointness of two guards are decided by
 one small solver, `_decide`, over equality classes rather than over
@@ -34,10 +36,11 @@ walkers are rules on one fold and one map.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import islice, repeat
-from operator import attrgetter, is_not
+from operator import is_not
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 
@@ -54,40 +57,54 @@ class UnboundVariable(SymbolicError):
 
 
 class CachedHash:
-    """Base of every class built by `term`: a slot that keeps the structural
-    hash once it has been computed.
+    """Base of every class built by `term`.  Its one slot, `__weakref__`,
+    lets the intern table refer to a term without keeping it alive.  It
+    defines no `__hash__` and no `__eq__`: equal terms are one object, so
+    the identity hash and equality of `object`, which run in C, are
+    structural and never recurse."""
 
-    The slot is left unset by `__init__`, which keeps construction as cheap as
-    a plain frozen dataclass; `getattr` with a default tells an unset slot from
-    a set one.  The slot's own descriptor stores the hash, bypassing the
-    frozen `__setattr__`.
-    """
-
-    __slots__ = ("_hash",)
-
-    def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash(self._hash_key(self))
-            _store_hash(self, h)
-        return h
+    __slots__ = ("__weakref__",)
 
 
-_store_hash = CachedHash._hash.__set__
+#: Every live term under its key, `(class, *field values)`, as a weak
+#: reference without a callback.  A key holds its term's subterms, so the
+#: subterms of a live entry are live entries too, entered before it.
+_TERMS: dict = {}
+#: The table is swept when it reaches `_sweep_at[0]` entries: twice its size
+#: after the last sweep, and at least `_SWEEP_MIN`.
+_SWEEP_MIN = 1 << 14
+_sweep_at = [_SWEEP_MIN]
+_NONE = type(None)  # a missing entry: calling it gives None, as a dead reference does
+
+
+def _sweep():
+    """Drop the entries of dead terms, newest first.  A term is entered
+    after its subterms, so the subterms that only a dropped key held die
+    before the scan reaches them, and one pass frees a whole dead term."""
+    keys = list(_TERMS)
+    while keys:
+        key = keys.pop()
+        if _TERMS[key]() is None:
+            del _TERMS[key]
+    _sweep_at[0] = max(2 * len(_TERMS), _SWEEP_MIN)
+
 
 #: Decorator for a pure function of terms: a bounded cache keyed on the
-#: argument values.  Terms hash once and compare structurally, so equal terms
-#: share an entry.  A call that raises caches nothing.
+#: argument values.  Equal terms are one object, so a lookup hashes and
+#: compares by identity.  A call that raises caches nothing.
 term_memo = lru_cache(maxsize=1 << 16)
 
 
 def term(cls=None, *, order: bool = False, shape: Optional["Shape"] = None):
     """Class decorator for terms: a frozen, slotted dataclass on the
-    `CachedHash` base, whose structural hash, the hash of its field values,
-    is computed once per object and cached.  Terms are nested, so without
-    the cache every set or dict operation would rehash the whole term.  A
-    term without fields hashes by its class.  A term of the three languages
-    declares its `shape`."""
+    `CachedHash` base whose constructor interns (hash-consing, after
+    Filliâtre and Conchon, "Type-safe modular hash-consing", ML Workshop
+    2006).  Building a term looks up `(class, *field values)` in one weak
+    table and returns the live term found there, so structurally equal terms
+    are the same object; only a miss makes a new one, runs the class's
+    `__post_init__` and enters it.  A field value that cannot be hashed
+    raises `TypeError`.  With `order`, terms of a class compare by their
+    field tuples.  A term of the three languages declares its `shape`."""
 
     def build(cls):
         if cls.__bases__ != (object,):
@@ -97,12 +114,11 @@ def term(cls=None, *, order: bool = False, shape: Optional["Shape"] = None):
         # second class and keep the first one alive in its frozen __setattr__.
         body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
         body["__slots__"] = tuple(vars(cls).get("__annotations__", ()))
-        cls = dataclass(frozen=True, order=order)(type(cls.__name__, (CachedHash,), body))
-        names = [f.name for f in fields(cls)] or ["__class__"]
-        # attrgetter runs in C, so the first hash of a deep term recurses
-        # through one Python frame per level
-        cls._hash_key = attrgetter(*names)
-        cls.__hash__ = CachedHash.__hash__
+        cls = type(cls.__name__, (CachedHash,), body)
+        cls = dataclass(frozen=True, eq=False, init=False)(cls)
+        for name, method in _term_methods(cls, order).items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
         if shape is not None:
             many = any(f.name == shape.child and f.type in ("tuple", tuple) for f in fields(cls))
             own = tuple(f.name for f in fields(cls))
@@ -112,6 +128,51 @@ def term(cls=None, *, order: bool = False, shape: Optional["Shape"] = None):
         return cls
 
     return build if cls is None else build(cls)
+
+
+def _term_methods(cls, order: bool) -> dict:
+    """The interning `__new__` of a term class, its `__reduce__` and, with
+    `order`, its comparisons, generated as `dataclass` generates `__init__`,
+    so that building a term runs one Python frame."""
+    names = [f.name for f in fields(cls)]
+    args = "".join(f", {n}" for n in names)
+    mine = "".join(f"self.{n}, " for n in names)
+    setters = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    made = ["__new__", "__reduce__"]
+    lines = [
+        f"def __new__(cls{args}):",
+        f"    _key = (cls{args},)",
+        "    _t = _get(_key, _none)()",
+        "    if _t is None:",
+        "        _t = _new(cls)",
+        *(f"        _set_{n}(_t, {n})" for n in names),
+        *(["        _t.__post_init__()"] if hasattr(cls, "__post_init__") else []),
+        "        if len(_terms) >= _sweep_at[0]:",
+        "            _sweep()",
+        "        _terms[_key] = _ref(_t)",
+        "    return _t",
+        "def __reduce__(self):",
+        f"    return type(self), ({mine})",
+    ]
+    if order:
+        theirs = "".join(f"other.{n}, " for n in names)
+        for name, op in (("__lt__", "<"), ("__le__", "<="), ("__gt__", ">"), ("__ge__", ">=")):
+            made.append(name)
+            lines += [
+                f"def {name}(self, other):",
+                "    if type(other) is not type(self):",
+                "        return NotImplemented",
+                f"    return ({mine}) {op} ({theirs})",
+            ]
+    closure = dict(
+        _terms=_TERMS, _get=_TERMS.get, _none=_NONE, _sweep=_sweep, _sweep_at=_sweep_at,
+        _new=object.__new__, _ref=weakref.ref, **setters,
+    )
+    head, tail = f"def _make({', '.join(closure)}):", f"  return {', '.join(made)}"
+    source = "\n".join([head, *(f"  {line}" for line in lines), tail])
+    scope: dict = {}
+    exec(source, {}, scope)  # noqa: S102 - generated from the field names
+    return dict(zip(made, scope["_make"](**closure)))
 
 
 class Shape(NamedTuple):
@@ -228,24 +289,28 @@ class Action:
 
 
 class _Marker:
-    """Interned sentinel label (the silent action and the insertion marker)."""
+    """Interned sentinel label (the silent action and the insertion marker).
+    It pickles and copies as itself, the module global it is named by."""
 
-    __slots__ = ("_text",)
+    __slots__ = ("_text", "_name")
 
-    def __init__(self, text):
-        self._text = text
+    def __init__(self, text, name):
+        self._text, self._name = text, name
 
     def __repr__(self):
         return self._text
 
     __str__ = __repr__
 
+    def __reduce__(self):
+        return self._name
+
 
 #: The silent action; an ordinary LTS label but never part of a trace.
-TAU = _Marker("tau")
+TAU = _Marker("tau", "TAU")
 #: Source marker of an insertion transform: the step is not induced by any
 #: system action.
-INSERT = _Marker("*")
+INSERT = _Marker("*", "INSERT")
 
 ExtendedAction = Union[Action, "_Marker"]  # Action or INSERT
 
@@ -549,8 +614,9 @@ def rebuild(t, enter, ctx=None, leave=None):
     """Map a term: `enter(node, ctx)` runs parents first, subterms left to
     right, and returns `(result, DONE)` or `(node, ctx)`, whose subterms are
     then mapped under `ctx`.  A node whose subterms come back changed is
-    rebuilt and hashed there, bottom-up, so no later hash of the result
-    recurses.  `leave(node)`, if given, then replaces each mapped node."""
+    rebuilt, bottom-up, so the result is built (and interned) from terms
+    that exist already; one whose subterms come back as they were is kept.
+    `leave(node)`, if given, then replaces each mapped node."""
     done, stack = [], [(t, ctx, None)]
     pop, push, emit, pop_done = stack.pop, stack.append, done.append, done.pop
     shapes = SHAPES.get
@@ -578,12 +644,10 @@ def rebuild(t, enter, ctx=None, leave=None):
             del done[at:]
             if any(map(is_not, new, old)):
                 node = ctx.remake(node, new)
-                hash(node)
         else:
             new = pop_done()
             if new is not old:
                 node = ctx.remake(node, (new,))
-                hash(node)
         emit(node if leave is None else leave(node))
     return done[0]
 

@@ -106,8 +106,8 @@ def synthesize(f: Formula, d: Domain) -> Transducer:
 
 def optimize(e: Transducer) -> Transducer:
     """Drop recursive constructs whose variable is never used."""
-    # a fold of its own: the shared memo would keep every synthesised node
-    # and compare each one, node by node, with an equal one compiled before
+    # a fold of its own, dropped with the call: the shared memo would keep
+    # every synthesised node of every compile alive
     free = Fold(free_rec_rule)
 
     def leave(t):

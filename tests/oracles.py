@@ -7,7 +7,11 @@ assignment of the variables into the domain's value universe.
 `runtime.istep` reads memoised transform tables indexed by action;
 `naive_istep` steps the enforcer afresh with `tstep` and scans every
 transform for each system move.
+
+Terms are interned, so their `==` is identity; `structurally_equal`
+compares two terms field by field instead.
 """
+import dataclasses
 from itertools import product
 from typing import Mapping
 
@@ -28,6 +32,27 @@ from enfkit.symbolic import (
     subst_pattern,
 )
 from enfkit.transducers import ID, tstep
+
+
+def structurally_equal(a, b) -> bool:
+    """Whether two values are equal field by field: terms of one class with
+    equal fields, tuples of equal items, or other values that are `==`.  It
+    reads `dataclasses.fields` on an explicit stack, so it never calls a
+    term's own `==` or hash and takes terms of any depth."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if dataclasses.is_dataclass(x):
+            stack.extend((getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x))
+        elif type(x) is tuple:
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif x != y:
+            return False
+    return True
 
 
 def values_sub(assignment: Mapping[str, str]) -> dict:

@@ -1,11 +1,13 @@
 import io
 import os
-from contextlib import redirect_stdout
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import zip_longest
 
 import pytest
 
-from enfkit import normalizer
+from enfkit import harness, normalizer
 from enfkit.cli import main
 from enfkit.parsing import parse_transducer
 from enfkit.transducers import alpha_eq
@@ -127,6 +129,32 @@ def test_usage_errors():
     assert code == 2
 
 
+def test_a_usage_error_leaves_the_parser_as_it_was():
+    # the parser is built once per process: a command after a usage error
+    # must run as it does in a fresh process
+    commands = [
+        ["verify", "--property", "bogus", "--corpus", "random:3:5"],
+        ["verify", "--property", "all", "--corpus", "random:3:5"],
+    ]
+    in_process = []
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        in_process.append((code, out.getvalue(), err.getvalue()))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    script = "import sys; from enfkit.cli import main; sys.exit(main(sys.argv[1:]))"
+    fresh = []
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [2, 0]
+
+
 def test_synthesize_phi0_golden_text():
     code, out = run(["--spec", SPEC, "synthesize", "phi0"])
     assert code == 0
@@ -206,13 +234,22 @@ def test_verify_equation_bound_is_inconclusive_per_pair(monkeypatch, tmp_path):
     assert code == 1 and len(out.strip().splitlines()) == 64
 
 
-def test_verify_rebuild_bound_is_inconclusive_per_pair():
+def test_verify_rebuild_bound_is_inconclusive_per_pair(monkeypatch):
     # pair 8, gen_formula(2x3, 8, 2013), determinises to 156 equations whose
     # stage-6 expansion passes `normalizer.MAX_REBUILD_BOXES`; every
     # criterion that compiles it is inconclusive, and nothing else changes
+    compiles, compile_formula = [], harness.compile_formula
+
+    def counted(f, d):
+        compiles.append(f)
+        return compile_formula(f, d)
+
+    monkeypatch.setattr(harness, "compile_formula", counted)
     code, out = run(["verify", "--property", "all", "--corpus", "random:8:2006"])
     lines = out.splitlines()
     assert code == 3 and len(lines) == 32
+    # a pair keeps the bound error of its enforcer: one compile per pair
+    assert len(compiles) == 8
     _, first = run(["verify", "--property", "all", "--corpus", "random:7:2006"])
     assert lines[:28] == first.splitlines()
     assert all(line.endswith("' pass") for line in lines[:28])

@@ -1,8 +1,12 @@
 """The term representation: every term class is a frozen, slotted dataclass
-built by `symbolic.term`, whose structural hash is computed once per object
-and kept."""
+built by `symbolic.term`, which interns each term as it is built, so
+structurally equal terms are one object and hash and compare by identity."""
+import copy
 import dataclasses
+import gc
 import inspect
+import pickle
+import weakref
 
 import pytest
 
@@ -13,6 +17,7 @@ from enfkit.symbolic import CachedHash
 from enfkit.synthesis import compile_formula
 
 from conftest import act
+from oracles import structurally_equal
 
 TERM_MODULES = (symbolic, formulas, processes, transducers, runtime)
 LANGUAGE_MODULES = {m.__name__ for m in (formulas, processes, transducers)}
@@ -37,7 +42,8 @@ def test_every_term_class_is_built_by_term():
     assert {"Action", "SymbolicAction", "Box", "Prefix", "TPrefix", "Config", "SimStep"} <= names
     for cls in classes:
         assert issubclass(cls, CachedHash), cls
-        assert cls.__hash__ is CachedHash.__hash__, cls
+        # identity, in C: no Python-level hash or equality on any term
+        assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__, cls
         assert cls.__dictoffset__ == 0, f"{cls.__name__} instances carry a __dict__"
     # a term class of the three languages without a declared shape would be
     # a leaf to every walker: its subterms and binders would go unseen
@@ -76,8 +82,78 @@ def test_terms_are_frozen(dom, terms):
         (runtime.Config(terms["ess"], terms["pg"]), "system"),
     ]
     for t, field in samples:
-        hash(t)
-        for name in (field, "_hash"):
+        for name in (field, "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(t, name, None)
-        assert hash(t) == hash(t._hash_key(t))
+        # a term is the one interned object for its class and fields
+        assert type(t)(*(getattr(t, f.name) for f in dataclasses.fields(t))) is t
+        assert hash(t) == object.__hash__(t)
+
+
+def test_equal_terms_are_one_object(dom):
+    # terms of all three languages from two separate generator runs, with
+    # their subterms: one object exactly when the fields say they are equal
+    def sample():
+        out = []
+        for seed in range(30):
+            f = gen_formula(dom, 1 + seed % 4, 9300 + seed % 12)
+            out += [f, gen_process(dom, 1 + seed % 5, 9400 + seed % 12), compile_formula(f, dom)]
+        stack, seen = list(out), {}
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen[id(t)] = t
+                for field in dataclasses.fields(t):
+                    stack += _term_values(getattr(t, field.name))
+        return list(seen.values())
+
+    first, second = sample(), sample()
+    same = 0
+    for a in first[:400]:
+        for b in second[:400]:
+            assert (a is b) == structurally_equal(a, b), (a, b)
+            same += a is b
+    assert same >= 50
+
+
+def _term_values(value):
+    items = value if type(value) is tuple else (value,)
+    return [v for v in items if dataclasses.is_dataclass(v)]
+
+
+def test_printing_and_parsing_give_the_same_object(dom):
+    for parse, t in _generated_terms(dom):
+        assert parse(str(t), dom) is t
+
+
+def test_a_dropped_term_is_collected_and_its_entries_swept(dom):
+    label = act("j?cls")
+    symbolic._sweep()
+    entries = len(symbolic._TERMS)
+    t = processes.PVar("Dropped")
+    for _ in range(1000):
+        t = processes.Prefix(label, t)
+    ref = weakref.ref(t)
+    assert len(symbolic._TERMS) == entries + 1001
+    del t
+    gc.collect()
+    assert ref() is None
+    # newest first: a key dropped frees its subterms before the scan gets there
+    symbolic._sweep()
+    assert len(symbolic._TERMS) == entries
+
+
+def test_a_field_that_cannot_be_hashed_is_refused():
+    with pytest.raises(TypeError):
+        formulas.FAnd([formulas.TT, formulas.FF])
+    with pytest.raises(TypeError):
+        symbolic.Lit({"i"})
+
+
+def test_terms_pickle_and_copy_to_the_interned_object(dom, terms):
+    samples = [runtime.Config(terms["ess"], terms["pg"]), symbolic.TRUE, act("i!ans")]
+    samples += [t for _, t in _generated_terms(dom)][:60]
+    for t in samples:
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t

@@ -113,20 +113,16 @@ def test_sat_oracle_rejects_a_data_open_formula(dom, terms):
 
 # ---------------------------------------------------------------------------
 # The fold and the map: each distinct subterm once, and no recursion limit.
-# The deep chains are hashed as they are built, since the first hash of a
-# fresh deep term recurses; the outputs of the map are walked, not hashed.
+# Terms are interned, so hashing or comparing a deep chain never recurses.
 
 DEPTH = 10_000
 
 
 def _chain(depth, leaf, wrap):
-    """`wrap` applied `depth` times above `leaf`, each level hashed as it is
-    built, so no hash of the chain recurses."""
+    """`wrap` applied `depth` times above `leaf`."""
     t = leaf
-    hash(t)
     for k in range(depth):
         t = wrap(t, k)
-        hash(t)
     return t
 
 
@@ -166,7 +162,6 @@ def test_formula_walkers_pass_a_deep_chain(dom):
     use = SymbolicAction(ActionPattern(Free("z"), False, Lit("ans")), TRUE)
     body = _chain(DEPTH, Box(use, FVar("X")), lambda t, k: Max("Y", Box(bind, t)))
     f = Max("X", Box(SymbolicAction(ActionPattern(Binder("z"), True, Lit("req")), TRUE), body))
-    hash(f)
     assert free_logic_vars(body) == {"X"} and free_data_vars(body) == {"z"}
     assert free_logic_vars(f) == free_data_vars(f) == frozenset()
     assert is_guarded(f) and is_shml(f)
@@ -185,7 +180,6 @@ def test_formula_walkers_pass_a_deep_chain(dom):
 def test_process_walkers_pass_a_deep_chain(dom):
     chain = _chain(DEPTH, PVar("X"), lambda t, k: Prefix(act("i?req"), t))
     p = Rec("X", chain)
-    hash(p)
     assert free_proc_vars(chain) == {"X"} and free_proc_vars(p) == frozenset()
     validate_process(p)
     assert _spine(subst_proc(chain, "X", NIL), "cont", DEPTH) == NIL
@@ -198,7 +192,6 @@ def test_transducer_walkers_pass_a_deep_chain(dom):
     chain = _chain(DEPTH, TRec("w", TVar("x")), step)
     outer = ActionPattern(Binder("z"), False, Lit("ans"))
     e = TRec("x", TPrefix(outer, TRUE, underline(outer), chain))
-    hash(e)
     assert free_rec_vars(chain) == {"x"} and transducers.free_data_vars(chain) == {"z"}
     validate_transducer(e)
     assert _spine(subst_rec(chain, "x", ID), "cont", DEPTH) == TRec("w", ID)
@@ -208,7 +201,7 @@ def test_transducer_walkers_pass_a_deep_chain(dom):
 
 
 def test_alpha_eq_passes_a_deep_chain():
-    # the two chains differ at every level, so no lookup compares them
+    # the two chains differ only in the name of their recursion variable
     source = ActionPattern(Binder("v"), False, Lit("ans"))
     step = lambda t, k: TPrefix(source, Cmp(Var("v"), Val("i"), False), underline(source), t)
     under = lambda var: TRec(var, _chain(DEPTH, TVar(var), step))
@@ -216,9 +209,25 @@ def test_alpha_eq_passes_a_deep_chain():
 
 
 def test_classify_passes_a_deep_chain(dom):
-    # `max Z`, not `max X`: the chains of other tests share no subterm with
-    # this one, so no memo lookup compares two equal deep terms
     req = SymbolicAction(ActionPattern(Lit("i"), True, Lit("req")), TRUE)
     f = Max("Z", _chain(DEPTH, FVar("Z"), lambda t, k: Box(req, t)))
-    hash(f)
     assert all(classify(f, dom))
+
+
+def test_two_builds_of_a_deep_chain_are_one_term():
+    # nothing hashes the chain while it is built; the second build finds
+    # each level of the first, so hash, == and alpha_eq take no recursion
+    source = ActionPattern(Binder("v"), True, Lit("cls"))
+    step = lambda t, k: TPrefix(source, TRUE, underline(source), t)
+    build = lambda: TRec("x", _chain(DEPTH, TVar("x"), step))
+    first, second = build(), build()
+    assert second is first
+    assert hash(second) == hash(first) and second == first
+    assert alpha_eq(first, second)
+
+
+def test_alpha_eq_of_two_deep_parses(dom):
+    # each parse builds its own chain bottom-up, level by level
+    text = "rec x." + "{i?req}." * 900 + "x"
+    first, second = parse_transducer(text, dom), parse_transducer(text, dom)
+    assert alpha_eq(first, second) and first is second
