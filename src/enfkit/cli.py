@@ -162,8 +162,6 @@ CRITERIA = {
 def cmd_verify(args) -> int:
     if args.depth < 0:
         raise ParseError("--depth must be at least 0")
-    if args.domain_bound < 1:
-        raise ParseError("--domain-bound must be at least 1")
     spec = load_specfile(args.spec) if args.spec else None
     domain, pairs = _corpus_from(args, spec)
     wanted = list(CRITERIA) if args.property == "all" else [args.property]
@@ -246,6 +244,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if args.domain_bound < 1:
+            raise ParseError("--domain-bound must be at least 1")
         return args.fn(args)
     except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

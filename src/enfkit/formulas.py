@@ -191,33 +191,21 @@ is_shml = symbolic.Fold(lambda f, shape, kids: isinstance(f, _SAFETY) and all(ki
 
 @term_memo
 def necessities(f: Formula) -> tuple:
-    """What a safety formula demands of a state: the necessities it reaches
-    through conjunction items and fixpoint unfoldings, in source order with
-    repeats kept, and whether it reaches falsehood that way.
+    """What a safety formula demands of a state: the necessities among its
+    `symbolic.heads`, which it reaches through conjunction items and
+    fixpoint unfoldings, in source order with repeats kept, and whether it
+    reaches falsehood that way.
 
-    A fixpoint met again on its own unfolding path is unguarded, and a free
-    logical variable or a non-safety operator has no such reading; each
-    raises FormulaError.
+    A free logical variable, a non-safety operator anywhere (`FOr` has the
+    shape of `FAnd`, so it is ruled out first) and a fixpoint met again on
+    its own unfolding path each raise FormulaError.
     """
     if free_logic_vars(f):
         raise FormulaError("formula is open in logical variables")
-    boxes, falsified = [], False
-    stack = [(f, frozenset())]  # a subformula and the fixpoints unfolded above it
-    while stack:
-        g, unfolding = stack.pop()
-        if isinstance(g, Box):
-            boxes.append(g)
-        elif isinstance(g, FFalse):
-            falsified = True
-        elif isinstance(g, FAnd):
-            stack.extend((i, unfolding) for i in reversed(g.items))
-        elif isinstance(g, Max):
-            if g in unfolding:
-                raise FormulaError("fixpoint is not guarded")
-            stack.append((unfold(g), unfolding | {g}))
-        elif not isinstance(g, FTrue):
-            raise FormulaError(f"{type(g).__name__} is not a safety operator")
-    return tuple(boxes), falsified
+    if not is_shml(f):
+        raise FormulaError("a disjunction, possibility or least fixpoint is not a safety operator")
+    found = symbolic.heads(f, FormulaError)
+    return tuple(g for g in found if type(g) is Box), FF in found
 
 
 def necessity_branches(f):

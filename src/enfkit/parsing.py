@@ -488,7 +488,8 @@ class SpecFile:
     def lookup(self, kind: str, name: str):
         table = getattr(self, kind)
         if name not in table:
-            raise ParseError(f"{kind[:-1]} {name!r} is not defined in the spec file")
+            what = "process" if kind == "processes" else kind[:-1]
+            raise ParseError(f"{what} {name!r} is not defined in the spec file")
         return table[name]
 
 

@@ -97,28 +97,14 @@ def _is_process_node(p) -> bool:
 
 
 def step(p: Process):
-    """All transitions of a closed process term, in source order."""
+    """All transitions of a closed process term, in source order: its
+    prefix `symbolic.heads`, each once (equal prefixes are one term)."""
     out = []
-    seen = set()
-
-    def emit(label, target):
-        key = (label, target)
-        if key not in seen:
-            seen.add(key)
-            out.append((label, target))
-
-    def walk(term):
-        if isinstance(term, Prefix):
-            emit(term.label, term.cont)
-        elif isinstance(term, Choice):
-            for b in term.branches:
-                walk(b)
-        elif isinstance(term, Rec):
-            walk(subst_proc(term.body, term.var, term))
-        elif isinstance(term, PVar):
-            raise ProcessError(f"cannot step open term with free {term.name!r}")
-
-    walk(p)
+    for head in dict.fromkeys(symbolic.heads(p, ProcessError)):
+        if isinstance(head, PVar):
+            raise ProcessError(f"cannot step open term with free {head.name!r}")
+        if isinstance(head, Prefix):
+            out.append((head.label, head.cont))
     return out
 
 

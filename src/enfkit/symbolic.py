@@ -31,8 +31,8 @@ binder renaming (`narrow`, `rename_binders`, `avoid_capture`), and keys up to
 binder names (`term_key`, `cond_key`, `pattern_key`, and `AlphaKeys`, which
 hands any term an integer key), on which `transducers.alpha_eq` and the
 normaliser's equation interning both rest.  The terms of formulas, processes
-and transducers declare their subterms and binders (`Shape`), and their
-walkers are rules on one fold and one map.
+and transducers declare their subterms and binders (`Shape`): their
+walkers are rules on one fold and one map, and their steps read `heads`.
 """
 from __future__ import annotations
 
@@ -506,6 +506,7 @@ def conjoin(items: Iterable[Condition]) -> Condition:
     return And(tuple(flat))
 
 
+@term_memo
 def cond_vars(c: Condition) -> frozenset:
     if isinstance(c, (CTrue, CFalse)):
         return frozenset()
@@ -751,6 +752,28 @@ def subst_var(t, var: str, rep):
         return node, ctx
 
     return rebuild(t, enter)
+
+
+def heads(t, error) -> list:
+    """What `t` does next: the nodes it reaches, in source order with
+    repeats, when a sum passes on its subterms and a binder its unfolding
+    (its body with itself substituted for its variable).  Anything else, a
+    prefix, a leaf or a free occurrence, is a head.  A binder met again on
+    its own unfolding path is unguarded, and raises `error`."""
+    out, stack = [], [(t, _EMPTY)]
+    while stack:
+        node, unfolding = stack.pop()
+        shape = SHAPES.get(type(node), _LEAF)
+        if shape.binds:
+            if node in unfolding:
+                raise error("fixpoint is not guarded")
+            body = subst_var(getattr(node, shape.child), getattr(node, shape.binds), node)
+            stack.append((body, unfolding | {node}))
+        elif shape.many and shape.guard is None:
+            stack.extend(zip(reversed(getattr(node, shape.child)), repeat(unfolding)))
+        else:
+            out.append(node)
+    return out
 
 
 def narrow(sub: Substitution, binders: frozenset):

@@ -11,6 +11,8 @@ are ever emitted: no insertions, no replacements.
 """
 from __future__ import annotations
 
+from itertools import chain, count, filterfalse
+
 from .formulas import (
     FFalse,
     FTrue,
@@ -43,22 +45,12 @@ class _Names:
         self.avoid = frozenset(avoid)
         self.mapping: dict = {}
         self.sum_count = 0
-
-    def _candidates(self):
-        yield from _VAR_POOL
-        i = 1
-        while True:
-            for base in _VAR_POOL:
-                yield f"{base}{i}"
-            i += 1
+        numbered = (f"{base}{i}" for i in count(1) for base in _VAR_POOL)
+        self._fresh = filterfalse(self.avoid.__contains__, chain(_VAR_POOL, numbered))
 
     def for_var(self, logical: str) -> str:
         if logical not in self.mapping:
-            taken = self.avoid | set(self.mapping.values())
-            for cand in self._candidates():
-                if cand not in taken:
-                    self.mapping[logical] = cand
-                    break
+            self.mapping[logical] = next(self._fresh)
         return self.mapping[logical]
 
     def fresh_sum_var(self) -> str:

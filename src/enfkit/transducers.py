@@ -137,38 +137,21 @@ def _instantiate_target(target, sub):
 
 def tstep(e: Transducer, domain):
     """All transform transitions ((gamma, output), continuation), enumerated
-    over the domain's actions plus the insertion marker, in source order."""
-    out = []
-    seen = set()
-
-    def emit(gamma, produced, cont):
-        key = (gamma, produced, cont)
-        if key not in seen:
-            seen.add(key)
-            out.append(((gamma, produced), cont))
-
-    gammas = tuple(domain.actions) + (INSERT,)
-
-    def walk(term):
-        if isinstance(term, TId):
-            for a in domain.actions:
-                emit(a, a, term)
-        elif isinstance(term, TPrefix):
-            for gamma in gammas:
-                sub = match(term.pattern, gamma)
-                if sub is None or not eval_condition(term.condition, sub):
-                    continue
-                emit(gamma, _instantiate_target(term.target, sub), subst_data(term.cont, sub))
-        elif isinstance(term, TSum):
-            for b in term.branches:
-                walk(b)
-        elif isinstance(term, TRec):
-            walk(subst_rec(term.body, term.var, term))
-        elif isinstance(term, TVar):
-            raise TransducerError(f"cannot step open term with free {term.name!r}")
-
-    walk(e)
-    return out
+    over the domain's actions plus the insertion marker, in source order:
+    the identity and transform prefixes among `symbolic.heads`, each once."""
+    moves = {}
+    for head in dict.fromkeys(symbolic.heads(e, TransducerError)):
+        if isinstance(head, TVar):
+            raise TransducerError(f"cannot step open term with free {head.name!r}")
+        if isinstance(head, TId):
+            moves.update(dict.fromkeys(((a, a), head) for a in domain.actions))
+        elif isinstance(head, TPrefix):
+            for gamma in (*domain.actions, INSERT):
+                sub = match(head.pattern, gamma)
+                if sub is not None and eval_condition(head.condition, sub):
+                    target = _instantiate_target(head.target, sub)
+                    moves[(gamma, target), subst_data(head.cont, sub)] = None
+    return list(moves)
 
 
 class TransformTable(NamedTuple):

@@ -8,6 +8,10 @@ assignment of the variables into the domain's value universe.
 `naive_istep` steps the enforcer afresh with `tstep` and scans every
 transform for each system move.
 
+`processes.step` and `transducers.tstep` read `symbolic.heads`;
+`naive_step` and `naive_tstep` walk the term recursively by its own
+constructors instead.
+
 Terms are interned, so their `==` is identity; `structurally_equal`
 compares two terms field by field instead.
 """
@@ -15,6 +19,7 @@ import dataclasses
 from itertools import product
 from typing import Mapping
 
+from enfkit.processes import Choice, Prefix, ProcessError, PVar, Rec, subst_proc
 from enfkit.runtime import Config
 from enfkit.symbolic import (
     INSERT,
@@ -28,10 +33,14 @@ from enfkit.symbolic import (
     denote,
     disjoint,
     eval_condition,
+    match,
     subst_condition,
+    subst_data,
     subst_pattern,
 )
-from enfkit.transducers import ID, tstep
+from enfkit.transducers import (
+    ID, TId, TPrefix, TRec, TSum, TVar, TransducerError, _instantiate_target, subst_rec, tstep,
+)
 
 
 def structurally_equal(a, b) -> bool:
@@ -119,4 +128,55 @@ def naive_istep(cfg: Config, sys_steps, domain: Domain):
             if label is TAU or label in handled:
                 continue
             out.append(("iTer", label, Config(ID, target)))
+    return out
+
+
+def naive_step(p):
+    """`processes.step` by a recursive walk over choices and unfoldings."""
+    out = []
+
+    def walk(term):
+        if isinstance(term, Prefix):
+            if (term.label, term.cont) not in out:
+                out.append((term.label, term.cont))
+        elif isinstance(term, Choice):
+            for b in term.branches:
+                walk(b)
+        elif isinstance(term, Rec):
+            walk(subst_proc(term.body, term.var, term))
+        elif isinstance(term, PVar):
+            raise ProcessError(f"cannot step open term with free {term.name!r}")
+
+    walk(p)
+    return out
+
+
+def naive_tstep(e, domain: Domain):
+    """`transducers.tstep` by a recursive walk over sums and unfoldings,
+    matching every transform prefix against every action and `INSERT`."""
+    out = []
+
+    def emit(move):
+        if move not in out:
+            out.append(move)
+
+    def walk(term):
+        if isinstance(term, TId):
+            for a in domain.actions:
+                emit(((a, a), term))
+        elif isinstance(term, TPrefix):
+            for gamma in (*domain.actions, INSERT):
+                sub = match(term.pattern, gamma)
+                if sub is not None and eval_condition(term.condition, sub):
+                    produced = _instantiate_target(term.target, sub)
+                    emit(((gamma, produced), subst_data(term.cont, sub)))
+        elif isinstance(term, TSum):
+            for b in term.branches:
+                walk(b)
+        elif isinstance(term, TRec):
+            walk(subst_rec(term.body, term.var, term))
+        elif isinstance(term, TVar):
+            raise TransducerError(f"cannot step open term with free {term.name!r}")
+
+    walk(e)
     return out

@@ -40,6 +40,37 @@ def test_check_unknown_name_is_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["check", "nosuch", "pg"], "formula 'nosuch' is not defined"),
+        (["check", "phi1", "nosuch"], "process 'nosuch' is not defined"),
+        (["simulate", "--enforcer", "nosuch", "--process", "pg"],
+         "transducer 'nosuch' is not defined"),
+    ],
+)
+def test_an_unknown_name_is_reported_by_its_kind(capsys, argv, error):
+    assert run(["--spec", SPEC, *argv]) == (2, "")
+    assert capsys.readouterr().err == f"error: {error} in the spec file\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "phi1", "pg"],
+        ["normalize", "phi1"],
+        ["synthesize", "phi1"],
+        ["simulate", "--enforcer", "ess", "--process", "pg"],
+        ["bisim", "--left", "pg", "--right", "pg"],
+        ["verify", "--property", "all", "--corpus", "random:2:1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_subcommand_rejects_a_domain_bound_below_one(capsys, argv):
+    assert run(["--domain-bound", "0", "--spec", SPEC, *argv]) == (2, "")
+    assert capsys.readouterr().err == "error: --domain-bound must be at least 1\n"
+
+
 def test_synthesize_emits_the_handwritten_suppressor(dom, terms):
     code, out = run(["--spec", SPEC, "synthesize", "phi1"])
     assert code == 0

@@ -1,31 +1,39 @@
 """The binder-aware walkers of the three term languages: recursion-variable
-substitution, validation, keys up to binder names, and the fold and map
-they run on."""
+substitution, validation, keys up to binder names, what a term does next,
+and the fold and map they run on."""
+import os
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enfkit.formulas import (
-    FF, Box, FVar, Max, all_names, classify, free_data_vars, free_logic_vars, is_guarded,
-    is_shml, subst_data, subst_logic,
+    FF, Box, FAnd, FormulaError, FVar, Max, all_names, classify, free_data_vars,
+    free_logic_vars, is_guarded, is_shml, necessities, subst_data, subst_logic,
 )
+from enfkit.harness import BOUND_ERRORS, gen_formula, gen_process
 from enfkit.modelcheck import ModelCheckError, sat_oracle
 from enfkit.normalizer import _renumber_binders, normalize_formula_patterns
-from enfkit.parsing import parse_formula, parse_process, parse_transducer
+from enfkit.parsing import load_specfile, parse_formula, parse_process, parse_transducer
 from enfkit.processes import (
-    NIL, Choice, Prefix, ProcessError, PVar, Rec, free_proc_vars, reachable, subst_proc,
+    NIL, Choice, Prefix, ProcessError, PVar, Rec, free_proc_vars, reachable, step, subst_proc,
     validate_process,
 )
 from enfkit.runtime import composite_lts, simulate
 from enfkit.symbolic import (
-    TRUE, ActionPattern, Binder, Cmp, Fold, Free, Lit, SymbolicAction, Val, Var, underline,
+    INSERT, TAU, TRUE, ActionPattern, Binder, Cmp, Fold, Free, Lit, SymbolicAction, Val, Var,
+    heads, underline,
 )
-from enfkit.synthesis import optimize
+from enfkit.synthesis import compile_formula, optimize
 from enfkit import transducers
 from enfkit.transducers import (
     ID, TPrefix, TRec, TSum, TVar, TransducerError, alpha_eq, free_rec_vars, subst_rec,
-    validate_transducer,
+    transducer_lts, tstep, validate_transducer,
 )
 
 from conftest import act
+from oracles import naive_step, naive_tstep
+
+SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "server.spec")
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +104,74 @@ def test_validation_rejects_open_and_unguarded_terms(dom):
         validate_transducer(TRec("x", TSum((TVar("x"), ID))))
     with pytest.raises(ProcessError, match="'X' is not guarded"):
         validate_process(Rec("X", Choice((PVar("X"), NIL))))
+
+
+# ---------------------------------------------------------------------------
+# What a term does next: `step`, `tstep` and `necessities` read `heads`
+
+
+def test_heads_unfold_binders_and_pass_sums_in_source_order(dom):
+    f = parse_formula("(max X.([i?req]X && (ff && [i!ans]tt))) && [i?req]ff", dom)
+    loop = f.items[0]
+    assert heads(f, FormulaError) == [
+        Box(loop.body.items[0].action, loop), FF, loop.body.items[1].items[1], f.items[1]
+    ]
+    req = Prefix(act("i?req"), NIL)
+    p = Choice((req, Rec("X", Choice((req, NIL, PVar("Y"), Prefix(TAU, PVar("X")))))))
+    assert heads(p, ProcessError) == [req, req, NIL, PVar("Y"), Prefix(TAU, p.branches[1])]
+
+
+@pytest.mark.parametrize(
+    "term, error",
+    [
+        (Max("X", FAnd((FVar("X"), FF))), FormulaError),
+        (Max("X", Max("Y", FAnd((FF, FVar("X"))))), FormulaError),
+        (Rec("X", Choice((NIL, PVar("X")))), ProcessError),
+        (TRec("x", TRec("y", TSum((TVar("y"), ID)))), TransducerError),
+    ],
+)
+def test_heads_reject_unguarded_recursion_in_each_language(term, error):
+    with pytest.raises(error, match="fixpoint is not guarded"):
+        heads(term, error)
+
+
+def test_step_and_tstep_reject_unguarded_recursion(dom):
+    with pytest.raises(ProcessError, match="not guarded"):
+        step(Rec("X", Choice((NIL, PVar("X")))))
+    with pytest.raises(TransducerError, match="not guarded"):
+        tstep(TRec("x", TSum((ID, TVar("x")))), dom)
+
+
+def _assert_steps_match_the_oracles(lts, next_moves, oracle):
+    for state in lts.states:
+        assert next_moves(state) == oracle(state), state
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 24), seed=st.integers(0, 10_000))
+def test_step_matches_the_recursive_walk(dom, size, seed):
+    lts = reachable(gen_process(dom, size, seed), 10_000)
+    _assert_steps_match_the_oracles(lts, step, naive_step)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 8), seed=st.integers(0, 10_000))
+def test_tstep_matches_the_recursive_walk_on_compiled_enforcers(dom, size, seed):
+    try:
+        e = compile_formula(gen_formula(dom, size, seed), dom)
+    except BOUND_ERRORS:
+        return
+    lts = transducer_lts(e, dom)
+    _assert_steps_match_the_oracles(lts, lambda t: tstep(t, dom), lambda t: naive_tstep(t, dom))
+
+
+def test_tstep_matches_the_recursive_walk_on_the_server_enforcers():
+    spec = load_specfile(SPEC)
+    d = spec.domain
+    assert any(gamma is INSERT for (gamma, _), _ in tstep(spec.transducers["ei"], d))
+    for e in spec.transducers.values():
+        lts = transducer_lts(e, d)
+        _assert_steps_match_the_oracles(lts, lambda t: tstep(t, d), lambda t: naive_tstep(t, d))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +282,27 @@ def test_alpha_eq_passes_a_deep_chain():
     step = lambda t, k: TPrefix(source, Cmp(Var("v"), Val("i"), False), underline(source), t)
     under = lambda var: TRec(var, _chain(DEPTH, TVar(var), step))
     assert alpha_eq(under("x"), under("y"))
+
+
+def test_steps_pass_a_deep_nest_of_sums(dom):
+    # a sum inside a sum, DEPTH times, each level adding one prefix
+    acts = dom.actions
+    p = _chain(DEPTH, NIL, lambda t, k: Choice((Prefix(acts[k % len(acts)], NIL), t)))
+    outermost_first = (acts[k % len(acts)] for k in reversed(range(DEPTH)))
+    assert step(p) == [(a, NIL) for a in dict.fromkeys(outermost_first)]
+    assert len(reachable(p, 2)) == 2
+    e = _chain(DEPTH, ID, lambda t, k: TSum((TPrefix(*_suppress(acts[k % len(acts)]), ID), t)))
+    assert len(tstep(e, dom)) == 2 * len(acts)
+    box = parse_formula("[i?req]ff", dom)
+    f = _chain(DEPTH, FF, lambda t, k: FAnd((box, t)))
+    assert necessities(f) == ((box,) * DEPTH, True)
+
+
+def _suppress(action):
+    """The pattern, condition and target of a transform that suppresses
+    `action`."""
+    pattern = ActionPattern(Lit(action.port), action.is_input, Lit(action.payload))
+    return pattern, TRUE, TAU
 
 
 def test_classify_passes_a_deep_chain(dom):
