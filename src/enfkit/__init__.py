@@ -17,7 +17,7 @@ from .symbolic import (
 )
 from .formulas import Formula, classify
 from .processes import LTS, Process, reachable, step, trace_tree, traces, weak_step
-from .modelcheck import mc_eval, sat_oracle, satisfies
+from .modelcheck import mc_eval, sat_oracle, satisfies, shortest_violation
 from .normalizer import (
     EquationSystem,
     normalize,

@@ -5,11 +5,11 @@ satisfaction search for the safety fragment.
 fixpoints iterated to stabilisation (greatest from the full state set, least
 from the empty one) and modalities ranging over weak derivatives.
 
-`sat_oracle` decides closed safety formulas by a second, independent route:
-a search of the (state, continuation) pairs the satisfaction rules demand,
-each read through `formulas.necessities`, which fails exactly when it reaches
-falsehood.  The verify path asks only it; the two routes must agree on the
-safety fragment.
+`shortest_violation` decides closed safety formulas by a second, independent
+route: a search of the (state, continuation) pairs the satisfaction rules
+demand, each read through `formulas.necessities`, which fails exactly when it
+reaches falsehood and names the trace that got there; `sat_oracle` is its
+yes/no answer.  The verify path asks only it, and the two routes must agree.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .formulas import (
     subst_data,
 )
 from .processes import DEFAULT_STATE_BOUND, LTS, as_lts, weak_step
-from .symbolic import Domain, sym_match
+from .symbolic import Domain, sym_match, term_memo
 
 
 class ModelCheckError(Exception):
@@ -73,23 +73,18 @@ def mc_eval(f: Formula, lts: LTS, valuation, domain: Domain) -> frozenset:
             for i in g.items:
                 out |= ev(i, rho)
             return out
-        if isinstance(g, Box):
-            result = set(all_states)
+        if isinstance(g, (Box, Dia)):
+            must = isinstance(g, Box)
+            result = set(all_states) if must else set()
             for a in domain.actions:
                 sub = sym_match(g.action, a)
                 if sub is None:
                     continue
                 body_set = ev(subst_data(g.body, sub), rho)
-                result = {s for s in result if weak_step(lts, s, a) <= body_set}
-            return frozenset(result)
-        if isinstance(g, Dia):
-            result = set()
-            for a in domain.actions:
-                sub = sym_match(g.action, a)
-                if sub is None:
-                    continue
-                body_set = ev(subst_data(g.body, sub), rho)
-                result |= {s for s in all_states if weak_step(lts, s, a) & body_set}
+                if must:
+                    result = {s for s in result if weak_step(lts, s, a) <= body_set}
+                else:
+                    result |= {s for s in all_states if weak_step(lts, s, a) & body_set}
             return frozenset(result)
         if isinstance(g, (Max, Min)):
             greatest = isinstance(g, Max)
@@ -123,37 +118,50 @@ def satisfies(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BOU
 
 
 def sat_oracle(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BOUND) -> bool:
-    """Coinductive satisfaction for closed, guarded safety formulas: a
-    breadth-first search of the (state, continuation) pairs from the root,
-    each read through `necessities`, where a necessity demands its
-    instantiated continuation at every matching weak derivative.  Every rule
-    is conjunctive, so the answer is False as soon as a pair's view reaches
-    falsehood, before the bound is tested.  More than `DEFAULT_CLOSURE_BOUND`
-    pairs raise `ClosureBoundExceeded`."""
+    """Coinductive satisfaction for closed, guarded safety formulas."""
+    return shortest_violation(system, f, domain, bound) is None
+
+
+@term_memo
+def _text_order(domain: Domain) -> tuple:
+    return tuple(sorted(domain.actions, key=str))  # `!` before `?`, unlike `actions`
+
+
+def shortest_violation(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BOUND):
+    """The shortest weak trace along which the system violates a closed,
+    guarded safety formula, first in label text order among the shortest,
+    or None when it satisfies the formula.  A breadth-first search over
+    (state, continuation) pairs read through `necessities`: a queue entry is
+    a trace with the pairs it reached first, extended by labels in text
+    order (Clarke et al., DAC 1995).  Falsehood is decided before the bound
+    is tested: more than `DEFAULT_CLOSURE_BOUND` pairs raise
+    `ClosureBoundExceeded`."""
     if not is_shml(f) or free_logic_vars(f) or free_data_vars(f) or not is_guarded(f):
         raise ModelCheckError("the satisfaction oracle handles closed, guarded safety formulas")
-    lts, root_state = as_lts(system, bound)
-
-    root = (root_state, f)
-    seen = {root}
-    queue = deque([root])
+    lts, root = as_lts(system, bound)
+    if necessities(f)[1]:
+        return ()
+    seen = {(root, f)}
+    queue = deque([((), [(root, f)])])
     while queue:
-        state, g = queue.popleft()
-        boxes, falsified = necessities(g)
-        if falsified:
-            return False
-        for box in boxes:
-            for a in domain.actions:
-                sub = sym_match(box.action, a)
-                targets = () if sub is None else weak_step(lts, state, a)
-                if not targets:
-                    continue
-                cont = subst_data(box.body, sub)
-                if necessities(cont)[1]:  # decided before the bound is tested
-                    return False
-                new = [(q, cont) for q in targets if (q, cont) not in seen]
-                if len(seen) + len(new) > DEFAULT_CLOSURE_BOUND:
-                    raise ClosureBoundExceeded("satisfaction closure grew past the bound")
-                seen.update(new)
-                queue.extend(new)
-    return True
+        trace, pairs = queue.popleft()
+        views = [(state, necessities(g)[0]) for state, g in pairs]
+        for a in _text_order(domain):
+            reached = []
+            for state, boxes in views:
+                for box in boxes:
+                    sub = sym_match(box.action, a)
+                    targets = () if sub is None else weak_step(lts, state, a)
+                    if not targets:
+                        continue
+                    cont = subst_data(box.body, sub)
+                    if necessities(cont)[1]:
+                        return trace + (a,)
+                    new = [(q, cont) for q in targets if (q, cont) not in seen]
+                    if len(seen) + len(new) > DEFAULT_CLOSURE_BOUND:
+                        raise ClosureBoundExceeded("satisfaction closure grew past the bound")
+                    seen.update(new)
+                    reached += new
+            if reached:
+                queue.append((trace + (a,), reached))
+    return None

@@ -1076,6 +1076,7 @@ def disjoint(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
 _PORT, _PAYLOAD = Var(".port"), Var(".payload")
 
 
+@term_memo
 def disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
     """Disjointness of possibly open guards: they must not overlap under any
     assignment of their outer free variables.

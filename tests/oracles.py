@@ -12,6 +12,10 @@ transform for each system move.
 `naive_step` and `naive_tstep` walk the term recursively by its own
 constructors instead.
 
+`modelcheck.shortest_violation` names a soundness witness from the search
+that decides satisfaction; `depth_bounded_witness` enumerates every trace of
+the system up to a depth and keeps the first violating one.
+
 Terms are interned, so their `==` is identity; `structurally_equal`
 compares two terms field by field instead.
 """
@@ -19,7 +23,8 @@ import dataclasses
 from itertools import product
 from typing import Mapping
 
-from enfkit.processes import Choice, Prefix, ProcessError, PVar, Rec, subst_proc
+from enfkit.harness import _in_order, violating_traces
+from enfkit.processes import Choice, Prefix, ProcessError, PVar, Rec, subst_proc, traces
 from enfkit.runtime import Config
 from enfkit.symbolic import (
     INSERT,
@@ -101,6 +106,16 @@ def naive_disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) ->
         not (denote_under(sa1, d, env) & denote_under(sa2, d, env))
         for env in assignments(outer, d)
     )
+
+
+def depth_bounded_witness(system, f, d: Domain, depth: int):
+    """`shortest_violation` within a depth: every trace of the (LTS, state)
+    system up to the depth, the violating ones among them by
+    `violating_traces`, and the first of those in `_in_order`; None when no
+    trace within the depth violates."""
+    lts, state = system
+    found = violating_traces(system, traces(lts, state, depth), f, d)
+    return next(iter(_in_order(found)), None)
 
 
 def naive_istep(cfg: Config, sys_steps, domain: Domain):

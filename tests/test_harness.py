@@ -28,7 +28,7 @@ from enfkit.harness import (
     violates,
     violating_traces,
 )
-from enfkit.modelcheck import sat_oracle, satisfies
+from enfkit.modelcheck import sat_oracle, satisfies, shortest_violation
 from enfkit.normalizer import normalize
 from enfkit.parsing import parse_formula, parse_process
 from enfkit.processes import (
@@ -46,7 +46,8 @@ from enfkit.processes import (
 from enfkit.runtime import composite_lts, simulate
 from enfkit.symbolic import TAU, TRUE, ActionPattern, Domain, Free, Lit, SymbolicAction
 from enfkit.synthesis import compile_formula, optimize, synthesize
-from enfkit.transducers import alpha_eq
+from enfkit.transducers import ID, alpha_eq
+from oracles import depth_bounded_witness
 
 from conftest import act
 
@@ -124,6 +125,55 @@ def test_insertion_enforcer_breaks_soundness_with_paper_witness(dom, terms):
     v = check_soundness(Pair(terms["phi1"], terms["pb"], dom, enforcer=terms["ei"]))
     assert v.outcome == "fail"
     assert v.witness == "i?req·i!ans·i?req·i?req"
+
+
+def test_a_soundness_witness_may_be_longer_than_the_depth(dom):
+    # the search that decides the failure names the trace, past depth 6
+    f = parse_formula("[i?req]" * 7 + "ff", dom)
+    v = check_soundness(Pair(f, parse_process("rec X.i?req.X", dom), dom, enforcer=ID), depth=6)
+    assert v.outcome == "fail"
+    assert v.witness == "·".join(["i?req"] * 7)
+
+
+def test_shortest_violation_orders_labels_across_the_pairs_of_a_trace(dom):
+    # after i?req the search holds two pairs, one per necessity; the later
+    # one fails on i!ans, which comes before j?req in text order
+    f = parse_formula("[i?req][j?req]ff && [i?req][i!ans]ff", dom)
+    comp = composite_lts(ID, parse_process("i?req.(i!ans.nil + j?req.nil)", dom), dom)
+    system = (comp, comp.initial)
+    witness = shortest_violation(system, f, dom)
+    assert [str(a) for a in witness] == ["i?req", "i!ans"]
+    assert witness == depth_bounded_witness(system, f, dom, 2)
+
+
+def test_shortest_violation_matches_the_depth_bounded_witness(dom, terms):
+    # wrong enforcers over seeded processes: the search fails exactly the
+    # composites that do not satisfy the formula, each witness violates the
+    # formula there, and it is the enumerated witness when one lies within
+    # the depth, else longer than the depth
+    depth = 2
+    fs = [terms["phi1"], terms["phi0"], *(gen_formula(dom, 12, s) for s in (15, 17, 25, 29, 39))]
+    enforcers = [ID, terms["ei"], terms["er"], terms["es"], *(
+        compile_formula(gen_formula(dom, 5, 60 + s), dom) for s in range(2))]
+    within = Counter()
+    for i in range(30):
+        p = gen_process(dom, 6 + i % 24, 500 + i)
+        for e in enforcers:
+            comp = composite_lts(e, p, dom)
+            system = (comp, comp.initial)
+            for f in fs:
+                witness = shortest_violation(system, f, dom)
+                assert (witness is None) == satisfies(system, f, dom), (e, p, f)
+                if witness is None:
+                    continue
+                assert violates(system, witness, f, dom), (e, p, f, witness)
+                enumerated = depth_bounded_witness(system, f, dom, depth)
+                if enumerated is None:
+                    assert len(witness) > depth, (e, p, f, witness)
+                else:
+                    assert witness == enumerated, (e, p, f)
+                within[enumerated is not None] += 1
+    assert within[True] >= 20 and within[False] >= 5, within
 
 
 def test_hand_written_enforcers_other_than_insertion_are_sound(dom, terms):

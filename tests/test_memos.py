@@ -1,9 +1,10 @@
-"""Memos keyed on term values: an LTS's tau-closure and weak-step memos, and
-the formula memos of free variables, guardedness, the safety fragment and
-the necessity view.
+"""Memos keyed on term values: an LTS's tau-closure and weak-step memos, the
+formula memos of free variables, guardedness, the safety fragment and the
+necessity view, and the guard-disjointness memo.
 A memo must return what a fresh computation returns, whoever filled it."""
 import pytest
 
+from enfkit import formulas, symbolic
 from enfkit.formulas import (
     FormulaError,
     Max,
@@ -126,3 +127,28 @@ def test_formula_memos_on_open_subterms(dom):
     dia, loop = inner.items
     assert _facts(dia)[:4] == (frozenset({"X"}), frozenset({"x"}), False, True)
     assert _facts(loop) == (frozenset(), frozenset(), True, False, "fixpoint is not guarded")
+
+
+def test_a_compile_decides_each_guard_pair_once(dom, monkeypatch):
+    # the normal-form test asks the same guard pairs at every conjunction of
+    # the unshared normal form; the memo decides each distinct pair once (a
+    # pair of an input and an output guard needs no decision)
+    asked, decided = [], []
+    ask, decide = formulas.disjoint_under, symbolic._decide
+
+    def counted_ask(sa1, sa2, d):
+        asked.append((sa1, sa2))
+        return ask(sa1, sa2, d)
+
+    def counted_decide(c, values):
+        if symbolic._PORT.name in symbolic.cond_vars(c):  # a disjointness query
+            decided.append(c)
+        return decide(c, values)
+
+    monkeypatch.setattr(formulas, "disjoint_under", counted_ask)
+    monkeypatch.setattr(symbolic, "_decide", counted_decide)
+    symbolic.disjoint_under.cache_clear()
+    compile_formula(gen_formula(dom, 24, 15), dom)
+    assert len(asked) > 2 * len(set(asked))
+    same_polarity = {(a, b) for a, b in asked if a.pattern.is_input == b.pattern.is_input}
+    assert len(decided) == len(same_polarity)
