@@ -46,7 +46,6 @@ from .harness import (
     is_sat,
     make_corpus,
     violates,
-    violating_traces,
 )
 from .parsing import (
     SpecFile,

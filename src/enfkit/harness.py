@@ -16,22 +16,24 @@ witness), or inconclusive when a bound truncated the search.
   oracle         the two satisfaction routes agree on safety formulas.
 
 The first four criteria, and the oracle agreement, take a `Pair`: one
-formula and one process, whose enforcer, LTS, composite, satisfaction and
-trace tree at each depth are derived once and shared by every check run on
-it.  Normalization takes one formula and many systems.  Soundness asks if
-the formula is satisfiable (`is_sat`), then for the composite's
-`shortest_violation`, the one search that decides a failure and names its
-witness.  Satisfaction is decided by that search (`sat_oracle`); only the
-oracle agreement and normalization also evaluate denotations with `mc_eval`.
+formula and one process, whose enforcer, LTS, composite and satisfaction are
+derived once and shared by every check run on it.  Normalization takes one
+formula and many systems.  Soundness asks if the formula is satisfiable
+(`is_sat`), then for the composite's `shortest_violation`, the one search
+that decides a failure and names its witness.  Satisfaction is decided by
+that search (`sat_oracle`); only the oracle agreement and normalization also
+evaluate denotations with `mc_eval`.
 
-The trace-based criteria decide violation for all their candidate traces at
-once: `violating_traces` walks the prefix trie of the candidates and carries
-the open obligations from each prefix to its extensions, so a prefix shared
-by many candidates is derived once (formula derivatives over a trie, after
-Brzozowski, JACM 1964).  nvtt reads each trace's derivatives from the
-`trace_tree` of the process and of the composite.  `violates`, the
-trace-level forcing relation decided for one trace, is the oracle the walk
-is tested against.
+The trace-based criteria read one breadth-first search by trace length
+(`_trace_classes`).  A trace's verdict depends only on the weak derivatives
+it leads to, in the process and in the composite, and on the obligations it
+leaves open (necessities mapped to the states that must meet them, read off
+`formulas.necessities`).  The search keeps one node per such key, at the
+first trace in length-then-text order that reaches it: the subset
+construction (after De Wulf, Doyen, Henzinger and Raskin, CAV 2006), so the
+first failing trace is the one a walk over every trace would print.
+`violates`, the trace-level forcing relation decided for one trace, is the
+oracle the search is tested against.
 
 Also here: the formula residual (`after`) and the seeded random generators
 feeding the suites.
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from .bisim import bisim
@@ -78,7 +79,8 @@ from .processes import (
     as_lts,
     free_proc_vars,
     reachable,
-    trace_tree,
+    tau_closure,
+    weak_moves,
     weak_step,
 )
 from .runtime import composite_lts
@@ -106,8 +108,6 @@ class HarnessError(Exception):
 
 
 DEFAULT_DEPTH = 6
-#: Violation-semantics also tries every action sequence up to this length.
-EXHAUSTIVE_DEPTH = 2
 
 #: Errors raised when a state, closure, minterm or equation bound cuts a
 #: computation short.  They make a check inconclusive, never a usage error.
@@ -191,79 +191,6 @@ def violates(system, trace, f: Formula, domain: Domain) -> bool:
     return go(root, tuple(trace), f)
 
 
-class _TrieNode:
-    __slots__ = ("children", "trace")
-
-    def __init__(self):
-        self.children = {}
-        self.trace = None  # the candidate ending here, if any
-
-
-def violating_traces(system, candidates, f: Formula, domain: Domain) -> frozenset:
-    """The candidate traces along which the system violates the safety
-    formula: `violates` for every candidate, decided in one walk.
-
-    The walk visits the prefix trie of the candidates with an explicit
-    stack.  A node holds the obligations open at its prefix, as the states
-    that must still meet each necessity, read off `formulas.necessities`.
-    A child fires every necessity whose action matches its own along weak
-    steps of the states, and instantiates the continuation.  A node
-    violates when its obligations reach falsehood and its trace is a
-    candidate.  A process term is explored up to `DEFAULT_STATE_BOUND`
-    states.
-    """
-    _require_safety(f)
-    lts, root = as_lts(system, DEFAULT_BOUND)
-    trie = _TrieNode()
-    for t in candidates:
-        node = trie
-        for a in t:
-            child = node.children.get(a)
-            if child is None:
-                child = node.children[a] = _TrieNode()
-            node = child
-        node.trace = tuple(t)
-
-    fired: dict = {}
-
-    def fire(box, a):
-        # what the continuation a necessity leaves after action a demands,
-        # or None when a does not match it
-        key = (box, a)
-        if key not in fired:
-            sub = sym_match(box.action, a)
-            fired[key] = None if sub is None else necessities(subst_data(box.body, sub))
-        return fired[key]
-
-    boxes, falsified = necessities(f)
-    found = set()
-    stack = [(trie, {box: {root} for box in boxes}, falsified)]
-    while stack:
-        node, open_, falsified = stack.pop()
-        if falsified and node.trace is not None:
-            found.add(node.trace)
-        if not open_:
-            continue
-        for a, child in node.children.items():
-            nxt, reached = {}, False
-            for box, states in open_.items():
-                cont = fire(box, a)
-                if cont is None:
-                    continue
-                targets = set()
-                for s in states:
-                    targets |= weak_step(lts, s, a)
-                if not targets:
-                    continue
-                cont_boxes, cont_falsified = cont
-                reached = reached or cont_falsified
-                for b in cont_boxes:
-                    nxt.setdefault(b, set()).update(targets)
-            if nxt or reached:
-                stack.append((child, nxt, reached))
-    return frozenset(found)
-
-
 def after(f: Formula, label) -> Formula:
     """The residual of a closed, guarded safety formula once the enforcer
     has seen a label: unchanged by a silent step, falsehood when its view
@@ -311,13 +238,12 @@ class Pair:
     """One formula/process pair under check, with what the criteria share.
 
     The enforcer (the one given, else the synthesised one), the process's
-    LTS, the instrumented composite, whether the process satisfies the
-    formula (by `sat_oracle`) and the process's trace tree at each depth
-    are each derived on first use and kept.  The composite is built over
-    the process's LTS, so no process state is stepped twice.  A derivation
-    that hits a bound keeps its error instead and raises it again at each
-    later use, so every criterion that needs it reports the same
-    inconclusive verdict without deriving it again.
+    LTS, the instrumented composite and whether the process satisfies the
+    formula (by `sat_oracle`) are each derived on first use and kept.  The
+    composite is built over the process's LTS, so no process state is
+    stepped twice.  A derivation that hits a bound keeps its error instead
+    and raises it again at each later use, so every criterion that needs it
+    reports the same inconclusive verdict without deriving it again.
     """
 
     def __init__(self, f: Formula, p: Process, d: Domain, enforcer=None, bound=DEFAULT_BOUND):
@@ -359,13 +285,70 @@ class Pair:
             "holds", lambda: sat_oracle((self.system, self.p), self.f, self.d, self.bound)
         )
 
-    def trace_tree(self, depth: int) -> dict:
-        """The process's traces up to the depth, with their weak derivatives."""
-        return self._derived(depth, lambda: trace_tree(self.system, self.p, depth))
 
+def _trace_classes(system, f: Formula, depth: int, composite: Optional[LTS] = None):
+    """The traces of the (LTS, state) system up to the depth, one per class,
+    as (trace, (P, C, obligations, falsified)) in length-then-text order.
 
-def _in_order(ts):
-    return sorted(ts, key=lambda t: (len(t), tuple(map(str, t))))
+    P and C are the trace's weak derivatives in the system and in the
+    composite (empty without one); obligations pairs each open necessity
+    with the states that must meet it, and falsified says whether they
+    reach falsehood, that is, whether the trace violates `f`.  A trace's
+    extensions depend only on that key, so each key is kept once, at the
+    first trace to reach it.  Labels are those P or C perform: a trace
+    neither side performs has no derivatives and, as obligation states lie
+    in P, no obligations, so it is never violating and never extended.  The
+    depth and formula are checked at the call; the nodes are yielded as
+    they are reached.
+    """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    _require_safety(f)
+    lts, root = system
+    empty = frozenset()
+    fired: dict = {}
+
+    def fire(obligations, a):
+        # the obligations left after action a, and whether they reach falsehood
+        nxt, reached = {}, False
+        for box, states in obligations:
+            if (box, a) not in fired:
+                sub = sym_match(box.action, a)
+                fired[box, a] = None if sub is None else necessities(subst_data(box.body, sub))
+            if fired[box, a] is None:
+                continue
+            targets = set().union(*(weak_step(lts, s, a) for s in states))
+            if not targets:
+                continue
+            cont_boxes, cont_falsified = fired[box, a]
+            reached = reached or cont_falsified
+            for b in cont_boxes:
+                nxt.setdefault(b, set()).update(targets)
+        return frozenset((b, frozenset(qs)) for b, qs in nxt.items()), reached
+
+    def walk():
+        boxes, falsified = necessities(f)
+        c0 = empty if composite is None else tau_closure(composite, composite.initial)
+        obligations = frozenset((box, frozenset({root})) for box in boxes)
+        layer = [((), (tau_closure(lts, root), c0, obligations, falsified))]
+        seen = {layer[0][1]}
+        yield layer[0]
+        for _ in range(depth):
+            nxt_layer = []
+            for trace, (p_set, c_set, obligations, _) in layer:
+                p_moves = weak_moves(lts, p_set)
+                c_moves = {} if composite is None else weak_moves(composite, c_set)
+                for a in sorted(p_moves.keys() | c_moves.keys(), key=str):
+                    p_next = p_moves.get(a, empty)
+                    opened = fire(obligations, a) if p_next and obligations else (empty, False)
+                    key = (p_next, c_moves.get(a, empty), *opened)
+                    if key not in seen:
+                        seen.add(key)
+                        nxt_layer.append((trace + (a,), key))
+                        yield nxt_layer[-1]
+            layer = nxt_layer
+
+    return walk()
 
 
 # Each check reads the pair's derivations in a fixed order (a bare
@@ -409,20 +392,15 @@ def check_nvtt(pair: Pair, depth: int) -> Verdict:
     """Non-violating-trace transparency up to the given trace depth: every
     non-violating trace of the process is preserved by instrumentation, and
     the composite adds no such trace with new endpoints."""
-    f, p = pair.f, pair.p
     subject = (*pair.subject, f"depth={depth}")
     try:
         pair.enforcer
         plts = pair.system
         comp = pair.composite
-        # a trace missing from a tree is not performable there: no derivatives
-        plain_tree = pair.trace_tree(depth)
-        comp_tree = trace_tree(comp, comp.initial, depth)
-        relevant = plain_tree.keys() | comp_tree.keys()
-        relevant -= violating_traces((plts, p), relevant, f, pair.d)
-        for t in _in_order(relevant):
-            plain = plain_tree.get(t, frozenset())
-            composite = comp_tree.get(t, frozenset())
+        # a trace one side does not perform has no derivatives there
+        for t, (plain, composite, _, falsified) in _trace_classes((plts, pair.p), pair.f, depth, comp):
+            if falsified:
+                continue
             projected = {cfg.system for cfg in composite}
             for verb, diff in (("loses", plain - projected), ("invents", projected - plain)):
                 if diff:
@@ -433,31 +411,27 @@ def check_nvtt(pair: Pair, depth: int) -> Verdict:
     return Verdict("nvtt", subject, "pass")
 
 
-def _shallow_traces(d: Domain, depth: int):
-    return [t for n in range(depth + 1) for t in product(d.actions, repeat=n)]
-
-
 def check_violation_semantics(pair: Pair, depth: int) -> Verdict:
     """Both violating-trace conditions, bounded: (1) every violating trace
     found must belong to a state-level violator and be weakly performable;
     (2) a state-level violator must exhibit some violating trace within the
-    depth, otherwise the verdict is inconclusive rather than a false pass."""
-    f, p, d = pair.f, pair.p, pair.d
+    depth, otherwise the verdict is inconclusive rather than a false pass.
+    A trace the process does not perform leaves no obligations, so a
+    violating trace the search yields is performable by construction, and
+    the "not performable" failure only shows a fault in the search."""
     subject = (*pair.subject, f"depth={depth}")
     try:
         plts = pair.system
-        # every candidate is within the depth, so it is performable exactly
-        # when it is in the trace tree
-        tree = pair.trace_tree(depth)
-        candidates = set(tree)
-        candidates.update(_shallow_traces(d, min(depth, EXHAUSTIVE_DEPTH)))
+        nodes = _trace_classes((plts, pair.p), pair.f, depth)
         holds = pair.holds
         found = False
-        for t in _in_order(violating_traces((plts, p), candidates, f, d)):
+        for t, (plain, _, _, falsified) in nodes:
+            if not falsified:
+                continue
             if holds:
                 why = f"{_trace_text(t)} violates but the system satisfies the formula"
                 return Verdict("violation-sem", subject, "fail", why)
-            if t not in tree:
+            if not plain:
                 why = f"violating trace {_trace_text(t)} is not performable"
                 return Verdict("violation-sem", subject, "fail", why)
             found = True

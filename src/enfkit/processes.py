@@ -124,8 +124,9 @@ class LTS:
 
     States may be process terms, plain strings, or monitored configurations;
     they only need to be hashable.  The LTS also holds the memos of its
-    tau-closures and weak steps, which `tau_closure` and `weak_step` fill on
-    demand, so every algorithm over one LTS derives each of them once.
+    tau-closures, weak steps and weak moves, which `tau_closure`, `weak_step`
+    and `weak_moves` fill on demand, so every algorithm over one LTS derives
+    each of them once.
     """
 
     def __init__(self, initial, edges, states=None):
@@ -151,6 +152,7 @@ class LTS:
         self._steps = {s: tuple(succ.get(s, ())) for s in self.states}
         self._closures: dict = {}
         self._weak: dict = {}
+        self._moves: dict = {}
 
     def steps(self, s):
         return self._steps[s]
@@ -259,6 +261,20 @@ def weak_trace_derivatives(lts: LTS, s, trace) -> frozenset:
     return current
 
 
+def weak_moves(lts: LTS, states: frozenset) -> dict:
+    """Each visible label a tau-closed set of states performs, mapped to the
+    set's weak derivatives by it: the tau-closures of the label's targets."""
+    out = lts._moves.get(states)
+    if out is None:
+        moves: dict = {}
+        for q in states:
+            for label, dst in lts.steps(q):
+                if label is not TAU:
+                    moves.setdefault(label, set()).update(tau_closure(lts, dst))
+        out = lts._moves[states] = {label: frozenset(qs) for label, qs in moves.items()}
+    return out
+
+
 def trace_tree(lts: LTS, s, depth: int) -> dict:
     """Every observable trace of length at most `depth`, mapped to its weak
     derivatives (what `weak_trace_derivatives` gives for it).  Each trace
@@ -269,19 +285,12 @@ def trace_tree(lts: LTS, s, depth: int) -> dict:
     tree = {(): tau_closure(lts, s)}
     frontier = [()]
     for _ in range(depth):
-        nxt = {}
+        nxt = []
         for trace in frontier:
-            for q in tree[trace]:
-                for label, dst in lts.steps(q):
-                    if label is TAU:
-                        continue
-                    extended = trace + (label,)
-                    nxt.setdefault(extended, set()).update(tau_closure(lts, dst))
-        if not nxt:
-            break
-        for trace, states in nxt.items():
-            tree[trace] = frozenset(states)
-        frontier = list(nxt)
+            for label, states in weak_moves(lts, tree[trace]).items():
+                tree[trace + (label,)] = states
+                nxt.append(trace + (label,))
+        frontier = nxt
     return tree
 
 

@@ -1,4 +1,5 @@
 import io
+import re
 from collections import Counter
 from contextlib import redirect_stdout
 
@@ -26,7 +27,6 @@ from enfkit.harness import (
     is_sat,
     make_corpus,
     violates,
-    violating_traces,
 )
 from enfkit.modelcheck import sat_oracle, satisfies, shortest_violation
 from enfkit.normalizer import normalize
@@ -47,7 +47,14 @@ from enfkit.runtime import composite_lts, simulate
 from enfkit.symbolic import TAU, TRUE, ActionPattern, Domain, Free, Lit, SymbolicAction
 from enfkit.synthesis import compile_formula, optimize, synthesize
 from enfkit.transducers import ID, alpha_eq
-from oracles import depth_bounded_witness
+from oracles import (
+    depth_bounded_witness,
+    in_order,
+    shallow_traces,
+    trie_nvtt,
+    trie_violation_semantics,
+    violating_traces,
+)
 
 from conftest import act
 
@@ -243,10 +250,10 @@ def test_violating_traces_agree_with_violates(dom, fsize, fseed, psize, pseed):
     comp = composite_lts(e, p, dom)
     for system, (lts, state) in ((p, (plts, p)), ((comp, comp.initial), (comp, comp.initial))):
         found = traces(lts, state, 4)
-        candidates = set(found) | set(harness._shallow_traces(dom, 2))
+        candidates = set(found) | set(shallow_traces(dom, 2))
         # sequences the system cannot perform: every trace extended by every
         # action, and a run of one action past the depth
-        for t in harness._in_order(found)[:6]:
+        for t in in_order(found)[:6]:
             candidates.update(t + (a,) for a in dom.actions)
         candidates.add((dom.actions[0],) * 6)
         want = {t for t in candidates if violates(system, t, f, dom)}
@@ -405,18 +412,123 @@ def test_violation_semantics_names_the_depth_on_every_outcome(dom, monkeypatch):
     assert "no violating trace within depth 1" in shallow.witness
     deep = check_violation_semantics(Pair(f, p, dom), 2)
     assert deep.outcome == "pass" and deep.subject[-1] == "depth=2"
-    # a bogus violating trace fails the check whether or not p satisfies
-    # the formula: it is not performable, and tt has no violating trace
-    monkeypatch.setattr(harness, "violating_traces", lambda *args: {(act("j?cls"),)})
+    # a bogus violating trace, which no state performs, fails the check
+    # whether or not p satisfies the formula: it is not performable, and tt
+    # has no violating trace.  The search never yields one, since its
+    # obligation states lie in the process's derivatives.
+    empty = frozenset()
+    bogus = [((act("j?cls"),), (empty, empty, empty, True))]
+    monkeypatch.setattr(harness, "_trace_classes", lambda *args, **kwargs: iter(bogus))
+    why = {
+        f: "violating trace j?cls is not performable",
+        TT: "j?cls violates but the system satisfies the formula",
+    }
     for g in (f, TT):
         v = check_violation_semantics(Pair(g, p, dom), 1)
         assert v.outcome == "fail" and v.subject[-1] == "depth=1"
+        assert v.witness == why[g]
+
+
+def test_trace_checks_keep_their_depth_handling(dom):
+    f = parse_formula("[i?req][i?req]ff", dom)
+    p = parse_process("i?req.i?req.nil", dom)
+    for check in (check_nvtt, check_violation_semantics):
+        with pytest.raises(ValueError, match="depth must be non-negative"):
+            check(Pair(f, p, dom), -1)
+    assert check_nvtt(Pair(f, p, dom), 0).outcome == "pass"
+    v = check_violation_semantics(Pair(f, p, dom), 0)
+    assert v.line().endswith("depth=0' inconclusive [no violating trace within depth 0]")
 
 
 def test_violation_semantics_ff_everywhere(dom, terms):
     for p in (terms["pg"], terms["pb"], NIL):
         assert violates(p, (), FF, dom)
     assert check_violation_semantics(Pair(FF, terms["pg"], dom), 3).outcome == "pass"
+
+
+# ---------------------------------------------------------------------------
+# the trace search against the trie oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fsize=st.integers(1, 10),
+    fseed=st.integers(0, 10_000),
+    psize=st.integers(1, 24),
+    pseed=st.integers(0, 10_000),
+    depth=st.integers(0, 6),
+    bound=st.sampled_from([8, harness.DEFAULT_BOUND]),
+)
+def test_trace_search_matches_the_trie_oracle(dom, terms, fsize, fseed, psize, pseed, depth, bound):
+    # every verdict line of both trace criteria, under the compiled enforcer
+    # and under wrong ones, is the line of the route that lists every trace
+    f, p = gen_formula(dom, fsize, fseed), gen_process(dom, psize, pseed)
+    try:
+        other = compile_formula(gen_formula(dom, 5, fseed + 1), dom)
+    except BOUND_ERRORS:
+        other = ID
+    for e in (None, ID, terms["ei"], terms["er"], terms["es"], other):
+        pair = Pair(f, p, dom, enforcer=e, bound=bound)
+        assert check_nvtt(pair, depth).line() == trie_nvtt(pair, depth).line()
+    pair = Pair(f, p, dom, bound=bound)
+    want = trie_violation_semantics(pair, depth).line()
+    assert check_violation_semantics(pair, depth).line() == want
+
+
+def test_trace_search_matches_the_trie_oracle_on_seeded_pairs(dom, terms):
+    # a fixed sweep that makes both routes fail nvtt and leave violation
+    # semantics inconclusive, not only pass
+    fs = [terms["phi1"], terms["phi0"], *(gen_formula(dom, 8, s) for s in range(6))]
+    enforcers = [None, ID, terms["ei"], terms["er"], terms["es"]]
+    outcomes = Counter()
+    for i in range(24):
+        p = gen_process(dom, 6 + i % 18, 700 + i)
+        for f in fs:
+            depth = i % 7
+            for e in enforcers:
+                pair = Pair(f, p, dom, enforcer=e)
+                v = check_nvtt(pair, depth)
+                assert v.line() == trie_nvtt(pair, depth).line()
+                outcomes["nvtt", v.outcome] += 1
+            pair = Pair(f, p, dom)
+            v = check_violation_semantics(pair, depth)
+            assert v.line() == trie_violation_semantics(pair, depth).line()
+            outcomes["violation-sem", v.outcome] += 1
+    assert outcomes["nvtt", "fail"] >= 100 and outcomes["nvtt", "pass"] >= 100, outcomes
+    assert outcomes["violation-sem", "inconclusive"] >= 2, outcomes
+
+
+def _trace_of(text, d):
+    labels = {str(a): a for a in d.actions}
+    return () if text == "ε" else tuple(labels[x] for x in text.split("·"))
+
+
+def test_trace_check_witnesses_check_themselves(dom):
+    # each nvtt failure on the criterion-8 corpus (`verify` reads the same
+    # pairs as random:200:42) names a non-violating trace whose weak
+    # derivatives in the process and in the composite differ by the named
+    # derivative, in the named direction; a violation-semantics failure
+    # names a trace that `violates` confirms
+    nvtt_failures = 0
+    for f, p in make_corpus(dom, 200, 42):
+        pair = Pair(f, p, dom)
+        system = (pair.system, p)
+        v = check_nvtt(pair, 6)
+        if v.outcome == "fail":
+            nvtt_failures += 1
+            m = re.fullmatch(r"trace (\S+) (loses|invents) derivative (.+)", v.witness)
+            t = _trace_of(m[1], dom)
+            plain = weak_trace_derivatives(*system, t)
+            comp = pair.composite
+            projected = {cfg.system for cfg in weak_trace_derivatives(comp, comp.initial, t)}
+            diff = plain - projected if m[2] == "loses" else projected - plain
+            assert m[3] == min(map(str, diff)), v.line()
+            assert not violates(system, t, f, dom), v.line()
+        w = check_violation_semantics(pair, 6)
+        if w.outcome == "fail":
+            m = re.fullmatch(r"(?:violating trace )?(\S+) (?:violates but|is not performable).*", w.witness)
+            assert violates(system, _trace_of(m[1], dom), f, dom), w.line()
+    assert nvtt_failures == 13
 
 
 # ---------------------------------------------------------------------------
@@ -644,22 +756,28 @@ def test_verify_never_evaluates_denotations(monkeypatch):
     assert calls == []
 
 
-def test_checks_share_the_process_trace_tree(dom, terms, monkeypatch):
-    roots = []
-    real = processes.trace_tree
+def test_each_trace_search_runs_once_per_pair_and_depth(dom, terms, monkeypatch):
+    searches, explored = [], []
+    real_search, real_reachable = harness._trace_classes, harness.reachable
 
-    def spy(lts, s, depth):
-        roots.append(s)
-        return real(lts, s, depth)
+    def search(system, f, depth, composite=None):
+        searches.append(("violation-sem" if composite is None else "nvtt", depth))
+        return real_search(system, f, depth, composite)
 
-    monkeypatch.setattr(harness, "trace_tree", spy)
-    monkeypatch.setattr(processes, "trace_tree", spy)
+    def explore(p, bound):
+        explored.append(p)
+        return real_reachable(p, bound)
+
+    monkeypatch.setattr(harness, "_trace_classes", search)
+    monkeypatch.setattr(harness, "reachable", explore)
+    monkeypatch.setattr(processes, "trace_tree", None)
     pair = Pair(terms["phi1"], terms["pb"], dom)
     check_violation_semantics(pair, 4)
     check_nvtt(pair, 4)
-    assert roots.count(terms["pb"]) == 1
+    assert searches == [("violation-sem", 4), ("nvtt", 4)]
     check_nvtt(pair, 5)
-    assert roots.count(terms["pb"]) == 2
+    assert searches[-1] == ("nvtt", 5) and len(searches) == 3
+    assert explored == [terms["pb"]]
 
 
 def test_given_enforcer_is_not_compiled(dom, terms, monkeypatch):

@@ -128,6 +128,9 @@ def test_printing_and_parsing_give_the_same_object(dom):
 
 def test_a_dropped_term_is_collected_and_its_entries_swept(dom):
     label = act("j?cls")
+    # earlier cyclic garbage may hold terms: free them first, so the final
+    # collection frees only the chain built here
+    gc.collect()
     symbolic._sweep()
     entries = len(symbolic._TERMS)
     t = processes.PVar("Dropped")
