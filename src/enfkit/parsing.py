@@ -1,10 +1,18 @@
 """Concrete syntax for actions, conditions, formulas, processes, transducers,
 spec files and explicit LTS files.
 
-One hand-rolled tokenizer feeds small recursive-descent parsers.  Identifier
-resolution is scope-first: a name bound by an enclosing pattern binder is a
-data variable, otherwise it must be a declared domain value.  Binder names
-may not collide with domain values, which keeps printing/reparsing stable.
+A text is tokenized in one pass of one regular expression into flat lists of
+token words and positions.  One operator-precedence loop on an explicit stack
+(after Pratt, "Top down operator precedence", POPL 1973) reads the formula,
+process, transducer and condition grammars, each described by a small table,
+so the depth of a term is bounded by memory, not by the recursion limit.  A
+spec file is tokenized once as a whole, so an error in one of its
+definitions gives its line and column in the file.
+
+Identifier resolution is scope-first: a name bound by an enclosing pattern
+binder is a data variable, otherwise it must be a declared domain value.
+Binder names may not collide with domain values, which keeps
+printing/reparsing stable.
 
 Grammar sketches (see README for the full story):
 
@@ -22,11 +30,18 @@ Grammar sketches (see README for the full story):
                  |  t '+' t | 'rec' NAME '.' t | NAME | '(' t ')'
                  where tpattern also allows '*' (insertion) and target is a
                  pattern without binders or 'tau'
+
+'&&' binds tighter than '||'.  A prefix ('[..]', '<..>', 'a.', '{..}.',
+'!') takes the tightest operand that follows it; a binder body ('max X.',
+'rec X.') reaches as far right as it can.
 """
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 from . import formulas as F
 from . import processes as P
@@ -64,371 +79,332 @@ class ParseError(Exception):
         super().__init__(message)
 
 
-_TOKEN_RE = re.compile(
-    r"\s+|(?P<comment>#[^\n]*)|(?P<op>->|&&|\|\||!=|=|\?|!|\.|\+|\(|\)|\[|\]|<|>|\{|\}|\*)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
-)
+# ---------------------------------------------------------------------------
+# Tokens
+
+_OPERATORS = "-> && || != = ? ! . + ( ) [ ] < > { } *".split()
+#: A name, or an operator: a two-character one before any it starts with.
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_']*|->|&&|\|\||!=|[=?!.+()\[\]<>{}*])")
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_NONBLANK_RE = re.compile(r"\S")
+#: Words that are not names: operators, keywords and the end of the input.
+_NOT_NAMES = frozenset(_OPERATORS) | KEYWORDS | {""}
 
 
-@dataclass
-class Token:
-    kind: str  # 'op' | 'name' | 'kw' | 'eof'
+class _Tokens(NamedTuple):
+    """A tokenized text: token k is `words[k]`, starting at `starts[k]` in
+    `text`; the last is the end of the input, the empty word.  `unreadable`
+    holds the positions of the characters that start no token."""
+
     text: str
-    pos: int
+    words: list
+    starts: list
+    unreadable: list
 
 
-def tokenize(text: str):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos, text)
-        pos = m.end()
-        if m.lastgroup in (None, "comment"):
-            continue
-        tok = m.group()
-        if m.lastgroup == "name":
-            out.append(Token("kw" if tok in KEYWORDS else "name", tok, m.start()))
-        else:
-            out.append(Token("op", tok, m.start()))
-    out.append(Token("eof", "", len(text)))
-    return out
-
-
-@dataclass
-class _Scope:
-    """Lexical scopes threaded through parsing: data variables bound by
-    pattern binders, logical variables, process/transducer recursion vars."""
-
-    data: tuple = ()
-    logic: tuple = ()
-    rec: tuple = ()
-
-    def with_data(self, names):
-        return _Scope(self.data + tuple(names), self.logic, self.rec)
-
-    def with_logic(self, name):
-        return _Scope(self.data, self.logic + (name,), self.rec)
-
-    def with_rec(self, name):
-        return _Scope(self.data, self.logic, self.rec + (name,))
-
-
-class Parser:
-    def __init__(self, text: str, domain: Domain | None):
-        self.text = text
-        self.domain = domain
-        self.toks = tokenize(text)
-        self.i = 0
-
-    # -- token helpers -----------------------------------------------------
-
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
-    def next(self) -> Token:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("op", "kw")
-
-    def eat(self, text: str) -> bool:
-        if self.at(text):
-            self.i += 1
-            return True
-        return False
-
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
-            raise self.error(f"expected {text!r}, found {self.peek().text!r}")
-        return self.next()
-
-    def expect_name(self, what="name") -> str:
-        tok = self.peek()
-        if tok.kind != "name":
-            raise self.error(f"expected {what}, found {tok.text!r}")
-        self.next()
-        return tok.text
-
-    def error(self, message) -> ParseError:
-        return ParseError(message, self.peek().pos, self.text)
-
-    def done(self):
-        if self.peek().kind != "eof":
-            raise self.error(f"trailing input starting at {self.peek().text!r}")
-
-    # -- values, actions ---------------------------------------------------
-
-    def _require_domain(self) -> Domain:
-        if self.domain is None:
-            raise self.error("a domain is required to parse this term")
-        return self.domain
-
-    def value(self, expected: str) -> str:
-        name = self.expect_name(f"{expected} name")
-        d = self._require_domain()
-        if expected == "port" and name not in d.ports:
-            raise self.error(f"{name!r} is not a declared port")
-        if expected == "payload" and name not in d.payloads:
-            raise self.error(f"{name!r} is not a declared payload")
-        return name
-
-    def action(self) -> Action:
-        port = self.value("port")
-        if self.eat("?"):
-            is_input = True
-        elif self.eat("!"):
-            is_input = False
-        else:
-            raise self.error("expected '?' or '!' after port name")
-        return Action(port, is_input, self.value("payload"))
-
-    # -- patterns ----------------------------------------------------------
-
-    def slot(self, scope: _Scope, other=None, allow_binders=True):
-        """One pattern slot; `other` is the port slot when this is the payload.
-        A name is either a binder or a free slot of one pattern."""
-        pos = self.peek().pos
-        if self.eat("("):
-            name = self.expect_name("binder")
-            self.expect(")")
-            if not allow_binders:
-                raise self.error("binders are not allowed in this pattern")
-            d = self._require_domain()
-            if name in d.values:
-                raise self.error(f"binder {name!r} collides with a domain value")
-            slot = Binder(name)
-        else:
-            name = self.expect_name("slot")
-            if name in scope.data:
-                slot = Free(name)
-            elif name in self._require_domain().values:
-                return Lit(name)
-            else:
-                raise self.error(f"{name!r} is neither a bound variable nor a domain value")
-        if Binder in (type(slot), type(other)) and getattr(other, "name", None) == name:
-            raise ParseError(f"pattern names the binder {name!r} twice", pos, self.text)
-        return slot
-
-    def pattern(self, scope: _Scope, allow_binders=True) -> ActionPattern:
-        port = self.slot(scope, None, allow_binders)
-        if self.eat("?"):
-            is_input = True
-        elif self.eat("!"):
-            is_input = False
-        else:
-            raise self.error("expected '?' or '!' in pattern")
-        payload = self.slot(scope, port, allow_binders)
-        return ActionPattern(port, is_input, payload)
-
-    # -- conditions ----------------------------------------------------------
-
-    def term(self, scope: _Scope):
-        name = self.expect_name("term")
-        if name in scope.data:
-            return Var(name)
-        d = self._require_domain()
-        if name in d.values:
-            return Val(name)
-        raise self.error(f"{name!r} is neither a bound variable nor a domain value")
-
-    def condition(self, scope: _Scope):
-        return self._cond_or(scope)
-
-    def _cond_or(self, scope):
-        items = [self._cond_and(scope)]
-        while self.eat("||"):
-            items.append(self._cond_and(scope))
-        if len(items) == 1:
-            return items[0]
-        return Or(tuple(items))
-
-    def _cond_and(self, scope):
-        items = [self._cond_atom(scope)]
-        while self.eat("&&"):
-            items.append(self._cond_atom(scope))
-        if len(items) == 1:
-            return items[0]
-        return And(tuple(items))
-
-    def _cond_atom(self, scope):
-        if self.eat("true"):
-            return TRUE
-        if self.eat("false"):
-            return FALSE
-        if self.eat("!"):
-            return Not(self._cond_atom(scope))
-        if self.eat("("):
-            inner = self._cond_or(scope)
-            self.expect(")")
-            return inner
-        left = self.term(scope)
-        if self.eat("="):
-            return Cmp(left, self.term(scope), equal=True)
-        if self.eat("!="):
-            return Cmp(left, self.term(scope), equal=False)
-        raise self.error("expected '=' or '!=' in condition")
-
-    def symbolic_action(self, scope: _Scope):
-        pat = self.pattern(scope)
-        inner = scope.with_data(sorted(pat.binders))
-        cond = self.condition(inner) if self.eat("when") else TRUE
-        return SymbolicAction(pat, cond), inner
-
-    # -- formulas ------------------------------------------------------------
-
-    def formula(self, scope: _Scope):
-        return self._f_or(scope)
-
-    def _f_or(self, scope):
-        items = [self._f_and(scope)]
-        while self.eat("||"):
-            items.append(self._f_and(scope))
-        return items[0] if len(items) == 1 else F.FOr(tuple(items))
-
-    def _f_and(self, scope):
-        items = [self._f_atom(scope)]
-        while self.eat("&&"):
-            items.append(self._f_atom(scope))
-        return items[0] if len(items) == 1 else F.FAnd(tuple(items))
-
-    def _f_atom(self, scope):
-        if self.eat("tt"):
-            return F.TT
-        if self.eat("ff"):
-            return F.FF
-        if self.eat("("):
-            inner = self._f_or(scope)
-            self.expect(")")
-            return inner
-        if self.eat("["):
-            sa, inner_scope = self.symbolic_action(scope)
-            self.expect("]")
-            return F.Box(sa, self._f_atom(inner_scope))
-        if self.eat("<"):
-            sa, inner_scope = self.symbolic_action(scope)
-            self.expect(">")
-            return F.Dia(sa, self._f_atom(inner_scope))
-        if self.at("max") or self.at("min"):
-            cls = F.Max if self.next().text == "max" else F.Min
-            var = self.expect_name("fixpoint variable")
-            self.expect(".")
-            return cls(var, self._f_or(scope.with_logic(var)))
-        tok = self.peek()
-        if tok.kind == "name":
-            if tok.text in scope.logic:
-                self.next()
-                return F.FVar(tok.text)
-            raise self.error(f"unbound logical variable {tok.text!r}")
-        raise self.error(f"expected a formula, found {tok.text!r}")
-
-    # -- processes -----------------------------------------------------------
-
-    def process(self, scope: _Scope):
-        branches = [self._p_prefix(scope)]
-        while self.eat("+"):
-            branches.append(self._p_prefix(scope))
-        return branches[0] if len(branches) == 1 else P.Choice(tuple(branches))
-
-    def _p_prefix(self, scope):
-        if self.eat("nil"):
-            return P.NIL
-        if self.eat("("):
-            inner = self.process(scope)
-            self.expect(")")
-            return inner
-        if self.eat("rec"):
-            var = self.expect_name("recursion variable")
-            self.expect(".")
-            return P.Rec(var, self.process(scope.with_rec(var)))
-        if self.eat("tau"):
-            self.expect(".")
-            return P.Prefix(TAU, self._p_prefix(scope))
-        tok = self.peek()
-        if tok.kind == "name":
-            if tok.text in scope.rec:
-                # a recursion variable, unless it starts an action like i?req
-                nxt = self.toks[self.i + 1]
-                if nxt.text not in ("?", "!"):
-                    self.next()
-                    return P.PVar(tok.text)
-            act = self.action()
-            self.expect(".")
-            return P.Prefix(act, self._p_prefix(scope))
-        raise self.error(f"expected a process, found {tok.text!r}")
-
-    # -- transducers -----------------------------------------------------------
-
-    def transducer(self, scope: _Scope):
-        branches = [self._t_prefix(scope)]
-        while self.eat("+"):
-            branches.append(self._t_prefix(scope))
-        return branches[0] if len(branches) == 1 else T.TSum(tuple(branches))
-
-    def _t_prefix(self, scope):
-        if self.eat("id"):
-            return T.ID
-        if self.eat("("):
-            inner = self.transducer(scope)
-            self.expect(")")
-            return inner
-        if self.eat("rec"):
-            var = self.expect_name("recursion variable")
-            self.expect(".")
-            return T.TRec(var, self.transducer(scope.with_rec(var)))
-        if self.eat("{"):
-            if self.eat("*"):
-                pat: object = InsertPattern()
-                inner_scope = scope
-            else:
-                pat = self.pattern(scope)
-                inner_scope = scope.with_data(sorted(pat.binders))
-            cond = self.condition(inner_scope) if self.eat("when") else TRUE
-            if self.eat("->"):
-                if self.eat("tau"):
-                    target: object = TAU
-                else:
-                    target = self.pattern(inner_scope, allow_binders=False)
-            else:
-                if isinstance(pat, InsertPattern):
-                    raise self.error("an insertion transform needs an explicit '-> target'")
-                target = underline(pat)
-            self.expect("}")
-            self.expect(".")
-            return T.TPrefix(pat, cond, target, self._t_prefix(inner_scope))
-        tok = self.peek()
-        if tok.kind == "name" and tok.text in scope.rec:
-            self.next()
-            return T.TVar(tok.text)
-        raise self.error(f"expected a transducer, found {tok.text!r}")
+def _tokenize(text: str, scan: str) -> _Tokens:
+    """One split of `scan`, which is `text` with its comments blanked, by the
+    token expression.  The split alternates the gaps between tokens and the
+    tokens, so the running sum of their lengths gives every position."""
+    parts = _TOKEN_RE.split(scan)
+    gaps = parts[0::2]
+    starts = list(accumulate(map(len, parts)))[0::2]
+    words = parts[1::2]
+    words.append("")
+    unreadable = []
+    blank = "".join(gaps)
+    if blank and not blank.isspace():
+        ends = list(accumulate(map(len, gaps)))  # where each gap ends in `blank`
+        for m in _NONBLANK_RE.finditer(blank):
+            k = bisect_right(ends, m.start())
+            unreadable.append(starts[k] - ends[k] + m.start())
+    return _Tokens(text, words, starts, unreadable)
 
 
 # ---------------------------------------------------------------------------
-# Entry points
+# Grammars: what a word starts where a term is expected, and what a name does
+
+_LEAF, _OPEN, _BIND, _GUARD, _TAU, _TRANSFORM, _NOT = range(7)
+_FVAR, _PVAR_OR_ACTION, _TVAR, _CMP = range(7, 11)
+
+
+class _Grammar(NamedTuple):
+    """One term language: `infix` maps an infix operator to its level, 0 the
+    loosest, and `joins[level]` builds that level's n-ary node; `starts` maps
+    a word to what it starts and an argument, `name` is what a name starts,
+    and `expected` opens the error for any other word."""
+
+    infix: dict
+    joins: tuple
+    starts: dict
+    name: int
+    expected: str
+
+
+_FORMULA = _Grammar({"||": 0, "&&": 1}, (F.FOr, F.FAnd), {
+    "tt": (_LEAF, F.TT), "ff": (_LEAF, F.FF), "(": (_OPEN, None),
+    "[": (_GUARD, ("]", F.Box)), "<": (_GUARD, (">", F.Dia)),
+    "max": (_BIND, (F.Max, "fixpoint variable")), "min": (_BIND, (F.Min, "fixpoint variable")),
+}, _FVAR, "expected a formula")
+_PROCESS = _Grammar({"+": 0}, (P.Choice,), {
+    "nil": (_LEAF, P.NIL), "(": (_OPEN, None), "tau": (_TAU, None),
+    "rec": (_BIND, (P.Rec, "recursion variable")),
+}, _PVAR_OR_ACTION, "expected a process")
+_TRANSDUCER = _Grammar({"+": 0}, (T.TSum,), {
+    "id": (_LEAF, T.ID), "(": (_OPEN, None), "{": (_TRANSFORM, None),
+    "rec": (_BIND, (T.TRec, "recursion variable")),
+}, _TVAR, "expected a transducer")
+_CONDITION = _Grammar({"||": 0, "&&": 1}, (Or, And), {
+    "true": (_LEAF, TRUE), "false": (_LEAF, FALSE), "(": (_OPEN, None), "!": (_NOT, None),
+}, _CMP, "expected term")
+
+
+def _join(items: list, cls):
+    return items[0] if len(items) == 1 else cls(tuple(items))
+
+
+class _Reader:
+    """Reads terms off one text, or off the tokens of a spec-file body, over
+    one domain (or none, when the text names no domain value)."""
+
+    def __init__(self, text, domain: Domain | None):
+        if not isinstance(text, _Tokens):
+            text = _tokenize(text, _COMMENT_RE.sub(lambda m: " " * len(m.group()), text))
+        self.text, self.words, self.starts = text.text, text.words, text.starts
+        if text.unreadable:
+            pos = text.unreadable[0]
+            raise ParseError(f"unexpected character {self.text[pos]!r}", pos, self.text)
+        self.domain, self.ports, self.payloads, self.values = domain, (), (), ()
+        if domain is not None:
+            self.ports, self.payloads, self.values = domain.ports, domain.payloads, domain.values
+
+    def read(self, grammar: _Grammar):
+        out, i = self.term(grammar, 0, {})
+        if self.words[i]:
+            raise self.error(i, f"trailing input starting at {self.words[i]!r}")
+        return out
+
+    # -- token helpers, each given a token index -------------------------------
+
+    def error(self, i, message) -> ParseError:
+        return ParseError(message, self.starts[i], self.text)
+
+    def name(self, i, what) -> str:
+        if self.words[i] in _NOT_NAMES:
+            raise self.error(i, f"expected {what}, found {self.words[i]!r}")
+        return self.words[i]
+
+    def expect(self, i, word) -> int:
+        if self.words[i] != word:
+            raise self.error(i, f"expected {word!r}, found {self.words[i]!r}")
+        return i + 1
+
+    def known(self, i, name, values) -> bool:
+        """Whether `name` is in `values`; first, that there is a domain."""
+        if self.domain is None:
+            raise self.error(i, "a domain is required to parse this term")
+        return name in values
+
+    def value(self, i, kind) -> str:
+        """The declared port or payload name at token i."""
+        name = self.name(i, f"{kind} name")
+        if not self.known(i + 1, name, self.ports if kind == "port" else self.payloads):
+            raise self.error(i + 1, f"{name!r} is not a declared {kind}")
+        return name
+
+    def slot(self, i, data, other, allow_binders):
+        """One pattern slot; `other` is the port slot when this is the payload.
+        A name is either a binder or a free slot of one pattern."""
+        start = i
+        if self.words[i] == "(":
+            name = self.name(i + 1, "binder")
+            i = self.expect(i + 2, ")")
+            if not allow_binders:
+                raise self.error(i, "binders are not allowed in this pattern")
+            if self.known(i, name, self.values):
+                raise self.error(i, f"binder {name!r} collides with a domain value")
+            slot = Binder(name)
+        else:
+            name = self.name(i, "slot")
+            i += 1
+            if name not in data:
+                if self.known(i, name, self.values):
+                    return Lit(name), i
+                raise self.error(i, f"{name!r} is neither a bound variable nor a domain value")
+            slot = Free(name)
+        if Binder in (type(slot), type(other)) and getattr(other, "name", None) == name:
+            raise self.error(start, f"pattern names the binder {name!r} twice")
+        return slot, i
+
+    def pattern(self, i, data, allow_binders=True):
+        port, i = self.slot(i, data, None, allow_binders)
+        mark = self.words[i]
+        if mark != "?" and mark != "!":
+            raise self.error(i, "expected '?' or '!' in pattern")
+        payload, i = self.slot(i + 1, data, port, allow_binders)
+        return ActionPattern(port, mark == "?", payload), i
+
+    def guard(self, i, data):
+        """The condition after 'when' at token i, else true."""
+        if self.words[i] == "when":
+            return self.term(_CONDITION, i + 1, data)
+        return TRUE, i
+
+    def operand(self, i, data):
+        """A data variable or a domain value, one side of a comparison."""
+        name = self.name(i, "term")
+        if name in data:
+            return Var(name)
+        if self.known(i + 1, name, self.values):
+            return Val(name)
+        raise self.error(i + 1, f"{name!r} is neither a bound variable nor a domain value")
+
+    # -- the term loop -------------------------------------------------------
+
+    def term(self, g: _Grammar, i, data):
+        """The term of grammar `g` at token i, and the index after it.  The
+        keys of `data` are the data variables in scope, and `bound` holds the
+        logical or recursion variables, each innermost last.  The group being
+        read (the whole term, a parenthesis or a binder body) keeps its
+        opener, its operands by infix level, the prefixes waiting for its next
+        operand and how many data variables were in scope when it opened;
+        `stack` keeps the enclosing groups, innermost last."""
+        words, infix, joins, table = self.words, g.infix, g.joins, g.starts
+        ports, payloads, tight = self.ports, self.payloads, len(g.joins) - 1
+        stack, bound = [], []
+        opener, items, pending, base = None, [[] for _ in joins], [], len(data)
+        while True:
+            word = words[i]
+            entry = table.get(word)
+            if entry is not None:
+                kind, arg = entry
+            elif word in _NOT_NAMES:
+                raise self.error(i, f"{g.expected}, found {word!r}")
+            else:
+                kind = g.name
+            if kind is _PVAR_OR_ACTION:
+                # a recursion variable, unless it starts an action like i?req
+                mark = words[i + 1]
+                if mark != "?" and mark != "!":
+                    if word not in bound:
+                        self.value(i, "port")
+                        raise self.error(i + 1, "expected '?' or '!' after port name")
+                    x = P.PVar(word)
+                    i += 1
+                elif word in ports and words[i + 2] in payloads and words[i + 3] == ".":
+                    pending.append((P.Prefix, (Action(word, mark == "?", words[i + 2]),)))
+                    i += 4
+                    continue
+                else:  # not an action: the checks, in turn, say why
+                    self.value(i, "port")
+                    self.value(i + 2, "payload")
+                    raise self.error(i + 3, f"expected '.', found {words[i + 3]!r}")
+            elif kind is _LEAF:
+                x = arg
+                i += 1
+            elif kind is _OPEN or kind is _BIND:
+                stack.append((opener, items, pending, base))
+                if kind is _OPEN:
+                    opener, i = _OPEN, i + 1
+                else:
+                    bound.append(self.name(i + 1, arg[1]))
+                    opener, i = arg[0], self.expect(i + 2, ".")
+                items, pending, base = [[] for _ in joins], [], len(data)
+                continue
+            elif kind is _GUARD:
+                pat, i = self.pattern(i + 1, data)
+                data.update(dict.fromkeys(pat.binders))
+                cond, i = self.guard(i, data)
+                i = self.expect(i, arg[0])
+                pending.append((arg[1], (SymbolicAction(pat, cond),)))
+                continue
+            elif kind is _TRANSFORM:
+                if words[i + 1] == "*":
+                    pat, i = InsertPattern(), i + 2
+                else:
+                    pat, i = self.pattern(i + 1, data)
+                    data.update(dict.fromkeys(pat.binders))
+                cond, i = self.guard(i, data)
+                if words[i] == "->":
+                    if words[i + 1] == "tau":
+                        target, i = TAU, i + 2
+                    else:
+                        target, i = self.pattern(i + 1, data, allow_binders=False)
+                elif isinstance(pat, InsertPattern):
+                    raise self.error(i, "an insertion transform needs an explicit '-> target'")
+                else:
+                    target = underline(pat)
+                i = self.expect(self.expect(i, "}"), ".")
+                pending.append((T.TPrefix, (pat, cond, target)))
+                continue
+            elif kind is _TAU:
+                i = self.expect(i + 1, ".")
+                pending.append((P.Prefix, (TAU,)))
+                continue
+            elif kind is _NOT:
+                i += 1
+                pending.append((Not, ()))
+                continue
+            elif kind is _CMP:
+                left, op = self.operand(i, data), words[i + 1]
+                if op != "=" and op != "!=":
+                    raise self.error(i + 1, "expected '=' or '!=' in condition")
+                x, i = Cmp(left, self.operand(i + 2, data), equal=op == "="), i + 3
+            elif kind is _FVAR:
+                if word not in bound:
+                    raise self.error(i, f"unbound logical variable {word!r}")
+                x, i = F.FVar(word), i + 1
+            else:  # _TVAR
+                if word not in bound:
+                    raise self.error(i, f"{g.expected}, found {word!r}")
+                x, i = T.TVar(word), i + 1
+
+            # x is an operand: apply the prefixes waiting for it, then read on
+            while True:
+                if pending:
+                    for build, args in reversed(pending):
+                        x = build(*args, x)
+                    pending.clear()
+                    while len(data) > base:
+                        data.popitem()
+                items[tight].append(x)
+                level = infix.get(words[i])
+                if level is not None:
+                    i += 1
+                    for k in range(tight, level, -1):
+                        items[k - 1].append(_join(items[k], joins[k]))
+                        items[k] = []
+                    break
+                # no infix operator follows, so the group ends here
+                for k in range(tight, 0, -1):
+                    items[k - 1].append(_join(items[k], joins[k]))
+                x = _join(items[0], joins[0])
+                if opener is None:
+                    return x, i
+                if opener is _OPEN:
+                    i = self.expect(i, ")")
+                else:  # a binder class
+                    x = opener(bound.pop(), x)
+                opener, items, pending, base = stack.pop()
+
+
+# ---------------------------------------------------------------------------
+# Entry points: `text` is a string, or the tokens of a spec-file body
 
 
 def parse_formula(text: str, domain: Domain) -> F.Formula:
-    p = Parser(text, domain)
-    out = p.formula(_Scope())
-    p.done()
-    return out
+    return _Reader(text, domain).read(_FORMULA)
 
 
 def parse_process(text: str, domain: Domain) -> P.Process:
-    p = Parser(text, domain)
-    out = p.process(_Scope())
-    p.done()
-    P.validate_process(out)
+    out = _Reader(text, domain).read(_PROCESS)
+    P.checked_process(out)
     return out
 
 
 def parse_transducer(text: str, domain: Domain) -> T.Transducer:
-    p = Parser(text, domain)
-    out = p.transducer(_Scope())
-    p.done()
-    T.validate_transducer(out)
+    out = _Reader(text, domain).read(_TRANSDUCER)
+    T.checked_transducer(out)
     return out
 
 
@@ -507,11 +483,20 @@ def _parse_name_set(line: str, what: str):
 
 
 def parse_specfile(text: str) -> SpecFile:
+    """A spec file: a `ports = {...}` line, a `payloads = {...}` line and one
+    `kind name = body` line per definition; `#` starts a comment.  The file,
+    its comments blanked, is tokenized once, and each body is read off its
+    own run of tokens, so an error in a body gives its position in the file."""
     ports = None
     payloads = None
-    pending = []  # (kind, name, body-text)
-    for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip()
+    pending = []  # (kind, name, body start, body end)
+    blanked = []
+    offset = 0
+    for raw_line, raw in zip(text.splitlines(), text.splitlines(keepends=True)):
+        start, offset = offset, offset + len(raw)
+        code = raw.split("#", 1)[0]
+        blanked.append(code.ljust(len(raw)))
+        line = code.strip()
         if not line:
             continue
         head = line.split("=", 1)[0].strip().split()
@@ -525,8 +510,8 @@ def parse_specfile(text: str) -> SpecFile:
             kind, name = head
             if "=" not in line:
                 raise ParseError(f"missing '=' in definition of {name!r}")
-            body = line.split("=", 1)[1].strip()
-            pending.append((kind, name, body))
+            end = start + len(code.rstrip())
+            pending.append((kind, name, end - len(line.split("=", 1)[1].strip()), end))
     if ports is None or payloads is None:
         raise ParseError("spec file must declare ports = {...} and payloads = {...}")
     domain = Domain(ports, payloads)
@@ -537,10 +522,18 @@ def parse_specfile(text: str) -> SpecFile:
         "formula": (parse_formula, spec.formulas),
         "transducer": (parse_transducer, spec.transducers),
     }
-    for kind, name, body in pending:
+    toks = _tokenize(text, "".join(blanked))
+    for kind, name, start, end in pending:
         if name in seen:
             raise ParseError(f"duplicate definition name {name!r}")
         seen.add(name)
+        lo, hi = bisect_left(toks.starts, start), bisect_left(toks.starts, end)
+        body = _Tokens(
+            text,
+            toks.words[lo:hi] + [""],
+            toks.starts[lo:hi] + [end],
+            [pos for pos in toks.unreadable if start <= pos < end],
+        )
         fn, table = parsers[kind]
         table[name] = fn(body, domain)
     return spec

@@ -91,6 +91,19 @@ def validate_process(p: Process):
     symbolic.check_term(p, _is_process_node, ProcessError)
 
 
+# A check walks the whole term.  A term that passed is remembered, so a term
+# met again costs one lookup; one that fails caches nothing and raises again.
+_validated_process = term_memo(validate_process)
+
+
+def checked_process(p):
+    """`validate_process`, remembered for each term that passed."""
+    try:
+        _validated_process(p)
+    except TypeError:  # unhashable, so no term: let the check say what it is
+        validate_process(p)
+
+
 def _is_process_node(p) -> bool:
     labelled = not isinstance(p, Prefix) or p.label is TAU or isinstance(p.label, Action)
     return isinstance(p, Process.__args__) and labelled
@@ -188,7 +201,7 @@ def explore(initial, step_fn, bound: int) -> LTS:
 
 
 def reachable(p: Process, bound: int) -> LTS:
-    validate_process(p)
+    checked_process(p)
     return explore(p, step, bound)
 
 

@@ -27,12 +27,12 @@ from .processes import (
     DEFAULT_STATE_BOUND,
     LTS,
     cached_step,
+    checked_process,
     explore,
     lts_view,
-    validate_process,
 )
-from .symbolic import TAU, Domain, label_key, term, term_memo
-from .transducers import ID, Transducer, transform_table, validate_transducer
+from .symbolic import TAU, Domain, label_key, term
+from .transducers import ID, Transducer, checked_transducer, transform_table
 
 
 class SimulationError(Exception):
@@ -48,13 +48,6 @@ class Config:
         return f"<{self.enforcer} | {self.system}>"
 
 
-# `simulate` and `composite_lts` check their arguments on every call, and a
-# check walks the whole term.  A term that passed is remembered, so a term
-# met again costs one lookup.
-_checked_transducer = term_memo(validate_transducer)
-_checked_process = term_memo(validate_process)
-
-
 def system_view(system):
     """Normalise the system argument to (initial state, step function).
 
@@ -65,10 +58,7 @@ def system_view(system):
     if view is not None:
         lts, state = view
         return state, lts.steps
-    try:
-        _checked_process(system)
-    except TypeError:  # unhashable, so no term: let the check say what it is
-        validate_process(system)
+    checked_process(system)
     return system, cached_step
 
 
@@ -111,7 +101,7 @@ def composite_lts(
     A transducer that can insert forever makes this space infinite; the
     state bound turns that into an explicit error.
     """
-    _checked_transducer(enforcer)
+    checked_transducer(enforcer)
     initial_sys, sys_steps = system_view(system)
 
     def stepper(cfg):
@@ -189,7 +179,7 @@ def simulate(enforcer: Transducer, system, steps: int, policy, domain: Domain):
     deterministic, `random:SEED` seeds an RNG, and a list of (rule, label)
     pairs replays a scripted run.
     """
-    _checked_transducer(enforcer)
+    checked_transducer(enforcer)
     initial_sys, sys_steps = system_view(system)
     choose = make_policy(policy)
     cfg = Config(enforcer, initial_sys)

@@ -114,6 +114,11 @@ def validate_transducer(e: Transducer):
     symbolic.check_term(e, _is_transducer_node, TransducerError)
 
 
+#: `validate_transducer`, remembered for each term that passed, as
+#: `processes.checked_process`; a term that fails caches nothing.
+checked_transducer = term_memo(validate_transducer)
+
+
 def _is_transducer_node(e) -> bool:
     binding_target = isinstance(e, TPrefix) and getattr(e.target, "binders", None)
     return isinstance(e, Transducer.__args__) and not binding_target

@@ -22,27 +22,54 @@ that keeps a trace per class of derivative sets and open obligations;
 trees instead, and decide violation for all of them with `violating_traces`,
 one walk over the prefix trie of the candidates.
 
+`parsing` reads every grammar with one explicit-stack loop over one
+tokenizer pass, and a spec file as one token list; `descent_parse_formula`,
+`descent_parse_process`, `descent_parse_transducer` and
+`descent_parse_specfile` are the recursive-descent parser it replaced, one
+method per grammar level, a spec file read line by line.
+
 Terms are interned, so their `==` is identity; `structurally_equal`
 compares two terms field by field instead.
 """
 import dataclasses
+import re
+from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
+from enfkit import formulas as F
+from enfkit import processes as P
+from enfkit import transducers as T
 from enfkit.formulas import necessities
 from enfkit.harness import BOUND_ERRORS, DEFAULT_BOUND, Verdict, _require_safety, _trace_text
+from enfkit.parsing import ParseError, SpecFile, _parse_name_set
 from enfkit.processes import (
-    Choice, Prefix, ProcessError, PVar, Rec, as_lts, subst_proc, trace_tree, traces, weak_step,
+    Choice, Prefix, ProcessError, PVar, Rec, as_lts, subst_proc, trace_tree, traces,
+    validate_process, weak_step,
 )
 from enfkit.runtime import Config
 from enfkit.symbolic import (
+    FALSE,
     INSERT,
+    KEYWORDS,
     TAU,
+    TRUE,
+    Action,
+    ActionPattern,
+    And,
+    Binder,
+    Cmp,
     Condition,
     Domain,
+    Free,
+    InsertPattern,
+    Lit,
+    Not,
+    Or,
     SymbolicAction,
     UnboundVariable,
     Val,
+    Var,
     cond_vars,
     denote,
     disjoint,
@@ -52,9 +79,11 @@ from enfkit.symbolic import (
     subst_data,
     subst_pattern,
     sym_match,
+    underline,
 )
 from enfkit.transducers import (
     ID, TId, TPrefix, TRec, TSum, TVar, TransducerError, _instantiate_target, subst_rec, tstep,
+    validate_transducer,
 )
 
 
@@ -349,3 +378,417 @@ def naive_tstep(e, domain: Domain):
 
     walk(e)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The recursive-descent parser: each grammar level is a method of its own,
+# reading one `_Token` at a time, and each spec-file body is tokenized apart.
+# Recursion bounds the depth it can read.
+
+_DESCENT_TOKEN_RE = re.compile(
+    r"\s+|(?P<comment>#[^\n]*)|(?P<op>->|&&|\|\||!=|=|\?|!|\.|\+|\(|\)|\[|\]|<|>|\{|\}|\*)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
+)
+
+
+@dataclass
+class _Token:
+    kind: str  # 'op' | 'name' | 'kw' | 'eof'
+    text: str
+    pos: int
+
+
+def descent_tokenize(text: str):
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _DESCENT_TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos, text)
+        pos = m.end()
+        if m.lastgroup in (None, "comment"):
+            continue
+        tok = m.group()
+        if m.lastgroup == "name":
+            out.append(_Token("kw" if tok in KEYWORDS else "name", tok, m.start()))
+        else:
+            out.append(_Token("op", tok, m.start()))
+    out.append(_Token("eof", "", len(text)))
+    return out
+
+
+@dataclass
+class _Scope:
+    """Lexical scopes threaded through parsing: data variables bound by
+    pattern binders, logical variables, process/transducer recursion vars."""
+
+    data: tuple = ()
+    logic: tuple = ()
+    rec: tuple = ()
+
+    def with_data(self, names):
+        return _Scope(self.data + tuple(names), self.logic, self.rec)
+
+    def with_logic(self, name):
+        return _Scope(self.data, self.logic + (name,), self.rec)
+
+    def with_rec(self, name):
+        return _Scope(self.data, self.logic, self.rec + (name,))
+
+
+class DescentParser:
+    def __init__(self, text: str, domain: Domain | None):
+        self.text = text
+        self.domain = domain
+        self.toks = descent_tokenize(text)
+        self.i = 0
+
+    # -- token helpers -----------------------------------------------------
+
+    def peek(self) -> _Token:
+        return self.toks[self.i]
+
+    def next(self) -> _Token:
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def at(self, text: str) -> bool:
+        return self.peek().text == text and self.peek().kind in ("op", "kw")
+
+    def eat(self, text: str) -> bool:
+        if self.at(text):
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, text: str) -> _Token:
+        if not self.at(text):
+            raise self.error(f"expected {text!r}, found {self.peek().text!r}")
+        return self.next()
+
+    def expect_name(self, what="name") -> str:
+        tok = self.peek()
+        if tok.kind != "name":
+            raise self.error(f"expected {what}, found {tok.text!r}")
+        self.next()
+        return tok.text
+
+    def error(self, message) -> ParseError:
+        return ParseError(message, self.peek().pos, self.text)
+
+    def done(self):
+        if self.peek().kind != "eof":
+            raise self.error(f"trailing input starting at {self.peek().text!r}")
+
+    # -- values, actions ---------------------------------------------------
+
+    def _require_domain(self) -> Domain:
+        if self.domain is None:
+            raise self.error("a domain is required to parse this term")
+        return self.domain
+
+    def value(self, expected: str) -> str:
+        name = self.expect_name(f"{expected} name")
+        d = self._require_domain()
+        if expected == "port" and name not in d.ports:
+            raise self.error(f"{name!r} is not a declared port")
+        if expected == "payload" and name not in d.payloads:
+            raise self.error(f"{name!r} is not a declared payload")
+        return name
+
+    def action(self) -> Action:
+        port = self.value("port")
+        if self.eat("?"):
+            is_input = True
+        elif self.eat("!"):
+            is_input = False
+        else:
+            raise self.error("expected '?' or '!' after port name")
+        return Action(port, is_input, self.value("payload"))
+
+    # -- patterns ----------------------------------------------------------
+
+    def slot(self, scope: _Scope, other=None, allow_binders=True):
+        """One pattern slot; `other` is the port slot when this is the payload.
+        A name is either a binder or a free slot of one pattern."""
+        pos = self.peek().pos
+        if self.eat("("):
+            name = self.expect_name("binder")
+            self.expect(")")
+            if not allow_binders:
+                raise self.error("binders are not allowed in this pattern")
+            d = self._require_domain()
+            if name in d.values:
+                raise self.error(f"binder {name!r} collides with a domain value")
+            slot = Binder(name)
+        else:
+            name = self.expect_name("slot")
+            if name in scope.data:
+                slot = Free(name)
+            elif name in self._require_domain().values:
+                return Lit(name)
+            else:
+                raise self.error(f"{name!r} is neither a bound variable nor a domain value")
+        if Binder in (type(slot), type(other)) and getattr(other, "name", None) == name:
+            raise ParseError(f"pattern names the binder {name!r} twice", pos, self.text)
+        return slot
+
+    def pattern(self, scope: _Scope, allow_binders=True) -> ActionPattern:
+        port = self.slot(scope, None, allow_binders)
+        if self.eat("?"):
+            is_input = True
+        elif self.eat("!"):
+            is_input = False
+        else:
+            raise self.error("expected '?' or '!' in pattern")
+        payload = self.slot(scope, port, allow_binders)
+        return ActionPattern(port, is_input, payload)
+
+    # -- conditions ----------------------------------------------------------
+
+    def term(self, scope: _Scope):
+        name = self.expect_name("term")
+        if name in scope.data:
+            return Var(name)
+        d = self._require_domain()
+        if name in d.values:
+            return Val(name)
+        raise self.error(f"{name!r} is neither a bound variable nor a domain value")
+
+    def condition(self, scope: _Scope):
+        return self._cond_or(scope)
+
+    def _cond_or(self, scope):
+        items = [self._cond_and(scope)]
+        while self.eat("||"):
+            items.append(self._cond_and(scope))
+        if len(items) == 1:
+            return items[0]
+        return Or(tuple(items))
+
+    def _cond_and(self, scope):
+        items = [self._cond_atom(scope)]
+        while self.eat("&&"):
+            items.append(self._cond_atom(scope))
+        if len(items) == 1:
+            return items[0]
+        return And(tuple(items))
+
+    def _cond_atom(self, scope):
+        if self.eat("true"):
+            return TRUE
+        if self.eat("false"):
+            return FALSE
+        if self.eat("!"):
+            return Not(self._cond_atom(scope))
+        if self.eat("("):
+            inner = self._cond_or(scope)
+            self.expect(")")
+            return inner
+        left = self.term(scope)
+        if self.eat("="):
+            return Cmp(left, self.term(scope), equal=True)
+        if self.eat("!="):
+            return Cmp(left, self.term(scope), equal=False)
+        raise self.error("expected '=' or '!=' in condition")
+
+    def symbolic_action(self, scope: _Scope):
+        pat = self.pattern(scope)
+        inner = scope.with_data(sorted(pat.binders))
+        cond = self.condition(inner) if self.eat("when") else TRUE
+        return SymbolicAction(pat, cond), inner
+
+    # -- formulas ------------------------------------------------------------
+
+    def formula(self, scope: _Scope):
+        return self._f_or(scope)
+
+    def _f_or(self, scope):
+        items = [self._f_and(scope)]
+        while self.eat("||"):
+            items.append(self._f_and(scope))
+        return items[0] if len(items) == 1 else F.FOr(tuple(items))
+
+    def _f_and(self, scope):
+        items = [self._f_atom(scope)]
+        while self.eat("&&"):
+            items.append(self._f_atom(scope))
+        return items[0] if len(items) == 1 else F.FAnd(tuple(items))
+
+    def _f_atom(self, scope):
+        if self.eat("tt"):
+            return F.TT
+        if self.eat("ff"):
+            return F.FF
+        if self.eat("("):
+            inner = self._f_or(scope)
+            self.expect(")")
+            return inner
+        if self.eat("["):
+            sa, inner_scope = self.symbolic_action(scope)
+            self.expect("]")
+            return F.Box(sa, self._f_atom(inner_scope))
+        if self.eat("<"):
+            sa, inner_scope = self.symbolic_action(scope)
+            self.expect(">")
+            return F.Dia(sa, self._f_atom(inner_scope))
+        if self.at("max") or self.at("min"):
+            cls = F.Max if self.next().text == "max" else F.Min
+            var = self.expect_name("fixpoint variable")
+            self.expect(".")
+            return cls(var, self._f_or(scope.with_logic(var)))
+        tok = self.peek()
+        if tok.kind == "name":
+            if tok.text in scope.logic:
+                self.next()
+                return F.FVar(tok.text)
+            raise self.error(f"unbound logical variable {tok.text!r}")
+        raise self.error(f"expected a formula, found {tok.text!r}")
+
+    # -- processes -----------------------------------------------------------
+
+    def process(self, scope: _Scope):
+        branches = [self._p_prefix(scope)]
+        while self.eat("+"):
+            branches.append(self._p_prefix(scope))
+        return branches[0] if len(branches) == 1 else P.Choice(tuple(branches))
+
+    def _p_prefix(self, scope):
+        if self.eat("nil"):
+            return P.NIL
+        if self.eat("("):
+            inner = self.process(scope)
+            self.expect(")")
+            return inner
+        if self.eat("rec"):
+            var = self.expect_name("recursion variable")
+            self.expect(".")
+            return P.Rec(var, self.process(scope.with_rec(var)))
+        if self.eat("tau"):
+            self.expect(".")
+            return P.Prefix(TAU, self._p_prefix(scope))
+        tok = self.peek()
+        if tok.kind == "name":
+            if tok.text in scope.rec:
+                # a recursion variable, unless it starts an action like i?req
+                nxt = self.toks[self.i + 1]
+                if nxt.text not in ("?", "!"):
+                    self.next()
+                    return P.PVar(tok.text)
+            act = self.action()
+            self.expect(".")
+            return P.Prefix(act, self._p_prefix(scope))
+        raise self.error(f"expected a process, found {tok.text!r}")
+
+    # -- transducers -----------------------------------------------------------
+
+    def transducer(self, scope: _Scope):
+        branches = [self._t_prefix(scope)]
+        while self.eat("+"):
+            branches.append(self._t_prefix(scope))
+        return branches[0] if len(branches) == 1 else T.TSum(tuple(branches))
+
+    def _t_prefix(self, scope):
+        if self.eat("id"):
+            return T.ID
+        if self.eat("("):
+            inner = self.transducer(scope)
+            self.expect(")")
+            return inner
+        if self.eat("rec"):
+            var = self.expect_name("recursion variable")
+            self.expect(".")
+            return T.TRec(var, self.transducer(scope.with_rec(var)))
+        if self.eat("{"):
+            if self.eat("*"):
+                pat: object = InsertPattern()
+                inner_scope = scope
+            else:
+                pat = self.pattern(scope)
+                inner_scope = scope.with_data(sorted(pat.binders))
+            cond = self.condition(inner_scope) if self.eat("when") else TRUE
+            if self.eat("->"):
+                if self.eat("tau"):
+                    target: object = TAU
+                else:
+                    target = self.pattern(inner_scope, allow_binders=False)
+            else:
+                if isinstance(pat, InsertPattern):
+                    raise self.error("an insertion transform needs an explicit '-> target'")
+                target = underline(pat)
+            self.expect("}")
+            self.expect(".")
+            return T.TPrefix(pat, cond, target, self._t_prefix(inner_scope))
+        tok = self.peek()
+        if tok.kind == "name" and tok.text in scope.rec:
+            self.next()
+            return T.TVar(tok.text)
+        raise self.error(f"expected a transducer, found {tok.text!r}")
+
+
+
+def descent_parse_formula(text: str, domain: Domain):
+    p = DescentParser(text, domain)
+    out = p.formula(_Scope())
+    p.done()
+    return out
+
+
+def descent_parse_process(text: str, domain: Domain):
+    p = DescentParser(text, domain)
+    out = p.process(_Scope())
+    p.done()
+    validate_process(out)
+    return out
+
+
+def descent_parse_transducer(text: str, domain: Domain):
+    p = DescentParser(text, domain)
+    out = p.transducer(_Scope())
+    p.done()
+    validate_transducer(out)
+    return out
+
+
+def descent_parse_specfile(text: str) -> SpecFile:
+    """`parsing.parse_specfile` line by line.  Each body is parsed behind a
+    blank copy of the file up to it (newlines kept, every other character a
+    space), so its positions are positions in the file."""
+    ports = payloads = None
+    pending = []  # (kind, name, body text)
+    offset = 0
+    for raw_line in text.splitlines(keepends=True):
+        start, offset = offset, offset + len(raw_line)
+        code = raw_line.split("#", 1)[0]
+        line = code.strip()
+        if not line:
+            continue
+        head = line.split("=", 1)[0].strip().split()
+        if head and head[0] == "ports":
+            ports = _parse_name_set(line, "ports")
+        elif head and head[0] == "payloads":
+            payloads = _parse_name_set(line, "payloads")
+        else:
+            if len(head) != 2 or head[0] not in ("process", "formula", "transducer"):
+                raise ParseError(f"cannot parse spec line {raw_line.splitlines()[0]!r}")
+            kind, name = head
+            if "=" not in line:
+                raise ParseError(f"missing '=' in definition of {name!r}")
+            body = line.split("=", 1)[1].strip()
+            before = text[: start + len(code.rstrip()) - len(body)]
+            pending.append((kind, name, re.sub(r"[^\n]", " ", before) + body))
+    if ports is None or payloads is None:
+        raise ParseError("spec file must declare ports = {...} and payloads = {...}")
+    domain = Domain(ports, payloads)
+    spec = SpecFile(domain)
+    parsers = {
+        "process": (descent_parse_process, spec.processes),
+        "formula": (descent_parse_formula, spec.formulas),
+        "transducer": (descent_parse_transducer, spec.transducers),
+    }
+    for kind, name, body in pending:
+        if name in spec.processes or name in spec.formulas or name in spec.transducers:
+            raise ParseError(f"duplicate definition name {name!r}")
+        fn, table = parsers[kind]
+        table[name] = fn(body, domain)
+    return spec

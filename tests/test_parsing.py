@@ -1,16 +1,35 @@
+import gzip
+import json
+import os
+import random
+import sys
+
 import pytest
 
+from enfkit.formulas import FF, TT, Box, Dia, FAnd, FOr, FVar, Max, Min
 from enfkit.harness import gen_formula, gen_process
 from enfkit.normalizer import normalize
 from enfkit.parsing import (
     ParseError,
+    SpecFile,
     parse_formula,
+    parse_label,
     parse_lts,
     parse_process,
     parse_specfile,
     parse_transducer,
 )
+from enfkit.processes import NIL, Choice, Prefix, PVar, Rec
+from enfkit.symbolic import TRUE, Domain, Not
 from enfkit.synthesis import compile_formula
+from enfkit.transducers import ID, TPrefix, TRec, TSum, TVar
+from oracles import (
+    descent_parse_formula,
+    descent_parse_process,
+    descent_parse_specfile,
+    descent_parse_transducer,
+    descent_tokenize,
+)
 
 
 SPEC_TEXT = """
@@ -133,3 +152,260 @@ def test_a_pattern_cannot_name_its_binder_twice(dom, text, column):
 def test_a_repeated_free_slot_name_parses(dom):
     f = parse_formula("[(z)?(y)][z?z]ff", dom)
     assert f.body.action.pattern.free_vars == {"z"}
+
+
+# ---------------------------------------------------------------------------
+# Positions in spec files, and agreement with the recursive-descent oracle
+
+D23 = Domain({"i", "j"}, {"req", "ans", "cls"})
+D34 = Domain({"i", "j", "k"}, {"req", "ans", "cls", "ack"})
+PINNED = os.path.join(os.path.dirname(__file__), "..", "perfbench", "pinned")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "ports = {i}\npayloads = {req}\n\nprocess p = i?req.i?bogus.nil",
+            "'bogus' is not a declared payload (line 4, column 26)",
+        ),
+        (
+            "# head\nports = {i}  # ports\npayloads = {req}\nformula f = [i?req]ff  # ok\n"
+            "process p = i?req.  # cut\n",
+            "expected a process, found '' (line 5, column 19)",
+        ),
+        (
+            "ports = {i, j}\r\npayloads = {req}\r\n"
+            "process p = i?req.nil\r\nprocess q = i?req, nil\r\n",
+            "unexpected character ',' (line 4, column 18)",
+        ),
+        (
+            "ports = {i}\npayloads = {req}\ntransducer e = {i?req -> tau}.id + x\n",
+            "expected a transducer, found 'x' (line 3, column 36)",
+        ),
+    ],
+)
+def test_spec_errors_give_file_positions(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_specfile(text)
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as oracle:
+        descent_parse_specfile(text)
+    assert str(oracle.value) == message
+
+
+def _outcome(parse, *args):
+    """(True, the term a parse returns), or (False, the class, message and
+    position of what it raises)."""
+    try:
+        return True, parse(*args)
+    except Exception as e:  # the class is part of what must agree
+        return False, type(e), str(e), getattr(e, "pos", None)
+
+
+def _same(got, want) -> bool:
+    """Terms are interned, so the same term is the same object; spec files
+    hold the same terms under the same names."""
+    if isinstance(got, SpecFile):
+        kinds = ("formulas", "processes", "transducers")
+        tables = [(getattr(got, kind), getattr(want, kind)) for kind in kinds]
+        return got.domain == want.domain and all(
+            a.keys() == b.keys() and all(a[name] is b[name] for name in a) for a, b in tables
+        )
+    return got is want
+
+
+def _agree(new, old, *args) -> bool:
+    """Whether the parse accepts `args`, after checking that the oracle
+    returns the same term or raises the same error."""
+    got, want = _outcome(new, *args), _outcome(old, *args)
+    if got[0] and want[0]:
+        assert _same(got[1], want[1]), args[0]
+    else:
+        assert got == want, args[0]
+    return got[0]
+
+
+#: A text per error the three grammars raise, read with and without a domain.
+ERRORS = [
+    *(("formula", text) for text in (
+        "[i?req]ff é", "tt tt", "max .tt", "max X tt", "[(?req]ff", "[(x?req]ff", "[?req]ff",
+        "[i req]ff", "[i?req ff", "[(i)?req]ff", "[x?req]ff", "[(x)?(x)]ff", "[i?req when]ff",
+        "[i?req when = i]ff", "[i?req when i]ff", "[i?req when x = i]ff", "[i?req when (true]ff",
+        "(tt", "X", ")", "<i?req]ff", "tt &&",
+    )),
+    *(("process", text) for text in (
+        "k?req.nil", "i?foo.nil", "i.nil", "i", "i?", "i?req", "i?req nil", "tau nil", "rec .nil",
+        "rec X.X", "rec X.(i?req.X", "tt", "rec X.X?req.nil", "nil + ", "",
+    )),
+    *(("transducer", text) for text in (
+        "{*}.id", "{(x)?req -> (y)?req}.id", "{i?req}id", "{i?req.id", "{i?req -> x?req}.id", "x",
+        "rec x.x", "{* -> tau} id", "{(x)?req when x = y}.id",
+    )),
+]
+
+
+@pytest.mark.parametrize("domain", [D23, None])
+@pytest.mark.parametrize("kind, text", ERRORS)
+def test_errors_match_the_oracle(kind, text, domain):
+    new, old = {
+        "formula": (parse_formula, descent_parse_formula),
+        "process": (parse_process, descent_parse_process),
+        "transducer": (parse_transducer, descent_parse_transducer),
+    }[kind]
+    assert not _agree(new, old, text, domain)
+
+
+def check_large_spec(key: int) -> str:
+    """The spec text of check-large's pool item `key` (`perfbench/workloads.py`)."""
+    formula = gen_formula(D23, 8 + key % 5, 7000 + key)
+    process = gen_process(D23, 48 + (3 * key) % 17, 9000 + key)
+    head = "ports = {i, j}\npayloads = {ans, cls, req}\n"
+    return head + f"formula f0 = {formula}\nprocess p0 = {process}\n"
+
+
+def _pinned_enforcers():
+    for name in ("compile-ladder", "enforce-online"):
+        with gzip.open(os.path.join(PINNED, f"{name}.json.gz"), "rt", encoding="utf-8") as fh:
+            for item in json.load(fh)["items"]:
+                if item.get("enforcer"):
+                    yield D34 if item["part"] == "3x4" else D23, item["enforcer"]
+
+
+def _seeded_texts():
+    """(new parse, oracle parse, domain, text) over seeded formulas,
+    processes and compiled enforcers."""
+    for d, top in ((D23, 24), (D34, 16)):
+        for seed in range(40):
+            f = gen_formula(d, 1 + seed % top, 8100 + seed)
+            yield parse_formula, descent_parse_formula, d, str(f)
+            yield parse_formula, descent_parse_formula, d, str(normalize(f, d))
+            p = gen_process(d, 1 + seed % 64, 8200 + seed)
+            yield parse_process, descent_parse_process, d, str(p)
+            if seed % 4 == 0:
+                e = compile_formula(gen_formula(d, 1 + seed % 8, 8300 + seed), d)
+                yield parse_transducer, descent_parse_transducer, d, str(e)
+
+
+def test_the_parser_returns_the_oracles_terms():
+    for new, old, d, text in _seeded_texts():
+        assert _agree(new, old, text, d)
+    for d, text in _pinned_enforcers():
+        assert _agree(parse_transducer, descent_parse_transducer, text, d)
+    for key in range(160):
+        assert _agree(parse_specfile, descent_parse_specfile, check_large_spec(key))
+
+
+def _mutants(words, rng, count):
+    """Up to `count` token lists, each one deletion, duplication or swap of
+    neighbours away from `words`."""
+    for _ in range(count):
+        k = rng.randrange(len(words))
+        how = rng.randrange(3)
+        if how == 0:
+            yield words[:k] + words[k + 1 :]
+        elif how == 1:
+            yield words[: k + 1] + words[k:]
+        elif k + 1 < len(words):
+            yield words[:k] + [words[k + 1], words[k]] + words[k + 2 :]
+
+
+def _words(text):
+    return [tok.text for tok in descent_tokenize(text)[:-1]]
+
+
+def test_the_parser_rejects_what_the_oracle_rejects():
+    rng = random.Random(5)
+    accepted = rejected = 0
+    texts = list(_seeded_texts())[::3]
+    texts += [
+        (parse_transducer, descent_parse_transducer, d, text)
+        for d, text in list(_pinned_enforcers())[:: 40]
+        if len(text) < 2000
+    ]
+    for new, old, d, text in texts:
+        for words in _mutants(_words(text), rng, 25):
+            ok = _agree(new, old, " ".join(words), d)
+            accepted, rejected = accepted + ok, rejected + (not ok)
+    for key in range(0, 160, 8):
+        lines = check_large_spec(key).splitlines()
+        for row in (2, 3):
+            head, body = lines[row].split(" = ", 1)
+            for words in _mutants(_words(body), rng, 25):
+                text = "\n".join([*lines[:row], f"{head} = {' '.join(words)}", *lines[row + 1 :]])
+                ok = _agree(parse_specfile, descent_parse_specfile, text)
+                accepted, rejected = accepted + ok, rejected + (not ok)
+    # most mutants are rejected; a few (two branches swapped, say) still parse
+    assert accepted >= 20 and rejected >= 2000
+
+
+# ---------------------------------------------------------------------------
+# Depth: the parser keeps its stack in a list, not in Python frames
+
+DEPTH = 10_000
+
+
+def _chain(wrap, leaf):
+    term = leaf
+    for _ in range(DEPTH):
+        term = wrap(term)
+    return term
+
+
+def test_deep_prefix_chains_parse(dom):
+    assert sys.getrecursionlimit() < DEPTH
+    act, tau = parse_label("i?req"), parse_label("tau")
+    box = parse_formula("[i?req]ff", dom).action
+    transform = parse_transducer("{i?req}.id", dom)
+    assert parse_process("i?req." * DEPTH + "nil", dom) is _chain(lambda t: Prefix(act, t), NIL)
+    assert parse_process("tau." * DEPTH + "nil", dom) is _chain(lambda t: Prefix(tau, t), NIL)
+    assert parse_formula("[i?req]" * DEPTH + "ff", dom) is _chain(lambda t: Box(box, t), FF)
+    assert parse_formula("<i?req>" * DEPTH + "tt", dom) is _chain(lambda t: Dia(box, t), TT)
+    binding = parse_formula("[(x)?req when x != j]ff", dom).action
+    text = "[(x)?req when x != j]" * DEPTH + "ff"
+    assert parse_formula(text, dom) is _chain(lambda t: Box(binding, t), FF)
+    assert parse_transducer("{i?req}." * DEPTH + "id", dom) is _chain(
+        lambda t: TPrefix(transform.pattern, transform.condition, transform.target, t), ID
+    )
+
+
+def test_deep_binders_parse(dom):
+    # ten names, so that each binder shadows one ten levels up
+    names = [f"X{k % 10}" for k in range(DEPTH)]
+    act = parse_label("i?req")
+    text = "".join(f"rec {n}." for n in names) + "i?req.X0"
+    expect = Prefix(act, PVar("X0"))
+    for n in reversed(names):
+        expect = Rec(n, expect)
+    assert parse_process(text, dom) is expect
+    text = "".join(f"max {n}." for n in names) + "[i?req]X0 && min X.X"
+    expect = FAnd((Box(parse_formula("[i?req]ff", dom).action, FVar("X0")), Min("X", FVar("X"))))
+    for n in reversed(names):
+        expect = Max(n, expect)
+    assert parse_formula(text, dom) is expect
+    text = "".join(f"rec {n.lower()}." for n in names) + "{i?req}.x0"
+    transform = parse_transducer("{i?req}.id", dom)
+    expect = TPrefix(transform.pattern, transform.condition, transform.target, TVar("x0"))
+    for n in reversed(names):
+        expect = TRec(n.lower(), expect)
+    assert parse_transducer(text, dom) is expect
+
+
+def test_deep_parentheses_parse(dom):
+    wrap = lambda text: "(" * DEPTH + text + ")" * DEPTH
+    assert parse_process(wrap("nil"), dom) is NIL
+    assert parse_formula(wrap("tt"), dom) is TT
+    assert parse_transducer(wrap("id"), dom) is ID
+    assert parse_formula(f"[i?req when {wrap('true')}]ff", dom) is parse_formula("[i?req]ff", dom)
+    guard = f"[i?req when {'!' * DEPTH}true]ff"
+    assert parse_formula(guard, dom).action.condition is _chain(Not, TRUE)
+
+
+def test_wide_sums_parse(dom):
+    branch = parse_process("i?req.nil", dom)
+    assert parse_process(" + ".join(["i?req.nil"] * DEPTH), dom) is Choice((branch,) * DEPTH)
+    box = parse_formula("[i?req]ff", dom)
+    assert parse_formula(" && ".join(["[i?req]ff"] * DEPTH), dom) is FAnd((box,) * DEPTH)
+    assert parse_formula(" || ".join(["[i?req]ff"] * DEPTH), dom) is FOr((box,) * DEPTH)
+    transform = parse_transducer("{i?req}.id", dom)
+    assert parse_transducer(" + ".join(["{i?req}.id"] * DEPTH), dom) is TSum((transform,) * DEPTH)
