@@ -25,7 +25,6 @@ from .symbolic import (
     SymbolicAction,
     cond_vars,
     disjoint_under,
-    paren,
     term,
     term_memo,
 )
@@ -37,34 +36,22 @@ class FormulaError(Exception):
 
 @term(shape=Shape())
 class FTrue:
-    def __str__(self):
-        return "tt"
+    """Truth: every state satisfies it."""
 
 
 @term(shape=Shape())
 class FFalse:
-    def __str__(self):
-        return "ff"
+    """Falsehood: no state satisfies it."""
 
 
 @term(shape=Shape("items"))
 class FAnd:
     items: tuple
 
-    PREC = 2
-
-    def __str__(self):
-        return " && ".join(paren(i, 3) for i in self.items)
-
 
 @term(shape=Shape("items"))
 class FOr:
     items: tuple
-
-    PREC = 1
-
-    def __str__(self):
-        return " || ".join(paren(i, 2) for i in self.items)
 
 
 @term(shape=Shape("body", guard="action"))
@@ -72,25 +59,16 @@ class Box:
     action: SymbolicAction
     body: "Formula"
 
-    def __str__(self):
-        return f"[{self.action}]{paren(self.body, 3)}"
-
 
 @term(shape=Shape("body", guard="action"))
 class Dia:
     action: SymbolicAction
     body: "Formula"
 
-    def __str__(self):
-        return f"<{self.action}>{paren(self.body, 3)}"
-
 
 @term(shape=Shape(occurs="name"))
 class FVar:
     name: str
-
-    def __str__(self):
-        return self.name
 
 
 @term(shape=Shape("body", binds="var", occurrence=FVar))
@@ -98,21 +76,11 @@ class Max:
     var: str
     body: "Formula"
 
-    PREC = 0
-
-    def __str__(self):
-        return f"max {self.var}.{self.body}"
-
 
 @term(shape=Shape("body", binds="var", occurrence=FVar))
 class Min:
     var: str
     body: "Formula"
-
-    PREC = 0
-
-    def __str__(self):
-        return f"min {self.var}.{self.body}"
 
 
 Formula = Union[FTrue, FFalse, FAnd, FOr, Box, Dia, Max, Min, FVar]

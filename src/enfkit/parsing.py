@@ -7,7 +7,9 @@ token words and positions.  One operator-precedence loop on an explicit stack
 process, transducer and condition grammars, each described by a small table,
 so the depth of a term is bounded by memory, not by the recursion limit.  A
 spec file is tokenized once as a whole, so an error in one of its
-definitions gives its line and column in the file.
+definitions gives its line and column in the file.  The same syntax is
+printed: `_LAYOUTS` gives each term class its text and binding level, for
+`symbolic.show`, and the grammars read their n-ary operators from it.
 
 Identifier resolution is scope-first: a name bound by an enclosing pattern
 binder is a data variable, otherwise it must be a declared domain value.
@@ -52,7 +54,9 @@ from .symbolic import (
     ActionPattern,
     And,
     Binder,
+    CFalse,
     Cmp,
+    CTrue,
     Domain,
     FALSE,
     Free,
@@ -65,6 +69,7 @@ from .symbolic import (
     TRUE,
     Val,
     Var,
+    set_layouts,
     underline,
 )
 
@@ -141,20 +146,47 @@ class _Grammar(NamedTuple):
     expected: str
 
 
-_FORMULA = _Grammar({"||": 0, "&&": 1}, (F.FOr, F.FAnd), {
+def _grammar(joins, starts, name, expected) -> _Grammar:
+    """The grammar whose n-ary classes are `joins`: each class's operator
+    word and level are those of its layout, so the printer reads them too."""
+    joins = sorted(joins, key=lambda cls: _LAYOUTS[cls][0])
+    infix = {_LAYOUTS[cls][1]: k for k, cls in enumerate(joins)}
+    return _Grammar(infix, tuple(joins), starts, name, expected)
+
+
+# ---------------------------------------------------------------------------
+# Layouts: how the terms of each class print (`symbolic.set_layouts`)
+
+_OR, _AND, _SUM = (1, "||"), (2, "&&"), (1, "+")  # the n-ary operators
+_LAYOUTS = {
+    F.FOr: _OR, Or: _OR, F.FAnd: _AND, And: _AND, P.Choice: _SUM, T.TSum: _SUM,
+    F.Max: (0, "max {var}.{body:0}"), F.Min: (0, "min {var}.{body:0}"),
+    P.Rec: (0, "rec {var}.{body:0}"), T.TRec: (0, "rec {var}.{body:0}"),
+    P.Prefix: (2, "{label}.{cont:2}"),
+    T.TPrefix: (2, "{{{pattern}{condition: when }{target: -> }}}.{cont:2}"),
+    F.Box: "[{action}]{body:3}", F.Dia: "<{action}>{body:3}", Not: "!{item:3}",
+    F.FTrue: "tt", F.FFalse: "ff", P.PNil: "nil", T.TId: "id", CTrue: "true", CFalse: "false",
+    F.FVar: "{name}", P.PVar: "{name}", T.TVar: "{name}", Var: "{name}", Val: "{name}",
+    Lit: "{value}", Free: "{name}", Binder: "({name})", InsertPattern: "*",
+    Action: "{port}{is_input:?|!}{payload}", ActionPattern: "{port}{is_input:?|!}{payload}",
+    Cmp: "{left}{equal: = | != }{right}", SymbolicAction: "{pattern}{condition: when }",
+}
+set_layouts(_LAYOUTS)
+
+_FORMULA = _grammar((F.FOr, F.FAnd), {
     "tt": (_LEAF, F.TT), "ff": (_LEAF, F.FF), "(": (_OPEN, None),
     "[": (_GUARD, ("]", F.Box)), "<": (_GUARD, (">", F.Dia)),
     "max": (_BIND, (F.Max, "fixpoint variable")), "min": (_BIND, (F.Min, "fixpoint variable")),
 }, _FVAR, "expected a formula")
-_PROCESS = _Grammar({"+": 0}, (P.Choice,), {
+_PROCESS = _grammar((P.Choice,), {
     "nil": (_LEAF, P.NIL), "(": (_OPEN, None), "tau": (_TAU, None),
     "rec": (_BIND, (P.Rec, "recursion variable")),
 }, _PVAR_OR_ACTION, "expected a process")
-_TRANSDUCER = _Grammar({"+": 0}, (T.TSum,), {
+_TRANSDUCER = _grammar((T.TSum,), {
     "id": (_LEAF, T.ID), "(": (_OPEN, None), "{": (_TRANSFORM, None),
     "rec": (_BIND, (T.TRec, "recursion variable")),
 }, _TVAR, "expected a transducer")
-_CONDITION = _Grammar({"||": 0, "&&": 1}, (Or, And), {
+_CONDITION = _grammar((Or, And), {
     "true": (_LEAF, TRUE), "false": (_LEAF, FALSE), "(": (_OPEN, None), "!": (_NOT, None),
 }, _CMP, "expected term")
 

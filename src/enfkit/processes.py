@@ -12,7 +12,7 @@ from collections import deque
 from typing import Union
 
 from . import symbolic
-from .symbolic import TAU, Action, Shape, paren, term, term_memo
+from .symbolic import TAU, Action, Shape, term, term_memo
 
 
 #: The default cap on the states of an explored LTS (a process's, a
@@ -30,8 +30,7 @@ class StateBoundExceeded(ProcessError):
 
 @term(shape=Shape())
 class PNil:
-    def __str__(self):
-        return "nil"
+    """The process that does nothing."""
 
 
 @term(shape=Shape("cont", guard=()))
@@ -39,39 +38,21 @@ class Prefix:
     label: object  # Action or TAU
     cont: "Process"
 
-    PREC = 2
-
-    def __str__(self):
-        return f"{self.label}.{paren(self.cont, 2)}"
-
 
 @term(shape=Shape("branches"))
 class Choice:
     branches: tuple
-
-    PREC = 1
-
-    def __str__(self):
-        return " + ".join(paren(b, 2) for b in self.branches)
 
 
 @term(shape=Shape(occurs="name"))
 class PVar:
     name: str
 
-    def __str__(self):
-        return self.name
-
 
 @term(shape=Shape("body", binds="var", occurrence=PVar))
 class Rec:
     var: str
     body: "Process"
-
-    PREC = 0
-
-    def __str__(self):
-        return f"rec {self.var}.{self.body}"
 
 
 Process = Union[PNil, Prefix, Choice, Rec, PVar]

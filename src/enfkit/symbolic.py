@@ -33,6 +33,12 @@ hands any term an integer key), on which `transducers.alpha_eq` and the
 normaliser's equation interning both rest.  The terms of formulas, processes
 and transducers declare their subterms and binders (`Shape`): their
 walkers are rules on one fold and one map, and their steps read `heads`.
+
+Every term prints by `show`, its `__str__` (memoised for actions, guards
+and conditions): one loop on an explicit stack over `LAYOUTS`, so printing
+has no depth limit.  The layouts (each class's text and binding level) are
+declared in one table in `parsing`, beside the grammars, which read their
+n-ary operators' words and levels from it.
 """
 from __future__ import annotations
 
@@ -41,6 +47,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import islice, repeat
 from operator import is_not
+from string import Formatter
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 
@@ -61,7 +68,8 @@ class CachedHash:
     lets the intern table refer to a term without keeping it alive.  It
     defines no `__hash__` and no `__eq__`: equal terms are one object, so
     the identity hash and equality of `object`, which run in C, are
-    structural and never recurse."""
+    structural and never recurse.  `set_layouts` makes the printer,
+    `show`, the `__str__` of every term class."""
 
     __slots__ = ("__weakref__",)
 
@@ -226,6 +234,98 @@ _LEAF = Shape()
 
 
 # ---------------------------------------------------------------------------
+# One printer for every term, on an explicit stack
+
+#: How the terms of each class print, `(level, pieces, many)`: see `set_layouts`.
+LAYOUTS: dict = {}
+
+
+def set_layouts(table):
+    """Declare how terms print, and make `show` the `__str__` of each class:
+    `table` maps a class to its text, or to `(level, text)`, where the level
+    is how tightly it binds, 0 the loosest and 3, the default, the tightest.
+    A class holding a tuple of subterms has the operator word between them
+    as its text, each at `level + 1`.  Any other text formats the fields:
+    `{f:2}` prints the subterm f inline, parenthesised below level 2, and
+    comes last; `{f}` prints f whole, by its own `str`, which is `show`
+    memoised outside the three languages; `{f:?|!}` prints one word where f
+    is true and the other where false, and `{f: when }` the word and f
+    unless implied (`when true`, or a `->` target that is the source
+    pattern underlined).  Only the three languages and `!` nest inline, so
+    the whole parts' `str` calls nest a few levels deep at most."""
+    for cls, entry in table.items():
+        level, text = entry if type(entry) is tuple else (3, entry)
+        cls.__str__ = show if cls in SHAPES else _shown
+        many = next((f.name for f in fields(cls) if f.type in ("tuple", tuple)), None)
+        if many:
+            LAYOUTS[cls] = (level, f" {text} ", many)
+            continue
+        pieces = []
+        for literal, field, spec, _ in Formatter().parse(text):
+            pieces += [literal] if literal else []
+            if spec and spec.isdigit():
+                pieces.append((field, int(spec)))
+            elif field is not None:  # whole, two words indexed by the value, or a part's word
+                pieces.append((field, spec.split("|")[::-1] if "|" in spec else spec or None))
+        LAYOUTS[cls] = (level, tuple(pieces), None)
+
+
+def show(t) -> str:
+    """The text of a term, emitted into one list joined once: each term's
+    pieces go out in order, and its one inline subterm, last, is printed
+    next in the same loop; only the items of a sum or conjunction and the
+    closing parentheses wait on a stack, so a term of any depth prints in
+    time linear in its text."""
+    out, stack = [], [(t, 0)]
+    emit, push, pop = out.append, stack.append, stack.pop
+    while stack:
+        node = pop()
+        if type(node) is str:
+            emit(node)
+            continue
+        node, need = node
+        while node is not None:
+            level, pieces, many = LAYOUTS[type(node)]
+            if level < need:
+                emit("(")
+                push(")")
+            if many:
+                items = getattr(node, many)
+                for k in range(len(items) - 1, -1, -1):
+                    push((items[k], level + 1))
+                    if k:
+                        push(pieces)
+                break
+            parent, node = node, None
+            for piece in pieces:
+                if type(piece) is str:
+                    emit(piece)
+                    continue
+                field, spec = piece
+                value = getattr(parent, field)
+                if spec is None:
+                    emit(str(value))
+                elif type(spec) is int:
+                    node, need = value, spec
+                elif type(spec) is list:
+                    emit(spec[value])
+                elif not _implied(parent, field, value):
+                    emit(spec)
+                    emit(str(value))
+    return "".join(out)
+
+
+#: Small: an entry keeps its term alive, and a run prints few distinct guards.
+_shown = lru_cache(maxsize=1 << 10)(show)
+
+
+def _implied(node, field, value) -> bool:
+    if field == "condition":
+        return value is TRUE
+    return type(node.pattern) is ActionPattern and value is underline(node.pattern)
+
+
+# ---------------------------------------------------------------------------
 # Domain and actions
 
 
@@ -284,9 +384,6 @@ class Action:
     is_input: bool
     payload: str
 
-    def __str__(self):
-        return f"{self.port}{'?' if self.is_input else '!'}{self.payload}"
-
 
 class _Marker:
     """Interned sentinel label (the silent action and the insertion marker).
@@ -328,24 +425,15 @@ def label_key(label) -> str:
 class Lit:
     value: str
 
-    def __str__(self):
-        return self.value
-
 
 @term
 class Free:
     name: str
 
-    def __str__(self):
-        return self.name
-
 
 @term
 class Binder:
     name: str
-
-    def __str__(self):
-        return f"({self.name})"
 
 
 Slot = Union[Lit, Free, Binder]
@@ -379,9 +467,6 @@ class ActionPattern:
             s.name for s in (self.port, self.payload) if isinstance(s, Free)
         )
 
-    def __str__(self):
-        return f"{self.port}{'?' if self.is_input else '!'}{self.payload}"
-
 
 @term
 class InsertPattern:
@@ -394,9 +479,6 @@ class InsertPattern:
     @property
     def free_vars(self) -> frozenset:
         return frozenset()
-
-    def __str__(self):
-        return "*"
 
 
 Pattern = Union[ActionPattern, InsertPattern]
@@ -412,16 +494,10 @@ Pattern = Union[ActionPattern, InsertPattern]
 class Var:
     name: str
 
-    def __str__(self):
-        return self.name
-
 
 @term
 class Val:
     name: str
-
-    def __str__(self):
-        return self.name
 
 
 Term = Union[Var, Val]
@@ -429,14 +505,12 @@ Term = Union[Var, Val]
 
 @term
 class CTrue:
-    def __str__(self):
-        return "true"
+    """The condition that always holds."""
 
 
 @term
 class CFalse:
-    def __str__(self):
-        return "false"
+    """The condition that never holds."""
 
 
 @term
@@ -445,51 +519,26 @@ class Cmp:
     right: Term
     equal: bool
 
-    def __str__(self):
-        return f"{self.left} {'=' if self.equal else '!='} {self.right}"
-
 
 @term
 class And:
     items: tuple
-
-    PREC = 2
-
-    def __str__(self):
-        return " && ".join(paren(i, 3) for i in self.items)
 
 
 @term
 class Or:
     items: tuple
 
-    PREC = 1
-
-    def __str__(self):
-        return " || ".join(paren(i, 2) for i in self.items)
-
 
 @term
 class Not:
     item: "Condition"
-
-    def __str__(self):
-        return f"!{paren(self.item, 3)}"
 
 
 Condition = Union[CTrue, CFalse, Cmp, And, Or, Not]
 
 TRUE = CTrue()
 FALSE = CFalse()
-
-
-def paren(term, at_least: int) -> str:
-    """Print a term of any grammar, parenthesised when its class's `PREC`
-    binds looser than `at_least`.  Binders bind loosest (0), then sums and
-    disjunctions (1), conjunctions and prefixes (2); everything else binds
-    tightest (3)."""
-    text = str(term)
-    return f"({text})" if getattr(term, "PREC", 3) < at_least else text
 
 
 def conjoin(items: Iterable[Condition]) -> Condition:
@@ -698,34 +747,26 @@ unguarded = Fold(_unguarded_rule).__getitem__
 
 def check_term(t, is_node, error):
     """Raise `error` unless `is_node` holds at each subterm of `t` and `t` is
-    closed and guarded: one walk down, carrying the recursion variables in
-    scope, those not yet under a prefix, and the data variables in scope."""
-
-    def enter(node, scope):
+    closed and guarded: one walk over the distinct subterms for `is_node`,
+    then the memoised folds `free_rec_vars`, `unguarded` and `free_data_vars`.
+    Of several free recursion variables, the first in sorted order is named."""
+    seen, stack = set(), [t]
+    while stack:
+        node = stack.pop()
         if not is_node(node):
             raise error(f"not a well-formed term: {node!r}")
-        bound, unguarded, data = scope
-        shape = SHAPES[type(node)]
-        name = shape.occurs and getattr(node, shape.occurs)
-        if name and name not in bound:
-            raise error(f"unbound recursion variable {name!r}")
-        if name in unguarded:
-            raise error(f"recursion variable {name!r} is not guarded")
-        if shape.binds:
-            name = getattr(node, shape.binds)
-            return node, (bound | {name}, unguarded | {name}, data)
-        parts = shape.guard and shape.parts(node)
-        if parts:
-            pattern, condition, target = parts
-            inner = data | pattern.binders
-            free = _EMPTY.union(cond_vars(condition), getattr(target, "free_vars", ()))
-            unbound = (pattern.free_vars - data) | (free - inner)
-            if unbound:
-                raise error(f"unbound data variables {sorted(unbound)}")
-            data = inner
-        return node, (bound, _EMPTY if shape.guard is not None else unguarded, data)
-
-    rebuild(t, enter, (_EMPTY, _EMPTY, _EMPTY))
+        kids = [k for k in SHAPES[type(node)].kids(node) if k not in seen]
+        seen.update(kids)
+        stack += kids
+    free = free_rec_vars(t)
+    if free:
+        raise error(f"unbound recursion variable {min(free)!r}")
+    name = unguarded(t)
+    if type(name) is str:
+        raise error(f"recursion variable {name!r} is not guarded")
+    unbound = free_data_vars(t)
+    if unbound:
+        raise error(f"unbound data variables {sorted(unbound)}")
 
 
 def subst_var(t, var: str, rep):
@@ -1025,11 +1066,6 @@ class SymbolicAction:
 
     def is_closed(self) -> bool:
         return not self.free_vars
-
-    def __str__(self):
-        if isinstance(self.condition, CTrue):
-            return str(self.pattern)
-        return f"{self.pattern} when {self.condition}"
 
 
 def sym_match(sa: SymbolicAction, gamma: ExtendedAction) -> Optional[dict]:

@@ -17,18 +17,14 @@ from .symbolic import (
     INSERT,
     TAU,
     Action,
-    CTrue,
-    InsertPattern,
     Lit,
     Shape,
     eval_condition,
     match,
-    paren,
     subst_data,
     subst_pattern,
     term,
     term_memo,
-    underline,
 )
 
 
@@ -38,8 +34,7 @@ class TransducerError(Exception):
 
 @term(shape=Shape())
 class TId:
-    def __str__(self):
-        return "id"
+    """The identity: it lets every action through."""
 
 
 @term(shape=Shape("cont", guard=("pattern", "condition", "target")))
@@ -49,48 +44,21 @@ class TPrefix:
     target: object  # ActionPattern (no binders) | TAU
     cont: "Transducer"
 
-    PREC = 2
-
-    def __str__(self):
-        parts = [str(self.pattern)]
-        if not isinstance(self.condition, CTrue):
-            parts.append(f"when {self.condition}")
-        if self.target is TAU:
-            parts.append("-> tau")
-        elif isinstance(self.pattern, InsertPattern) or self.target != underline(
-            self.pattern
-        ):
-            parts.append(f"-> {self.target}")
-        return f"{{{' '.join(parts)}}}.{paren(self.cont, 2)}"
-
 
 @term(shape=Shape("branches"))
 class TSum:
     branches: tuple
-
-    PREC = 1
-
-    def __str__(self):
-        return " + ".join(paren(b, 2) for b in self.branches)
 
 
 @term(shape=Shape(occurs="name"))
 class TVar:
     name: str
 
-    def __str__(self):
-        return self.name
-
 
 @term(shape=Shape("body", binds="var", occurrence=TVar))
 class TRec:
     var: str
     body: "Transducer"
-
-    PREC = 0
-
-    def __str__(self):
-        return f"rec {self.var}.{self.body}"
 
 
 Transducer = Union[TId, TPrefix, TSum, TRec, TVar]

@@ -28,6 +28,10 @@ tokenizer pass, and a spec file as one token list; `descent_parse_formula`,
 `descent_parse_specfile` are the recursive-descent parser it replaced, one
 method per grammar level, a spec file read line by line.
 
+Every term prints by `symbolic.show`, one loop over a table of layouts;
+`method_str` is the printer it replaced, one method per class that
+parenthesises a subterm by its class's `PREC`.
+
 Terms are interned, so their `==` is identity; `structurally_equal`
 compares two terms field by field instead.
 """
@@ -58,8 +62,10 @@ from enfkit.symbolic import (
     ActionPattern,
     And,
     Binder,
+    CFalse,
     Cmp,
     Condition,
+    CTrue,
     Domain,
     Free,
     InsertPattern,
@@ -792,3 +798,83 @@ def descent_parse_specfile(text: str) -> SpecFile:
         fn, table = parsers[kind]
         table[name] = fn(body, domain)
     return spec
+
+
+# ---------------------------------------------------------------------------
+# The per-class printer: each term class printed itself with a method of its
+# own, parenthesising a subterm whose class binds looser (`PREC`) than its
+# position needs.  Recursion bounds the depth it can print.
+
+#: How tightly each class binds: binders 0, sums and disjunctions 1,
+#: conjunctions and prefixes 2; a class not listed binds tightest, 3.
+_PREC = {
+    F.Max: 0, F.Min: 0, Rec: 0, TRec: 0, F.FOr: 1, Or: 1, Choice: 1, TSum: 1,
+    F.FAnd: 2, And: 2, Prefix: 2, TPrefix: 2,
+}
+
+
+def _paren(t, at_least: int) -> str:
+    text = method_str(t)
+    return f"({text})" if _PREC.get(type(t), 3) < at_least else text
+
+
+def _transform_str(e) -> str:
+    parts = [method_str(e.pattern)]
+    if not isinstance(e.condition, CTrue):
+        parts.append(f"when {method_str(e.condition)}")
+    if e.target is TAU:
+        parts.append("-> tau")
+    elif isinstance(e.pattern, InsertPattern) or e.target != underline(e.pattern):
+        parts.append(f"-> {method_str(e.target)}")
+    return f"{{{' '.join(parts)}}}.{_paren(e.cont, 2)}"
+
+
+def _io(is_input: bool) -> str:
+    return "?" if is_input else "!"
+
+
+_METHODS = {
+    Action: lambda a: f"{a.port}{_io(a.is_input)}{a.payload}",
+    Lit: lambda s: s.value,
+    Free: lambda s: s.name,
+    Binder: lambda s: f"({s.name})",
+    ActionPattern: lambda p: f"{method_str(p.port)}{_io(p.is_input)}{method_str(p.payload)}",
+    InsertPattern: lambda p: "*",
+    Var: lambda t: t.name,
+    Val: lambda t: t.name,
+    CTrue: lambda c: "true",
+    CFalse: lambda c: "false",
+    Cmp: lambda c: f"{method_str(c.left)} {'=' if c.equal else '!='} {method_str(c.right)}",
+    And: lambda c: " && ".join(_paren(i, 3) for i in c.items),
+    Or: lambda c: " || ".join(_paren(i, 2) for i in c.items),
+    Not: lambda c: f"!{_paren(c.item, 3)}",
+    SymbolicAction: lambda sa: (
+        method_str(sa.pattern) if isinstance(sa.condition, CTrue)
+        else f"{method_str(sa.pattern)} when {method_str(sa.condition)}"
+    ),
+    F.FTrue: lambda f: "tt",
+    F.FFalse: lambda f: "ff",
+    F.FAnd: lambda f: " && ".join(_paren(i, 3) for i in f.items),
+    F.FOr: lambda f: " || ".join(_paren(i, 2) for i in f.items),
+    F.Box: lambda f: f"[{method_str(f.action)}]{_paren(f.body, 3)}",
+    F.Dia: lambda f: f"<{method_str(f.action)}>{_paren(f.body, 3)}",
+    F.FVar: lambda f: f.name,
+    F.Max: lambda f: f"max {f.var}.{method_str(f.body)}",
+    F.Min: lambda f: f"min {f.var}.{method_str(f.body)}",
+    P.PNil: lambda p: "nil",
+    Prefix: lambda p: f"{method_str(p.label)}.{_paren(p.cont, 2)}",
+    Choice: lambda p: " + ".join(_paren(b, 2) for b in p.branches),
+    PVar: lambda p: p.name,
+    Rec: lambda p: f"rec {p.var}.{method_str(p.body)}",
+    TId: lambda e: "id",
+    TPrefix: _transform_str,
+    TSum: lambda e: " + ".join(_paren(b, 2) for b in e.branches),
+    TVar: lambda e: e.name,
+    TRec: lambda e: f"rec {e.var}.{method_str(e.body)}",
+}
+
+
+def method_str(t) -> str:
+    """The text of a term by its class's own method; tau by its own `str`."""
+    method = _METHODS.get(type(t))
+    return str(t) if method is None else method(t)

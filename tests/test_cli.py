@@ -361,3 +361,16 @@ def test_verify_rejects_a_bad_spec_formula_before_any_verdict(capsys, tmp_path, 
     assert run(["verify", "--property", "all", "--corpus", str(spec)]) == (2, "")
     err = capsys.readouterr().err
     assert "formula bad" in err and error in err
+
+
+def test_verify_prints_the_verdict_of_a_deep_process(tmp_path):
+    body = "i?req.i!ans." * 2500 + "nil"
+    formula = "max X.[i?req][i?req]ff && [i!ans]X"
+    spec = tmp_path / "deep.spec"
+    spec.write_text(
+        f"ports = {{i}}\npayloads = {{req, ans}}\n\nformula f = {formula}\nprocess p = {body}\n",
+        encoding="utf-8",
+    )
+    argv = ["--spec", str(spec), "verify", "--property", "soundness", "--corpus", str(spec)]
+    code, out = run(argv)
+    assert (code, out) == (0, f"soundness '{formula} {body}' pass\n")

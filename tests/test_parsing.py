@@ -3,11 +3,12 @@ import json
 import os
 import random
 import sys
+import time
 
 import pytest
 
 from enfkit.formulas import FF, TT, Box, Dia, FAnd, FOr, FVar, Max, Min
-from enfkit.harness import gen_formula, gen_process
+from enfkit.harness import gen_formula, gen_process, make_corpus
 from enfkit.normalizer import normalize
 from enfkit.parsing import (
     ParseError,
@@ -20,7 +21,9 @@ from enfkit.parsing import (
     parse_transducer,
 )
 from enfkit.processes import NIL, Choice, Prefix, PVar, Rec
-from enfkit.symbolic import TRUE, Domain, Not
+from enfkit.symbolic import (
+    TAU, TRUE, And, Domain, InsertPattern, Not, Or, SymbolicAction, underline,
+)
 from enfkit.synthesis import compile_formula
 from enfkit.transducers import ID, TPrefix, TRec, TSum, TVar
 from oracles import (
@@ -29,6 +32,7 @@ from oracles import (
     descent_parse_specfile,
     descent_parse_transducer,
     descent_tokenize,
+    method_str,
 )
 
 
@@ -340,7 +344,7 @@ def test_the_parser_rejects_what_the_oracle_rejects():
 
 
 # ---------------------------------------------------------------------------
-# Depth: the parser keeps its stack in a list, not in Python frames
+# Depth: the parser and the printer keep their stacks in lists, not in frames
 
 DEPTH = 10_000
 
@@ -352,21 +356,31 @@ def _chain(wrap, leaf):
     return term
 
 
+def _reads_and_prints(parse, text, term, dom):
+    """`text` reads as `term`, and `term` prints as a text that reads back as it."""
+    assert parse(text, dom) is term
+    assert parse(str(term), dom) is term
+
+
 def test_deep_prefix_chains_parse(dom):
     assert sys.getrecursionlimit() < DEPTH
     act, tau = parse_label("i?req"), parse_label("tau")
     box = parse_formula("[i?req]ff", dom).action
-    transform = parse_transducer("{i?req}.id", dom)
-    assert parse_process("i?req." * DEPTH + "nil", dom) is _chain(lambda t: Prefix(act, t), NIL)
-    assert parse_process("tau." * DEPTH + "nil", dom) is _chain(lambda t: Prefix(tau, t), NIL)
-    assert parse_formula("[i?req]" * DEPTH + "ff", dom) is _chain(lambda t: Box(box, t), FF)
-    assert parse_formula("<i?req>" * DEPTH + "tt", dom) is _chain(lambda t: Dia(box, t), TT)
+    for parse, text, term in [
+        (parse_process, "i?req." * DEPTH + "nil", _chain(lambda t: Prefix(act, t), NIL)),
+        (parse_process, "tau." * DEPTH + "nil", _chain(lambda t: Prefix(tau, t), NIL)),
+        (parse_formula, "[i?req]" * DEPTH + "ff", _chain(lambda t: Box(box, t), FF)),
+        (parse_formula, "<i?req>" * DEPTH + "tt", _chain(lambda t: Dia(box, t), TT)),
+    ]:
+        _reads_and_prints(parse, text, term, dom)
     binding = parse_formula("[(x)?req when x != j]ff", dom).action
     text = "[(x)?req when x != j]" * DEPTH + "ff"
-    assert parse_formula(text, dom) is _chain(lambda t: Box(binding, t), FF)
-    assert parse_transducer("{i?req}." * DEPTH + "id", dom) is _chain(
-        lambda t: TPrefix(transform.pattern, transform.condition, transform.target, t), ID
-    )
+    _reads_and_prints(parse_formula, text, _chain(lambda t: Box(binding, t), FF), dom)
+    for text in ("{i?req}.", "{(x)?req when x != j -> x!ans}."):
+        transform = parse_transducer(text + "id", dom)
+        _reads_and_prints(parse_transducer, text * DEPTH + "id", _chain(
+            lambda t: TPrefix(transform.pattern, transform.condition, transform.target, t), ID
+        ), dom)
 
 
 def test_deep_binders_parse(dom):
@@ -377,18 +391,18 @@ def test_deep_binders_parse(dom):
     expect = Prefix(act, PVar("X0"))
     for n in reversed(names):
         expect = Rec(n, expect)
-    assert parse_process(text, dom) is expect
+    _reads_and_prints(parse_process, text, expect, dom)
     text = "".join(f"max {n}." for n in names) + "[i?req]X0 && min X.X"
     expect = FAnd((Box(parse_formula("[i?req]ff", dom).action, FVar("X0")), Min("X", FVar("X"))))
     for n in reversed(names):
         expect = Max(n, expect)
-    assert parse_formula(text, dom) is expect
+    _reads_and_prints(parse_formula, text, expect, dom)
     text = "".join(f"rec {n.lower()}." for n in names) + "{i?req}.x0"
     transform = parse_transducer("{i?req}.id", dom)
     expect = TPrefix(transform.pattern, transform.condition, transform.target, TVar("x0"))
     for n in reversed(names):
         expect = TRec(n.lower(), expect)
-    assert parse_transducer(text, dom) is expect
+    _reads_and_prints(parse_transducer, text, expect, dom)
 
 
 def test_deep_parentheses_parse(dom):
@@ -398,14 +412,120 @@ def test_deep_parentheses_parse(dom):
     assert parse_transducer(wrap("id"), dom) is ID
     assert parse_formula(f"[i?req when {wrap('true')}]ff", dom) is parse_formula("[i?req]ff", dom)
     guard = f"[i?req when {'!' * DEPTH}true]ff"
-    assert parse_formula(guard, dom).action.condition is _chain(Not, TRUE)
+    _reads_and_prints(parse_formula, guard, Box(SymbolicAction(
+        parse_formula("[i?req]ff", dom).action.pattern, _chain(Not, TRUE)), FF), dom)
+    # a conjunction inside a conjunction, or a disjunction inside one, is
+    # parenthesised; a conjunction inside a disjunction is not
+    box = parse_formula("[i?req]ff", dom)
+    cond = parse_formula("[(x)?req when x = i]ff", dom).action.condition
+    nest, cond_nest = box, cond
+    for k in range(DEPTH):
+        nest = (FAnd if k % 3 else FOr)((nest, box))
+        cond_nest = (And if k % 3 else Or)((cond_nest, cond))
+    assert parse_formula(str(nest), dom) is nest
+    binding = parse_formula("[(x)?req]ff", dom).action.pattern
+    guarded = Box(SymbolicAction(binding, cond_nest), FF)
+    assert parse_formula(str(guarded), dom) is guarded
 
 
 def test_wide_sums_parse(dom):
     branch = parse_process("i?req.nil", dom)
-    assert parse_process(" + ".join(["i?req.nil"] * DEPTH), dom) is Choice((branch,) * DEPTH)
+    text = " + ".join(["i?req.nil"] * DEPTH)
+    _reads_and_prints(parse_process, text, Choice((branch,) * DEPTH), dom)
     box = parse_formula("[i?req]ff", dom)
-    assert parse_formula(" && ".join(["[i?req]ff"] * DEPTH), dom) is FAnd((box,) * DEPTH)
-    assert parse_formula(" || ".join(["[i?req]ff"] * DEPTH), dom) is FOr((box,) * DEPTH)
+    _reads_and_prints(parse_formula, " && ".join(["[i?req]ff"] * DEPTH), FAnd((box,) * DEPTH), dom)
+    _reads_and_prints(parse_formula, " || ".join(["[i?req]ff"] * DEPTH), FOr((box,) * DEPTH), dom)
     transform = parse_transducer("{i?req}.id", dom)
-    assert parse_transducer(" + ".join(["{i?req}.id"] * DEPTH), dom) is TSum((transform,) * DEPTH)
+    text = " + ".join(["{i?req}.id"] * DEPTH)
+    _reads_and_prints(parse_transducer, text, TSum((transform,) * DEPTH), dom)
+
+
+def test_printing_time_is_linear_in_depth():
+    act = parse_label("i?req")
+    chains = [_chain(lambda t: Prefix(act, t), NIL)]
+    chains.append(_chain(lambda t: Prefix(act, t), chains[0]))
+
+    def best(t):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            str(t)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    short, long = map(best, chains)
+    assert long <= 3.5 * short
+
+
+# ---------------------------------------------------------------------------
+# Printing: one loop over the layouts prints what the per-class methods did
+
+
+def _printed_terms():
+    """Seeded formulas, normal forms, processes and enforcers, the compiled
+    enforcers of `random:200:42`, the pinned enforcers and the check-large
+    formulas and processes, each with the text it was read from, if any."""
+    for new, _, d, text in _seeded_texts():
+        yield new(text, d), text
+    for f, _ in make_corpus(D23, 200, 42):
+        yield compile_formula(f, D23), None
+    for d, text in _pinned_enforcers():
+        yield parse_transducer(text, d), text
+    for key in range(160):
+        spec = parse_specfile(check_large_spec(key))
+        lines = check_large_spec(key).splitlines()
+        yield spec.formulas["f0"], lines[2].split(" = ", 1)[1]
+        yield spec.processes["p0"], lines[3].split(" = ", 1)[1]
+
+
+def test_the_printer_prints_what_the_methods_printed():
+    count = 0
+    for t, text in _printed_terms():
+        assert str(t) == method_str(t)
+        assert text is None or str(t) == text
+        count += 1
+    assert count == 260 + 200 + 1560 + 320
+
+
+def test_the_printer_parenthesises_and_leaves_out_as_the_methods_did(dom):
+    box = parse_formula("[i?req]ff", dom)
+    binding = parse_formula("[(x)?(y) when x != j]ff", dom).action
+    req, ans = parse_label("i?req"), parse_label("i!ans")
+    cond = parse_formula("[(x)?req when x = i || x = j]ff", dom).action.condition
+    plain = parse_transducer("{(x)?req}.id", dom)
+    cases = [
+        FAnd((FAnd((box, FF)), box)),
+        FAnd((FOr((box, FF)), Max("X", Box(box.action, FVar("X"))))),
+        Box(binding, Max("X", FAnd((Box(binding, FVar("X")), TT)))),
+        Box(binding, FAnd((FF, TT))),
+        Dia(box.action, FOr((TT, FF))),
+        Prefix(req, Choice((Prefix(ans, NIL), NIL))),
+        Prefix(req, Rec("X", Prefix(ans, PVar("X")))),
+        Choice((Choice((NIL, NIL)), Prefix(req, NIL))),
+        Not(cond),
+        Not(Not(And((cond, TRUE)))),
+        TPrefix(plain.pattern, cond, plain.target, ID),
+        TPrefix(plain.pattern, TRUE, TAU, TSum((ID, TRec("x", TVar("x"))))),
+        TPrefix(InsertPattern(), TRUE, parse_transducer("{i?req}.id", dom).target, ID),
+        TPrefix(plain.pattern, TRUE, underline(plain.pattern), ID),
+        TPrefix(plain.pattern, TRUE, parse_transducer("{(x)?req -> x!ans}.id", dom).target, ID),
+    ]
+    texts = [
+        "([i?req]ff && ff) && [i?req]ff",
+        "([i?req]ff || ff) && (max X.[i?req]X)",
+        "[(x)?(y) when x != j](max X.[(x)?(y) when x != j]X && tt)",
+        "[(x)?(y) when x != j](ff && tt)",
+        "<i?req>(tt || ff)",
+        "i?req.(i!ans.nil + nil)",
+        "i?req.(rec X.i!ans.X)",
+        "(nil + nil) + i?req.nil",
+        "!(x = i || x = j)",
+        "!!((x = i || x = j) && true)",
+        "{(x)?req when x = i || x = j}.id",
+        "{(x)?req -> tau}.(id + (rec x.x))",
+        "{* -> i?req}.id",
+        "{(x)?req}.id",
+        "{(x)?req -> x!ans}.id",
+    ]
+    for t, text in zip(cases, texts):
+        assert str(t) == method_str(t) == text

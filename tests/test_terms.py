@@ -54,6 +54,23 @@ def test_every_term_class_is_built_by_term():
     assert set(symbolic.SHAPES) == set(languages)
 
 
+def test_every_term_class_prints_by_its_layout():
+    # the runtime's configurations and steps keep a display of their own;
+    # a term outside the three languages prints by `show` memoised
+    classes = [cls for cls in _frozen_dataclasses() if cls is not symbolic.Domain]
+    own = {runtime.Config, runtime.SimStep}
+    assert set(symbolic.LAYOUTS) == set(classes) - own
+    for cls in symbolic.LAYOUTS:
+        printer = cls.__str__ if cls in symbolic.SHAPES else cls.__str__.__wrapped__
+        assert printer is symbolic.show, cls
+    assert all(vars(cls)["__str__"] is not symbolic.show for cls in own)
+    # `show` prints a term's one inline subterm after its other pieces
+    for level, pieces, many in symbolic.LAYOUTS.values():
+        inline = [k for k, piece in enumerate(pieces) if type(piece) is tuple]
+        inline = [k for k in inline if type(pieces[k][1]) is int]
+        assert many or inline in ([], [len(pieces) - 1])
+
+
 def _generated_terms(dom):
     for seed in range(100):
         size = 1 + (seed % 6)

@@ -2,6 +2,7 @@
 substitution, validation, keys up to binder names, what a term does next,
 and the fold and map they run on."""
 import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,6 +105,21 @@ def test_validation_rejects_open_and_unguarded_terms(dom):
         validate_transducer(TRec("x", TSum((TVar("x"), ID))))
     with pytest.raises(ProcessError, match="'X' is not guarded"):
         validate_process(Rec("X", Choice((PVar("X"), NIL))))
+
+
+def test_validation_names_the_first_free_variable_in_sorted_order():
+    with pytest.raises(ProcessError, match="unbound recursion variable 'X'"):
+        validate_process(Choice((Prefix(act("i?req"), PVar("Y")), Prefix(TAU, PVar("X")))))
+
+
+def test_validation_is_linear_in_nested_distinct_binders():
+    # quadratic when each binder copied the set of names in scope: seconds
+    p = Prefix(act("i?req"), PVar("X0"))
+    for k in reversed(range(10_000)):
+        p = Rec(f"X{k}", p)
+    start = time.perf_counter()
+    validate_process(p)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
