@@ -1,10 +1,13 @@
 """Strong bisimilarity of finite LTSs.
 
-The main decision procedure is signature-based partition refinement: states
-are repeatedly regrouped by the multiset of (label, successor block) pairs
-they can reach until the partition stabilises; two states are bisimilar iff
-they share a block of the coarsest stable partition.  The silent action is
-treated as an ordinary label throughout.
+Both operands are read as one LTS, their disjoint union over (side, state)
+pairs, built once per call (`_union`); every procedure here reads its
+`steps`.  The main decision procedure is signature-based partition
+refinement: states are repeatedly regrouped by the set of (label, successor
+block) pairs they can reach until the partition stabilises; two states are
+bisimilar iff they share a block of the coarsest stable partition.  Labels
+compare by equality, and the silent action is treated as an ordinary label
+throughout.
 
 `naive_bisim` recomputes the relation as a plain greatest fixpoint over state
 pairs; it serves as an independent oracle on small systems.
@@ -12,54 +15,40 @@ pairs; it serves as an independent oracle on small systems.
 from __future__ import annotations
 
 from .processes import LTS
-from .symbolic import label_key
 
 
-def _union(lts1: LTS, lts2: LTS):
-    states = [(0, s) for s in lts1.states] + [(1, s) for s in lts2.states]
-
-    def steps(tagged):
-        side, s = tagged
-        lts = lts1 if side == 0 else lts2
-        return tuple((label, (side, t)) for label, t in lts.steps(s))
-
-    return states, steps
+def _union(lts1: LTS, lts2: LTS) -> LTS:
+    """The disjoint union of two LTSs: state `s` of side `i` is `(i, s)`."""
+    sides = ((0, lts1), (1, lts2))
+    edges = [((i, s), label, (i, t)) for i, lts in sides for s, label, t in lts.transitions()]
+    return LTS((0, lts1.initial), edges, [(i, s) for i, lts in sides for s in lts.states])
 
 
-def coarsest_partition(states, steps):
+def coarsest_partition(lts: LTS) -> dict:
     """Refine to the coarsest strong-bisimulation partition; returns the
     block index of every state."""
-    block_of = {s: 0 for s in states}
+    block_of = dict.fromkeys(lts.states, 0)
     n_blocks = 1
     while True:
-        signatures = {}
-        for s in states:
-            signatures[s] = frozenset(
-                (label, block_of[t]) for label, t in steps(s)
-            )
         renumber = {}
         new_block_of = {}
-        for s in states:  # fixed scan order keeps block ids deterministic
-            key = (block_of[s], signatures[s])
-            if key not in renumber:
-                renumber[key] = len(renumber)
-            new_block_of[s] = renumber[key]
+        for s in lts.states:  # fixed scan order keeps block ids deterministic
+            key = (block_of[s], frozenset((label, block_of[t]) for label, t in lts.steps(s)))
+            new_block_of[s] = renumber.setdefault(key, len(renumber))
         if len(renumber) == n_blocks:
             return new_block_of
         n_blocks = len(renumber)
         block_of = new_block_of
 
 
-def _distinguishing_label(u, v, steps, block_of):
-    """The first label on which the two states' successor block sets differ."""
-    labels = sorted(
-        {label_key(l) for l, _ in steps(u)} | {label_key(l) for l, _ in steps(v)}
-    )
-    succ = lambda s, key: {block_of[t] for l, t in steps(s) if label_key(l) == key}
-    for key in labels:
-        if succ(u, key) != succ(v, key):
-            return key
-    return None
+def _distinguishing_label(lts: LTS, u, v, block_of):
+    """The first label, in text order, on which the two states' successor
+    block sets differ."""
+    succ: dict = {}
+    for side, s in enumerate((u, v)):
+        for label, t in lts.steps(s):
+            succ.setdefault(label, (set(), set()))[side].add(block_of[t])
+    return next((l for l in sorted(succ, key=str) if succ[l][0] != succ[l][1]), None)
 
 
 def bisim(lts1: LTS, s1, lts2: LTS, s2):
@@ -68,34 +57,29 @@ def bisim(lts1: LTS, s1, lts2: LTS, s2):
     Returns (True, None) or (False, witness) where the witness names a label
     of the first failing split.
     """
-    states, steps = _union(lts1, lts2)
-    block_of = coarsest_partition(states, steps)
+    union = _union(lts1, lts2)
+    block_of = coarsest_partition(union)
     left, right = (0, s1), (1, s2)
     if block_of[left] == block_of[right]:
         return True, None
-    label = _distinguishing_label(left, right, steps, block_of)
-    return False, (label,) if label is not None else ("<structural>",)
+    label = _distinguishing_label(union, left, right, block_of)
+    return False, (str(label),) if label is not None else ("<structural>",)
 
 
 def naive_bisim(lts1: LTS, s1, lts2: LTS, s2) -> bool:
     """Greatest-fixpoint computation over state pairs; independent oracle."""
-    states, steps = _union(lts1, lts2)
-    rel = {(u, v) for u in states for v in states}
+    union = _union(lts1, lts2)
+    steps = union.steps
+    rel = {(u, v) for u in union.states for v in union.states}
 
     def ok(u, v) -> bool:
-        for label, u2 in steps(u):
-            if not any(
-                label_key(label) == label_key(l2) and (u2, v2) in rel
-                for l2, v2 in steps(v)
-            ):
-                return False
-        for label, v2 in steps(v):
-            if not any(
-                label_key(label) == label_key(l2) and (u2, v2) in rel
-                for l2, u2 in steps(u)
-            ):
-                return False
-        return True
+        return all(
+            any(label == l2 and (u2, v2) in rel for l2, v2 in steps(v))
+            for label, u2 in steps(u)
+        ) and all(
+            any(label == l2 and (u2, v2) in rel for l2, u2 in steps(u))
+            for label, v2 in steps(v)
+        )
 
     changed = True
     while changed:

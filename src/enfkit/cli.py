@@ -123,10 +123,11 @@ def cmd_bisim(args) -> int:
 
 def _corpus_from(args, spec):
     if args.corpus.startswith("random:"):
-        parts = args.corpus.split(":")
-        if len(parts) != 3:
-            raise ParseError("random corpus spec must be random:N:SEED")
-        n, seed = int(parts[1]), int(parts[2])
+        try:
+            _, n, seed = args.corpus.split(":")
+            n, seed = int(n), int(seed)
+        except ValueError:  # too few or too many fields, or not integers
+            raise ParseError("random corpus spec must be random:N:SEED") from None
         if n < 1:
             raise ParseError("random corpus size must be at least 1")
         domain = spec.domain if spec else Domain({"i", "j"}, {"req", "ans", "cls"})

@@ -10,9 +10,10 @@ continuation formula, so formulas can be open in data variables as well as in
 logical variables.
 
 Derived facts about a formula (its free logical and data variables, whether
-it is guarded, whether it is a safety formula, and the necessities a safety
-formula demands of a state) are memoised by term, in bounded caches keyed
-on the formula value.
+it is guarded, whether it is a safety formula, the necessities a safety
+formula demands of a state, and what a necessity demands after a label,
+`residual`) are memoised by term, in bounded caches keyed on the formula
+value.
 """
 from __future__ import annotations
 
@@ -174,6 +175,15 @@ def necessities(f: Formula) -> tuple:
         raise FormulaError("a disjunction, possibility or least fixpoint is not a safety operator")
     found = symbolic.heads(f, FormulaError)
     return tuple(g for g in found if type(g) is Box), FF in found
+
+
+@term_memo
+def residual(box: Box, label) -> Formula | None:
+    """What a necessity demands once a label is seen: its continuation,
+    instantiated by the label's match with its guard, or None when the label
+    does not match.  The one place that decides it."""
+    sub = symbolic.sym_match(box.action, label)
+    return None if sub is None else subst_data(box.body, sub)
 
 
 def necessity_branches(f):

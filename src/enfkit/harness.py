@@ -27,13 +27,17 @@ evaluate denotations with `mc_eval`.
 The trace-based criteria read one breadth-first search by trace length
 (`_trace_classes`).  A trace's verdict depends only on the weak derivatives
 it leads to, in the process and in the composite, and on the obligations it
-leaves open (necessities mapped to the states that must meet them, read off
-`formulas.necessities`).  The search keeps one node per such key, at the
-first trace in length-then-text order that reaches it: the subset
-construction (after De Wulf, Doyen, Henzinger and Raskin, CAV 2006), so the
-first failing trace is the one a walk over every trace would print.
-`violates`, the trace-level forcing relation decided for one trace, is the
-oracle the search is tested against.
+leaves open (necessities mapped to the states that must meet them).  The
+search keeps one node per such key, at the first trace in length-then-text
+order that reaches it: the subset construction (after De Wulf, Doyen,
+Henzinger and Raskin, CAV 2006), so the first failing trace is the one a
+walk over every trace would print.  `violates`, the trace-level forcing
+relation decided for one trace, is the oracle the search is tested against.
+
+This search and `shortest_violation` step a system one way, by
+`processes.weak_moves`, and a necessity one way, by `formulas.residual`;
+`after` reads the same `residual`.  `violates` steps states by `weak_step`,
+so the oracle does not share the searches' stepping.
 
 Also here: the formula residual (`after`) and the seeded random generators
 feeding the suites.
@@ -61,7 +65,7 @@ from .formulas import (
     is_guarded,
     is_shml,
     necessities,
-    subst_data,
+    residual,
     unfold,
 )
 from .modelcheck import ClosureBoundExceeded, mc_eval, sat_oracle, satisfies, shortest_violation
@@ -97,7 +101,6 @@ from .symbolic import (
     Val,
     Var,
     fresh_name,
-    sym_match,
 )
 from .synthesis import compile_formula
 from .transducers import Transducer
@@ -177,12 +180,10 @@ def violates(system, trace, f: Formula, domain: Domain) -> bool:
         elif isinstance(g, Max):
             result = go(state, t, unfold(g))
         elif isinstance(g, Box) and t:
-            sub = sym_match(g.action, t[0])
-            if sub is None:
-                result = False
-            else:
-                cont = subst_data(g.body, sub)
-                result = any(go(q, t[1:], cont) for q in weak_step(lts, state, t[0]))
+            cont = residual(g, t[0])
+            result = cont is not None and any(
+                go(q, t[1:], cont) for q in weak_step(lts, state, t[0])
+            )
         else:
             result = False
         memo[key] = result
@@ -202,8 +203,7 @@ def after(f: Formula, label) -> Formula:
     boxes, falsified = necessities(f)
     if falsified:
         return FF
-    subs = ((box, sym_match(box.action, label)) for box in boxes)
-    return conj(subst_data(box.body, sub) for box, sub in subs if sub is not None)
+    return conj(c for c in (residual(box, label) for box in boxes) if c is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -292,35 +292,31 @@ def _trace_classes(system, f: Formula, depth: int, composite: Optional[LTS] = No
 
     P and C are the trace's weak derivatives in the system and in the
     composite (empty without one); obligations pairs each open necessity
-    with the states that must meet it, and falsified says whether they
-    reach falsehood, that is, whether the trace violates `f`.  A trace's
-    extensions depend only on that key, so each key is kept once, at the
-    first trace to reach it.  Labels are those P or C perform: a trace
-    neither side performs has no derivatives and, as obligation states lie
-    in P, no obligations, so it is never violating and never extended.  The
-    depth and formula are checked at the call; the nodes are yielded as
-    they are reached.
+    with the tau-closed set of states that must meet it, and falsified says
+    whether they reach falsehood, that is, whether the trace violates `f`.
+    An obligation steps by its necessity's `residual` and its states'
+    `weak_moves`.  A trace's extensions depend only on that key, so each key
+    is kept once, at the first trace to reach it.  Labels are those P or C
+    perform: a trace neither side performs has no derivatives and, as
+    obligation states lie in P, no obligations, so it is never violating and
+    never extended.  The depth and formula are checked at the call; the
+    nodes are yielded as they are reached.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     _require_safety(f)
     lts, root = system
     empty = frozenset()
-    fired: dict = {}
 
     def fire(obligations, a):
         # the obligations left after action a, and whether they reach falsehood
         nxt, reached = {}, False
         for box, states in obligations:
-            if (box, a) not in fired:
-                sub = sym_match(box.action, a)
-                fired[box, a] = None if sub is None else necessities(subst_data(box.body, sub))
-            if fired[box, a] is None:
-                continue
-            targets = set().union(*(weak_step(lts, s, a) for s in states))
+            cont = residual(box, a)
+            targets = None if cont is None else weak_moves(lts, states).get(a)
             if not targets:
                 continue
-            cont_boxes, cont_falsified = fired[box, a]
+            cont_boxes, cont_falsified = necessities(cont)
             reached = reached or cont_falsified
             for b in cont_boxes:
                 nxt.setdefault(b, set()).update(targets)
@@ -328,9 +324,10 @@ def _trace_classes(system, f: Formula, depth: int, composite: Optional[LTS] = No
 
     def walk():
         boxes, falsified = necessities(f)
+        p0 = tau_closure(lts, root)
         c0 = empty if composite is None else tau_closure(composite, composite.initial)
-        obligations = frozenset((box, frozenset({root})) for box in boxes)
-        layer = [((), (tau_closure(lts, root), c0, obligations, falsified))]
+        obligations = frozenset((box, p0) for box in boxes)
+        layer = [((), (p0, c0, obligations, falsified))]
         seen = {layer[0][1]}
         yield layer[0]
         for _ in range(depth):

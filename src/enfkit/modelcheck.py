@@ -7,9 +7,13 @@ from the empty one) and modalities ranging over weak derivatives.
 
 `shortest_violation` decides closed safety formulas by a second, independent
 route: a search of the (state, continuation) pairs the satisfaction rules
-demand, each read through `formulas.necessities`, which fails exactly when it
-reaches falsehood and names the trace that got there; `sat_oracle` is its
-yes/no answer.  The verify path asks only it, and the two routes must agree.
+demand, which fails exactly when it reaches falsehood and names the trace
+that got there; `sat_oracle` is its yes/no answer.  It steps a state by
+`processes.weak_moves` and a formula by `formulas.necessities` and
+`formulas.residual`, the stepping every production search shares; `mc_eval`
+keeps `weak_step` and `sym_match` of its own, so the two routes stay
+independent.  The verify path asks only the search, and the two routes must
+agree.
 """
 from __future__ import annotations
 
@@ -31,9 +35,10 @@ from .formulas import (
     is_guarded,
     is_shml,
     necessities,
+    residual,
     subst_data,
 )
-from .processes import DEFAULT_STATE_BOUND, LTS, as_lts, weak_step
+from .processes import DEFAULT_STATE_BOUND, LTS, as_lts, tau_closure, weak_moves, weak_step
 from .symbolic import Domain, sym_match, term_memo
 
 
@@ -131,11 +136,12 @@ def shortest_violation(system, f: Formula, domain: Domain, bound: int = DEFAULT_
     """The shortest weak trace along which the system violates a closed,
     guarded safety formula, first in label text order among the shortest,
     or None when it satisfies the formula.  A breadth-first search over
-    (state, continuation) pairs read through `necessities`: a queue entry is
-    a trace with the pairs it reached first, extended by labels in text
-    order (Clarke et al., DAC 1995).  Falsehood is decided before the bound
-    is tested: more than `DEFAULT_CLOSURE_BOUND` pairs raise
-    `ClosureBoundExceeded`."""
+    (state, continuation) pairs: a queue entry is a trace with the pairs it
+    reached first, extended by the domain's actions in text order (Clarke et
+    al., DAC 1995).  A pair steps by the `weak_moves` of its state's
+    tau-closure and by the `residual` of each of its `necessities`.
+    Falsehood is decided before the bound is tested: more than
+    `DEFAULT_CLOSURE_BOUND` pairs raise `ClosureBoundExceeded`."""
     if not is_shml(f) or free_logic_vars(f) or free_data_vars(f) or not is_guarded(f):
         raise ModelCheckError("the satisfaction oracle handles closed, guarded safety formulas")
     lts, root = as_lts(system, bound)
@@ -145,16 +151,17 @@ def shortest_violation(system, f: Formula, domain: Domain, bound: int = DEFAULT_
     queue = deque([((), [(root, f)])])
     while queue:
         trace, pairs = queue.popleft()
-        views = [(state, necessities(g)[0]) for state, g in pairs]
+        views = [(weak_moves(lts, tau_closure(lts, q)), necessities(g)[0]) for q, g in pairs]
         for a in _text_order(domain):
             reached = []
-            for state, boxes in views:
+            for moves, boxes in views:
+                targets = moves.get(a)
+                if not targets:
+                    continue
                 for box in boxes:
-                    sub = sym_match(box.action, a)
-                    targets = () if sub is None else weak_step(lts, state, a)
-                    if not targets:
+                    cont = residual(box, a)
+                    if cont is None:
                         continue
-                    cont = subst_data(box.body, sub)
                     if necessities(cont)[1]:
                         return trace + (a,)
                     new = [(q, cont) for q in targets if (q, cont) not in seen]

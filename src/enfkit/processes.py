@@ -72,17 +72,8 @@ def validate_process(p: Process):
     symbolic.check_term(p, _is_process_node, ProcessError)
 
 
-# A check walks the whole term.  A term that passed is remembered, so a term
-# met again costs one lookup; one that fails caches nothing and raises again.
-_validated_process = term_memo(validate_process)
-
-
-def checked_process(p):
-    """`validate_process`, remembered for each term that passed."""
-    try:
-        _validated_process(p)
-    except TypeError:  # unhashable, so no term: let the check say what it is
-        validate_process(p)
+#: `validate_process`, remembered for each term that passed.
+checked_process = symbolic.checked_memo(validate_process)
 
 
 def _is_process_node(p) -> bool:
@@ -125,25 +116,16 @@ class LTS:
 
     def __init__(self, initial, edges, states=None):
         self.initial = initial
-        succ = {}
-        order = []
-        seen = set()
-
-        def note(s):
-            if s not in seen:
-                seen.add(s)
-                order.append(s)
-
-        note(initial)
+        # states in order of first mention: initial, edge ends, then `states`
+        succ = {initial: []}
         for src, label, dst in edges:
-            note(src)
-            note(dst)
             succ.setdefault(src, []).append((label, dst))
+            succ.setdefault(dst, [])
         for s in states or ():
-            note(s)
-        self.states = tuple(order)
+            succ.setdefault(s, [])
+        self.states = tuple(succ)
         # successor tuples are built once; `steps` hands them out uncopied
-        self._steps = {s: tuple(succ.get(s, ())) for s in self.states}
+        self._steps = {s: tuple(out) for s, out in succ.items()}
         self._closures: dict = {}
         self._weak: dict = {}
         self._moves: dict = {}

@@ -31,7 +31,7 @@ from .processes import (
     explore,
     lts_view,
 )
-from .symbolic import TAU, Domain, label_key, term
+from .symbolic import TAU, Domain, term
 from .transducers import ID, Transducer, checked_transducer, transform_table
 
 
@@ -148,7 +148,7 @@ def script_policy(script):
         want = script[index]
         for cand in candidates:
             rule, label, cfg = cand
-            if rule != want[0] or label_key(label) != label_key(want[1]):
+            if rule != want[0] or str(label) != str(want[1]):
                 continue
             if len(want) > 2 and str(cfg.system) != want[2]:
                 continue

@@ -103,7 +103,23 @@ def _sweep():
 term_memo = lru_cache(maxsize=1 << 16)
 
 
-def term(cls=None, *, order: bool = False, shape: Optional["Shape"] = None):
+def checked_memo(validate):
+    """`validate`, remembered for each term that passed: a term met again
+    costs one lookup, and one that fails caches nothing and raises again.
+    A value that cannot be hashed is no term; it is validated afresh, so the
+    check, not the memo, says what it is."""
+    remembered = term_memo(validate)
+
+    def checked(t):
+        try:
+            remembered(t)
+        except TypeError:
+            validate(t)
+
+    return checked
+
+
+def term(cls=None, *, shape: Optional["Shape"] = None):
     """Class decorator for terms: a frozen, slotted dataclass on the
     `CachedHash` base whose constructor interns (hash-consing, after
     Filliâtre and Conchon, "Type-safe modular hash-consing", ML Workshop
@@ -111,8 +127,8 @@ def term(cls=None, *, order: bool = False, shape: Optional["Shape"] = None):
     table and returns the live term found there, so structurally equal terms
     are the same object; only a miss makes a new one, runs the class's
     `__post_init__` and enters it.  A field value that cannot be hashed
-    raises `TypeError`.  With `order`, terms of a class compare by their
-    field tuples.  A term of the three languages declares its `shape`."""
+    raises `TypeError`.  A term of the three languages declares its
+    `shape`."""
 
     def build(cls):
         if cls.__bases__ != (object,):
@@ -124,7 +140,7 @@ def term(cls=None, *, order: bool = False, shape: Optional["Shape"] = None):
         body["__slots__"] = tuple(vars(cls).get("__annotations__", ()))
         cls = type(cls.__name__, (CachedHash,), body)
         cls = dataclass(frozen=True, eq=False, init=False)(cls)
-        for name, method in _term_methods(cls, order).items():
+        for name, method in _term_methods(cls).items():
             method.__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, method)
         if shape is not None:
@@ -138,10 +154,10 @@ def term(cls=None, *, order: bool = False, shape: Optional["Shape"] = None):
     return build if cls is None else build(cls)
 
 
-def _term_methods(cls, order: bool) -> dict:
-    """The interning `__new__` of a term class, its `__reduce__` and, with
-    `order`, its comparisons, generated as `dataclass` generates `__init__`,
-    so that building a term runs one Python frame."""
+def _term_methods(cls) -> dict:
+    """The interning `__new__` of a term class and its `__reduce__`,
+    generated as `dataclass` generates `__init__`, so that building a term
+    runs one Python frame."""
     names = [f.name for f in fields(cls)]
     args = "".join(f", {n}" for n in names)
     mine = "".join(f"self.{n}, " for n in names)
@@ -162,16 +178,6 @@ def _term_methods(cls, order: bool) -> dict:
         "def __reduce__(self):",
         f"    return type(self), ({mine})",
     ]
-    if order:
-        theirs = "".join(f"other.{n}, " for n in names)
-        for name, op in (("__lt__", "<"), ("__le__", "<="), ("__gt__", ">"), ("__ge__", ">=")):
-            made.append(name)
-            lines += [
-                f"def {name}(self, other):",
-                "    if type(other) is not type(self):",
-                "        return NotImplemented",
-                f"    return ({mine}) {op} ({theirs})",
-            ]
     closure = dict(
         _terms=_TERMS, _get=_TERMS.get, _none=_NONE, _sweep=_sweep, _sweep_at=_sweep_at,
         _new=object.__new__, _ref=weakref.ref, **setters,
@@ -376,7 +382,7 @@ def _domain_actions(d: Domain) -> tuple:
     return tuple(acts)
 
 
-@term(order=True)
+@term
 class Action:
     """One observable event: an input (?) or output (!) of a payload on a port."""
 
@@ -410,11 +416,6 @@ TAU = _Marker("tau", "TAU")
 INSERT = _Marker("*", "INSERT")
 
 ExtendedAction = Union[Action, "_Marker"]  # Action or INSERT
-
-
-def label_key(label) -> str:
-    """Deterministic sort key usable for both actions and markers."""
-    return str(label)
 
 
 # ---------------------------------------------------------------------------

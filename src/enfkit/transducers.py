@@ -82,9 +82,8 @@ def validate_transducer(e: Transducer):
     symbolic.check_term(e, _is_transducer_node, TransducerError)
 
 
-#: `validate_transducer`, remembered for each term that passed, as
-#: `processes.checked_process`; a term that fails caches nothing.
-checked_transducer = term_memo(validate_transducer)
+#: `validate_transducer`, remembered for each term that passed.
+checked_transducer = symbolic.checked_memo(validate_transducer)
 
 
 def _is_transducer_node(e) -> bool:

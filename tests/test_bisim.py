@@ -1,10 +1,11 @@
 import itertools
 
 from enfkit.bisim import bisim, naive_bisim
-from enfkit.harness import gen_process
+from enfkit.harness import gen_process, make_corpus
 from enfkit.parsing import parse_lts, parse_process
 from enfkit.processes import reachable
 from enfkit.runtime import composite_lts
+from enfkit.synthesis import compile_formula
 
 
 def test_reflexive(dom, terms):
@@ -59,6 +60,26 @@ def test_partition_refinement_agrees_with_naive_fixpoint(dom):
     assert len(small) >= 6
     for (l1, p1), (l2, p2) in itertools.product(small, repeat=2):
         assert bisim(l1, p1, l2, p2)[0] == naive_bisim(l1, p1, l2, p2)
+
+
+def test_partition_refinement_agrees_with_naive_fixpoint_on_composites(dom):
+    # each pair of the pinned corpus: the composite against its bare system,
+    # wherever the union is small enough for the naive fixpoint
+    compared = split = 0
+    for f, p in make_corpus(dom, 200, 42):
+        plts = reachable(p, 200)
+        comp = composite_lts(compile_formula(f, dom), (plts, p), dom)
+        if len(comp) + len(plts) > 40:
+            continue
+        equal, witness = bisim(comp, comp.initial, plts, p)
+        assert equal == naive_bisim(comp, comp.initial, plts, p), (f, p)
+        compared += 1
+        if not equal:
+            split += 1
+            roots = ((comp, comp.initial), (plts, p))
+            performed = {str(label) for lts, s in roots for label, _ in lts.steps(s)}
+            assert witness[0] in performed, (f, p, witness)
+    assert compared >= 100 and split >= 10, (compared, split)
 
 
 def test_explicit_lts_operands():

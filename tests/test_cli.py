@@ -328,6 +328,10 @@ def test_verify_server_spec_matches_the_golden_file():
         (["verify", "--property", "all", "--corpus", "random:2:1", "--depth", "-1"], "--depth"),
         (["verify", "--property", "all", "--corpus", "random:-3:1"], "corpus size"),
         (["verify", "--property", "all", "--corpus", "random:0:1"], "corpus size"),
+        (["verify", "--property", "all", "--corpus", "random:abc:1"],
+         "error: random corpus spec must be random:N:SEED"),
+        (["verify", "--property", "all", "--corpus", "random:2:x"],
+         "error: random corpus spec must be random:N:SEED"),
         (["--domain-bound", "0", "verify", "--property", "all", "--corpus", "random:2:1"],
          "--domain-bound"),
         (["--spec", SPEC, "simulate", "--enforcer", "ess", "--process", "pg", "--steps", "-3"],
@@ -335,7 +339,8 @@ def test_verify_server_spec_matches_the_golden_file():
         (["verify", "--property", "all", "--corpus", "{tmp}/no_formula.spec"],
          "no formula or no process"),
     ],
-    ids=["negative_depth", "negative_corpus_size", "empty_corpus", "zero_domain_bound",
+    ids=["negative_depth", "negative_corpus_size", "empty_corpus", "non_integer_corpus_size",
+         "non_integer_corpus_seed", "zero_domain_bound",
          "negative_steps", "empty_spec_corpus"],
 )
 def test_verify_rejects_bad_arguments_before_any_verdict(capsys, tmp_path, argv, error):

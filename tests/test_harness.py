@@ -30,7 +30,7 @@ from enfkit.harness import (
 )
 from enfkit.modelcheck import sat_oracle, satisfies, shortest_violation
 from enfkit.normalizer import normalize
-from enfkit.parsing import parse_formula, parse_process
+from enfkit.parsing import parse_formula, parse_lts, parse_process
 from enfkit.processes import (
     NIL,
     Choice,
@@ -151,6 +151,28 @@ def test_shortest_violation_orders_labels_across_the_pairs_of_a_trace(dom):
     witness = shortest_violation(system, f, dom)
     assert [str(a) for a in witness] == ["i?req", "i!ans"]
     assert witness == depth_bounded_witness(system, f, dom, 2)
+
+
+def test_a_silent_step_before_the_roots_violation(dom, monkeypatch):
+    # the root violates [i?req]ff only after a tau step, so the trace search
+    # must start its obligations at the root's tau-closure
+    lts = parse_lts("init r\nr -tau-> s\ns -i?req-> t\n")
+    f = parse_formula("[i?req]ff", dom)
+    want = (act("i?req"),)
+    violating, real_search = [], harness._trace_classes
+
+    def search(system, g, depth, composite=None):
+        for t, key in real_search(system, g, depth, composite):
+            if key[3]:
+                violating.append(t)
+            yield t, key
+
+    monkeypatch.setattr(harness, "_trace_classes", search)
+    monkeypatch.setattr(harness, "reachable", lambda p, bound: lts)
+    assert check_violation_semantics(Pair(f, "r", dom), 3).outcome == "pass"
+    assert violating == [want]
+    assert shortest_violation((lts, "r"), f, dom) == want
+    assert violates((lts, "r"), want, f, dom)
 
 
 def test_shortest_violation_matches_the_depth_bounded_witness(dom, terms):

@@ -16,7 +16,7 @@ from enfkit.processes import (
 from enfkit.runtime import Config, composite_lts, istep, simulate
 from enfkit.symbolic import INSERT, TAU, Domain, Val, Var
 from enfkit.synthesis import compile_formula
-from enfkit.transducers import ID, free_data_vars, subst_data, tstep
+from enfkit.transducers import ID, TransducerError, free_data_vars, subst_data, tstep
 
 from conftest import act
 from oracles import naive_istep
@@ -186,6 +186,16 @@ def test_simulate_halts_on_deadlock(dom):
     p = parse_process("i?req.nil", dom)
     run = simulate(ID, p, 10, "first", dom)
     assert [str(s.label) for s in run] == ["i?req"]
+
+
+@pytest.mark.parametrize(
+    "run", [lambda e, d: composite_lts(e, NIL, d), lambda e, d: simulate(e, NIL, 3, "first", d)],
+    ids=["composite_lts", "simulate"],
+)
+def test_an_unhashable_enforcer_is_no_well_formed_term(dom, run):
+    # the validation memo cannot hash a list, so the check itself names it
+    with pytest.raises(TransducerError, match="not a well-formed term"):
+        run([1], dom)
 
 
 def test_instrumentation_over_explicit_lts(dom, terms):
