@@ -2,8 +2,8 @@
 
 Subcommands: check, normalize, synthesize, simulate, bisim, verify.
 Exit codes: 0 the query holds / all checks pass, 1 it fails, 2 usage or
-parse error, 3 inconclusive (a state, closure, minterm or equation bound
-was hit).
+parse error, 3 inconclusive (a state, closure, minterm, equation or, for
+`verify`, trace-depth bound was hit: a `symbolic.BoundExceeded`).
 Output is deterministic for fixed inputs and seeds.
 """
 from __future__ import annotations
@@ -14,7 +14,6 @@ import sys
 
 from .bisim import bisim
 from .harness import (
-    BOUND_ERRORS,
     DEFAULT_DEPTH,
     HarnessError,
     Pair,
@@ -30,7 +29,7 @@ from .normalizer import dump_stages, normalize
 from .parsing import ParseError, SpecFile, load_specfile, parse_lts
 from .processes import DEFAULT_STATE_BOUND, reachable
 from .runtime import composite_lts, simulate
-from .symbolic import Domain
+from .symbolic import BoundExceeded, Domain
 from .synthesis import compile_formula, synthesize
 from .formulas import classify
 
@@ -179,6 +178,19 @@ def cmd_verify(args) -> int:
     return worst
 
 
+#: The subcommands by name.  Each command is looked up when it runs, as in
+#: `CRITERIA`, so a wrapper put on a `cmd_` name after the parser was built
+#: is seen.
+COMMANDS = {
+    "check": lambda args: cmd_check(args),
+    "normalize": lambda args: cmd_normalize(args),
+    "synthesize": lambda args: cmd_synthesize(args),
+    "simulate": lambda args: cmd_simulate(args),
+    "bisim": lambda args: cmd_bisim(args),
+    "verify": lambda args: cmd_verify(args),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing keeps no state
@@ -201,30 +213,25 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="does a named process satisfy a named formula?")
     c.add_argument("formula")
     c.add_argument("process")
-    c.set_defaults(fn=cmd_check)
 
     n = sub.add_parser("normalize", help="print the normal form of a formula")
     n.add_argument("formula")
     n.add_argument("--dump-stages", action="store_true")
-    n.set_defaults(fn=cmd_normalize)
 
     s = sub.add_parser("synthesize", help="print the synthesised enforcer")
     s.add_argument("formula")
     s.add_argument("--no-optimize", action="store_true")
     s.add_argument("--dump-stages", action="store_true")
-    s.set_defaults(fn=cmd_synthesize)
 
     m = sub.add_parser("simulate", help="run an enforcer over a process")
     m.add_argument("--enforcer", required=True)
     m.add_argument("--process", required=True)
     m.add_argument("--steps", type=int, default=10)
     m.add_argument("--policy", default="first", help="first or random:SEED")
-    m.set_defaults(fn=cmd_simulate)
 
     b = sub.add_parser("bisim", help="strong bisimilarity of two systems")
     b.add_argument("--left", required=True, help=".lts file, process name, or 'enf @ proc'")
     b.add_argument("--right", required=True)
-    b.set_defaults(fn=cmd_bisim)
 
     v = sub.add_parser("verify", help="run a correctness-criterion suite")
     v.add_argument("--property", required=True, choices=[*CRITERIA, "all"])
@@ -234,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="spec file (all formula/process pairs) or random:N:SEED",
     )
     v.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    v.set_defaults(fn=cmd_verify)
     return top
 
 
@@ -247,11 +253,11 @@ def main(argv=None) -> int:
     try:
         if args.domain_bound < 1:
             raise ParseError("--domain-bound must be at least 1")
-        return args.fn(args)
+        return COMMANDS[args.command](args)
     except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BOUND_ERRORS as exc:
+    except BoundExceeded as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except Exception as exc:  # noqa: BLE001 - surface tool errors with exit 2

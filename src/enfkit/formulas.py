@@ -158,6 +158,18 @@ _SAFETY = (FTrue, FFalse, FVar, FAnd, Box, Max)
 is_shml = symbolic.Fold(lambda f, shape, kids: isinstance(f, _SAFETY) and all(kids)).__getitem__
 
 
+def require_safety(f: Formula, error):
+    """Raise `error` unless `f` is a closed, guarded safety formula, the
+    formulas that are normalised, compiled and checked.  The one place that
+    decides it."""
+    if free_logic_vars(f) or free_data_vars(f):
+        raise error("formula must be closed")
+    if not is_guarded(f):
+        raise error("formula is not guarded")
+    if not is_shml(f):
+        raise error("only safety formulas are accepted")
+
+
 @term_memo
 def necessities(f: Formula) -> tuple:
     """What a safety formula demands of a state: the necessities among its

@@ -2,7 +2,10 @@
 
 The checks are bounded refutation attempts, not proofs: each one explores the
 instance up to explicit state/trace bounds and reports pass, fail (with a
-witness), or inconclusive when a bound truncated the search.
+witness), or inconclusive when a bound truncated the search.  Each check
+hands `_verdict` a function that returns its failure witness or None, and
+`_verdict` turns a `symbolic.BoundExceeded` that function raises into an
+inconclusive verdict.
 
   soundness      a satisfiable formula holds of every instrumented system;
   transparency   instrumentation leaves satisfying systems strongly bisimilar
@@ -60,16 +63,13 @@ from .formulas import (
     TT,
     classify,
     conj,
-    free_data_vars,
-    free_logic_vars,
-    is_guarded,
-    is_shml,
     necessities,
+    require_safety,
     residual,
     unfold,
 )
-from .modelcheck import ClosureBoundExceeded, mc_eval, sat_oracle, satisfies, shortest_violation
-from .normalizer import EquationBoundExceeded, MintermBlowup, normalize
+from .modelcheck import mc_eval, sat_oracle, satisfies, shortest_violation
+from .normalizer import normalize
 from .processes import (
     DEFAULT_STATE_BOUND as DEFAULT_BOUND,
     LTS,
@@ -79,7 +79,6 @@ from .processes import (
     Process,
     Rec,
     PVar,
-    StateBoundExceeded,
     as_lts,
     free_proc_vars,
     reachable,
@@ -92,6 +91,7 @@ from .symbolic import (
     TAU,
     ActionPattern,
     Binder,
+    BoundExceeded,
     Cmp,
     Domain,
     Free,
@@ -111,15 +111,6 @@ class HarnessError(Exception):
 
 
 DEFAULT_DEPTH = 6
-
-#: Errors raised when a state, closure, minterm or equation bound cuts a
-#: computation short.  They make a check inconclusive, never a usage error.
-BOUND_ERRORS = (
-    StateBoundExceeded,
-    ClosureBoundExceeded,
-    MintermBlowup,
-    EquationBoundExceeded,
-)
 
 
 @dataclass(frozen=True)
@@ -149,12 +140,6 @@ def _trace_text(t) -> str:
 # Violating traces and formula residuals
 
 
-def _require_safety(f: Formula):
-    if not is_shml(f):
-        raise HarnessError("violating traces are defined for safety formulas")
-    require_closed_safety(f)
-
-
 def violates(system, trace, f: Formula, domain: Domain) -> bool:
     """Does the system violate the safety formula along this trace?
 
@@ -164,7 +149,7 @@ def violates(system, trace, f: Formula, domain: Domain) -> bool:
     fixpoint through its unfolding.  A process term is explored up to
     `DEFAULT_STATE_BOUND` states.
     """
-    _require_safety(f)
+    require_closed_safety(f)
     lts, root = as_lts(system, DEFAULT_BOUND)
     memo: dict = {}
 
@@ -222,12 +207,7 @@ def is_sat(f: Formula, d: Domain, bound: int = DEFAULT_BOUND) -> bool:
 def require_closed_safety(f: Formula):
     """Raise HarnessError unless `f` is a closed, guarded safety formula,
     the formulas satisfiability and the criteria are decided for."""
-    if free_logic_vars(f) or free_data_vars(f):
-        raise HarnessError("formula must be closed")
-    if not is_guarded(f):
-        raise HarnessError("formula is not guarded")
-    if not is_shml(f):
-        raise HarnessError("only safety formulas are decided")
+    require_safety(f, HarnessError)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +238,9 @@ class Pair:
         if key not in kept:
             try:
                 kept[key] = derive()
-            except BOUND_ERRORS as exc:
+            except BoundExceeded as exc:
                 kept[key] = exc
-        if isinstance(kept[key], BOUND_ERRORS):
+        if isinstance(kept[key], BoundExceeded):
             raise kept[key]
         return kept[key]
 
@@ -304,7 +284,7 @@ def _trace_classes(system, f: Formula, depth: int, composite: Optional[LTS] = No
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    _require_safety(f)
+    require_closed_safety(f)
     lts, root = system
     empty = frozenset()
 
@@ -348,6 +328,17 @@ def _trace_classes(system, f: Formula, depth: int, composite: Optional[LTS] = No
     return walk()
 
 
+def _verdict(criterion: str, subject: tuple, decide) -> Verdict:
+    """The verdict of one check: `decide()` returns the failure witness, or
+    None when the check passes.  A bound it hits, a `BoundExceeded`, makes
+    the verdict inconclusive; this is the one place that decides so."""
+    try:
+        witness = decide()
+    except BoundExceeded as exc:
+        return Verdict(criterion, subject, "inconclusive", str(exc))
+    return Verdict(criterion, subject, "pass" if witness is None else "fail", witness)
+
+
 # Each check reads the pair's derivations in a fixed order (a bare
 # `pair.enforcer` derives the enforcer first), so the bound an inconclusive
 # verdict names does not depend on which criteria ran on the pair before.
@@ -357,40 +348,38 @@ def check_soundness(pair: Pair, depth: int = DEFAULT_DEPTH) -> Verdict:
     """A satisfiable formula must hold of the instrumented system; a failure
     names its shortest violating trace, of any length.  `depth` goes unused;
     it keeps the signature that the benchmark tracer wraps."""
-    try:
+
+    def decide():
         if is_sat(pair.f, pair.d, pair.bound):
             comp = pair.composite
             witness = shortest_violation((comp, comp.initial), pair.f, pair.d, pair.bound)
             if witness is not None:
-                return Verdict("soundness", pair.subject, "fail", _trace_text(witness))
-    except BOUND_ERRORS as exc:
-        return Verdict("soundness", pair.subject, "inconclusive", str(exc))
-    return Verdict("soundness", pair.subject, "pass")
+                return _trace_text(witness)
+
+    return _verdict("soundness", pair.subject, decide)
 
 
 def check_transparency(pair: Pair) -> Verdict:
     """Instrumentation must not disturb a system that already satisfies the
     formula: the composite stays strongly bisimilar to the bare system."""
-    try:
+
+    def decide():
         pair.enforcer
         if pair.holds:
             comp = pair.composite
             equal, witness = bisim(comp, comp.initial, pair.system, pair.p)
             if not equal:
-                return Verdict(
-                    "transparency", pair.subject, "fail", f"split on label {witness[0]}"
-                )
-    except BOUND_ERRORS as exc:
-        return Verdict("transparency", pair.subject, "inconclusive", str(exc))
-    return Verdict("transparency", pair.subject, "pass")
+                return f"split on label {witness[0]}"
+
+    return _verdict("transparency", pair.subject, decide)
 
 
 def check_nvtt(pair: Pair, depth: int) -> Verdict:
     """Non-violating-trace transparency up to the given trace depth: every
     non-violating trace of the process is preserved by instrumentation, and
     the composite adds no such trace with new endpoints."""
-    subject = (*pair.subject, f"depth={depth}")
-    try:
+
+    def decide():
         pair.enforcer
         plts = pair.system
         comp = pair.composite
@@ -401,23 +390,22 @@ def check_nvtt(pair: Pair, depth: int) -> Verdict:
             projected = {cfg.system for cfg in composite}
             for verb, diff in (("loses", plain - projected), ("invents", projected - plain)):
                 if diff:
-                    why = f"trace {_trace_text(t)} {verb} derivative {sorted(map(str, diff))[0]}"
-                    return Verdict("nvtt", subject, "fail", why)
-    except BOUND_ERRORS as exc:
-        return Verdict("nvtt", subject, "inconclusive", str(exc))
-    return Verdict("nvtt", subject, "pass")
+                    return f"trace {_trace_text(t)} {verb} derivative {sorted(map(str, diff))[0]}"
+
+    return _verdict("nvtt", (*pair.subject, f"depth={depth}"), decide)
 
 
 def check_violation_semantics(pair: Pair, depth: int) -> Verdict:
     """Both violating-trace conditions, bounded: (1) every violating trace
     found must belong to a state-level violator and be weakly performable;
     (2) a state-level violator must exhibit some violating trace within the
-    depth, otherwise the verdict is inconclusive rather than a false pass.
-    A trace the process does not perform leaves no obligations, so a
-    violating trace the search yields is performable by construction, and
-    the "not performable" failure only shows a fault in the search."""
-    subject = (*pair.subject, f"depth={depth}")
-    try:
+    depth, otherwise the depth is a bound it hit and the verdict is
+    inconclusive rather than a false pass.  A trace the process does not
+    perform leaves no obligations, so a violating trace the search yields is
+    performable by construction, and the "not performable" failure only
+    shows a fault in the search."""
+
+    def decide():
         plts = pair.system
         nodes = _trace_classes((plts, pair.p), pair.f, depth)
         holds = pair.holds
@@ -426,64 +414,45 @@ def check_violation_semantics(pair: Pair, depth: int) -> Verdict:
             if not falsified:
                 continue
             if holds:
-                why = f"{_trace_text(t)} violates but the system satisfies the formula"
-                return Verdict("violation-sem", subject, "fail", why)
+                return f"{_trace_text(t)} violates but the system satisfies the formula"
             if not plain:
-                why = f"violating trace {_trace_text(t)} is not performable"
-                return Verdict("violation-sem", subject, "fail", why)
+                return f"violating trace {_trace_text(t)} is not performable"
             found = True
         if not holds and not found:
-            why = f"no violating trace within depth {depth}"
-            return Verdict("violation-sem", subject, "inconclusive", why)
-    except BOUND_ERRORS as exc:
-        return Verdict("violation-sem", subject, "inconclusive", str(exc))
-    return Verdict("violation-sem", subject, "pass")
+            raise BoundExceeded(f"no violating trace within depth {depth}")
+
+    return _verdict("violation-sem", (*pair.subject, f"depth={depth}"), decide)
 
 
 def check_normalization(f: Formula, systems, d: Domain) -> Verdict:
     """Normal-form conversion must preserve denotations on every given system
     and produce a formula passing both structural normal-form clauses."""
-    subject = (str(f),)
-    try:
+
+    def decide():
         nf = normalize(f, d)
-        flags = classify(nf, d)
-        if not flags.shmlnf:
-            return Verdict(
-                "normalization-equivalence", subject, "fail", f"output not normal: {nf}"
-            )
+        if not classify(nf, d).shmlnf:
+            return f"output not normal: {nf}"
         for system in systems:
             lts, _ = as_lts(system, DEFAULT_BOUND)
             before = mc_eval(f, lts, {}, d)
             after_ = mc_eval(nf, lts, {}, d)
             if before != after_:
-                delta = sorted(map(str, before ^ after_))[0]
-                return Verdict(
-                    "normalization-equivalence",
-                    subject,
-                    "fail",
-                    f"denotations differ at state {delta}",
-                )
-    except BOUND_ERRORS as exc:
-        return Verdict("normalization-equivalence", subject, "inconclusive", str(exc))
-    return Verdict("normalization-equivalence", subject, "pass")
+                return f"denotations differ at state {sorted(map(str, before ^ after_))[0]}"
+
+    return _verdict("normalization-equivalence", (str(f),), decide)
 
 
 def check_oracle_agreement(pair: Pair) -> Verdict:
     """The coinductive satisfaction route, which the other criteria read as
     `pair.holds`, agrees with the denotational one, `satisfies`."""
-    try:
+
+    def decide():
         coinductive = pair.holds
         denotational = satisfies((pair.system, pair.p), pair.f, pair.d, pair.bound)
-    except BOUND_ERRORS as exc:
-        return Verdict("oracle-agreement", pair.subject, "inconclusive", str(exc))
-    if denotational != coinductive:
-        return Verdict(
-            "oracle-agreement",
-            pair.subject,
-            "fail",
-            f"denotational={denotational} coinductive={coinductive}",
-        )
-    return Verdict("oracle-agreement", pair.subject, "pass")
+        if denotational != coinductive:
+            return f"denotational={denotational} coinductive={coinductive}"
+
+    return _verdict("oracle-agreement", pair.subject, decide)
 
 
 # ---------------------------------------------------------------------------

@@ -30,23 +30,21 @@ from .formulas import (
     Formula,
     Max,
     Min,
-    free_data_vars,
     free_logic_vars,
-    is_guarded,
-    is_shml,
     necessities,
+    require_safety,
     residual,
     subst_data,
 )
 from .processes import DEFAULT_STATE_BOUND, LTS, as_lts, tau_closure, weak_moves, weak_step
-from .symbolic import Domain, sym_match, term_memo
+from .symbolic import BoundExceeded, Domain, sym_match, term_memo
 
 
 class ModelCheckError(Exception):
     pass
 
 
-class ClosureBoundExceeded(ModelCheckError):
+class ClosureBoundExceeded(ModelCheckError, BoundExceeded):
     pass
 
 
@@ -142,8 +140,7 @@ def shortest_violation(system, f: Formula, domain: Domain, bound: int = DEFAULT_
     tau-closure and by the `residual` of each of its `necessities`.
     Falsehood is decided before the bound is tested: more than
     `DEFAULT_CLOSURE_BOUND` pairs raise `ClosureBoundExceeded`."""
-    if not is_shml(f) or free_logic_vars(f) or free_data_vars(f) or not is_guarded(f):
-        raise ModelCheckError("the satisfaction oracle handles closed, guarded safety formulas")
+    require_safety(f, ModelCheckError)
     lts, root = as_lts(system, bound)
     if necessities(f)[1]:
         return ()

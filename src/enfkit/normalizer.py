@@ -40,10 +40,8 @@ from .formulas import (
     all_names,
     conj,
     free_data_vars,
-    free_logic_vars,
-    is_guarded,
-    is_shml,
     necessities,
+    require_safety,
     unfold,
 )
 from .symbolic import (
@@ -51,6 +49,7 @@ from .symbolic import (
     AlphaKeys,
     And,
     Binder,
+    BoundExceeded,
     Domain,
     Not,
     SymbolicAction,
@@ -69,11 +68,11 @@ class NormalizeError(Exception):
     pass
 
 
-class MintermBlowup(NormalizeError):
+class MintermBlowup(NormalizeError, BoundExceeded):
     """A single equation body mixes too many distinct guard conditions."""
 
 
-class EquationBoundExceeded(NormalizeError):
+class EquationBoundExceeded(NormalizeError, BoundExceeded):
     """The equation system grew past `MAX_EQUATIONS` variables, or the
     formula stage 6 rebuilds from it past `MAX_REBUILD_BOXES` necessities."""
 
@@ -81,7 +80,6 @@ class EquationBoundExceeded(NormalizeError):
 MAX_MINTERM_CONDITIONS = 12
 MAX_EQUATIONS = 10_000
 MAX_REBUILD_BOXES = 200_000
-MAX_UNFOLD_CHAIN = 10_000
 
 
 @dataclass(frozen=True)
@@ -182,11 +180,10 @@ class _Builder:
 
     @staticmethod
     def chase(f: Formula) -> Formula:
-        for _ in range(MAX_UNFOLD_CHAIN):
-            if not isinstance(f, Max):
-                return f
+        # f is guarded, so each unfolding strips one leading binder
+        while isinstance(f, Max):
             f = unfold(f)
-        raise NormalizeError("fixpoint unfolding does not terminate")
+        return f
 
     def raw_body(self, key: int):
         """The stage-2 body: the necessities the variable's formula reaches,
@@ -504,12 +501,7 @@ def _renumber_binders(f: Formula) -> Formula:
 def _run_stages(f: Formula, d: Domain) -> tuple:
     """Check `f`, run the pattern pre-pass and stages 2 to 5 once; returns
     the formula stage 2 reads and the four equation systems."""
-    if free_logic_vars(f) or free_data_vars(f):
-        raise NormalizeError("formula must be closed")
-    if not is_guarded(f):
-        raise NormalizeError("formula is not guarded")
-    if not is_shml(f):
-        raise NormalizeError("only the safety fragment can be normalised")
+    require_safety(f, NormalizeError)
     prepared = normalize_formula_patterns(f, d)
     raw = stage2_equations(prepared, d)
     aligned = stage3_align(raw)

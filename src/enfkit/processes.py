@@ -12,7 +12,7 @@ from collections import deque
 from typing import Union
 
 from . import symbolic
-from .symbolic import TAU, Action, Shape, term, term_memo
+from .symbolic import TAU, Action, BoundExceeded, Shape, term, term_memo
 
 
 #: The default cap on the states of an explored LTS (a process's, a
@@ -24,7 +24,7 @@ class ProcessError(Exception):
     pass
 
 
-class StateBoundExceeded(ProcessError):
+class StateBoundExceeded(ProcessError, BoundExceeded):
     """State-space exploration hit its configured bound."""
 
 

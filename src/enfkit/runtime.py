@@ -166,7 +166,10 @@ def make_policy(policy):
     if policy == "first":
         return first_policy
     if isinstance(policy, str) and policy.startswith("random:"):
-        return random_policy(int(policy.split(":", 1)[1]))
+        try:
+            return random_policy(int(policy.split(":", 1)[1]))
+        except ValueError:
+            raise SimulationError("random policy must be random:SEED") from None
     if isinstance(policy, (list, tuple)):
         return script_policy(policy)
     raise ValueError(f"unknown simulation policy {policy!r}")

@@ -59,6 +59,12 @@ class UnboundVariable(SymbolicError):
     """A condition or pattern mentions a variable with no binding."""
 
 
+class BoundExceeded(Exception):
+    """A state, closure, minterm, equation or trace-depth bound cut a
+    computation short.  Each bound's error subclasses it, beside its own
+    module's error class; a check it stops is inconclusive, not failed."""
+
+
 # ---------------------------------------------------------------------------
 # Term classes
 

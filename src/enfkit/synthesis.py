@@ -21,7 +21,9 @@ from .formulas import (
     Max,
     all_names,
     classify,
+    is_shmlnf,
     necessity_branches,
+    require_safety,
 )
 from .normalizer import normalize
 from .symbolic import TAU, Domain, Fold, free_rec_rule, rebuild, underline
@@ -114,12 +116,6 @@ def compile_formula(f: Formula, d: Domain) -> Transducer:
     A formula already in normal form is synthesised directly, which keeps
     the output syntactically aligned with hand-written enforcers.
     """
-    flags = classify(f, d)
-    if not flags.closed:
-        raise SynthesisError("formula must be closed")
-    if not flags.guarded:
-        raise SynthesisError("formula is not guarded")
-    if not flags.shml:
-        raise SynthesisError("only safety formulas are enforceable here")
-    nf = f if flags.shmlnf else normalize(f, d)
+    require_safety(f, SynthesisError)
+    nf = f if is_shmlnf(f, d) else normalize(f, d)
     return optimize(synthesize(nf, d))

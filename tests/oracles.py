@@ -45,7 +45,7 @@ from enfkit import formulas as F
 from enfkit import processes as P
 from enfkit import transducers as T
 from enfkit.formulas import necessities
-from enfkit.harness import BOUND_ERRORS, DEFAULT_BOUND, Verdict, _require_safety, _trace_text
+from enfkit.harness import DEFAULT_BOUND, Verdict, _trace_text, require_closed_safety
 from enfkit.parsing import ParseError, SpecFile, _parse_name_set
 from enfkit.processes import (
     Choice, Prefix, ProcessError, PVar, Rec, as_lts, subst_proc, trace_tree, traces,
@@ -62,6 +62,7 @@ from enfkit.symbolic import (
     ActionPattern,
     And,
     Binder,
+    BoundExceeded,
     CFalse,
     Cmp,
     Condition,
@@ -179,7 +180,7 @@ def violating_traces(system, candidates, f, domain: Domain) -> frozenset:
     candidate.  A process term is explored up to `DEFAULT_STATE_BOUND`
     states.
     """
-    _require_safety(f)
+    require_closed_safety(f)
     lts, root = as_lts(system, DEFAULT_BOUND)
     trie = _TrieNode()
     for t in candidates:
@@ -262,7 +263,7 @@ def trie_nvtt(pair, depth: int) -> Verdict:
                 if diff:
                     why = f"trace {_trace_text(t)} {verb} derivative {sorted(map(str, diff))[0]}"
                     return Verdict("nvtt", subject, "fail", why)
-    except BOUND_ERRORS as exc:
+    except BoundExceeded as exc:
         return Verdict("nvtt", subject, "inconclusive", str(exc))
     return Verdict("nvtt", subject, "pass")
 
@@ -292,7 +293,7 @@ def trie_violation_semantics(pair, depth: int) -> Verdict:
         if not holds and not found:
             why = f"no violating trace within depth {depth}"
             return Verdict("violation-sem", subject, "inconclusive", why)
-    except BOUND_ERRORS as exc:
+    except BoundExceeded as exc:
         return Verdict("violation-sem", subject, "inconclusive", str(exc))
     return Verdict("violation-sem", subject, "pass")
 

@@ -7,8 +7,11 @@ from itertools import zip_longest
 
 import pytest
 
-from enfkit import harness, normalizer
-from enfkit.cli import main
+from enfkit import cli, harness, normalizer
+from enfkit.cli import build_parser, main
+from enfkit.modelcheck import ClosureBoundExceeded
+from enfkit.normalizer import EquationBoundExceeded, MintermBlowup
+from enfkit.processes import StateBoundExceeded
 from enfkit.parsing import parse_transducer
 from enfkit.transducers import alpha_eq
 
@@ -212,6 +215,36 @@ def test_verify_violation_semantics_random_corpus():
     assert code == 0
 
 
+def test_a_wrapper_put_on_a_command_after_the_parser_is_built_is_called(monkeypatch):
+    # the parser is built once per process; the command it runs is looked
+    # up when it runs, so a wrapper put on `cmd_verify` later still sees it
+    build_parser()
+    seen = []
+    verify = cli.cmd_verify
+
+    def wrapper(args):
+        seen.append(args.property)
+        return verify(args)
+
+    monkeypatch.setattr(cli, "cmd_verify", wrapper)
+    assert run(["verify", "--property", "soundness", "--corpus", "random:2:1"])[0] == 0
+    assert seen == ["soundness"]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [StateBoundExceeded, ClosureBoundExceeded, MintermBlowup, EquationBoundExceeded],
+    ids=lambda error: error.__name__,
+)
+def test_a_bound_hit_by_a_command_exits_inconclusive(capsys, monkeypatch, error):
+    def normalize(args):
+        raise error("a bound was hit")
+
+    monkeypatch.setattr(cli, "cmd_normalize", normalize)
+    assert run(["--spec", SPEC, "normalize", "phi1"]) == (3, "")
+    assert capsys.readouterr().err == "inconclusive: a bound was hit\n"
+
+
 def test_bound_errors_exit_inconclusive():
     code, _ = run(["--domain-bound", "1", "--spec", SPEC, "check", "phi1", "pg"])
     assert code == 3
@@ -338,10 +371,15 @@ def test_verify_server_spec_matches_the_golden_file():
          "--steps"),
         (["verify", "--property", "all", "--corpus", "{tmp}/no_formula.spec"],
          "no formula or no process"),
+        (["--spec", SPEC, "simulate", "--enforcer", "ess", "--process", "pg", "--policy",
+          "random:abc"], "error: random policy must be random:SEED"),
+        (["--spec", SPEC, "simulate", "--enforcer", "ess", "--process", "pg", "--policy",
+          "random:1.5"], "error: random policy must be random:SEED"),
     ],
     ids=["negative_depth", "negative_corpus_size", "empty_corpus", "non_integer_corpus_size",
          "non_integer_corpus_seed", "zero_domain_bound",
-         "negative_steps", "empty_spec_corpus"],
+         "negative_steps", "empty_spec_corpus", "non_numeric_policy_seed",
+         "non_integer_policy_seed"],
 )
 def test_verify_rejects_bad_arguments_before_any_verdict(capsys, tmp_path, argv, error):
     (tmp_path / "no_formula.spec").write_text("ports = {i}\npayloads = {req}\nprocess p = nil\n")

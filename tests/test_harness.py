@@ -1,4 +1,5 @@
 import io
+import os
 import re
 from collections import Counter
 from contextlib import redirect_stdout
@@ -11,7 +12,6 @@ from enfkit import modelcheck, processes
 from enfkit.cli import main
 from enfkit.formulas import FF, TT, Box, FVar, Max
 from enfkit.harness import (
-    BOUND_ERRORS,
     HarnessError,
     Pair,
     Verdict,
@@ -28,8 +28,8 @@ from enfkit.harness import (
     make_corpus,
     violates,
 )
-from enfkit.modelcheck import sat_oracle, satisfies, shortest_violation
-from enfkit.normalizer import normalize
+from enfkit.modelcheck import ClosureBoundExceeded, ModelCheckError, sat_oracle, satisfies, shortest_violation
+from enfkit.normalizer import EquationBoundExceeded, MintermBlowup, NormalizeError, normalize
 from enfkit.parsing import parse_formula, parse_lts, parse_process
 from enfkit.processes import (
     NIL,
@@ -38,13 +38,14 @@ from enfkit.processes import (
     PVar,
     ProcessError,
     Rec,
+    StateBoundExceeded,
     reachable,
     traces,
     weak_step,
     weak_trace_derivatives,
 )
 from enfkit.runtime import composite_lts, simulate
-from enfkit.symbolic import TAU, TRUE, ActionPattern, Domain, Free, Lit, SymbolicAction
+from enfkit.symbolic import TAU, TRUE, ActionPattern, BoundExceeded, Domain, Free, Lit, SymbolicAction
 from enfkit.synthesis import compile_formula, optimize, synthesize
 from enfkit.transducers import ID, alpha_eq
 from oracles import (
@@ -57,6 +58,8 @@ from oracles import (
 )
 
 from conftest import act
+
+SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "server.spec")
 
 
 def test_verdict_invariant():
@@ -90,7 +93,7 @@ def test_is_sat_agrees_with_the_normal_form(dom, domain, max_size, data):
     f = gen_formula(d, size, data.draw(st.integers(0, 10_000), label="seed"))
     try:
         core = normalize(f, d)
-    except BOUND_ERRORS:
+    except BoundExceeded:
         assume(False)
     while isinstance(core, Max):
         core = core.body
@@ -267,7 +270,7 @@ def test_violating_traces_agree_with_violates(dom, fsize, fseed, psize, pseed):
     plts = reachable(p, 500)
     try:
         e = compile_formula(f, dom)
-    except BOUND_ERRORS:
+    except BoundExceeded:
         assume(False)
     comp = composite_lts(e, p, dom)
     for system, (lts, state) in ((p, (plts, p)), ((comp, comp.initial), (comp, comp.initial))):
@@ -311,7 +314,7 @@ def test_violating_traces_decide_a_deep_candidate(dom):
 
 
 def test_violating_traces_need_a_guarded_safety_formula(dom, terms):
-    with pytest.raises(HarnessError, match="defined for safety formulas"):
+    with pytest.raises(HarnessError, match="only safety formulas are accepted"):
         violating_traces(terms["pg"], {()}, terms["phins"], dom)
     with pytest.raises(HarnessError, match="not guarded"):
         violating_traces(terms["pg"], {()}, parse_formula("max X.(X && [i?req]ff)", dom), dom)
@@ -487,7 +490,7 @@ def test_trace_search_matches_the_trie_oracle(dom, terms, fsize, fseed, psize, p
     f, p = gen_formula(dom, fsize, fseed), gen_process(dom, psize, pseed)
     try:
         other = compile_formula(gen_formula(dom, 5, fseed + 1), dom)
-    except BOUND_ERRORS:
+    except BoundExceeded:
         other = ID
     for e in (None, ID, terms["ei"], terms["er"], terms["es"], other):
         pair = Pair(f, p, dom, enforcer=e, bound=bound)
@@ -734,7 +737,7 @@ def test_foreign_states_are_rejected(dom, terms):
 
 
 def test_violates_needs_a_guarded_safety_formula(dom, terms):
-    with pytest.raises(HarnessError, match="defined for safety formulas"):
+    with pytest.raises(HarnessError, match="only safety formulas are accepted"):
         violates(terms["pg"], (), terms["phins"], dom)
     with pytest.raises(HarnessError, match="not guarded"):
         violates(terms["pg"], (), parse_formula("max X.(X && [i?req]ff)", dom), dom)
@@ -859,3 +862,71 @@ def test_verify_continues_past_a_closure_bound(monkeypatch):
     assert code == 3 and len(lines) == 20
     assert inconclusive and all("closure grew past the bound" in line for line in inconclusive)
     assert sum(line.endswith(" pass") for line in lines) == 20 - len(inconclusive)
+
+
+# ---------------------------------------------------------------------------
+# One bound decision: every bound error is a `BoundExceeded`, and `_verdict`
+# alone turns it into an inconclusive verdict
+
+BOUNDS = {
+    StateBoundExceeded: ProcessError,
+    ClosureBoundExceeded: ModelCheckError,
+    MintermBlowup: NormalizeError,
+    EquationBoundExceeded: NormalizeError,
+}
+
+#: The six checks, each on one pair, by the criterion its verdict names.
+SIX_CHECKS = {
+    "soundness": check_soundness,
+    "transparency": check_transparency,
+    "nvtt": lambda pair: check_nvtt(pair, 3),
+    "violation-sem": lambda pair: check_violation_semantics(pair, 3),
+    "normalization-equivalence": lambda pair: check_normalization(pair.f, [pair.p], pair.d),
+    "oracle-agreement": check_oracle_agreement,
+}
+
+
+def _raise(error):
+    def derive(*args):
+        raise error("a bound was hit")
+
+    return derive
+
+
+@pytest.mark.parametrize("error", BOUNDS, ids=lambda error: error.__name__)
+def test_every_bound_error_is_a_bound_exceeded_of_its_module(error):
+    assert issubclass(error, BoundExceeded) and issubclass(error, BOUNDS[error])
+
+
+@pytest.mark.parametrize("error", BOUNDS, ids=lambda error: error.__name__)
+@pytest.mark.parametrize("criterion", SIX_CHECKS)
+def test_a_bound_hit_in_a_derivation_makes_each_check_inconclusive(dom, terms, monkeypatch, criterion, error):
+    # the pair's LTS, which the five pair checks derive, and the normal form,
+    # which normalization derives, each hit the bound
+    monkeypatch.setattr(harness, "reachable", _raise(error))
+    monkeypatch.setattr(harness, "normalize", _raise(error))
+    v = SIX_CHECKS[criterion](Pair(terms["phi1"], terms["pb"], dom))
+    assert (v.criterion, v.outcome, v.witness) == (criterion, "inconclusive", "a bound was hit")
+
+
+@pytest.mark.parametrize("error", BOUNDS, ids=lambda error: error.__name__)
+def test_a_bound_hit_in_a_derivation_makes_verify_exit_inconclusive(monkeypatch, error):
+    # every criterion derives the pair's LTS (soundness through the
+    # composite: each formula of the server spec is satisfiable)
+    monkeypatch.setattr(harness, "reachable", _raise(error))
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(["verify", "--property", "all", "--corpus", SPEC])
+    lines = out.getvalue().splitlines()
+    assert code == 3 and len(lines) == 48
+    assert all(line.endswith(" inconclusive [a bound was hit]") for line in lines)
+
+
+def test_a_violator_without_a_violating_trace_within_the_depth_is_inconclusive():
+    # pb violates phi0 only after two requests, beyond depth 1
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(["verify", "--property", "violation-sem", "--depth", "1", "--corpus", SPEC])
+    lines = out.getvalue().splitlines()
+    inconclusive = [line for line in lines if " inconclusive " in line]
+    assert code == 3 and len(inconclusive) == 2
+    assert all(line.endswith(" depth=1' inconclusive [no violating trace within depth 1]")
+               for line in inconclusive)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from enfkit.cli import main
 from enfkit.formulas import Box, FF, Max, TT, classify
 from enfkit.harness import gen_formula, gen_process
 from enfkit.modelcheck import mc_eval
@@ -175,6 +176,18 @@ def test_normalize_rejects_bad_inputs(dom, terms):
         normalize(Max("X", FVar("X")), dom)  # unguarded
     with pytest.raises(NormalizeError):
         normalize(FVar("X"), dom)  # open
+
+
+def test_normalize_unfolds_a_long_binder_nest(dom, tmp_path, capsys):
+    # a guarded formula unfolds at most once per leading binder, so no bound
+    # on the unfolding chain is needed, and the CLI prints the normal form
+    text = "".join(f"max X{k}." for k in range(10_001)) + "[i?req]X0"
+    nf = "max X0.[(y)?(z) when y = i && z = req]X0"
+    assert str(normalize(parse_formula(text, dom), dom)) == nf
+    spec = tmp_path / "nest.spec"
+    spec.write_text(f"ports = {{i, j}}\npayloads = {{req, ans, cls}}\nformula f = {text}\n")
+    assert main(["--spec", str(spec), "normalize", "f"]) == 0
+    assert capsys.readouterr() == (f"{nf}\n", "")
 
 
 @pytest.mark.parametrize("seed", range(0, 40))

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from enfkit.harness import BOUND_ERRORS, gen_formula, gen_process
+from enfkit.harness import gen_formula, gen_process
 from enfkit.parsing import parse_lts, parse_process
 from enfkit.processes import (
     NIL,
@@ -18,7 +18,7 @@ from enfkit.processes import (
     weak_trace_derivatives,
 )
 from enfkit.runtime import composite_lts
-from enfkit.symbolic import TAU
+from enfkit.symbolic import TAU, BoundExceeded
 from enfkit.synthesis import compile_formula
 from enfkit.transducers import ID
 
@@ -138,7 +138,7 @@ def test_trace_tree_is_traces_with_their_derivatives(dom, fsize, fseed, psize, p
     plts = reachable(p, 500)
     try:
         e = compile_formula(gen_formula(dom, fsize, fseed), dom)
-    except BOUND_ERRORS:  # e.g. (10, 89) has 13 minterm conditions
+    except BoundExceeded:  # e.g. (10, 89) has 13 minterm conditions
         assume(False)
     comp = composite_lts(e, p, dom)
     for lts, state in ((plts, p), (comp, comp.initial)):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enfkit.bisim import bisim
-from enfkit.harness import BOUND_ERRORS, gen_formula, gen_process
+from enfkit.harness import gen_formula, gen_process
 from enfkit.parsing import ParseError, parse_process, parse_transducer
 from enfkit.processes import (
     NIL,
@@ -14,7 +14,7 @@ from enfkit.processes import (
     traces,
 )
 from enfkit.runtime import Config, composite_lts, istep, simulate
-from enfkit.symbolic import INSERT, TAU, Domain, Val, Var
+from enfkit.symbolic import INSERT, TAU, BoundExceeded, Domain, Val, Var
 from enfkit.synthesis import compile_formula
 from enfkit.transducers import ID, TransducerError, free_data_vars, subst_data, tstep
 
@@ -95,7 +95,7 @@ def test_istep_matches_the_scanning_oracle(dom, terms, fsize, fseed, psize, psee
     enforcers = [terms.get(e) or parse_transducer(e, dom) for e in HAND_WRITTEN]
     try:
         enforcers.append(compile_formula(gen_formula(dom, fsize, fseed), dom))
-    except BOUND_ERRORS:
+    except BoundExceeded:
         pass
     p = gen_process(dom, psize, pseed)
     plts = reachable(p, 10_000)
