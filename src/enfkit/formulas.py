@@ -9,14 +9,14 @@ A modality's pattern binders scope over both the guard condition and the
 continuation formula, so formulas can be open in data variables as well as in
 logical variables.
 
-Derived facts about a formula (its free logical and data variables, whether
-it is guarded, whether it is a safety formula, the necessities a safety
-formula demands of a state, and what a necessity demands after a label,
-`residual`) are memoised by term, in bounded caches keyed on the formula
-value.
+A formula's free logical and data variables, its guardedness and whether it
+is a safety formula are facts kept on the term (`symbolic.fact`).  The
+necessities a safety formula demands of a state, and what a necessity
+demands after a label (`residual`), are memoised by term in bounded caches.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple, Union
 
 from . import symbolic
@@ -155,7 +155,7 @@ def is_guarded(f: Formula) -> bool:
 _SAFETY = (FTrue, FFalse, FVar, FAnd, Box, Max)
 #: Whether a formula is in the safety fragment: no disjunction, possibility
 #: or least fixpoint anywhere.
-is_shml = symbolic.Fold(lambda f, shape, kids: isinstance(f, _SAFETY) and all(kids)).__getitem__
+is_shml = symbolic.fact("_shml", lambda f, shape, kids: isinstance(f, _SAFETY) and all(kids))
 
 
 def require_safety(f: Formula, error):
@@ -209,22 +209,18 @@ def necessity_branches(f):
 
 def is_shmlnf(f: Formula, d: Domain) -> bool:
     """Normal form: conjunctions combine only necessities whose guards are
-    pairwise disjoint, and every fixpoint binder is used in its body.  A
-    fold of its own per call, since the answer depends on the domain."""
+    pairwise disjoint, and every fixpoint binder is used in its body.  It
+    depends on the domain: each distinct subterm is checked once per call."""
 
-    def rule(g, shape, kids):
-        if not all(kids):
-            return False
+    def normal(g):
         if isinstance(g, Max):
             return g.var in free_logic_vars(g.body)
         if not isinstance(g, FAnd):
             return isinstance(g, (FTrue, FFalse, FVar, Box))
-        items = g.items
-        pairs = ((a, b) for i, a in enumerate(items) for b in items[i + 1:])
-        return all(isinstance(b, Box) for b in items) and all(
-            disjoint_under(a.action, b.action, d) for a, b in pairs)
+        return all(isinstance(b, Box) for b in g.items) and all(
+            disjoint_under(a.action, b.action, d) for a, b in combinations(g.items, 2))
 
-    return symbolic.Fold(rule)[f]
+    return all(map(normal, symbolic.subterms(f)))
 
 
 def classify(f: Formula, d: Domain) -> Classification:

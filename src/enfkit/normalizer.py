@@ -25,6 +25,7 @@ renames the continuation and re-interns it as a (possibly new) variable.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import count, product
 
@@ -214,12 +215,10 @@ class _Builder:
 
 
 def _snapshot(builder: _Builder, start, body_fn) -> EquationSystem:
-    order = []
-    bodies = {}
-    queue = [start]
-    seen = {start}
+    order, bodies = [], {}
+    queue, seen = deque([start]), {start}
     while queue:
-        key = queue.pop(0)
+        key = queue.popleft()
         order.append(key)
         body = body_fn(key)
         bodies[key] = body

@@ -31,8 +31,8 @@ binder renaming (`narrow`, `rename_binders`, `avoid_capture`), and keys up to
 binder names (`term_key`, `cond_key`, `pattern_key`, and `AlphaKeys`, which
 hands any term an integer key), on which `transducers.alpha_eq` and the
 normaliser's equation interning both rest.  The terms of formulas, processes
-and transducers declare their subterms and binders (`Shape`): their
-walkers are rules on one fold and one map, and their steps read `heads`.
+and transducers declare their subterms and binders (`Shape`): their facts
+(`fact`) and maps (`rebuild`) are rules, and their steps read `heads`.
 
 Every term prints by `show`, its `__str__` (memoised for actions, guards
 and conditions): one loop on an explicit stack over `LAYOUTS`, so printing
@@ -45,7 +45,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import repeat
 from operator import is_not
 from string import Formatter
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
@@ -89,6 +89,7 @@ _TERMS: dict = {}
 _SWEEP_MIN = 1 << 14
 _sweep_at = [_SWEEP_MIN]
 _NONE = type(None)  # a missing entry: calling it gives None, as a dead reference does
+_MISSING = object()  # an empty fact slot, set when a term is built: an unset slot would raise
 
 
 def _sweep():
@@ -134,7 +135,7 @@ def term(cls=None, *, shape: Optional["Shape"] = None):
     are the same object; only a miss makes a new one, runs the class's
     `__post_init__` and enters it.  A field value that cannot be hashed
     raises `TypeError`.  A term of the three languages declares its
-    `shape`."""
+    `shape`, and gets a slot for each of the `FACTS`, empty until read."""
 
     def build(cls):
         if cls.__bases__ != (object,):
@@ -143,10 +144,11 @@ def term(cls=None, *, shape: Optional["Shape"] = None):
         # dataclass() sees it: with slots=True, dataclass() would build a
         # second class and keep the first one alive in its frozen __setattr__.
         body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
-        body["__slots__"] = tuple(vars(cls).get("__annotations__", ()))
+        facts = () if shape is None else FACTS
+        body["__slots__"] = (*vars(cls).get("__annotations__", ()), *facts)
         cls = type(cls.__name__, (CachedHash,), body)
         cls = dataclass(frozen=True, eq=False, init=False)(cls)
-        for name, method in _term_methods(cls).items():
+        for name, method in _term_methods(cls, facts).items():
             method.__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, method)
         if shape is not None:
@@ -160,14 +162,14 @@ def term(cls=None, *, shape: Optional["Shape"] = None):
     return build if cls is None else build(cls)
 
 
-def _term_methods(cls) -> dict:
+def _term_methods(cls, facts) -> dict:
     """The interning `__new__` of a term class and its `__reduce__`,
     generated as `dataclass` generates `__init__`, so that building a term
-    runs one Python frame."""
+    runs one Python frame and empties its `facts` slots."""
     names = [f.name for f in fields(cls)]
     args = "".join(f", {n}" for n in names)
     mine = "".join(f"self.{n}, " for n in names)
-    setters = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    setters = {f"_set_{n}": getattr(cls, n).__set__ for n in (*names, *facts)}
     made = ["__new__", "__reduce__"]
     lines = [
         f"def __new__(cls{args}):",
@@ -176,6 +178,7 @@ def _term_methods(cls) -> dict:
         "    if _t is None:",
         "        _t = _new(cls)",
         *(f"        _set_{n}(_t, {n})" for n in names),
+        *(f"        _set_{n}(_t, _missing)" for n in facts),
         *(["        _t.__post_init__()"] if hasattr(cls, "__post_init__") else []),
         "        if len(_terms) >= _sweep_at[0]:",
         "            _sweep()",
@@ -186,7 +189,7 @@ def _term_methods(cls) -> dict:
     ]
     closure = dict(
         _terms=_TERMS, _get=_TERMS.get, _none=_NONE, _sweep=_sweep, _sweep_at=_sweep_at,
-        _new=object.__new__, _ref=weakref.ref, **setters,
+        _new=object.__new__, _ref=weakref.ref, _missing=_MISSING, **setters,
     )
     head, tail = f"def _make({', '.join(closure)}):", f"  return {', '.join(made)}"
     source = "\n".join([head, *(f"  {line}" for line in lines), tail])
@@ -243,6 +246,9 @@ class Shape(NamedTuple):
 #: The shape of each term class of the three languages; all else is a leaf.
 SHAPES: dict = {}
 _LEAF = Shape()
+#: The slots of a shaped term's facts (`fact`), which live and die with it:
+#: free recursion and data variables, guardedness, and the safety fragment.
+FACTS = ("_free_rec", "_free_data", "_unguarded", "_shml")
 
 
 # ---------------------------------------------------------------------------
@@ -616,34 +622,27 @@ def subst_pattern(p: Pattern, sub: Substitution) -> Pattern:
 
 
 # ---------------------------------------------------------------------------
-# One fold and one map over the declared shapes, on explicit stacks, so that
-# no walker's depth is bounded by the interpreter's recursion limit
+# Per-term facts and one map over the declared shapes, on explicit stacks, so
+# that no walker's depth is bounded by the interpreter's recursion limit
 
-_MISSING = object()
+_store = object.__setattr__  # a term's fact slots are written here only
 
 
-class Fold(dict):
-    """A fold memoised by term: `fold[t]` is `rule(node, shape, values at the
-    subterms)` at `t`, run once per distinct subterm, so a DAG (an unfolded
-    fixpoint) costs its distinct subterms.  At `LIMIT` entries the older
-    half is dropped."""
+def fact(slot, rule):
+    """The reader of a fact kept in `slot`, one of `FACTS`: at `t`, `rule(node,
+    shape, values at the subterms)`.  A first read fills the slot at each
+    distinct subterm that lacks it, in one post-order walk that stops at
+    filled ones.  A term without a shape has no slot."""
 
-    LIMIT = 1 << 17
-
-    def __init__(self, rule):
-        super().__init__()
-        self.rule = rule
-
-    def __missing__(self, t):
-        if len(self) >= self.LIMIT:
-            for old in list(islice(self, self.LIMIT // 2)):
-                del self[old]
-        rule, memo, shapes, values = self.rule, self.get, SHAPES.get, []
-        stack = [(t, None, None)]
+    def read(t):
+        value = getattr(t, slot, _MISSING)
+        if value is not _MISSING:
+            return value
+        shapes, values, stack = SHAPES.get, [], [(t, None, None)]
         while stack:
             node, shape, kids = stack.pop()
             if shape is None:
-                value = memo(node, _MISSING)
+                value = getattr(node, slot, _MISSING)
                 if value is not _MISSING:
                     values.append(value)
                     continue
@@ -658,9 +657,23 @@ class Fold(dict):
                 at = len(values) - len(kids)
                 value = rule(node, shape, values[at:])
                 del values[at:]
-            self[node] = value
+            if shape is not _LEAF:
+                _store(node, slot, value)
             values.append(value)
         return values[0]
+
+    return read
+
+
+def subterms(t):
+    """Each distinct subterm of `t` once, `t` first."""
+    seen, stack = set(), [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        kids = [k for k in SHAPES.get(type(node), _LEAF).kids(node) if k not in seen]
+        seen.update(kids)
+        stack += kids
 
 
 #: Returned by an `enter` step for a node that is its own result.
@@ -717,7 +730,7 @@ def _union(sets) -> frozenset:  # shares a lone value instead of copying it
 
 
 def free_rec_rule(node, shape, kids):
-    """The `Fold` rule of `free_rec_vars`."""
+    """The rule of `free_rec_vars`."""
     if shape.occurs:
         return frozenset((getattr(node, shape.occurs),))
     out = _union(kids)
@@ -744,27 +757,22 @@ def _unguarded_rule(node, shape, kids):
 
 
 #: The free recursion (and fixpoint) variables of a term.
-free_rec_vars = Fold(free_rec_rule).__getitem__
+free_rec_vars = fact("_free_rec", free_rec_rule)
 #: The free data variables of a term, those no pattern binder binds.
-free_data_vars = Fold(_free_data_rule).__getitem__
+free_data_vars = fact("_free_data", _free_data_rule)
 #: The recursion variables free in a term outside every prefix; or, as a
 #: str, a variable bound in the term with such an occurrence in its body.
-unguarded = Fold(_unguarded_rule).__getitem__
+unguarded = fact("_unguarded", _unguarded_rule)
 
 
 def check_term(t, is_node, error):
     """Raise `error` unless `is_node` holds at each subterm of `t` and `t` is
     closed and guarded: one walk over the distinct subterms for `is_node`,
-    then the memoised folds `free_rec_vars`, `unguarded` and `free_data_vars`.
-    Of several free recursion variables, the first in sorted order is named."""
-    seen, stack = set(), [t]
-    while stack:
-        node = stack.pop()
+    then the facts `free_rec_vars`, `unguarded` and `free_data_vars`.  Of
+    several free recursion variables, the first in sorted order is named."""
+    for node in subterms(t):
         if not is_node(node):
             raise error(f"not a well-formed term: {node!r}")
-        kids = [k for k in SHAPES[type(node)].kids(node) if k not in seen]
-        seen.update(kids)
-        stack += kids
     free = free_rec_vars(t)
     if free:
         raise error(f"unbound recursion variable {min(free)!r}")

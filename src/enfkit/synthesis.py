@@ -20,13 +20,13 @@ from .formulas import (
     Formula,
     Max,
     all_names,
-    classify,
+    is_shml,
     is_shmlnf,
     necessity_branches,
     require_safety,
 )
 from .normalizer import normalize
-from .symbolic import TAU, Domain, Fold, free_rec_rule, rebuild, underline
+from .symbolic import TAU, Domain, free_rec_vars, rebuild, underline
 from .transducers import ID, TPrefix, TRec, TSum, TVar, Transducer
 
 
@@ -68,7 +68,7 @@ def synthesize(f: Formula, d: Domain) -> Transducer:
 
     The input is checked to be in normal form, guard disjointness included.
     """
-    if not classify(f, d).shmlnf:
+    if not (is_shml(f) and is_shmlnf(f, d)):
         raise SynthesisError("synthesis needs a normal-form safety formula")
     names = _Names(avoid=all_names(f))
 
@@ -100,12 +100,9 @@ def synthesize(f: Formula, d: Domain) -> Transducer:
 
 def optimize(e: Transducer) -> Transducer:
     """Drop recursive constructs whose variable is never used."""
-    # a fold of its own, dropped with the call: the shared memo would keep
-    # every synthesised node of every compile alive
-    free = Fold(free_rec_rule)
 
     def leave(t):
-        return t.body if isinstance(t, TRec) and t.var not in free[t.body] else t
+        return t.body if isinstance(t, TRec) and t.var not in free_rec_vars(t.body) else t
 
     return rebuild(e, lambda t, ctx: (t, ctx), leave=leave)
 

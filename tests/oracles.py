@@ -34,6 +34,13 @@ parenthesises a subterm by its class's `PREC`.
 
 Terms are interned, so their `==` is identity; `structurally_equal`
 compares two terms field by field instead.
+
+The facts `symbolic.free_rec_vars`, `free_data_vars` and `unguarded`, and
+`formulas.is_shml`, are rules run once per distinct subterm on an explicit
+stack and kept in slots on the terms, and `formulas.is_shmlnf` checks each
+distinct subterm once; `naive_free_rec_vars`, `naive_free_data_vars`,
+`naive_unguarded`, `naive_is_shml` and `naive_is_shmlnf` recurse over each
+class's own fields instead, and decide guard disjointness by enumeration.
 """
 import dataclasses
 import re
@@ -385,6 +392,101 @@ def naive_tstep(e, domain: Domain):
 
     walk(e)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-term facts by plain recursion over each language's own constructors
+
+_VARIABLES = (F.FVar, P.PVar, T.TVar)
+_BINDERS = (F.Max, F.Min, P.Rec, T.TRec)
+_PREFIXES = (F.Box, F.Dia, P.Prefix, T.TPrefix)
+
+
+def naive_kids(t) -> tuple:
+    """The subterms of a term of the three languages, by its class."""
+    if isinstance(t, (F.FAnd, F.FOr)):
+        return t.items
+    if isinstance(t, (P.Choice, T.TSum)):
+        return t.branches
+    if isinstance(t, (F.Box, F.Dia, *_BINDERS)):
+        return (t.body,)
+    if isinstance(t, (P.Prefix, T.TPrefix)):
+        return (t.cont,)
+    return ()
+
+
+def _slot_names(pattern, kind) -> frozenset:
+    slots = (getattr(pattern, "port", None), getattr(pattern, "payload", None))
+    return frozenset(s.name for s in slots if isinstance(s, kind))
+
+
+def _naive_cond_vars(c) -> frozenset:
+    if isinstance(c, Cmp):
+        return frozenset(x.name for x in (c.left, c.right) if isinstance(x, Var))
+    if isinstance(c, Not):
+        return _naive_cond_vars(c.item)
+    return frozenset().union(*map(_naive_cond_vars, getattr(c, "items", ())))
+
+
+def naive_free_rec_vars(t) -> frozenset:
+    """`symbolic.free_rec_vars` by recursion."""
+    if isinstance(t, _VARIABLES):
+        return frozenset({t.name})
+    out = frozenset().union(*map(naive_free_rec_vars, naive_kids(t)))
+    return out - {t.var} if isinstance(t, _BINDERS) else out
+
+
+def naive_free_data_vars(t) -> frozenset:
+    """`symbolic.free_data_vars` by recursion: a guard's pattern binders bind
+    in its condition, its transform target and the continuation."""
+    out = frozenset().union(*map(naive_free_data_vars, naive_kids(t)))
+    if isinstance(t, (F.Box, F.Dia)):
+        source, condition, target = t.action.pattern, t.action.condition, None
+    elif isinstance(t, T.TPrefix):
+        source, condition, target = t.pattern, t.condition, t.target
+    else:
+        return out
+    inner = out | _naive_cond_vars(condition) | _slot_names(target, Free)
+    return _slot_names(source, Free) | (inner - _slot_names(source, Binder))
+
+
+def naive_unguarded(t):
+    """`symbolic.unguarded` by recursion: the recursion variables free in `t`
+    outside every prefix; or, as a str, a bound variable with such an
+    occurrence in its binder's body, the innermost, leftmost one."""
+    values = [naive_unguarded(k) for k in naive_kids(t)]
+    bad = [v for v in values if isinstance(v, str)]
+    if bad:
+        return bad[0]
+    if isinstance(t, _VARIABLES):
+        return frozenset({t.name})
+    if isinstance(t, _PREFIXES):
+        return frozenset()
+    out = frozenset().union(*values)
+    return t.var if isinstance(t, _BINDERS) and t.var in out else out
+
+
+def naive_is_shml(t) -> bool:
+    """`formulas.is_shml` by recursion."""
+    safe = isinstance(t, (F.FTrue, F.FFalse, F.FVar, F.FAnd, F.Box, F.Max))
+    return safe and all(map(naive_is_shml, naive_kids(t)))
+
+
+def naive_is_shmlnf(t, d: Domain) -> bool:
+    """`formulas.is_shmlnf` by recursion, deciding guard disjointness by
+    enumeration."""
+    if isinstance(t, F.Max) and t.var not in naive_free_rec_vars(t.body):
+        return False
+    if isinstance(t, F.FAnd):
+        items = t.items
+        if not all(isinstance(b, F.Box) for b in items) or not all(
+            naive_disjoint_under(a.action, b.action, d)
+            for i, a in enumerate(items) for b in items[i + 1:]
+        ):
+            return False
+    elif not isinstance(t, (F.FTrue, F.FFalse, F.FVar, F.Box, F.Max)):
+        return False
+    return all(naive_is_shmlnf(k, d) for k in naive_kids(t))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
-"""Memos keyed on term values: an LTS's tau-closure and weak-step memos, the
-formula memos of free variables, guardedness, the safety fragment and the
-necessity view, and the guard-disjointness memo.
-A memo must return what a fresh computation returns, whoever filled it."""
+"""Memos keyed on term values, and facts kept on the terms: an LTS's
+tau-closure and weak-step memos, the formula facts of free variables,
+guardedness and the safety fragment, the necessity view, and the
+guard-disjointness memo.
+A memo or a fact must return what a fresh computation returns, whoever
+filled it."""
 import pytest
 
 from enfkit import formulas, symbolic

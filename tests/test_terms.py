@@ -163,6 +163,31 @@ def test_a_dropped_term_is_collected_and_its_entries_swept(dom):
     assert len(symbolic._TERMS) == entries
 
 
+def test_a_term_whose_facts_were_read_is_collected(dom):
+    # the facts live in slots on the terms, so reading them keeps no term
+    # alive; the names are this test's own, so no other test holds the terms
+    req = symbolic.Action("i", True, "req")
+    pattern = symbolic.ActionPattern(symbolic.Binder("gone"), True, symbolic.Lit("req"))
+    guard = symbolic.SymbolicAction(pattern, symbolic.Cmp(symbolic.Var("gone"), symbolic.Val("j"), False))
+    f = formulas.Max("Gone", formulas.Box(guard, formulas.FAnd((formulas.FVar("Gone"), formulas.FF))))
+    p = processes.Rec("Gone", processes.Prefix(req, processes.Choice((processes.PVar("Gone"), processes.NIL))))
+    e = transducers.TRec("gone", transducers.TPrefix(pattern, symbolic.TRUE, symbolic.TAU, transducers.TVar("gone")))
+    formulas.require_safety(f, formulas.FormulaError)
+    assert formulas.classify(f, dom) == (True, True, True, False)
+    processes.validate_process(p)
+    transducers.validate_transducer(e)
+    for t in (f, p, e):
+        assert symbolic.free_rec_vars(t) == symbolic.free_data_vars(t) == symbolic.unguarded(t) == frozenset()
+    roots = [weakref.ref(t) for t in (f, p, e)]
+    inner = [weakref.ref(t) for t in (f.body.body, p.body.cont, e.body)]
+    del f, p, e, t
+    gc.collect()
+    assert [ref() for ref in roots] == [None] * 3
+    # the intern table's keys hold a dead term's subterms until it is swept
+    symbolic._sweep()
+    assert [ref() for ref in inner] == [None] * 3
+
+
 def test_a_field_that_cannot_be_hashed_is_refused():
     with pytest.raises(TypeError):
         formulas.FAnd([formulas.TT, formulas.FF])

@@ -1,6 +1,6 @@
 """The binder-aware walkers of the three term languages: recursion-variable
 substitution, validation, keys up to binder names, what a term does next,
-and the fold and map they run on."""
+and the per-term facts and the map they run on."""
 import os
 import time
 
@@ -21,11 +21,11 @@ from enfkit.processes import (
 )
 from enfkit.runtime import composite_lts, simulate
 from enfkit.symbolic import (
-    INSERT, TAU, TRUE, ActionPattern, Binder, BoundExceeded, Cmp, Fold, Free, Lit, SymbolicAction,
+    INSERT, TAU, TRUE, ActionPattern, Binder, BoundExceeded, Cmp, Free, Lit, SymbolicAction,
     Val, Var, heads, underline,
 )
 from enfkit.synthesis import compile_formula, optimize
-from enfkit import transducers
+from enfkit import symbolic, transducers
 from enfkit.transducers import (
     ID, TPrefix, TRec, TSum, TVar, TransducerError, alpha_eq, free_rec_vars, subst_rec,
     transducer_lts, tstep, validate_transducer,
@@ -235,17 +235,35 @@ def _distinct_subterms(t):
     return set(seen.values())
 
 
-def test_the_fold_visits_each_distinct_subterm_once(dom):
-    f = parse_formula("max X.([i?req]X && [(x)!ans when x != j]X)", dom)
-    g = f
-    for _ in range(40):  # 2**40 paths as a tree
-        g = subst_logic(f.body, "X", g)
-    visits = []
-    fold = Fold(lambda node, shape, kids: visits.append(node) or len(visits))
-    fold[g]
-    assert len(visits) == len(set(visits)) == len(_distinct_subterms(g))
-    assert free_logic_vars(g) == free_data_vars(g) == frozenset()
-    assert is_guarded(g) and is_shml(g)
+def test_each_fact_is_computed_once_per_distinct_subterm(monkeypatch):
+    writes, store = [], symbolic._store
+
+    def counted(t, slot, value):
+        if len(writes) == most:  # fail fast, and print no term: its repr walks every path
+            pytest.fail("a slot was filled twice", pytrace=False)
+        writes.append((slot, id(t)))
+        store(t, slot, value)
+
+    monkeypatch.setattr(symbolic, "_store", counted)
+    # max Once.([i?req]Once && [(x)!ans when x != j]Once), with its variable
+    # unfolded 40 times: 2**40 paths as a tree.  The name is this test's own,
+    # so no other test has filled these slots.
+    req = SymbolicAction(ActionPattern(Lit("i"), True, Lit("req")), TRUE)
+    ans = SymbolicAction(ActionPattern(Binder("x"), False, Lit("ans")), Cmp(Var("x"), Val("j"), False))
+    body = lambda g: FAnd((Box(req, g), Box(ans, g)))
+    g = Max("Once", body(FVar("Once")))
+    for _ in range(40):
+        g = body(g)
+    assert not writes  # building a term computes no fact
+    distinct = _distinct_subterms(g)
+    most = len(symbolic.FACTS) * len(distinct)
+    for _ in range(2):  # the second read finds every slot filled
+        facts = free_logic_vars(g), free_data_vars(g), is_guarded(g), is_shml(g)
+        assert facts == (frozenset(), frozenset(), True, True)
+    for slot in symbolic.FACTS:  # each rule ran once at each distinct subterm
+        written = [t for s, t in writes if s == slot]
+        assert len(written) == len(set(written)) == len(distinct)
+        assert set(written) == {id(t) for t in distinct}
 
 
 def test_formula_walkers_pass_a_deep_chain(dom):
