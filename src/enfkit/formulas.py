@@ -112,17 +112,13 @@ def all_names(f: Formula) -> set:
     """Every identifier occurring in the formula (variables, binders, values);
     used to pick fresh names that cannot capture anything."""
     out = set()
-
-    def enter(g, ctx):
+    for g in symbolic.subterms(f):
         if isinstance(g, (Box, Dia)):
             slots = (g.action.pattern.port, g.action.pattern.payload)
             out.update(getattr(slot, "name", None) or slot.value for slot in slots)
             out.update(cond_vars(g.action.condition))
         elif isinstance(g, (Max, Min, FVar)):
             out.add(g.name if isinstance(g, FVar) else g.var)
-        return g, ctx
-
-    symbolic.rebuild(f, enter)
     return out
 
 

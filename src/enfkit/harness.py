@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional
 
 from .bisim import bisim
@@ -497,34 +498,33 @@ def gen_formula(d: Domain, size: int, seed: int) -> Formula:
     if not 1 <= size <= MAX_GEN_SIZE:
         raise ValueError(f"formula size must be within 1..{MAX_GEN_SIZE}")
     rng = random.Random(f"formula:{seed}:{size}")
-    used = set(d.values)
+    return _gen_formula(rng, d, set(d.values), size, frozenset(), frozenset(), frozenset())
 
-    def go(budget, scope, usable_vars, pending_vars):
-        if budget <= 1:
-            roll = rng.random()
-            if usable_vars and roll < 0.4:
-                return FVar(rng.choice(sorted(usable_vars)))
-            return FF if roll < 0.65 else TT
+
+def _gen_formula(rng, d: Domain, used: set, budget, scope, usable_vars, pending_vars) -> Formula:
+    """A formula of `budget` nodes; `used` holds the names taken so far."""
+    if budget <= 1:
         roll = rng.random()
-        if roll < 0.55:
-            sa, binders = _gen_symbolic_action(rng, d, scope, used)
-            used.update(binders)
-            body = go(
-                budget - 1,
-                scope | set(binders),
-                usable_vars | pending_vars,
-                frozenset(),
-            )
-            return Box(sa, body)
-        if roll < 0.8 and budget >= 3:
-            left = go(budget // 2, scope, usable_vars, pending_vars)
-            right = go(budget - 1 - budget // 2, scope, usable_vars, pending_vars)
-            return conj((left, right))
-        var = f"X{len(used)}"
-        used.add(var)
-        return Max(var, go(budget - 1, scope, usable_vars, pending_vars | {var}))
-
-    return go(size, frozenset(), frozenset(), frozenset())
+        if usable_vars and roll < 0.4:
+            return FVar(rng.choice(sorted(usable_vars)))
+        return FF if roll < 0.65 else TT
+    roll = rng.random()
+    if roll < 0.55:
+        sa, binders = _gen_symbolic_action(rng, d, scope, used)
+        used.update(binders)
+        body = _gen_formula(
+            rng, d, used, budget - 1, scope | set(binders), usable_vars | pending_vars, frozenset()
+        )
+        return Box(sa, body)
+    if roll < 0.8 and budget >= 3:
+        left = _gen_formula(rng, d, used, budget // 2, scope, usable_vars, pending_vars)
+        right = _gen_formula(
+            rng, d, used, budget - 1 - budget // 2, scope, usable_vars, pending_vars
+        )
+        return conj((left, right))
+    var = f"X{len(used)}"
+    used.add(var)
+    return Max(var, _gen_formula(rng, d, used, budget - 1, scope, usable_vars, pending_vars | {var}))
 
 
 def gen_process(d: Domain, size: int, seed: int) -> Process:
@@ -532,33 +532,30 @@ def gen_process(d: Domain, size: int, seed: int) -> Process:
     if not 1 <= size <= MAX_GEN_SIZE:
         raise ValueError(f"process size must be within 1..{MAX_GEN_SIZE}")
     rng = random.Random(f"process:{seed}:{size}")
-    counter = [0]
+    return _gen_process(rng, d, count(1), size, frozenset(), frozenset())
 
-    def action():
-        if rng.random() < 0.12:
-            return TAU
-        return rng.choice(d.actions)
 
-    def go(budget, usable_vars, pending_vars):
-        if budget <= 1:
-            if usable_vars and rng.random() < 0.5:
-                return PVar(rng.choice(sorted(usable_vars)))
-            return NIL
-        roll = rng.random()
-        if roll < 0.5:
-            return Prefix(action(), go(budget - 1, usable_vars | pending_vars, frozenset()))
-        if roll < 0.8 and budget >= 3:
-            left = go(budget // 2, usable_vars, pending_vars)
-            right = go(budget - 1 - budget // 2, usable_vars, pending_vars)
-            return Choice((left, right))
-        counter[0] += 1
-        var = f"R{counter[0]}"
-        body = go(budget - 1, usable_vars, pending_vars | {var})
-        if var in free_proc_vars(body):
-            return Rec(var, body)
-        return body
-
-    return go(size, frozenset(), frozenset())
+def _gen_process(rng, d: Domain, numbers, budget, usable_vars, pending_vars) -> Process:
+    """A process of `budget` terms; `numbers` numbers its recursion variables."""
+    if budget <= 1:
+        if usable_vars and rng.random() < 0.5:
+            return PVar(rng.choice(sorted(usable_vars)))
+        return NIL
+    roll = rng.random()
+    if roll < 0.5:
+        action = TAU if rng.random() < 0.12 else rng.choice(d.actions)
+        return Prefix(
+            action, _gen_process(rng, d, numbers, budget - 1, usable_vars | pending_vars, frozenset())
+        )
+    if roll < 0.8 and budget >= 3:
+        left = _gen_process(rng, d, numbers, budget // 2, usable_vars, pending_vars)
+        right = _gen_process(rng, d, numbers, budget - 1 - budget // 2, usable_vars, pending_vars)
+        return Choice((left, right))
+    var = f"R{next(numbers)}"
+    body = _gen_process(rng, d, numbers, budget - 1, usable_vars, pending_vars | {var})
+    if var in free_proc_vars(body):
+        return Rec(var, body)
+    return body
 
 
 CORPUS_FORMULA_SIZE = 8

@@ -371,7 +371,11 @@ def stage5_powerset(eqs: EquationSystem) -> EquationSystem:
         merged = tuple(br for p in parts if p != "tt" for br in p)
         if not merged:
             return "tt"
-        merged = _mintermize_branches(_align_branches(builder, merged), builder.domain)
+        if len(parts) > 1:
+            # a lone variable's body is kept: stage 3 aligned it and stage 4
+            # split each of its patterns into pairwise-disjoint minterms, so
+            # aligning and splitting it again would give it back unchanged
+            merged = _mintermize_branches(_align_branches(builder, merged), builder.domain)
         grouped: dict = {}
         order = []
         for br in merged:
@@ -437,44 +441,39 @@ def stage6_rebuild(eqs: EquationSystem) -> Formula:
     around exactly the copies whose subtree mentions it, so no binder is
     vacuous.  Acyclic sharing is expanded per occurrence, up to
     `MAX_REBUILD_BOXES` necessities."""
-    names: dict = {}
-    counter = [0]
-    made = count(1)
-
-    def name_of(key):
-        if key not in names:
-            names[key] = f"X{counter[0]}"
-            counter[0] += 1
-        return names[key]
-
-    def visit(key, path: frozenset):
-        """Returns the rebuilt formula and the path variables it refers to."""
-        if key in path:
-            return FVar(name_of(key)), {key}
-        body = eqs.body(key)
-        if body == "tt":
-            return TT, set()
-        if body == "ff":
-            return FF, set()
-        inner = path | {key}
-        parts = []
-        referenced: set = set()
-        for br in body:
-            if next(made) > MAX_REBUILD_BOXES:
-                raise EquationBoundExceeded("the rebuilt formula grew past the safety bound")
-            sub, refs = visit(br.target, inner)
-            parts.append(Box(br.action, sub))
-            referenced |= refs
-        formula = conj(tuple(parts))
-        if key in referenced:
-            referenced.discard(key)
-            formula = Max(names[key], formula)
-        return formula, referenced
-
-    formula, dangling = visit(eqs.start, frozenset())
+    formula, dangling = _visit(eqs, eqs.start, frozenset(), {}, count(1))
     if dangling:
         raise NormalizeError(f"rebuild left unbound references {sorted(map(var_name, dangling))}")
     return formula
+
+
+def _visit(eqs: EquationSystem, key, path: frozenset, names: dict, made):
+    """The formula rebuilt from `key` and the path variables it refers to.
+    A variable referred to gets the next name, `X0`, `X1`, ..., in `names`;
+    `made` counts the necessities built."""
+    if key in path:
+        if key not in names:
+            names[key] = f"X{len(names)}"
+        return FVar(names[key]), {key}
+    body = eqs.body(key)
+    if body == "tt":
+        return TT, set()
+    if body == "ff":
+        return FF, set()
+    inner = path | {key}
+    parts = []
+    referenced: set = set()
+    for br in body:
+        if next(made) > MAX_REBUILD_BOXES:
+            raise EquationBoundExceeded("the rebuilt formula grew past the safety bound")
+        sub, refs = _visit(eqs, br.target, inner, names, made)
+        parts.append(Box(br.action, sub))
+        referenced |= refs
+    formula = conj(tuple(parts))
+    if key in referenced:
+        referenced.discard(key)
+        formula = Max(names[key], formula)
+    return formula, referenced
 
 
 # ---------------------------------------------------------------------------

@@ -468,13 +468,16 @@ class ActionPattern:
         ):
             raise SymbolicError(f"pattern {self} names the binder {port.name!r} twice")
 
+    # each set is built once per pattern, as equal patterns are one object
     @property
+    @term_memo
     def binders(self) -> frozenset:
         return frozenset(
             s.name for s in (self.port, self.payload) if isinstance(s, Binder)
         )
 
     @property
+    @term_memo
     def free_vars(self) -> frozenset:
         return frozenset(
             s.name for s in (self.port, self.payload) if isinstance(s, Free)
@@ -1263,22 +1266,22 @@ def _colourable(edges, values) -> bool:
         neighbours.setdefault(a, []).append(b)
         neighbours.setdefault(b, []).append(a)
     order = sorted(neighbours, key=lambda r: len(values[r]))
-    chosen: dict = {}
+    return _colour(0, order, neighbours, values, {})
 
-    def colour(i):
-        if i == len(order):
-            return True
-        root = order[i]
-        taken = {chosen[n] for n in neighbours[root] if n in chosen}
-        for v in values[root]:
-            if v not in taken:
-                chosen[root] = v
-                if colour(i + 1):
-                    return True
-        chosen.pop(root, None)
-        return False
 
-    return colour(0)
+def _colour(i, order, neighbours, values, chosen) -> bool:
+    """Whether `order[i:]` can be coloured given the `chosen` colours."""
+    if i == len(order):
+        return True
+    root = order[i]
+    taken = {chosen[n] for n in neighbours[root] if n in chosen}
+    for v in values[root]:
+        if v not in taken:
+            chosen[root] = v
+            if _colour(i + 1, order, neighbours, values, chosen):
+                return True
+    chosen.pop(root, None)
+    return False
 
 
 # ---------------------------------------------------------------------------

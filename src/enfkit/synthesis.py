@@ -70,32 +70,31 @@ def synthesize(f: Formula, d: Domain) -> Transducer:
     """
     if not (is_shml(f) and is_shmlnf(f, d)):
         raise SynthesisError("synthesis needs a normal-form safety formula")
-    names = _Names(avoid=all_names(f))
+    return _syn(f, _Names(avoid=all_names(f)))
 
-    def syn(g) -> Transducer:
-        if isinstance(g, (FTrue, FFalse)):
-            return ID
-        if isinstance(g, FVar):
-            return TVar(names.for_var(g.name))
-        if isinstance(g, Max):
-            return TRec(names.for_var(g.var), syn(g.body))
-        branches = necessity_branches(g)
-        if not branches:
-            return ID
-        y = names.fresh_sum_var()
-        parts = []
-        for b in branches:
-            sa = b.action
-            if isinstance(b.body, FFalse):
-                parts.append(TPrefix(sa.pattern, sa.condition, TAU, TVar(y)))
-            else:
-                parts.append(
-                    TPrefix(sa.pattern, sa.condition, underline(sa.pattern), syn(b.body))
-                )
-        body = parts[0] if len(parts) == 1 else TSum(tuple(parts))
-        return TRec(y, body)
 
-    return syn(f)
+def _syn(g, names: _Names) -> Transducer:
+    if isinstance(g, (FTrue, FFalse)):
+        return ID
+    if isinstance(g, FVar):
+        return TVar(names.for_var(g.name))
+    if isinstance(g, Max):
+        return TRec(names.for_var(g.var), _syn(g.body, names))
+    branches = necessity_branches(g)
+    if not branches:
+        return ID
+    y = names.fresh_sum_var()
+    parts = []
+    for b in branches:
+        sa = b.action
+        if isinstance(b.body, FFalse):
+            parts.append(TPrefix(sa.pattern, sa.condition, TAU, TVar(y)))
+        else:
+            parts.append(
+                TPrefix(sa.pattern, sa.condition, underline(sa.pattern), _syn(b.body, names))
+            )
+    body = parts[0] if len(parts) == 1 else TSum(tuple(parts))
+    return TRec(y, body)
 
 
 def optimize(e: Transducer) -> Transducer:

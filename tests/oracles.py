@@ -41,24 +41,36 @@ stack and kept in slots on the terms, and `formulas.is_shmlnf` checks each
 distinct subterm once; `naive_free_rec_vars`, `naive_free_data_vars`,
 `naive_unguarded`, `naive_is_shml` and `naive_is_shmlnf` recurse over each
 class's own fields instead, and decide guard disjointness by enumeration.
+
+`normalizer.stage5_powerset` keeps a lone variable's stage-4 body;
+`naive_stage5_powerset` aligns and splits every determinised state again.
+
+The synthesis theorems hold for every system: `universal_soundness` checks
+an enforcer once per formula against the chaos process, and
+`universal_transparency` against the formula's residuals.  A wrong
+enforcer's witness trace becomes the one-path process `one_path`, on which
+the per-pair checks of `harness` must fail.
 """
 import dataclasses
 import re
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
 from enfkit import formulas as F
+from enfkit import normalizer as N
 from enfkit import processes as P
 from enfkit import transducers as T
 from enfkit.formulas import necessities
-from enfkit.harness import DEFAULT_BOUND, Verdict, _trace_text, require_closed_safety
+from enfkit.harness import DEFAULT_BOUND, Verdict, _trace_text, after, require_closed_safety
+from enfkit.modelcheck import shortest_violation
 from enfkit.parsing import ParseError, SpecFile, _parse_name_set
 from enfkit.processes import (
     Choice, Prefix, ProcessError, PVar, Rec, as_lts, subst_proc, trace_tree, traces,
     validate_process, weak_step,
 )
-from enfkit.runtime import Config
+from enfkit.runtime import Config, composite_lts
 from enfkit.symbolic import (
     FALSE,
     INSERT,
@@ -487,6 +499,126 @@ def naive_is_shmlnf(t, d: Domain) -> bool:
     elif not isinstance(t, (F.FTrue, F.FFalse, F.FVar, F.Box, F.Max)):
         return False
     return all(naive_is_shmlnf(k, d) for k in naive_kids(t))
+
+
+# ---------------------------------------------------------------------------
+# Stage 5 with every determinised state aligned and split again
+
+
+def naive_stage5_powerset(eqs: N.EquationSystem) -> N.EquationSystem:
+    """`normalizer.stage5_powerset` without its shortcut for a state of one
+    variable: every state's branches, merged or not, are aligned and split
+    into minterms again, then grouped by action."""
+    builder = eqs.builder
+
+    def set_body(keys):
+        parts = [builder.minterm_body(k) for k in sorted(keys)]
+        if any(p == "ff" for p in parts):
+            return "ff"
+        merged = tuple(br for p in parts if p != "tt" for br in p)
+        if not merged:
+            return "tt"
+        merged = N._mintermize_branches(N._align_branches(builder, merged), builder.domain)
+        grouped: dict = {}
+        for br in merged:
+            grouped.setdefault(br.action, set()).add(br.target)
+        return tuple(N.Branch(sa, frozenset(targets)) for sa, targets in grouped.items())
+
+    start = frozenset((eqs.start,))
+    return N._merge_duplicate_bodies(N._snapshot(builder, start, set_body))
+
+
+# ---------------------------------------------------------------------------
+# The synthesis theorems for every system at once: an enforcer is checked
+# once per formula, against the chaos process for soundness and against the
+# formula's residuals for transparency
+
+
+def chaos(d: Domain) -> P.Process:
+    """The process that performs every action of `d`, forever:
+    `rec U. Σ_{a ∈ Act} a.U` (CHAOS in CSP)."""
+    return Rec("U", Choice(tuple(Prefix(a, PVar("U")) for a in d.actions)))
+
+
+def one_path(trace) -> P.Process:
+    """The process `a1.a2. ... .an.nil` that performs `trace` and stops."""
+    p = P.NIL
+    for a in reversed(trace):
+        p = Prefix(a, p)
+    return p
+
+
+def enforcer_moves(e, a: Action, d: Domain) -> tuple:
+    """The (output, next enforcer) pairs of `e` on a system action `a` in a
+    composite: its transforms of `a`, else, when it can insert nothing, `a`
+    itself and the identity (rule iTer)."""
+    table = T.transform_table(e, d)
+    return table.by_action.get(a) or (() if table.inserts else ((a, ID),))
+
+
+def universal_soundness(e, f, d: Domain):
+    """None when the composite of `e` with `chaos(d)` satisfies `f`: every
+    system's composite performs only traces chaos's does, and sHML holds of
+    a system exactly when no trace of it violates the formula, so `e` is
+    then sound for every system.  Otherwise an input trace on which the
+    composite violates `f`: the shortest violating output trace, traced back
+    breadth first through `e`'s moves and insertions."""
+    comp = composite_lts(e, chaos(d), d)
+    outputs = shortest_violation((comp, comp.initial), f, d)
+    if outputs is None:
+        return None
+    start = (e, 0)
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        if state[1] == len(outputs):
+            trace = []
+            while parent[state] is not None:
+                state, a = parent[state]
+                if a is not None:
+                    trace.append(a)
+            return tuple(reversed(trace))
+        at, i = state
+        moves = [(a, m) for a in d.actions for m in enforcer_moves(at, a, d)]
+        moves += [(None, m) for m in T.transform_table(at, d).inserts]
+        for a, (produced, nxt) in moves:
+            j = i if produced is TAU else i + 1 if produced == outputs[i] else None
+            if j is not None and (nxt, j) not in parent:
+                parent[(nxt, j)] = (state, a)
+                queue.append((nxt, j))
+    raise AssertionError(f"no input of the enforcer gives the outputs {_trace_text(outputs)}")
+
+
+def universal_transparency(e, f, d: Domain):
+    """None when, at each pair (e', ψ) reached breadth first from (e, f),
+    e' passes every action a whose residual ψ after a is not falsified as a
+    itself, with one move and no insertion, and the pair steps to (e'', ψ
+    after a), a residual keeping each necessity once.  Then for every
+    p ⊨ f, pairing each p' with <e', p'> is a strong bisimulation.
+    Otherwise the first trace t·a in breadth-first, action text order at
+    which that fails: `one_path(t·a)` satisfies `f`, and its composite is
+    not bisimilar to it."""
+    boxes, falsified = necessities(f)
+    if falsified:
+        return None
+    start = (e, F.conj(dict.fromkeys(boxes)))
+    queue, seen = deque([((), *start)]), {start}
+    while queue:
+        trace, at, psi = queue.popleft()
+        inserts = T.transform_table(at, d).inserts
+        for a in sorted(d.actions, key=str):
+            boxes, falsified = necessities(after(psi, a))
+            if falsified:
+                continue
+            moves = enforcer_moves(at, a, d)
+            if inserts or len(moves) != 1 or moves[0][0] != a:
+                return trace + (a,)
+            nxt = (moves[0][1], F.conj(dict.fromkeys(boxes)))
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((trace + (a,), *nxt))
+    return None
 
 
 # ---------------------------------------------------------------------------
