@@ -30,8 +30,7 @@ from .parsing import ParseError, SpecFile, load_specfile, parse_lts
 from .processes import DEFAULT_STATE_BOUND, reachable
 from .runtime import composite_lts, simulate
 from .symbolic import BoundExceeded, Domain
-from .synthesis import compile_formula, synthesize
-from .formulas import classify
+from .synthesis import compile_formula, normal_form, synthesize
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -70,11 +69,7 @@ def cmd_synthesize(args) -> int:
     d = spec.domain
     if args.dump_stages:
         print(dump_stages(f, d))
-    if args.no_optimize:
-        nf = f if classify(f, d).shmlnf else normalize(f, d)
-        print(synthesize(nf, d))
-    else:
-        print(compile_formula(f, d))
+    print(synthesize(normal_form(f, d), d) if args.no_optimize else compile_formula(f, d))
     return EXIT_OK
 
 

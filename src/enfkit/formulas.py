@@ -24,7 +24,6 @@ from .symbolic import (
     Domain,
     Shape,
     SymbolicAction,
-    cond_vars,
     disjoint_under,
     term,
     term_memo,
@@ -116,7 +115,7 @@ def all_names(f: Formula) -> set:
         if isinstance(g, (Box, Dia)):
             slots = (g.action.pattern.port, g.action.pattern.payload)
             out.update(getattr(slot, "name", None) or slot.value for slot in slots)
-            out.update(cond_vars(g.action.condition))
+            out.update(free_data_vars(g.action.condition))
         elif isinstance(g, (Max, Min, FVar)):
             out.add(g.name if isinstance(g, FVar) else g.var)
     return out

@@ -54,7 +54,6 @@ from .symbolic import (
     Domain,
     Not,
     SymbolicAction,
-    cond_vars,
     conjoin,
     fresh_name,
     normalize_pattern,
@@ -305,7 +304,7 @@ def _minterm_condition(base, signs, d: Domain):
             parts.append(c)
             continue
         overlap = And(tuple(positives + [c])) if positives else c
-        if satisfiable(overlap, cond_vars(overlap), d):
+        if satisfiable(overlap, free_data_vars(overlap), d):
             parts.append(Not(c))
     return conjoin(parts)
 
@@ -338,7 +337,7 @@ def _mintermize_branches(branches, d: Domain):
             if not any(signs):
                 continue
             cond = _minterm_condition(base, signs, d)
-            if not satisfiable(cond, cond_vars(cond), d):
+            if not satisfiable(cond, free_data_vars(cond), d):
                 continue
             seen_targets = set()
             for m in members:

@@ -22,21 +22,23 @@ one small solver, `_decide`, over equality classes rather than over
 assignments: conditions only compare variables and names, so union-find over
 the equalities, a check of the disequalities, and a colouring of the free
 classes with domain values at the leaves of the search over disjunctions
-settle them.  Disjointness becomes one such query by equating both patterns
-with a shared action.  The tests check both against enumerating every
+settle them.  The search runs on an explicit stack over the condition
+itself.  Disjointness becomes one such query by equating both patterns with
+a shared action.  The tests check both against enumerating every
 assignment.
 
 Binders are handled here once for every term grammar: substitution and
 binder renaming (`narrow`, `rename_binders`, `avoid_capture`), and keys up to
 binder names (`term_key`, `cond_key`, `pattern_key`, and `AlphaKeys`, which
 hands any term an integer key), on which `transducers.alpha_eq` and the
-normaliser's equation interning both rest.  The terms of formulas, processes
-and transducers declare their subterms and binders (`Shape`): their facts
-(`fact`) and maps (`rebuild`) are rules, and their steps read `heads`.
+normaliser's equation interning both rest.  The terms of formulas,
+processes, transducers and conditions declare their subterms and binders
+(`Shape`): their facts (`fact`) and other bottom-up values (`fold`) and
+their maps (`rebuild`) are rules, and their steps read `heads`.
 
-Every term prints by `show`, its `__str__` (memoised for actions, guards
-and conditions): one loop on an explicit stack over `LAYOUTS`, so printing
-has no depth limit.  The layouts (each class's text and binding level) are
+Every term prints by `show`, its `__str__` (memoised for actions and
+guards): one loop on an explicit stack over `LAYOUTS`, so printing has no
+depth limit.  The layouts (each class's text and binding level) are
 declared in one table in `parsing`, beside the grammars, which read their
 n-ary operators' words and levels from it.
 """
@@ -134,8 +136,8 @@ def term(cls=None, *, shape: Optional["Shape"] = None):
     table and returns the live term found there, so structurally equal terms
     are the same object; only a miss makes a new one, runs the class's
     `__post_init__` and enters it.  A field value that cannot be hashed
-    raises `TypeError`.  A term of the three languages declares its
-    `shape`, and gets a slot for each of the `FACTS`, empty until read."""
+    raises `TypeError`.  A term of the four languages declares its `shape`,
+    and gets a slot for each of the `FACTS`, empty until read."""
 
     def build(cls):
         if cls.__bases__ != (object,):
@@ -199,7 +201,7 @@ def _term_methods(cls, facts) -> dict:
 
 
 class Shape(NamedTuple):
-    """What a term class of the three languages declares to `term`: `child`,
+    """What a term class of the four languages declares to `term`: `child`,
     the field of its subterm or tuple of subterms; `binds`, the field of a
     recursion variable bound over them, whose occurrences are `occurrence`
     terms; `occurs`, the name field of such an occurrence; and on a prefix,
@@ -243,7 +245,7 @@ class Shape(NamedTuple):
         return self.remake(node, kids, **dict(zip(self.guard, parts)))
 
 
-#: The shape of each term class of the three languages; all else is a leaf.
+#: The shape of each term class of the four languages; all else is a leaf.
 SHAPES: dict = {}
 _LEAF = Shape()
 #: The slots of a shaped term's facts (`fact`), which live and die with it:
@@ -266,11 +268,11 @@ def set_layouts(table):
     as its text, each at `level + 1`.  Any other text formats the fields:
     `{f:2}` prints the subterm f inline, parenthesised below level 2, and
     comes last; `{f}` prints f whole, by its own `str`, which is `show`
-    memoised outside the three languages; `{f:?|!}` prints one word where f
+    memoised outside the four languages; `{f:?|!}` prints one word where f
     is true and the other where false, and `{f: when }` the word and f
     unless implied (`when true`, or a `->` target that is the source
-    pattern underlined).  Only the three languages and `!` nest inline, so
-    the whole parts' `str` calls nest a few levels deep at most."""
+    pattern underlined).  Only the four languages nest inline, so the whole
+    parts' `str` calls nest a few levels deep at most."""
     for cls, entry in table.items():
         level, text = entry if type(entry) is tuple else (3, entry)
         cls.__str__ = show if cls in SHAPES else _shown
@@ -519,34 +521,34 @@ class Val:
 Term = Union[Var, Val]
 
 
-@term
+@term(shape=Shape())
 class CTrue:
     """The condition that always holds."""
 
 
-@term
+@term(shape=Shape())
 class CFalse:
     """The condition that never holds."""
 
 
-@term
+@term(shape=Shape())
 class Cmp:
     left: Term
     right: Term
     equal: bool
 
 
-@term
+@term(shape=Shape(child="items"))
 class And:
     items: tuple
 
 
-@term
+@term(shape=Shape(child="items"))
 class Or:
     items: tuple
 
 
-@term
+@term(shape=Shape(child="item"))
 class Not:
     item: "Condition"
 
@@ -571,17 +573,6 @@ def conjoin(items: Iterable[Condition]) -> Condition:
     return And(tuple(flat))
 
 
-@term_memo
-def cond_vars(c: Condition) -> frozenset:
-    if isinstance(c, (CTrue, CFalse)):
-        return frozenset()
-    if isinstance(c, Cmp):
-        return frozenset(t.name for t in (c.left, c.right) if isinstance(t, Var))
-    if isinstance(c, Not):
-        return cond_vars(c.item)
-    return frozenset().union(*(cond_vars(i) for i in c.items))
-
-
 # ---------------------------------------------------------------------------
 # Substitutions
 
@@ -596,17 +587,6 @@ def subst_term(t: Term, sub: Substitution) -> Term:
     if isinstance(t, Var) and t.name in sub:
         return sub[t.name]
     return t
-
-
-def subst_condition(c: Condition, sub: Substitution) -> Condition:
-    if not sub or isinstance(c, (CTrue, CFalse)):
-        return c
-    if isinstance(c, Cmp):
-        return Cmp(subst_term(c.left, sub), subst_term(c.right, sub), c.equal)
-    if isinstance(c, Not):
-        return Not(subst_condition(c.item, sub))
-    cls = And if isinstance(c, And) else Or
-    return cls(tuple(subst_condition(i, sub) for i in c.items))
 
 
 def subst_slot(s: Slot, sub: Substitution) -> Slot:
@@ -631,39 +611,43 @@ def subst_pattern(p: Pattern, sub: Substitution) -> Pattern:
 _store = object.__setattr__  # a term's fact slots are written here only
 
 
-def fact(slot, rule):
-    """The reader of a fact kept in `slot`, one of `FACTS`: at `t`, `rule(node,
-    shape, values at the subterms)`.  A first read fills the slot at each
-    distinct subterm that lacks it, in one post-order walk that stops at
-    filled ones.  A term without a shape has no slot."""
-
-    def read(t):
-        value = getattr(t, slot, _MISSING)
-        if value is not _MISSING:
-            return value
-        shapes, values, stack = SHAPES.get, [], [(t, None, None)]
-        while stack:
-            node, shape, kids = stack.pop()
-            if shape is None:
+def fold(t, rule, slot=None):
+    """`rule(node, shape, values at the subterms)` at `t`, computed bottom-up
+    in one post-order walk.  With a `slot`, one of `FACTS`, the value at
+    each shaped node is kept there, and the walk stops at filled slots."""
+    shapes, values, stack = SHAPES.get, [], [(t, None, None)]
+    while stack:
+        node, shape, kids = stack.pop()
+        if shape is None:
+            if slot is not None:
                 value = getattr(node, slot, _MISSING)
                 if value is not _MISSING:
                     values.append(value)
                     continue
-                shape = shapes(type(node), _LEAF)
-                kids = shape.kids(node)
-                if kids:
-                    stack.append((node, shape, kids))
-                    stack.extend([(k, None, None) for k in reversed(kids)])
-                    continue
-                value = rule(node, shape, kids)
-            else:  # the values of its subterms are on top
-                at = len(values) - len(kids)
-                value = rule(node, shape, values[at:])
-                del values[at:]
-            if shape is not _LEAF:
-                _store(node, slot, value)
-            values.append(value)
-        return values[0]
+            shape = shapes(type(node), _LEAF)
+            kids = shape.kids(node)
+            if kids:
+                stack.append((node, shape, kids))
+                stack.extend([(k, None, None) for k in reversed(kids)])
+                continue
+            value = rule(node, shape, kids)
+        else:  # the values of its subterms are on top
+            at = len(values) - len(kids)
+            value = rule(node, shape, values[at:])
+            del values[at:]
+        if slot is not None and shape is not _LEAF:
+            _store(node, slot, value)
+        values.append(value)
+    return values[0]
+
+
+def fact(slot, rule):
+    """The reader of a fact kept in `slot`, one of `FACTS`: `fold` of `rule`,
+    filled on a first read.  A term without a shape has no slot."""
+
+    def read(t):
+        value = getattr(t, slot, _MISSING)
+        return fold(t, rule, slot) if value is _MISSING else value
 
     return read
 
@@ -742,11 +726,13 @@ def free_rec_rule(node, shape, kids):
 
 
 def _free_data_rule(node, shape, kids):
+    if type(node) is Cmp:
+        return frozenset([t.name for t in (node.left, node.right) if type(t) is Var])
     parts = shape.guard and shape.parts(node)
     if not parts:
         return _union(kids)
     pattern, condition, target = parts
-    inner = _union(kids).union(cond_vars(condition), getattr(target, "free_vars", ()))
+    inner = _union(kids).union(free_data_vars(condition), getattr(target, "free_vars", ()))
     return pattern.free_vars | (inner - pattern.binders)
 
 
@@ -761,7 +747,8 @@ def _unguarded_rule(node, shape, kids):
 
 #: The free recursion (and fixpoint) variables of a term.
 free_rec_vars = fact("_free_rec", free_rec_rule)
-#: The free data variables of a term, those no pattern binder binds.
+#: The free data variables of a term, those no pattern binder binds; of a
+#: condition, the variables it compares.
 free_data_vars = fact("_free_data", _free_data_rule)
 #: The recursion variables free in a term outside every prefix; or, as a
 #: str, a variable bound in the term with such an occurrence in its body.
@@ -857,7 +844,7 @@ def rename_binders(node, mapping):
     pattern = ActionPattern(port, pattern.is_input, payload)
     kids = [subst_data(k, ren) for k in shape.kids(node)]
     target = target and subst_pattern(target, ren)
-    return shape.reparts(node, pattern, subst_condition(condition, ren), target, kids)
+    return shape.reparts(node, pattern, subst_data(condition, ren), target, kids)
 
 
 def avoid_capture(node, narrowed):
@@ -884,6 +871,8 @@ def subst_data(t, sub: Substitution):
 def _enter_data(node, sub):
     if sub.keys().isdisjoint(free_data_vars(node)):
         return node, DONE
+    if type(node) is Cmp:
+        return Cmp(subst_term(node.left, sub), subst_term(node.right, sub), node.equal), DONE
     shape = SHAPES[type(node)]
     parts = shape.parts(node)
     if parts is None:
@@ -893,7 +882,7 @@ def _enter_data(node, sub):
         node = avoid_capture(node, narrowed)
         parts = shape.parts(node)
     pattern, condition, target = parts
-    pattern, condition = subst_pattern(pattern, narrowed), subst_condition(condition, narrowed)
+    pattern, condition = subst_pattern(pattern, narrowed), subst_data(condition, narrowed)
     target = target and subst_pattern(target, narrowed)
     return shape.reparts(node, pattern, condition, target, shape.kids(node)), narrowed
 
@@ -918,16 +907,23 @@ def term_key(t: Term, level: int, env: Mapping[str, int]):
     return t if isinstance(t, Val) else _name_key(t.name, level, env)
 
 
-def cond_key(c: Condition, level: int, env: Mapping[str, int]):
-    if isinstance(c, Cmp):
-        op = "=" if c.equal else "!="
-        return (op, term_key(c.left, level, env), term_key(c.right, level, env))
-    if isinstance(c, (CTrue, CFalse)):
-        return str(c)
-    if isinstance(c, Not):
-        return ("!", cond_key(c.item, level, env))
-    op = "&&" if isinstance(c, And) else "||"
-    return (op, *(cond_key(i, level, env) for i in c.items))
+def cond_key(c: Condition, level: int, env: Mapping[str, int], make=None):
+    """The key of a condition, a nested tuple; with `make`, each connective's
+    key is replaced by what `make` makes of it, so keys nest one level."""
+
+    def rule(node, shape, kids):
+        if type(node) is Cmp:
+            op = "=" if node.equal else "!="
+            return (op, term_key(node.left, level, env), term_key(node.right, level, env))
+        if not shape.child:
+            return _WORDS[type(node)]
+        key = (_WORDS[type(node)], *kids)
+        return key if make is None else make(key)
+
+    return fold(c, rule)
+
+
+_WORDS = {CTrue: "true", CFalse: "false", Not: "!", And: "&&", Or: "||"}
 
 
 def pattern_key(p: Pattern, level: int, env: Mapping[str, int]):
@@ -953,16 +949,18 @@ def pattern_key(p: Pattern, level: int, env: Mapping[str, int]):
 
 class AlphaKeys(dict):
     """Integer handles of terms up to binder names: `keys(t)` is one handle
-    for every term of the three languages that differs from `t` only in the
-    names of its recursion (or fixpoint) variables and pattern binders.
+    for every formula, process or transducer that differs from `t` only in
+    the names of its recursion (or fixpoint) variables and pattern binders.
 
     The key reads the declared `Shape`: an occurrence is keyed by its binder
     distance, or by its name when free; a guard by `pattern_key` and
     `cond_key`, a transform target inside its source pattern's scope; any
-    other field that is not a subterm as it is.  The handle of a subterm
-    depends only on the binder distances of its free variables, so it is
-    computed once per (subterm, distance profile), and an unfolded fixpoint
-    costs its distinct subterms.  The dict maps each key to its handle."""
+    other field that is not a subterm as it is; a condition's connectives
+    get handles too, so no key nests (equal nested keys compare by
+    recursion).  The handle of a subterm depends only on the binder
+    distances of its free variables, so it is computed once per (subterm,
+    distance profile), and an unfolded fixpoint costs its distinct subterms.
+    The dict maps each key to its handle."""
 
     def __init__(self):
         super().__init__()
@@ -997,11 +995,14 @@ class AlphaKeys(dict):
                 pattern, condition, target = shape.parts(node)
                 source, level, env = pattern_key(pattern, level, env)
                 target = target and pattern_key(target, level, env)[0]
-                head += source, cond_key(condition, level, env), target
+                head += source, cond_key(condition, level, env, self._handle), target
             kids = shape.kids(node)
             stack.append(((mkey, head, len(kids)), None))
             stack.extend(zip(reversed(kids), repeat((rlevel, renv, level, env))))
         return handles[0]
+
+    def _handle(self, key) -> int:
+        return self.setdefault(key, len(self))
 
 
 def _profile(names: frozenset, level: int, env: Mapping[str, int]) -> frozenset:
@@ -1041,18 +1042,16 @@ def match(p: Pattern, gamma: ExtendedAction) -> Optional[dict]:
 
 def eval_condition(c: Condition, sub: Substitution) -> bool:
     """Evaluate a condition under a substitution covering all of its variables."""
-    if isinstance(c, CTrue):
-        return True
-    if isinstance(c, CFalse):
-        return False
-    if isinstance(c, Cmp):
-        lv, rv = (_term_value(t, sub) for t in (c.left, c.right))
-        return (lv == rv) if c.equal else (lv != rv)
-    if isinstance(c, Not):
-        return not eval_condition(c.item, sub)
-    if isinstance(c, And):
-        return all(eval_condition(i, sub) for i in c.items)
-    return any(eval_condition(i, sub) for i in c.items)
+
+    def rule(node, shape, kids):
+        kind = type(node)
+        if kind is Cmp:
+            return (_term_value(node.left, sub) == _term_value(node.right, sub)) == node.equal
+        if kind is Not:
+            return not kids[0]
+        return all(kids) if kind is And else any(kids) if kind is Or else kind is CTrue
+
+    return fold(c, rule)
 
 
 def _term_value(t: Term, sub: Substitution) -> str:
@@ -1080,7 +1079,7 @@ class SymbolicAction:
     @property
     def free_vars(self) -> frozenset:
         """Variables bound by an enclosing scope, not by this pattern."""
-        return (self.pattern.free_vars | cond_vars(self.condition)) - self.binders
+        return (self.pattern.free_vars | free_data_vars(self.condition)) - self.binders
 
     def is_closed(self) -> bool:
         return not self.free_vars
@@ -1105,7 +1104,7 @@ def denote(sa: SymbolicAction, d: Domain) -> frozenset:
 @lru_cache(maxsize=200_000)
 def _satisfiable_cached(c: Condition, variables: frozenset, d: Domain) -> bool:
     # the check runs once per key: a raising call is not cached
-    missing = cond_vars(c) - variables
+    missing = free_data_vars(c) - variables
     if missing:
         raise UnboundVariable(f"condition mentions undeclared variables {sorted(missing)}")
     values = d.values
@@ -1126,7 +1125,7 @@ def disjoint(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
 
 
 # Variables of a disjointness query that no condition can name: the two slots
-# of the shared action, and binders renamed apart by pattern (`1.x`, `2.x`).
+# of the shared action, and binders renamed apart by guard (`1.x`, `2.x`).
 _PORT, _PAYLOAD = Var(".port"), Var(".payload")
 
 
@@ -1137,21 +1136,27 @@ def disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
 
     Decided as one query: some assignment of the outer variables and some
     action (port, payload) match both patterns and satisfy both conditions
-    exactly when the guards are not disjoint."""
+    exactly when the guards are not disjoint.  A binder is renamed apart
+    only where its name means something else in the other guard: binders of
+    one name on the same slot of both patterns are one variable."""
     if sa1.pattern.is_input != sa2.pattern.is_input:
         return True
+    slots1, slots2 = (
+        {s.name: var for s, var in ((sa.pattern.port, _PORT), (sa.pattern.payload, _PAYLOAD))
+         if type(s) is Binder}
+        for sa in (sa1, sa2)
+    )
+    renames = (
+        {b: Var(f"1.{b}") for b in slots1 if b in sa2.free_vars},
+        {b: Var(f"2.{b}") for b, var in slots2.items()
+         if b in sa1.free_vars or slots1.get(b, var) is not var},
+    )
     parts = []
-    for tag, sa in (("1", sa1), ("2", sa2)):
-        pattern = sa.pattern
-        ren = {b: Var(f"{tag}.{b}") for b in pattern.binders}
-        for slot, var in ((pattern.port, _PORT), (pattern.payload, _PAYLOAD)):
-            if isinstance(slot, Lit):
-                parts.append(Cmp(var, Val(slot.value), True))
-            elif isinstance(slot, Binder):
-                parts.append(Cmp(var, ren[slot.name], True))
-            else:
-                parts.append(Cmp(var, Var(slot.name), True))
-        parts.append(subst_condition(sa.condition, ren))
+    for sa, ren in zip((sa1, sa2), renames):
+        for slot, var in ((sa.pattern.port, _PORT), (sa.pattern.payload, _PAYLOAD)):
+            other = Val(slot.value) if type(slot) is Lit else ren.get(slot.name) or Var(slot.name)
+            parts.append(Cmp(var, other, True))
+        parts.append(subst_data(sa.condition, ren))
     values = d.values
     slot_domain = {_PORT.name: d.ports, _PAYLOAD.name: d.payloads}
     return not _decide(And(tuple(parts)), lambda name: slot_domain.get(name, values))
@@ -1162,100 +1167,94 @@ def disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
 #
 # A condition is a boolean combination of (dis)equalities between variables
 # and literal names, so whether some assignment satisfies it depends only on
-# which terms are equal.  `_decide` puts the condition into negation normal
-# form, a clause of atoms and disjunctions, and searches over it: equalities
-# merge classes of terms by union-find, each class keeping the values its
-# members may take (a variable's domain, a literal's own name), and a class
-# left with no value is a conflict.  Disequalities are recorded and checked
-# as classes merge.  All atoms of a clause are applied before one of its
-# disjunctions is branched on.  At a leaf the classes joined by
+# which terms are equal.  `_decide` searches depth first, on an explicit
+# stack, over the condition itself: each state holds the equality classes,
+# the disequalities, the (condition, polarity) items still to apply and the
+# disjunctions waiting to branch.  A negation flips its item's polarity; a
+# conjunction, or a negated disjunction, adds its items; an equality merges
+# two classes by union-find, each class keeping the values its members may
+# take (a variable's domain, a literal's own name), and a class left with no
+# value is a conflict.  A disjunction, or a negated conjunction, waits until
+# every item is applied, then the first waiting one is branched on, each
+# alternative in a copy of the state.  At a leaf the classes joined by
 # disequalities must be coloured with distinct values from their own sets;
 # only that step backtracks over values (Nelson and Oppen, "Fast decision
 # procedures based on congruence closure", JACM 1980).
 
 
-def _clause(c: Condition, positive: bool):
-    """The negation normal form of `c` (of `!c` when not `positive`) as a
-    clause `(atoms, disjunctions)`: atoms are `(equal, term, term)` triples and
-    each disjunction is a tuple of clauses.  None stands for false."""
-    if isinstance(c, Not):
-        return _clause(c.item, not positive)
-    if isinstance(c, (CTrue, CFalse)):
-        return ((), ()) if isinstance(c, CTrue) == positive else None
-    if isinstance(c, Cmp):
-        equal = c.equal == positive
-        left, right = c.left, c.right
-        if left == right or (isinstance(left, Val) and isinstance(right, Val)):
-            return ((), ()) if (left == right) == equal else None
-        return (((equal, left, right),), ())
-    if isinstance(c, And) == positive:
-        atoms, ors = [], []
-        for item in c.items:
-            sub = _clause(item, positive)
-            if sub is None:
-                return None
-            atoms += sub[0]
-            ors += sub[1]
-        return tuple(atoms), tuple(ors)
-    alternatives = []
-    for item in c.items:
-        sub = _clause(item, positive)
-        if sub == ((), ()):
-            return sub
-        if sub is not None:
-            alternatives.append(sub)
-    if len(alternatives) <= 1:
-        return alternatives[0] if alternatives else None
-    return (), (tuple(alternatives),)
-
-
 def _decide(c: Condition, domain_of) -> bool:
     """Whether some assignment, mapping each variable name to a value of
-    `domain_of(name)`, makes the condition true."""
-    clause = _clause(c, True)
-    if clause is None:
-        return False
-    return _search({}, {}, [], clause[0], clause[1], domain_of)
+    `domain_of(name)`, makes the condition true.  The waiting disjunctions
+    are a linked list, `((condition, polarity), rest)`, that states share."""
+    stack = [({}, {}, [], (c, True), None)]
+    while stack:
+        parent, values, diseqs, item, waiting = stack.pop()
+        parent, values, diseqs, found = dict(parent), dict(values), list(diseqs), []
+        if not _apply(item, parent, values, diseqs, found, domain_of):
+            continue
+        edges = {(_find(l, parent, values, domain_of), _find(r, parent, values, domain_of))
+                 for l, r in diseqs}
+        if any(a is b or (len(values[a]) == 1 and values[a] == values[b]) for a, b in edges):
+            continue
+        for pending in reversed(found):  # branched on before the older ones, in source order
+            waiting = (pending, waiting)
+        if waiting is None:
+            if _colourable(edges, values):
+                return True
+            continue
+        (c, positive), waiting = waiting
+        stack += [(parent, values, diseqs, (alt, positive), waiting) for alt in reversed(c.items)]
+    return False
 
 
-def _search(parent, values, diseqs, atoms, ors, domain_of) -> bool:
-    """Apply the atoms to the classes (`parent`: union-find links, `values`:
-    the values each class root may take, `diseqs`: pairs that must differ),
-    then branch on the first pending disjunction."""
-
-    def find(t):
-        root = parent.get(t)
-        if root is None:
-            parent[t] = t
-            values[t] = domain_of(t.name) if isinstance(t, Var) else frozenset((t.name,))
-            return t
-        while root != parent[root]:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
-        return root
-
-    for equal, left, right in atoms:
-        a, b = find(left), find(right)
-        if equal:
-            if a != b:
-                common = values[a] & values[b]
-                if not common:
+def _apply(item, parent, values, diseqs, found, domain_of) -> bool:
+    """Apply a (condition, polarity) item and the items it adds to the
+    classes (`parent`: union-find links, `values`: the values each class
+    root may take, `diseqs`: pairs that must differ), and append each
+    disjunction met to `found`.  False on a conflict."""
+    items = [item]
+    while items:
+        c, positive = items.pop()
+        kind = type(c)
+        if kind is Not:
+            items.append((c.item, not positive))
+        elif kind is Cmp:
+            left, right, equal = c.left, c.right, c.equal == positive
+            if left is right or (type(left) is Val and type(right) is Val):
+                if (left is right) != equal:
                     return False
-                parent[b] = a
-                values[a] = common
+            elif not equal:
+                diseqs.append((left, right))
+            else:
+                a = _find(left, parent, values, domain_of)
+                b = _find(right, parent, values, domain_of)
+                if a is not b:
+                    common = values[a] & values[b]
+                    if not common:
+                        return False
+                    parent[b] = a
+                    values[a] = common
+        elif kind is CTrue or kind is CFalse:
+            if (kind is CTrue) != positive:
+                return False
+        elif (kind is And) == positive:
+            items.extend([(i, positive) for i in reversed(c.items)])
         else:
-            diseqs.append((left, right))
-    for left, right in diseqs:
-        a, b = find(left), find(right)
-        if a == b or (len(values[a]) == 1 and values[a] == values[b]):
-            return False
-    if not ors:
-        return _colourable({(find(l), find(r)) for l, r in diseqs}, values)
-    first, rest = ors[0], ors[1:]
-    return any(
-        _search(dict(parent), dict(values), list(diseqs), sub_atoms, sub_ors + rest, domain_of)
-        for sub_atoms, sub_ors in first
-    )
+            found.append((c, positive))
+    return True
+
+
+def _find(t, parent, values, domain_of):
+    """The root of `t`'s class, entered as a class of its own if new."""
+    root = parent.get(t)
+    if root is None:
+        parent[t] = t
+        values[t] = domain_of(t.name) if type(t) is Var else frozenset((t.name,))
+        return t
+    while root is not parent[root]:
+        parent[root] = parent[parent[root]]
+        root = parent[root]
+    return root
 
 
 def _colourable(edges, values) -> bool:
@@ -1311,7 +1310,7 @@ def normalize_pattern(sa: SymbolicAction, avoid=frozenset()) -> SymbolicAction:
     equality between the fresh binder and the replaced term is conjoined to
     the condition.  The denoted action set is unchanged.
     """
-    used = set(avoid) | sa.binders | sa.free_vars | cond_vars(sa.condition)
+    used = set(avoid) | sa.binders | sa.free_vars | free_data_vars(sa.condition)
     new_slots = []
     equalities = []
     for slot in (sa.pattern.port, sa.pattern.payload):

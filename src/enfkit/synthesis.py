@@ -20,7 +20,6 @@ from .formulas import (
     Formula,
     Max,
     all_names,
-    is_shml,
     is_shmlnf,
     necessity_branches,
     require_safety,
@@ -65,12 +64,16 @@ class _Names:
 
 def synthesize(f: Formula, d: Domain) -> Transducer:
     """Translate a normal-form safety formula into a suppression enforcer.
+    The input must pass `require_safety` and be in normal form, guard
+    disjointness included."""
+    require_safety(f, SynthesisError)
+    return _synthesize(f, d)
 
-    The input is checked to be in normal form, guard disjointness included.
-    """
-    if not (is_shml(f) and is_shmlnf(f, d)):
+
+def _synthesize(nf: Formula, d: Domain) -> Transducer:
+    if not is_shmlnf(nf, d):
         raise SynthesisError("synthesis needs a normal-form safety formula")
-    return _syn(f, _Names(avoid=all_names(f)))
+    return _syn(nf, _Names(avoid=all_names(nf)))
 
 
 def _syn(g, names: _Names) -> Transducer:
@@ -106,12 +109,15 @@ def optimize(e: Transducer) -> Transducer:
     return rebuild(e, lambda t, ctx: (t, ctx), leave=leave)
 
 
-def compile_formula(f: Formula, d: Domain) -> Transducer:
-    """Normalise (when needed), synthesise, optimise.
-
-    A formula already in normal form is synthesised directly, which keeps
-    the output syntactically aligned with hand-written enforcers.
-    """
+def normal_form(f: Formula, d: Domain) -> Formula:
+    """What `compile_formula` synthesises: `f` itself when it is already in
+    normal form, which keeps the output aligned with hand-written
+    enforcers, else its normalisation."""
     require_safety(f, SynthesisError)
-    nf = f if is_shmlnf(f, d) else normalize(f, d)
-    return optimize(synthesize(nf, d))
+    return f if is_shmlnf(f, d) else normalize(f, d)
+
+
+def compile_formula(f: Formula, d: Domain) -> Transducer:
+    """Normalise (when needed), synthesise, optimise.  The normal form of a
+    formula that passes `require_safety` passes it too, unchecked."""
+    return optimize(_synthesize(normal_form(f, d), d))

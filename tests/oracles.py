@@ -4,6 +4,15 @@
 search; the functions here decide the same queries by trying every
 assignment of the variables into the domain's value universe.
 
+Conditions are terms of the engine: `eval_condition` and `cond_key` are
+bottom-up walks on an explicit stack, a condition's variables are the
+`free_data_vars` fact, substitution into it is `subst_data`, and
+`symbolic._decide` searches on an explicit stack over the condition itself.
+`naive_eval_condition`, `naive_cond_key`, `_naive_cond_vars` and
+`naive_subst_condition` recurse over the condition's own constructors
+instead, and `naive_decide` is the recursive solver that put the condition
+into a negation-normal-form clause first.
+
 `runtime.istep` reads memoised transform tables indexed by action;
 `naive_istep` steps the enforcer afresh with `tstep` and scans every
 transform for each system move.
@@ -96,15 +105,16 @@ from enfkit.symbolic import (
     UnboundVariable,
     Val,
     Var,
-    cond_vars,
+    _colourable,
     denote,
     disjoint,
     eval_condition,
     match,
-    subst_condition,
     subst_data,
     subst_pattern,
+    subst_term,
     sym_match,
+    term_key,
     underline,
 )
 from enfkit.transducers import (
@@ -141,7 +151,7 @@ def values_sub(assignment: Mapping[str, str]) -> dict:
 def denote_under(sa: SymbolicAction, d: Domain, env: Mapping[str, str]) -> frozenset:
     """Denotation of a possibly open symbolic action, closing it with env."""
     sub = {k: v for k, v in values_sub(env).items() if k not in sa.binders}
-    closed = SymbolicAction(subst_pattern(sa.pattern, sub), subst_condition(sa.condition, sub))
+    closed = SymbolicAction(subst_pattern(sa.pattern, sub), naive_subst_condition(sa.condition, sub))
     return denote(closed, d)
 
 
@@ -155,10 +165,10 @@ def assignments(variables, d: Domain):
 
 def naive_satisfiable(c: Condition, variables, d: Domain) -> bool:
     """`satisfiable` by enumerating every assignment."""
-    missing = cond_vars(c) - frozenset(variables)
+    missing = _naive_cond_vars(c) - frozenset(variables)
     if missing:
         raise UnboundVariable(f"condition mentions undeclared variables {sorted(missing)}")
-    return any(eval_condition(c, values_sub(env)) for env in assignments(variables, d))
+    return any(naive_eval_condition(c, values_sub(env)) for env in assignments(variables, d))
 
 
 def naive_disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) -> bool:
@@ -170,6 +180,141 @@ def naive_disjoint_under(sa1: SymbolicAction, sa2: SymbolicAction, d: Domain) ->
     return all(
         not (denote_under(sa1, d, env) & denote_under(sa2, d, env))
         for env in assignments(outer, d)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Conditions by plain recursion over their own constructors
+
+
+def naive_eval_condition(c: Condition, sub) -> bool:
+    """`symbolic.eval_condition` by recursion."""
+    if isinstance(c, CTrue):
+        return True
+    if isinstance(c, CFalse):
+        return False
+    if isinstance(c, Cmp):
+        lv, rv = (_naive_value(t, sub) for t in (c.left, c.right))
+        return (lv == rv) if c.equal else (lv != rv)
+    if isinstance(c, Not):
+        return not naive_eval_condition(c.item, sub)
+    if isinstance(c, And):
+        return all(naive_eval_condition(i, sub) for i in c.items)
+    return any(naive_eval_condition(i, sub) for i in c.items)
+
+
+def _naive_value(t, sub) -> str:
+    if isinstance(t, Val):
+        return t.name
+    resolved = sub.get(t.name)
+    if not isinstance(resolved, Val):
+        raise UnboundVariable(f"variable {t.name!r} is unbound")
+    return resolved.name
+
+
+def naive_cond_key(c: Condition, level: int, env):
+    """`symbolic.cond_key` by recursion."""
+    if isinstance(c, Cmp):
+        op = "=" if c.equal else "!="
+        return (op, term_key(c.left, level, env), term_key(c.right, level, env))
+    if isinstance(c, (CTrue, CFalse)):
+        return str(c)
+    if isinstance(c, Not):
+        return ("!", naive_cond_key(c.item, level, env))
+    op = "&&" if isinstance(c, And) else "||"
+    return (op, *(naive_cond_key(i, level, env) for i in c.items))
+
+
+def naive_subst_condition(c: Condition, sub) -> Condition:
+    """`symbolic.subst_data` on a condition, by recursion."""
+    if not sub or isinstance(c, (CTrue, CFalse)):
+        return c
+    if isinstance(c, Cmp):
+        return Cmp(subst_term(c.left, sub), subst_term(c.right, sub), c.equal)
+    if isinstance(c, Not):
+        return Not(naive_subst_condition(c.item, sub))
+    cls = And if isinstance(c, And) else Or
+    return cls(tuple(naive_subst_condition(i, sub) for i in c.items))
+
+
+def naive_decide(c: Condition, domain_of) -> bool:
+    """`symbolic._decide` by recursion: the condition is put into negation
+    normal form, a clause of atoms and disjunctions, and the search applies
+    a clause's atoms before it branches on its first disjunction."""
+    clause = _naive_clause(c, True)
+    if clause is None:
+        return False
+    return _naive_search({}, {}, [], clause[0], clause[1], domain_of)
+
+
+def _naive_clause(c: Condition, positive: bool):
+    """The negation normal form of `c` (of `!c` when not `positive`) as a
+    clause `(atoms, disjunctions)`: atoms are `(equal, term, term)` triples and
+    each disjunction is a tuple of clauses.  None stands for false."""
+    if isinstance(c, Not):
+        return _naive_clause(c.item, not positive)
+    if isinstance(c, (CTrue, CFalse)):
+        return ((), ()) if isinstance(c, CTrue) == positive else None
+    if isinstance(c, Cmp):
+        equal = c.equal == positive
+        left, right = c.left, c.right
+        if left == right or (isinstance(left, Val) and isinstance(right, Val)):
+            return ((), ()) if (left == right) == equal else None
+        return (((equal, left, right),), ())
+    if isinstance(c, And) == positive:
+        atoms, ors = [], []
+        for item in c.items:
+            sub = _naive_clause(item, positive)
+            if sub is None:
+                return None
+            atoms += sub[0]
+            ors += sub[1]
+        return tuple(atoms), tuple(ors)
+    alternatives = []
+    for item in c.items:
+        sub = _naive_clause(item, positive)
+        if sub == ((), ()):
+            return sub
+        if sub is not None:
+            alternatives.append(sub)
+    if len(alternatives) <= 1:
+        return alternatives[0] if alternatives else None
+    return (), (tuple(alternatives),)
+
+
+def _naive_search(parent, values, diseqs, atoms, ors, domain_of) -> bool:
+    def find(t):
+        root = parent.get(t)
+        if root is None:
+            parent[t] = t
+            values[t] = domain_of(t.name) if isinstance(t, Var) else frozenset((t.name,))
+            return t
+        while root != parent[root]:
+            parent[root] = parent[parent[root]]
+            root = parent[root]
+        return root
+
+    for equal, left, right in atoms:
+        a, b = find(left), find(right)
+        if equal:
+            if a != b:
+                common = values[a] & values[b]
+                if not common:
+                    return False
+                parent[b] = a
+                values[a] = common
+        else:
+            diseqs.append((left, right))
+    for left, right in diseqs:
+        a, b = find(left), find(right)
+        if a == b or (len(values[a]) == 1 and values[a] == values[b]):
+            return False
+    if not ors:
+        return _colourable({(find(l), find(r)) for l, r in diseqs}, values)
+    first, rest = ors[0], ors[1:]
+    return any(
+        _naive_search(dict(parent), dict(values), list(diseqs), sub_atoms, sub_ors + rest, domain_of)
+        for sub_atoms, sub_ors in first
     )
 
 

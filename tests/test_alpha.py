@@ -21,11 +21,12 @@ from enfkit.symbolic import (
     Lit,
     Val,
     Var,
-    subst_condition,
     underline,
 )
 from enfkit.synthesis import compile_formula
 from enfkit.transducers import TPrefix, TRec, TSum, TVar, alpha_eq, transducer_lts, tstep
+
+from oracles import naive_subst_condition as subst_condition
 
 D22 = Domain({"i", "j"}, {"req", "ans"})
 

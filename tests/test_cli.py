@@ -89,6 +89,21 @@ def test_synthesize_no_optimize_keeps_redundant_recursion(dom):
     assert alpha_eq(parse_transducer(out.strip(), dom), expected)
 
 
+UNGUARDED = ["max X.X", "max X.([i?req]ff && X)"]
+
+
+@pytest.mark.parametrize("text", UNGUARDED)
+@pytest.mark.parametrize("flags", [[], ["--no-optimize"]])
+def test_synthesize_refuses_an_unguarded_formula(tmp_path, capsys, text, flags):
+    # with or without optimisation: the one safety gate, as normalize has it
+    spec = tmp_path / "unguarded.spec"
+    spec.write_text(f"ports = {{i, j}}\npayloads = {{req, ans}}\nformula u = {text}\n")
+    for argv in (["synthesize", "u", *flags], ["normalize", "u"]):
+        code, out = run(["--spec", str(spec), *argv])
+        assert (code, out) == (2, "")
+        assert "formula is not guarded" in capsys.readouterr().err
+
+
 def test_normalize_and_dump_stages():
     code, out = run(["--spec", SPEC, "normalize", "phi1"])
     assert code == 0 and out.strip().startswith("max")

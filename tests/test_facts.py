@@ -1,24 +1,26 @@
 """Per-term facts, kept in slots on the terms: free recursion and data
 variables, guardedness and the safety fragment, and the normal-form check
-that reads them.  On every distinct subterm they agree with the plain
-recursive references in `tests/oracles.py`, whichever order filled the
-slots."""
+that reads them; and the variables of a condition, its `free_data_vars`.
+On every distinct subterm they agree with the plain recursive references in
+`tests/oracles.py`, whichever order filled the slots."""
 import random
 
 import pytest
 
 from enfkit import symbolic
-from enfkit.formulas import Max, is_shml, is_shmlnf, subst_data, unfold
+from enfkit.formulas import Box, Max, is_shml, is_shmlnf, subst_data, unfold
 from enfkit.harness import gen_formula, gen_process
 from enfkit.parsing import parse_formula
 from enfkit.processes import NIL, Choice, Prefix, PVar, Rec
-from enfkit.symbolic import TAU, TRUE, Action, ActionPattern, Binder, Domain, Free, Lit, Val, Var
+from enfkit.symbolic import (
+    FALSE, TAU, TRUE, Action, ActionPattern, And, Binder, Cmp, Domain, Free, Lit, Not, Or, Val, Var,
+)
 from enfkit.synthesis import compile_formula
 from enfkit.transducers import ID, TPrefix, TRec, TSum, TVar
 
 from oracles import (
-    naive_free_data_vars, naive_free_rec_vars, naive_is_shml, naive_is_shmlnf, naive_kids,
-    naive_unguarded,
+    _naive_cond_vars, naive_free_data_vars, naive_free_rec_vars, naive_is_shml, naive_is_shmlnf,
+    naive_kids, naive_unguarded,
 )
 
 D23 = Domain({"i", "j"}, {"req", "ans", "cls"})
@@ -158,3 +160,40 @@ def test_facts_of_open_unguarded_and_unsafe_terms_match_the_reference():
         TPrefix(source, TRUE, bound, TRec("z", TPrefix(bound, TRUE, TAU, TVar("x")))),
     ]
     _assert_facts_match_the_reference([*formulas, *processes, *transducers], d)
+
+
+def _condition_post_order(conditions) -> list:
+    """The distinct subconditions of `conditions`, each after its own."""
+    out, seen, stack = [], set(), [(c, False) for c in conditions]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            out.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            items = getattr(node, "items", None) or ((node.item,) if isinstance(node, Not) else ())
+            stack.extend((k, False) for k in reversed(items))
+    return out
+
+
+@pytest.mark.parametrize("name", DOMAINS)
+def test_condition_variables_match_the_reference(name):
+    # the guards of generated formulas and of compiled enforcers (the
+    # normaliser's minterm conditions), and nested connectives
+    d, largest = DOMAINS[name]
+    terms = _formulas(d, largest) + [compile_formula(gen_formula(d, 1 + seed % 10, seed), d) for seed in SEEDS]
+    guards = [n for t in terms for n in _post_order(t) if isinstance(n, (Box, TPrefix))]
+    conditions = [getattr(g, "action", g).condition for g in guards]
+    x, y, i = Var("x"), Var("y"), Val("i")
+    nested = Or((Not(And((Cmp(x, y, False), Cmp(y, i, True)))), Not(Not(Cmp(Var("z"), x, True))), FALSE))
+    conditions += [nested, And((nested, TRUE, Cmp(i, Var("w"), False))), Not(nested)]
+    nodes = _condition_post_order(conditions)
+    assert len(nodes) > 50 and any(isinstance(n, Not) for n in nodes)
+    expected = [_naive_cond_vars(n) for n in nodes]
+    rng = random.Random(0)
+    for order in (nodes[::-1], nodes, rng.sample(nodes, len(nodes))):
+        _forget(nodes)
+        for node in order:
+            symbolic.free_data_vars(node)
+        assert [symbolic.free_data_vars(n) for n in nodes] == expected

@@ -143,7 +143,7 @@ def test_a_compile_decides_each_guard_pair_once(dom, monkeypatch):
         return ask(sa1, sa2, d)
 
     def counted_decide(c, values):
-        if symbolic._PORT.name in symbolic.cond_vars(c):  # a disjointness query
+        if symbolic._PORT.name in symbolic.free_data_vars(c):  # a disjointness query
             decided.append(c)
         return decide(c, values)
 

@@ -23,11 +23,11 @@ from enfkit.symbolic import (
     Val,
     Var,
     cond_key,
-    cond_vars,
     denote,
     disjoint,
     disjoint_under,
     eval_condition,
+    free_data_vars as cond_vars,
     match,
     normalize_pattern,
     pattern_key,

@@ -93,6 +93,14 @@ def test_compile_rejects_non_safety(dom, terms):
         synthesize(terms["phins"], dom)
 
 
+@pytest.mark.parametrize("text", ["max X.X", "max X.([i?req]ff && X)"])
+def test_synthesize_refuses_an_unguarded_formula(dom, text):
+    f = parse_formula(text, dom)
+    for synthesise in (synthesize, compile_formula):
+        with pytest.raises(SynthesisError, match="formula is not guarded"):
+            synthesise(f, dom)
+
+
 def _prefixes(e):
     if isinstance(e, TPrefix):
         yield e

@@ -45,10 +45,14 @@ def test_every_term_class_is_built_by_term():
         # identity, in C: no Python-level hash or equality on any term
         assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__, cls
         assert cls.__dictoffset__ == 0, f"{cls.__name__} instances carry a __dict__"
-    # a term class of the three languages without a declared shape would be
-    # a leaf to every walker: its subterms and binders would go unseen
-    languages = [cls for cls in classes if cls.__module__ in LANGUAGE_MODULES]
-    assert len(languages) == 19
+    # a term class of the four languages (conditions the fourth) without a
+    # declared shape would be a leaf to every walker: its subterms and
+    # binders would go unseen
+    conditions = {
+        symbolic.CTrue, symbolic.CFalse, symbolic.Cmp, symbolic.And, symbolic.Or, symbolic.Not
+    }
+    languages = [cls for cls in classes if cls.__module__ in LANGUAGE_MODULES or cls in conditions]
+    assert len(languages) == 25
     for cls in languages:
         assert isinstance(symbolic.SHAPES.get(cls), symbolic.Shape), cls
     assert set(symbolic.SHAPES) == set(languages)
@@ -56,7 +60,7 @@ def test_every_term_class_is_built_by_term():
 
 def test_every_term_class_prints_by_its_layout():
     # the runtime's configurations and steps keep a display of their own;
-    # a term outside the three languages prints by `show` memoised
+    # a term outside the four languages prints by `show` memoised
     classes = [cls for cls in _frozen_dataclasses() if cls is not symbolic.Domain]
     own = {runtime.Config, runtime.SimStep}
     assert set(symbolic.LAYOUTS) == set(classes) - own

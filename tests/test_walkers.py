@@ -1,6 +1,7 @@
-"""The binder-aware walkers of the three term languages: recursion-variable
+"""The binder-aware walkers of the term languages: recursion-variable
 substitution, validation, keys up to binder names, what a term does next,
-and the per-term facts and the map they run on."""
+and the per-term facts and the map they run on; and every command on
+guards far deeper or wider than the recursion limit."""
 import os
 import time
 
@@ -11,9 +12,13 @@ from enfkit.formulas import (
     FF, Box, FAnd, FormulaError, FVar, Max, all_names, classify, free_data_vars,
     free_logic_vars, is_guarded, is_shml, necessities, subst_data, subst_logic,
 )
-from enfkit.harness import gen_formula, gen_process
-from enfkit.modelcheck import ModelCheckError, sat_oracle
-from enfkit.normalizer import _renumber_binders, normalize_formula_patterns
+from enfkit.bisim import bisim
+from enfkit.harness import (
+    Pair, check_nvtt, check_soundness, check_transparency, check_violation_semantics, gen_formula,
+    gen_process,
+)
+from enfkit.modelcheck import ModelCheckError, sat_oracle, satisfies
+from enfkit.normalizer import _renumber_binders, normalize, normalize_formula_patterns
 from enfkit.parsing import load_specfile, parse_formula, parse_process, parse_transducer
 from enfkit.processes import (
     NIL, Choice, Prefix, ProcessError, PVar, Rec, free_proc_vars, reachable, step, subst_proc,
@@ -362,3 +367,46 @@ def test_alpha_eq_of_two_deep_parses(dom):
     text = "rec x." + "{i?req}." * 900 + "x"
     first, second = parse_transducer(text, dom), parse_transducer(text, dom)
     assert alpha_eq(first, second) and first is second
+
+
+# Guards of DEPTH nested connectives, and one of 3000 conjoined disjunctions,
+# each with the one-comparison guard it is equivalent to.  No condition
+# walker recurses, so every command passes them under the default limit.
+DEEP_GUARDS = {
+    "negations": ("!" * DEPTH + "true", "true"),
+    "conjunctions": ("(" * DEPTH + "x = i" + " && x = i)" * DEPTH, "x = i"),
+    "disjunctions whose early alternatives are unsatisfiable": (
+        " || (".join(["(x = j && x = i)"] * DEPTH) + " || x = i" + ")" * (DEPTH - 1), "x = i"
+    ),
+    "conjoined disjunctions": (" && ".join(["(x = i || x = j)"] * 3000), "x = i || x = j"),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_GUARDS)
+def test_every_command_passes_a_deep_guard(dom, name):
+    guard, plain = DEEP_GUARDS[name]
+
+    def formula(condition, var="X", binder="x"):
+        condition = condition.replace("x = ", f"{binder} = ")
+        return parse_formula(f"max {var}.[({binder})?req when {condition}]ff && [i!ans]{var}", dom)
+
+    f, g = formula(guard), formula(plain)
+    p = parse_process("rec X.(i?req.i!ans.X + j?req.X)", dom)
+    nf = normalize(f, dom)
+    e, e_plain = compile_formula(f, dom), compile_formula(g, dom)
+    assert parse_formula(str(nf), dom) is nf
+    assert satisfies(p, f, dom) == satisfies(p, g, dom) == False
+    steps = lambda e: [(s.rule, s.label) for s in simulate(e, p, 8, "first", dom)]
+    assert steps(e) == steps(e_plain)
+    lts, lts_plain = transducer_lts(e, dom), transducer_lts(e_plain, dom)
+    assert bisim(lts, lts.initial, lts_plain, lts_plain.initial)[0]
+    # the same guard with its binder and fixpoint variable renamed
+    renamed = compile_formula(formula(guard, "Y", "w"), dom)
+    assert renamed is not e and alpha_eq(renamed, e)
+    # the four checks give the plain guard's verdicts and witnesses
+    verdicts = lambda f: [
+        (v.outcome, v.witness)
+        for v in (check_soundness(Pair(f, p, dom)), check_transparency(Pair(f, p, dom)),
+                  check_nvtt(Pair(f, p, dom), 4), check_violation_semantics(Pair(f, p, dom), 4))
+    ]
+    assert verdicts(f) == verdicts(g)
