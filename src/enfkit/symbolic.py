@@ -614,31 +614,44 @@ _store = object.__setattr__  # a term's fact slots are written here only
 def fold(t, rule, slot=None):
     """`rule(node, shape, values at the subterms)` at `t`, computed bottom-up
     in one post-order walk.  With a `slot`, one of `FACTS`, the value at
-    each shaped node is kept there, and the walk stops at filled slots."""
-    shapes, values, stack = SHAPES.get, [], [(t, None, None)]
-    while stack:
-        node, shape, kids = stack.pop()
-        if shape is None:
-            if slot is not None:
-                value = getattr(node, slot, _MISSING)
-                if value is not _MISSING:
-                    values.append(value)
-                    continue
-            shape = shapes(type(node), _LEAF)
-            kids = shape.kids(node)
-            if kids:
-                stack.append((node, shape, kids))
-                stack.extend([(k, None, None) for k in reversed(kids)])
-                continue
-            value = rule(node, shape, kids)
-        else:  # the values of its subterms are on top
+    each shaped node is kept there, and the walk stops at filled slots
+    below `t` (`fact` reads `t`'s own).  A subterm whose slot is filled, or
+    which has no subterms, gives its value where the walk meets it; the walk
+    enters only a node with subterms, and its parent waits on the stack with
+    an iterator over the rest of its own."""
+    shapes = SHAPES.get
+    shape = shapes(type(t), _LEAF)
+    kids = shape.kids(t)
+    if not kids:
+        value = rule(t, shape, kids)
+        if slot is not None and shape is not _LEAF:
+            _store(t, slot, value)
+        return value
+    node, values, stack, rest = t, [], [], iter(kids)
+    while True:
+        for k in rest:
+            value = _MISSING if slot is None else getattr(k, slot, _MISSING)
+            if value is _MISSING:
+                kshape = shapes(type(k), _LEAF)
+                kkids = kshape.kids(k)
+                if kkids:  # walked before the rest of `node`'s subterms
+                    stack.append((node, shape, kids, rest))
+                    node, shape, kids, rest = k, kshape, kkids, iter(kkids)
+                    break
+                value = rule(k, kshape, kkids)
+                if slot is not None and kshape is not _LEAF:
+                    _store(k, slot, value)
+            values.append(value)
+        else:  # the values of `node`'s subterms are on top
             at = len(values) - len(kids)
             value = rule(node, shape, values[at:])
+            if slot is not None:
+                _store(node, slot, value)
+            if not stack:
+                return value
             del values[at:]
-        if slot is not None and shape is not _LEAF:
-            _store(node, slot, value)
-        values.append(value)
-    return values[0]
+            values.append(value)
+            node, shape, kids, rest = stack.pop()
 
 
 def fact(slot, rule):

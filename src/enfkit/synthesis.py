@@ -15,7 +15,6 @@ from itertools import chain, count, filterfalse
 
 from .formulas import (
     FFalse,
-    FTrue,
     FVar,
     Formula,
     Max,
@@ -65,43 +64,72 @@ class _Names:
 def synthesize(f: Formula, d: Domain) -> Transducer:
     """Translate a normal-form safety formula into a suppression enforcer.
     The input must pass `require_safety` and be in normal form, guard
-    disjointness included."""
+    disjointness included.  Every binder of the translation is kept, used
+    or not; `optimize` drops the unused ones."""
     require_safety(f, SynthesisError)
-    return _synthesize(f, d)
+    return _synthesize(f, d, raw=True)
 
 
-def _synthesize(nf: Formula, d: Domain) -> Transducer:
+def _synthesize(nf: Formula, d: Domain, raw: bool) -> Transducer:
     if not is_shmlnf(nf, d):
         raise SynthesisError("synthesis needs a normal-form safety formula")
-    return _syn(nf, _Names(avoid=all_names(nf)))
+    return _syn(nf, _Names(avoid=all_names(nf)), raw)
 
 
-def _syn(g, names: _Names) -> Transducer:
-    if isinstance(g, (FTrue, FFalse)):
-        return ID
-    if isinstance(g, FVar):
-        return TVar(names.for_var(g.name))
-    if isinstance(g, Max):
-        return TRec(names.for_var(g.var), _syn(g.body, names))
-    branches = necessity_branches(g)
-    if not branches:
-        return ID
-    y = names.fresh_sum_var()
-    parts = []
-    for b in branches:
-        sa = b.action
-        if isinstance(b.body, FFalse):
-            parts.append(TPrefix(sa.pattern, sa.condition, TAU, TVar(y)))
+def _syn(nf, names: _Names, raw: bool) -> Transducer:
+    """The enforcer of `nf`, built in one depth-first pass on an explicit
+    stack: names are drawn on the way down, in pre-order, and each binder is
+    closed on the way up, where `TRec(v, body)` is emitted only if `v` occurs
+    free in `body`, unless `raw` asks for every binder of the translation.
+    `used[v]` says whether the body being built uses `v`; a binder saves the
+    flag of an outer binder of its name and restores it, so occurrences it
+    binds keep no outer binder alive."""
+    used: dict = {}
+    done: list = []  # the enforcers built, each after its left siblings
+    todo: list = [nf]  # formulas to translate, and binders to close
+    while todo:
+        g = todo.pop()
+        if type(g) is tuple:  # (variable, outer flag, branches or None): close a binder
+            var, outer, branches = g
+            if branches is None:
+                body = done.pop()
+            else:
+                parts = []
+                for b in reversed(branches):  # their bodies' enforcers are on top
+                    sa = b.action
+                    if isinstance(b.body, FFalse):
+                        used[var] = True
+                        parts.append(TPrefix(sa.pattern, sa.condition, TAU, TVar(var)))
+                    else:
+                        cont = done.pop()
+                        parts.append(TPrefix(sa.pattern, sa.condition, underline(sa.pattern), cont))
+                body = parts[0] if len(parts) == 1 else TSum(tuple(reversed(parts)))
+            done.append(TRec(var, body) if raw or used[var] else body)
+            used[var] = outer
+        elif isinstance(g, FVar):
+            var = names.for_var(g.name)
+            used[var] = True
+            done.append(TVar(var))
+        elif isinstance(g, Max):
+            var = names.for_var(g.var)
+            todo += [(var, used.get(var, False), None), g.body]
+            used[var] = False
         else:
-            parts.append(
-                TPrefix(sa.pattern, sa.condition, underline(sa.pattern), _syn(b.body, names))
-            )
-    body = parts[0] if len(parts) == 1 else TSum(tuple(parts))
-    return TRec(y, body)
+            branches = necessity_branches(g)
+            if not branches:  # truth and falsehood
+                done.append(ID)
+                continue
+            var = names.fresh_sum_var()
+            todo.append((var, used.get(var, False), branches))
+            used[var] = False
+            todo += [b.body for b in reversed(branches) if not isinstance(b.body, FFalse)]
+    return done[0]
 
 
 def optimize(e: Transducer) -> Transducer:
-    """Drop recursive constructs whose variable is never used."""
+    """Drop recursive constructs whose variable is never used.  Of
+    `synthesize`'s output this gives `compile_formula`'s, which drops them
+    as it builds."""
 
     def leave(t):
         return t.body if isinstance(t, TRec) and t.var not in free_rec_vars(t.body) else t
@@ -118,6 +146,8 @@ def normal_form(f: Formula, d: Domain) -> Formula:
 
 
 def compile_formula(f: Formula, d: Domain) -> Transducer:
-    """Normalise (when needed), synthesise, optimise.  The normal form of a
-    formula that passes `require_safety` passes it too, unchecked."""
-    return optimize(_synthesize(normal_form(f, d), d))
+    """Normalise (when needed) and synthesise without the unused binders:
+    `optimize(synthesize(normal_form(f, d), d))`, built in one pass.  The
+    normal form of a formula that passes `require_safety` passes it too,
+    unchecked."""
+    return _synthesize(normal_form(f, d), d, raw=False)

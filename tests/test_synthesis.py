@@ -2,13 +2,16 @@ import hashlib
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enfkit.bisim import bisim
-from enfkit.harness import Pair, check_soundness, gen_formula
+from enfkit.harness import Pair, check_soundness, gen_formula, make_corpus
 from enfkit.normalizer import dump_stages, normalize
 from enfkit.parsing import parse_formula, parse_transducer
-from enfkit.symbolic import TAU, Domain, InsertPattern, underline
-from enfkit.synthesis import SynthesisError, compile_formula, optimize, synthesize
+from enfkit.symbolic import TAU, BoundExceeded, Domain, InsertPattern, underline
+from enfkit.synthesis import (
+    SynthesisError, _Names, _syn, compile_formula, normal_form, optimize, synthesize,
+)
 from enfkit.transducers import (
     ID,
     TPrefix,
@@ -180,3 +183,54 @@ def test_compile_ladder_3x4_matches_the_golden_file():
             stages = stages[stages.index("stage 2 ("):]
             got.append(f"{size} {seed} {_sha(str(compile_formula(f, d)))} {_sha(stages)}")
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# compile_formula drops unused binders as it builds: optimize, run over the
+# raw synthesis, is its oracle.  Terms are hash-consed, so equal is identical.
+
+D23 = Domain({"i", "j"}, {"req", "ans", "cls"})
+D34 = Domain({"i", "j", "k"}, {"req", "ans", "cls", "ack"})
+DOMAINS = {"2x3": D23, "3x4": D34}
+
+
+def _compiles_as_optimised(f, d):
+    try:
+        nf = normal_form(f, d)
+    except BoundExceeded:  # the normaliser's safety bound, which compiles share
+        with pytest.raises(BoundExceeded):
+            compile_formula(f, d)
+        return
+    assert compile_formula(f, d) is optimize(synthesize(nf, d)), f
+
+
+@settings(max_examples=80, deadline=None)
+@given(dom=st.sampled_from(sorted(DOMAINS)), size=st.integers(1, 20), seed=st.integers(0, 10**6))
+def test_compile_is_optimize_of_synthesize_on_seeded_formulas(dom, size, seed):
+    _compiles_as_optimised(gen_formula(DOMAINS[dom], size, seed), DOMAINS[dom])
+
+
+def test_compile_is_optimize_of_synthesize_on_the_ladders_and_a_corpus(dom):
+    for size in range(8, 21, 2):
+        for seed in range(10):
+            _compiles_as_optimised(gen_formula(D23, size, seed), D23)
+    for size in range(8, 17):
+        for seed in range(40):
+            _compiles_as_optimised(gen_formula(D34, size, seed), D34)
+    for f, _ in make_corpus(dom, 200, 42):  # verify --corpus random:200:42
+        _compiles_as_optimised(f, dom)
+
+
+def test_an_inner_binder_of_the_same_name_keeps_no_outer_one_alive(dom):
+    # not in normal form (the outer X is unused), so the pass is called as is
+    f = parse_formula("max X.[i?req](max X.[i!ans]X)", dom)
+    raw = _syn(f, _Names(), raw=True)
+    assert str(raw) == "rec x.rec y.{i?req}.(rec x.rec y1.{i!ans}.x)"
+    pruned = _syn(f, _Names(), raw=False)
+    assert pruned is optimize(raw)
+    assert str(pruned) == "{i?req}.(rec x.{i!ans}.x)"
+    # an occurrence of the outer X before the inner binder keeps it
+    f = parse_formula("max X.([i?req]X && [i!ans](max X.[j?req]X))", dom)
+    pruned = _syn(f, _Names(), raw=False)
+    assert pruned is optimize(_syn(f, _Names(), raw=True))
+    assert str(pruned) == "rec x.{i?req}.x + {i!ans}.(rec x.{j?req}.x)"

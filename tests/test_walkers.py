@@ -29,7 +29,7 @@ from enfkit.symbolic import (
     INSERT, TAU, TRUE, ActionPattern, Binder, BoundExceeded, Cmp, Free, Lit, SymbolicAction,
     Val, Var, heads, underline,
 )
-from enfkit.synthesis import compile_formula, optimize
+from enfkit.synthesis import compile_formula, optimize, synthesize
 from enfkit import symbolic, transducers
 from enfkit.transducers import (
     ID, TPrefix, TRec, TSum, TVar, TransducerError, alpha_eq, free_rec_vars, subst_rec,
@@ -313,6 +313,15 @@ def test_transducer_walkers_pass_a_deep_chain(dom):
     closed = _spine(transducers.subst_data(chain, {"z": Val("i")}), "cont", DEPTH - 1)
     assert str(closed.condition) == "y != i"
     assert _spine(optimize(e).body, "cont", DEPTH + 1) == TVar("x")
+
+
+def test_synthesis_passes_a_deep_normal_form_chain(dom):
+    # in normal form already, so compile_formula synthesises it as it is
+    req = SymbolicAction(ActionPattern(Lit("i"), True, Lit("req")), TRUE)
+    f = Max("Z", _chain(DEPTH, FVar("Z"), lambda t, k: Box(req, t)))
+    assert str(compile_formula(f, dom)) == "rec x." + "{i?req}." * DEPTH + "x"
+    sums = [f"rec y{k or ''}.{{i?req}}." for k in range(DEPTH)]
+    assert str(synthesize(f, dom)) == "rec x." + "(".join(sums) + "x" + ")" * (DEPTH - 1)
 
 
 def test_alpha_eq_passes_a_deep_chain():
