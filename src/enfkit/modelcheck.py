@@ -54,10 +54,15 @@ DEFAULT_CLOSURE_BOUND = 200_000
 
 def mc_eval(f: Formula, lts: LTS, valuation, domain: Domain) -> frozenset:
     """The set of states satisfying `f` under a valuation of its free
-    logical variables.  Data variables must already be instantiated."""
+    logical variables.  Data variables must already be instantiated.
+
+    An evaluation yields each `(subformula, valuation)` whose denotation it
+    needs and is sent that denotation; the loop below keeps the suspended
+    evaluations on a list, so the nesting depth of `f` is not bounded by the
+    interpreter's recursion limit."""
     all_states = frozenset(lts.states)
 
-    def ev(g, rho) -> frozenset:
+    def ev(g, rho):
         if isinstance(g, FTrue):
             return all_states
         if isinstance(g, FFalse):
@@ -69,12 +74,12 @@ def mc_eval(f: Formula, lts: LTS, valuation, domain: Domain) -> frozenset:
         if isinstance(g, FAnd):
             out = all_states
             for i in g.items:
-                out &= ev(i, rho)
+                out &= yield i, rho
             return out
         if isinstance(g, FOr):
             out = frozenset()
             for i in g.items:
-                out |= ev(i, rho)
+                out |= yield i, rho
             return out
         if isinstance(g, (Box, Dia)):
             must = isinstance(g, Box)
@@ -83,7 +88,7 @@ def mc_eval(f: Formula, lts: LTS, valuation, domain: Domain) -> frozenset:
                 sub = sym_match(g.action, a)
                 if sub is None:
                     continue
-                body_set = ev(subst_data(g.body, sub), rho)
+                body_set = yield subst_data(g.body, sub), rho
                 if must:
                     result = {s for s in result if weak_step(lts, s, a) <= body_set}
                 else:
@@ -93,7 +98,7 @@ def mc_eval(f: Formula, lts: LTS, valuation, domain: Domain) -> frozenset:
             greatest = isinstance(g, Max)
             current = all_states if greatest else frozenset()
             for _ in range(len(all_states) + 1):
-                nxt = ev(g.body, {**rho, g.var: current})
+                nxt = yield g.body, {**rho, g.var: current}
                 if nxt == current:
                     return current
                 # monotone iteration: shrinks from the top, grows from the bottom
@@ -102,7 +107,18 @@ def mc_eval(f: Formula, lts: LTS, valuation, domain: Domain) -> frozenset:
             raise ModelCheckError("fixpoint iteration failed to stabilise")
         raise ModelCheckError(f"cannot evaluate {g!r}")
 
-    return ev(f, dict(valuation))
+    suspended, value = [ev(f, dict(valuation))], None
+    while True:
+        try:
+            need = suspended[-1].send(value)
+        except StopIteration as done:
+            suspended.pop()
+            if not suspended:
+                return done.value
+            value = done.value
+        else:
+            suspended.append(ev(*need))
+            value = None
 
 
 def satisfies(system, f: Formula, domain: Domain, bound: int = DEFAULT_STATE_BOUND) -> bool:

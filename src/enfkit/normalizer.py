@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count, product
+from itertools import product
 
 from .formulas import (
     Box,
@@ -36,7 +36,6 @@ from .formulas import (
     FVar,
     Formula,
     Max,
-    Min,
     TT,
     all_names,
     conj,
@@ -46,7 +45,6 @@ from .formulas import (
     unfold,
 )
 from .symbolic import (
-    DONE,
     AlphaKeys,
     And,
     Binder,
@@ -55,7 +53,7 @@ from .symbolic import (
     Not,
     SymbolicAction,
     conjoin,
-    fresh_name,
+    fresh_names,
     normalize_pattern,
     pattern_key,
     rebuild,
@@ -127,13 +125,13 @@ class EquationSystem:
 
 def normalize_formula_patterns(f: Formula, d: Domain) -> Formula:
     """Rewrite every modality guard to use only binder slots."""
-    used = set(all_names(f)) | set(d.values)
+    # `rebuild` enters the original subterms, so every name a guard holds is
+    # in `all_names(f)`, and one supply keeps each drawn name from the rest
+    names = fresh_names(all_names(f) | d.values)
 
     def enter(g, ctx):
         if isinstance(g, (Box, Dia)):
-            sa = normalize_pattern(g.action, avoid=frozenset(used))
-            used.update(sa.binders)
-            g = type(g)(sa, g.body)
+            g = type(g)(normalize_pattern(g.action, names), g.body)
         return g, ctx
 
     return rebuild(f, enter)
@@ -273,11 +271,8 @@ def _align_branches(builder, branches):
             used = set(builder.domain.values)
             for m in members:
                 used |= _branch_free_names(builder, m) | m.action.binders
-            canonical = []
-            for _ in _binder_names(members[0].action.pattern):
-                name = fresh_name(used)
-                used.add(name)
-                canonical.append(name)
+            names = fresh_names(used)
+            canonical = [next(names) for _ in canonical]
         for i, m in zip(idxs, members):
             own = _binder_names(m.action.pattern)
             mapping = {o: n for o, n in zip(own, canonical) if o != n}
@@ -439,60 +434,55 @@ def stage6_rebuild(eqs: EquationSystem) -> Formula:
     twice on one path becomes a fixpoint reference, and a binder is wrapped
     around exactly the copies whose subtree mentions it, so no binder is
     vacuous.  Acyclic sharing is expanded per occurrence, up to
-    `MAX_REBUILD_BOXES` necessities."""
-    formula, dangling = _visit(eqs, eqs.start, frozenset(), {}, count(1))
-    if dangling:
-        raise NormalizeError(f"rebuild left unbound references {sorted(map(var_name, dangling))}")
-    return formula
+    `MAX_REBUILD_BOXES` necessities.
 
-
-def _visit(eqs: EquationSystem, key, path: frozenset, names: dict, made):
-    """The formula rebuilt from `key` and the path variables it refers to.
-    A variable referred to gets the next name, `X0`, `X1`, ..., in `names`;
-    `made` counts the necessities built."""
-    if key in path:
-        if key not in names:
-            names[key] = f"X{len(names)}"
-        return FVar(names[key]), {key}
-    body = eqs.body(key)
-    if body == "tt":
-        return TT, set()
-    if body == "ff":
-        return FF, set()
-    inner = path | {key}
-    parts = []
-    referenced: set = set()
-    for br in body:
-        if next(made) > MAX_REBUILD_BOXES:
-            raise EquationBoundExceeded("the rebuilt formula grew past the safety bound")
-        sub, refs = _visit(eqs, br.target, inner, names, made)
-        parts.append(Box(br.action, sub))
-        referenced |= refs
-    formula = conj(tuple(parts))
-    if key in referenced:
-        referenced.discard(key)
-        formula = Max(names[key], formula)
-    return formula, referenced
+    One loop lists the expansion in pre-order: a copy's body, `tt`/`ff`, or
+    the index of the open copy a back-edge refers to.  The copies referred
+    to are the binders, named `X0`, `X1`, ... in that order, so
+    alpha-equivalent rebuilds print identically; a second loop reads the
+    list backwards and builds each term once, with its final name."""
+    listed = []
+    open_at: dict = {}  # each variable on the path to the index of its open copy
+    boxes = 0
+    stack = [(eqs.start, False)]
+    while stack:
+        key, closing = stack.pop()
+        if closing:
+            del open_at[key]
+        elif key in open_at:
+            listed.append(open_at[key])
+        else:
+            body = eqs.body(key)
+            if body in ("tt", "ff"):
+                listed.append(TT if body == "tt" else FF)
+                continue
+            boxes += len(body)
+            if boxes > MAX_REBUILD_BOXES:
+                raise EquationBoundExceeded("the rebuilt formula grew past the safety bound")
+            open_at[key] = len(listed)
+            listed.append(body)
+            stack.append((key, True))
+            stack.extend((br.target, False) for br in reversed(body))
+    binders = sorted({at for at in listed if isinstance(at, int)})
+    names = {at: f"X{n}" for n, at in enumerate(binders)}
+    values = []
+    for at in range(len(listed) - 1, -1, -1):
+        entry = listed[at]
+        if isinstance(entry, int):
+            entry = FVar(names[entry])
+        elif isinstance(entry, tuple):  # its branches' formulas are on top, the first last
+            cut = len(values) - len(entry)
+            subs = values[cut:]
+            del values[cut:]
+            entry = conj(tuple(Box(br.action, sub) for br, sub in zip(entry, reversed(subs))))
+            if at in names:
+                entry = Max(names[at], entry)
+        values.append(entry)
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
 # The full pipeline
-
-
-def _renumber_binders(f: Formula) -> Formula:
-    """Rename fixpoint binders positionally (X0, X1, ... in traversal order)
-    so that alpha-equivalent rebuilds print identically."""
-    counter = count()
-
-    def enter(g, mapping):
-        if isinstance(g, FVar):
-            return FVar(mapping[g.name]), DONE
-        if isinstance(g, (Max, Min)):
-            fresh = f"X{next(counter)}"
-            return type(g)(fresh, g.body), {**mapping, g.var: fresh}
-        return g, mapping
-
-    return rebuild(f, enter, {})
 
 
 def _run_stages(f: Formula, d: Domain) -> tuple:
@@ -510,7 +500,7 @@ def normalize(f: Formula, d: Domain) -> Formula:
     """Normal-form conversion; the result is semantically equivalent on every
     finite LTS and satisfies both normal-form structural conditions.  Stage 2
     unfolds fixpoints on demand; stage 1 is never materialised."""
-    return _renumber_binders(stage6_rebuild(_run_stages(f, d)[-1]))
+    return stage6_rebuild(_run_stages(f, d)[-1])
 
 
 def dump_stages(f: Formula, d: Domain) -> str:
@@ -524,5 +514,5 @@ def dump_stages(f: Formula, d: Domain) -> str:
         f"stage 3 (aligned binders):\n{aligned.pretty()}",
         f"stage 4 (condition products):\n{minterms.pretty()}",
         f"stage 5 (determinised):\n{power.pretty()}",
-        f"stage 6 (rebuilt formula):\n{_renumber_binders(stage6_rebuild(power))}",
+        f"stage 6 (rebuilt formula):\n{stage6_rebuild(power)}",
     ))

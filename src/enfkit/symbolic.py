@@ -47,7 +47,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import repeat
+from itertools import count, repeat
 from operator import is_not
 from string import Formatter
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
@@ -1316,22 +1316,32 @@ def fresh_name(used) -> str:
         i += 1
 
 
-def normalize_pattern(sa: SymbolicAction, avoid=frozenset()) -> SymbolicAction:
+def fresh_names(used):
+    """Each identifier not in `used`, once, in `fresh_name`'s order."""
+    for i in count():
+        for name in _FRESH_POOL:
+            cand = f"{name}{i}" if i else name
+            if cand not in used:
+                yield cand
+
+
+def normalize_pattern(sa: SymbolicAction, names=None) -> SymbolicAction:
     """Rewrite a symbolic action so that both pattern slots are binders.
 
-    Each literal or free-variable slot is replaced by a fresh binder, and an
-    equality between the fresh binder and the replaced term is conjoined to
-    the condition.  The denoted action set is unchanged.
+    Each literal or free-variable slot is replaced by a fresh binder, drawn
+    from `names` (by default the `fresh_names` of the action's own names),
+    and an equality between the fresh binder and the replaced term is
+    conjoined to the condition.  The denoted action set is unchanged.
     """
-    used = set(avoid) | sa.binders | sa.free_vars | free_data_vars(sa.condition)
+    if names is None:
+        names = fresh_names(sa.binders | sa.free_vars | free_data_vars(sa.condition))
     new_slots = []
     equalities = []
     for slot in (sa.pattern.port, sa.pattern.payload):
         if isinstance(slot, Binder):
             new_slots.append(slot)
             continue
-        name = fresh_name(used)
-        used.add(name)
+        name = next(names)
         new_slots.append(Binder(name))
         old = Val(slot.value) if isinstance(slot, Lit) else Var(slot.name)
         equalities.append(Cmp(Var(name), old, equal=True))

@@ -54,6 +54,14 @@ class's own fields instead, and decide guard disjointness by enumeration.
 `normalizer.stage5_powerset` keeps a lone variable's stage-4 body;
 `naive_stage5_powerset` aligns and splits every determinised state again.
 
+`normalizer.stage6_rebuild` lists the expansion on an explicit stack and
+names each binder once, in pre-order; `naive_stage6_rebuild` recurses,
+names binders in the order they are first referred to, and renames them all
+in pre-order over the built formula after.  `normalizer`'s pattern pre-pass
+draws fresh binders from one `symbolic.fresh_names` supply;
+`naive_normalize_formula_patterns` copies the used names at every guard and
+asks `fresh_name` afresh for each binder.
+
 The synthesis theorems hold for every system: `universal_soundness` checks
 an enforcer once per formula against the chaos process, and
 `universal_transparency` against the formula's residuals.  A wrong
@@ -64,7 +72,7 @@ import dataclasses
 import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 from typing import Mapping
 
 from enfkit import formulas as F
@@ -81,6 +89,7 @@ from enfkit.processes import (
 )
 from enfkit.runtime import Config, composite_lts
 from enfkit.symbolic import (
+    DONE,
     FALSE,
     INSERT,
     KEYWORDS,
@@ -106,10 +115,14 @@ from enfkit.symbolic import (
     Val,
     Var,
     _colourable,
+    conjoin,
     denote,
     disjoint,
     eval_condition,
+    free_data_vars,
+    fresh_name,
     match,
+    rebuild,
     subst_data,
     subst_pattern,
     subst_term,
@@ -671,6 +684,95 @@ def naive_stage5_powerset(eqs: N.EquationSystem) -> N.EquationSystem:
 
     start = frozenset((eqs.start,))
     return N._merge_duplicate_bodies(N._snapshot(builder, start, set_body))
+
+
+# ---------------------------------------------------------------------------
+# Stage 6 and the pattern pre-pass as they were before each binder was named
+# once
+
+
+def naive_stage6_rebuild(eqs: N.EquationSystem) -> F.Formula:
+    """`normalizer.stage6_rebuild` by recursion: binders are first named in
+    the order they are referred to, then renamed in pre-order."""
+    formula, dangling = _naive_visit(eqs, eqs.start, frozenset(), {}, count(1))
+    if dangling:
+        raise N.NormalizeError(f"rebuild left unbound references {sorted(map(N.var_name, dangling))}")
+    return naive_renumber_binders(formula)
+
+
+def _naive_visit(eqs: N.EquationSystem, key, path: frozenset, names: dict, made):
+    if key in path:
+        if key not in names:
+            names[key] = f"X{len(names)}"
+        return F.FVar(names[key]), {key}
+    body = eqs.body(key)
+    if body == "tt":
+        return F.TT, set()
+    if body == "ff":
+        return F.FF, set()
+    inner = path | {key}
+    parts = []
+    referenced: set = set()
+    for br in body:
+        if next(made) > N.MAX_REBUILD_BOXES:
+            raise N.EquationBoundExceeded("the rebuilt formula grew past the safety bound")
+        sub, refs = _naive_visit(eqs, br.target, inner, names, made)
+        parts.append(F.Box(br.action, sub))
+        referenced |= refs
+    formula = F.conj(tuple(parts))
+    if key in referenced:
+        referenced.discard(key)
+        formula = F.Max(names[key], formula)
+    return formula, referenced
+
+
+def naive_renumber_binders(f: F.Formula) -> F.Formula:
+    """Rename fixpoint binders positionally, X0, X1, ... in pre-order."""
+    counter = count()
+
+    def enter(g, mapping):
+        if isinstance(g, F.FVar):
+            return F.FVar(mapping[g.name]), DONE
+        if isinstance(g, (F.Max, F.Min)):
+            fresh = f"X{next(counter)}"
+            return type(g)(fresh, g.body), {**mapping, g.var: fresh}
+        return g, mapping
+
+    return rebuild(f, enter, {})
+
+
+def naive_normalize_formula_patterns(f: F.Formula, d: Domain) -> F.Formula:
+    """`normalizer.normalize_formula_patterns` with a copy of the used names
+    at every guard."""
+    used = set(F.all_names(f)) | set(d.values)
+
+    def enter(g, ctx):
+        if isinstance(g, (F.Box, F.Dia)):
+            sa = _naive_normalize_pattern(g.action, frozenset(used))
+            used.update(sa.binders)
+            g = type(g)(sa, g.body)
+        return g, ctx
+
+    return rebuild(f, enter)
+
+
+def _naive_normalize_pattern(sa: SymbolicAction, avoid: frozenset) -> SymbolicAction:
+    used = set(avoid) | sa.binders | sa.free_vars | free_data_vars(sa.condition)
+    new_slots = []
+    equalities = []
+    for slot in (sa.pattern.port, sa.pattern.payload):
+        if isinstance(slot, Binder):
+            new_slots.append(slot)
+            continue
+        name = fresh_name(used)
+        used.add(name)
+        new_slots.append(Binder(name))
+        old = Val(slot.value) if isinstance(slot, Lit) else Var(slot.name)
+        equalities.append(Cmp(Var(name), old, equal=True))
+    if not equalities:
+        return sa
+    pattern = ActionPattern(new_slots[0], sa.pattern.is_input, new_slots[1])
+    return SymbolicAction(pattern, conjoin([sa.condition, *equalities]))
 
 
 # ---------------------------------------------------------------------------

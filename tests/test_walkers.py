@@ -18,7 +18,7 @@ from enfkit.harness import (
     gen_process,
 )
 from enfkit.modelcheck import ModelCheckError, sat_oracle, satisfies
-from enfkit.normalizer import _renumber_binders, normalize, normalize_formula_patterns
+from enfkit.normalizer import normalize, normalize_formula_patterns
 from enfkit.parsing import load_specfile, parse_formula, parse_process, parse_transducer
 from enfkit.processes import (
     NIL, Choice, Prefix, ProcessError, PVar, Rec, free_proc_vars, reachable, step, subst_proc,
@@ -27,7 +27,7 @@ from enfkit.processes import (
 from enfkit.runtime import composite_lts, simulate
 from enfkit.symbolic import (
     INSERT, TAU, TRUE, ActionPattern, Binder, BoundExceeded, Cmp, Free, Lit, SymbolicAction,
-    Val, Var, heads, underline,
+    Val, Var, fresh_names, heads, underline,
 )
 from enfkit.synthesis import compile_formula, optimize, synthesize
 from enfkit import symbolic, transducers
@@ -37,7 +37,7 @@ from enfkit.transducers import (
 )
 
 from conftest import act
-from oracles import naive_step, naive_tstep
+from oracles import naive_renumber_binders, naive_step, naive_tstep
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "server.spec")
 
@@ -286,10 +286,27 @@ def test_formula_walkers_pass_a_deep_chain(dom):
     bottom = _spine(subst_data(body, {"z": Val("i")}), "body", 2 * DEPTH)
     assert str(bottom) == "[i!ans]X"
     assert normalize_formula_patterns(f, dom).body.action.pattern.payload != Lit("req")
-    renumbered = _renumber_binders(f)
+    renumbered = naive_renumber_binders(f)
     last = _spine(renumbered.body.body, "body", 2 * DEPTH - 2)
     assert renumbered.var == "X0" and last.var == f"X{DEPTH}"
     assert last.body.body == Box(use, FVar("X0"))
+
+
+def test_normalize_and_satisfies_pass_a_deep_chain(dom):
+    # stage 6 expands the chain on an explicit stack, and mc_eval keeps its
+    # suspended evaluations on a list: the 3000 necessities pass under the
+    # default recursion limit
+    depth = 3000
+    f = parse_formula("max Z." + "[i?req]" * depth + "Z", dom)
+    p = parse_process("rec X.(i?req.i!ans.X + j?req.X)", dom)
+    nf = normalize(f, dom)
+    # one supply of fresh names, two for each guard the pre-pass rewrites
+    names = fresh_names(all_names(f) | dom.values)
+    pairs = ((next(names), next(names)) for _ in range(depth))
+    guards = "".join(f"[({a})?({b}) when {a} = i && {b} = req]" for a, b in pairs)
+    assert guards.startswith("[(y)?(z) when y = i && z = req][(w)?(u) when w = i && u = req]")
+    assert str(nf) == "max X0." + guards + "X0"
+    assert satisfies(p, f, dom) and satisfies(p, nf, dom)
 
 
 def test_process_walkers_pass_a_deep_chain(dom):
