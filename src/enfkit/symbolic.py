@@ -1302,27 +1302,19 @@ def _colour(i, order, neighbours, values, chosen) -> bool:
 _FRESH_POOL = ("y", "z", "w", "u", "v", "x")
 
 
-def fresh_name(used) -> str:
-    """Pick a deterministic identifier not in `used`."""
-    for name in _FRESH_POOL:
-        if name not in used:
-            return name
-    i = 1
-    while True:
-        for name in _FRESH_POOL:
-            cand = f"{name}{i}"
-            if cand not in used:
-                return cand
-        i += 1
-
-
 def fresh_names(used):
-    """Each identifier not in `used`, once, in `fresh_name`'s order."""
+    """Each identifier not in `used`, once: `y`, `z`, `w`, `u`, `v`, `x`,
+    then the same with suffix 1, 2, ..."""
     for i in count():
         for name in _FRESH_POOL:
             cand = f"{name}{i}" if i else name
             if cand not in used:
                 yield cand
+
+
+def fresh_name(used) -> str:
+    """Pick a deterministic identifier not in `used`."""
+    return next(fresh_names(used))
 
 
 def normalize_pattern(sa: SymbolicAction, names=None) -> SymbolicAction:
