@@ -81,6 +81,8 @@ from .processes import (
     Rec,
     PVar,
     as_lts,
+    bits,
+    closure,
     free_proc_vars,
     reachable,
     tau_closure,
@@ -272,54 +274,55 @@ def _trace_classes(system, f: Formula, depth: int, composite: Optional[LTS] = No
     as (trace, (P, C, obligations, falsified)) in length-then-text order.
 
     P and C are the trace's weak derivatives in the system and in the
-    composite (empty without one); obligations pairs each open necessity
-    with the tau-closed set of states that must meet it, and falsified says
-    whether they reach falsehood, that is, whether the trace violates `f`.
-    An obligation steps by its necessity's `residual` and its states'
-    `weak_moves`.  A trace's extensions depend only on that key, so each key
-    is kept once, at the first trace to reach it.  Labels are those P or C
-    perform: a trace neither side performs has no derivatives and, as
-    obligation states lie in P, no obligations, so it is never violating and
-    never extended.  The depth and formula are checked at the call; the
-    nodes are yielded as they are reached.
+    composite (0 without one), as masks over their LTSs' state numbers;
+    obligations pairs each open necessity with the mask of the tau-closed
+    states that must meet it, and falsified says whether they reach
+    falsehood, that is, whether the trace violates `f`.  An obligation
+    steps by its necessity's `residual` and its states' `weak_moves`.  A
+    trace's extensions depend only on that key, so each key is kept once,
+    at the first trace to reach it.  Labels are those P or C perform: a
+    trace neither side performs has no derivatives and, as obligation
+    states lie in P, no obligations, so it is never violating and never
+    extended.  The depth, formula and root state are checked at the call;
+    the nodes are yielded as they are reached.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     require_closed_safety(f)
     lts, root = system
-    empty = frozenset()
+    p0 = tau_closure(lts, root)
 
     def fire(obligations, a):
         # the obligations left after action a, and whether they reach falsehood
         nxt, reached = {}, False
         for box, states in obligations:
             cont = residual(box, a)
-            targets = None if cont is None else weak_moves(lts, states).get(a)
+            targets = 0 if cont is None else weak_moves(lts, states).get(a, 0)
             if not targets:
                 continue
             cont_boxes, cont_falsified = necessities(cont)
             reached = reached or cont_falsified
             for b in cont_boxes:
-                nxt.setdefault(b, set()).update(targets)
-        return frozenset((b, frozenset(qs)) for b, qs in nxt.items()), reached
+                nxt[b] = nxt.get(b, 0) | targets
+        return frozenset(nxt.items()), reached
 
     def walk():
         boxes, falsified = necessities(f)
-        p0 = tau_closure(lts, root)
-        c0 = empty if composite is None else tau_closure(composite, composite.initial)
+        c0 = 0 if composite is None else closure(composite, 0)
         obligations = frozenset((box, p0) for box in boxes)
         layer = [((), (p0, c0, obligations, falsified))]
         seen = {layer[0][1]}
         yield layer[0]
+        none = (frozenset(), False)
         for _ in range(depth):
             nxt_layer = []
             for trace, (p_set, c_set, obligations, _) in layer:
                 p_moves = weak_moves(lts, p_set)
                 c_moves = {} if composite is None else weak_moves(composite, c_set)
                 for a in sorted(p_moves.keys() | c_moves.keys(), key=str):
-                    p_next = p_moves.get(a, empty)
-                    opened = fire(obligations, a) if p_next and obligations else (empty, False)
-                    key = (p_next, c_moves.get(a, empty), *opened)
+                    p_next = p_moves.get(a, 0)
+                    opened = fire(obligations, a) if p_next and obligations else none
+                    key = (p_next, c_moves.get(a, 0), *opened)
                     if key not in seen:
                         seen.add(key)
                         nxt_layer.append((trace + (a,), key))
@@ -384,14 +387,19 @@ def check_nvtt(pair: Pair, depth: int) -> Verdict:
         pair.enforcer
         plts = pair.system
         comp = pair.composite
+        # each composite state's bit in the mask of its system state
+        system_bit = [1 << plts.index[cfg.system] for cfg in comp.states]
         # a trace one side does not perform has no derivatives there
         for t, (plain, composite, _, falsified) in _trace_classes((plts, pair.p), pair.f, depth, comp):
             if falsified:
                 continue
-            projected = {cfg.system for cfg in composite}
-            for verb, diff in (("loses", plain - projected), ("invents", projected - plain)):
+            projected = 0
+            for i in bits(composite):
+                projected |= system_bit[i]
+            for verb, diff in (("loses", plain & ~projected), ("invents", projected & ~plain)):
                 if diff:
-                    return f"trace {_trace_text(t)} {verb} derivative {sorted(map(str, diff))[0]}"
+                    first = sorted(map(str, plts.decode(diff)))[0]
+                    return f"trace {_trace_text(t)} {verb} derivative {first}"
 
     return _verdict("nvtt", (*pair.subject, f"depth={depth}"), decide)
 

@@ -36,7 +36,7 @@ from .formulas import (
     residual,
     subst_data,
 )
-from .processes import DEFAULT_STATE_BOUND, LTS, as_lts, tau_closure, weak_moves, weak_step
+from .processes import DEFAULT_STATE_BOUND, LTS, as_lts, bits, closure, weak_moves, weak_step
 from .symbolic import BoundExceeded, Domain, sym_match, term_memo
 
 
@@ -152,19 +152,21 @@ def shortest_violation(system, f: Formula, domain: Domain, bound: int = DEFAULT_
     or None when it satisfies the formula.  A breadth-first search over
     (state, continuation) pairs: a queue entry is a trace with the pairs it
     reached first, extended by the domain's actions in text order (Clarke et
-    al., DAC 1995).  A pair steps by the `weak_moves` of its state's
-    tau-closure and by the `residual` of each of its `necessities`.
+    al., DAC 1995).  A pair, its state by number, steps by the `weak_moves`
+    of that state's tau-closure and by the `residual` of each of its
+    continuation's `necessities`.
     Falsehood is decided before the bound is tested: more than
     `DEFAULT_CLOSURE_BOUND` pairs raise `ClosureBoundExceeded`."""
     require_safety(f, ModelCheckError)
     lts, root = as_lts(system, bound)
     if necessities(f)[1]:
         return ()
+    root = lts.index_of(root)
     seen = {(root, f)}
     queue = deque([((), [(root, f)])])
     while queue:
         trace, pairs = queue.popleft()
-        views = [(weak_moves(lts, tau_closure(lts, q)), necessities(g)[0]) for q, g in pairs]
+        views = [(weak_moves(lts, closure(lts, q)), necessities(g)[0]) for q, g in pairs]
         for a in _text_order(domain):
             reached = []
             for moves, boxes in views:
@@ -177,7 +179,7 @@ def shortest_violation(system, f: Formula, domain: Domain, bound: int = DEFAULT_
                         continue
                     if necessities(cont)[1]:
                         return trace + (a,)
-                    new = [(q, cont) for q in targets if (q, cont) not in seen]
+                    new = [(q, cont) for q in bits(targets) if (q, cont) not in seen]
                     if len(seen) + len(new) > DEFAULT_CLOSURE_BOUND:
                         raise ClosureBoundExceeded("satisfaction closure grew past the bound")
                     seen.update(new)

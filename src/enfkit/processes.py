@@ -4,11 +4,17 @@ Processes are built from nil, action/tau prefixing, finite choice and
 guarded recursion.  `reachable` explores a term's state space up to a bound,
 identifying states by structural term equality (a recursive term is unfolded
 only when it fires, so a term and its unfolding never coexist as distinct
-states).  An LTS can also be given explicitly, edge by edge.
+states, and each recursive term is unfolded once per exploration).  An LTS
+can also be given explicitly, edge by edge.
+
+An LTS numbers its states once, densely, in order of discovery, and keeps
+integer successor lists; the algorithms read those.  A set of states is an
+int bitmask over the numbering (bit `i` for state `i`): tau-closures and
+weak moves are masks, and `LTS.decode` turns one back into states where a
+result is printed or handed to a caller.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import Union
 
 from . import symbolic
@@ -81,11 +87,12 @@ def _is_process_node(p) -> bool:
     return isinstance(p, Process.__args__) and labelled
 
 
-def step(p: Process):
+def step(p: Process, unfold=None):
     """All transitions of a closed process term, in source order: its
-    prefix `symbolic.heads`, each once (equal prefixes are one term)."""
+    prefix `symbolic.heads`, each once (equal prefixes are one term).
+    `unfold` unfolds a recursive term, by default `symbolic.unfold_binder`."""
     out = []
-    for head in dict.fromkeys(symbolic.heads(p, ProcessError)):
+    for head in dict.fromkeys(symbolic.heads(p, ProcessError, unfold)):
         if isinstance(head, PVar):
             raise ProcessError(f"cannot step open term with free {head.name!r}")
         if isinstance(head, Prefix):
@@ -108,64 +115,115 @@ class LTS:
     """An explicit finite LTS: states, labelled transitions, one initial state.
 
     States may be process terms, plain strings, or monitored configurations;
-    they only need to be hashable.  The LTS also holds the memos of its
-    tau-closures, weak steps and weak moves, which `tau_closure`, `weak_step`
-    and `weak_moves` fill on demand, so every algorithm over one LTS derives
-    each of them once.
+    they only need to be hashable.  They are numbered once, the initial
+    state 0: `states[i]` is state `i`, `index` maps each state to its
+    number, and `succ[i]` lists state `i`'s transitions as (label, number).
+    The LTS also holds the memos of its tau-closures, weak steps and weak
+    moves, which `tau_closure`, `weak_step` and `weak_moves` fill on demand,
+    so every algorithm over one LTS derives each of them once.
     """
 
     def __init__(self, initial, edges, states=None):
-        self.initial = initial
         # states in order of first mention: initial, edge ends, then `states`
-        succ = {initial: []}
+        index, succ = {}, []
+
+        def number(s):
+            i = index.get(s)
+            if i is None:
+                i = index[s] = len(succ)
+                succ.append([])
+            return i
+
+        number(initial)
         for src, label, dst in edges:
-            succ.setdefault(src, []).append((label, dst))
-            succ.setdefault(dst, [])
+            i = number(src)
+            succ[i].append((label, number(dst)))
         for s in states or ():
-            succ.setdefault(s, [])
-        self.states = tuple(succ)
-        # successor tuples are built once; `steps` hands them out uncopied
-        self._steps = {s: tuple(out) for s, out in succ.items()}
+            number(s)
+        self._number(tuple(index), index, succ)
+
+    def _number(self, states, index, succ):
+        """Hold numbered states: `states[i]` is numbered `i` by `index`, and
+        `succ[i]` lists its transitions as (label, number)."""
+        self.states = states
+        self.initial = states[0]
+        self.index = index
+        self.succ = tuple(map(tuple, succ))
         self._closures: dict = {}
         self._weak: dict = {}
         self._moves: dict = {}
 
+    def index_of(self, state) -> int:
+        """The number of a state; ProcessError for anything that is not one."""
+        try:
+            return self.index[state]
+        except (KeyError, TypeError):  # an unhashable value is no state either
+            raise ProcessError(f"{state} is not a state of the LTS") from None
+
     def steps(self, s):
-        return self._steps[s]
+        """The transitions of state `s`, as (label, state) pairs."""
+        states = self.states
+        return tuple((label, states[j]) for label, j in self.succ[self.index_of(s)])
+
+    def decode(self, mask: int) -> frozenset:
+        """The states of a bitmask."""
+        states = self.states
+        return frozenset(states[i] for i in bits(mask))
 
     def __len__(self):
         return len(self.states)
 
     def transitions(self):
-        for src in self.states:
-            for label, dst in self._steps[src]:
-                yield src, label, dst
+        states = self.states
+        for i, out in enumerate(self.succ):
+            for label, j in out:
+                yield states[i], label, states[j]
+
+
+def bits(mask: int):
+    """The numbers of the states in a bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def explore(initial, step_fn, bound: int) -> LTS:
-    """BFS closure of a step function; raises StateBoundExceeded past `bound`."""
+    """BFS closure of a step function; raises StateBoundExceeded past `bound`.
+    States are numbered as they are discovered."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    edges = []
-    seen = {initial}
-    queue = deque([initial])
-    while queue:
-        src = queue.popleft()
+    states, index, succ = [initial], {initial: 0}, []
+    for src in states:  # the list grows as the search discovers states
+        out = []
         for label, dst in step_fn(src):
-            edges.append((src, label, dst))
-            if dst not in seen:
-                if len(seen) >= bound:
-                    raise StateBoundExceeded(
-                        f"more than {bound} reachable states"
-                    )
-                seen.add(dst)
-                queue.append(dst)
-    return LTS(initial, edges)
+            j = index.get(dst)
+            if j is None:
+                if len(states) >= bound:
+                    raise StateBoundExceeded(f"more than {bound} reachable states")
+                j = index[dst] = len(states)
+                states.append(dst)
+            out.append((label, j))
+        succ.append(out)
+    lts = LTS.__new__(LTS)
+    lts._number(tuple(states), index, succ)
+    return lts
 
 
 def reachable(p: Process, bound: int) -> LTS:
+    """The LTS of a closed process term, explored up to `bound` states.  A
+    recursive term met in several states is unfolded once: the unfoldings
+    are kept for this exploration only."""
     checked_process(p)
-    return explore(p, step, bound)
+    unfoldings: dict = {}
+
+    def unfold(rec):
+        body = unfoldings.get(rec)
+        if body is None:
+            body = unfoldings[rec] = symbolic.unfold_binder(rec)
+        return body
+
+    return explore(p, lambda q: step(q, unfold), bound)
 
 
 def lts_view(system):
@@ -176,13 +234,7 @@ def lts_view(system):
     if isinstance(system, LTS):
         return system, system.initial
     if isinstance(system, tuple) and len(system) == 2 and isinstance(system[0], LTS):
-        lts, state = system
-        try:
-            known = state in lts._steps
-        except TypeError:  # unhashable, so no LTS's state
-            known = False
-        if not known:
-            raise ProcessError(f"{state} is not a state of the LTS")
+        system[0].index_of(system[1])
         return system
     return None
 
@@ -194,33 +246,62 @@ def as_lts(system, bound: int) -> tuple:
     return lts_view(system) or (reachable(system, bound), system)
 
 
-def tau_closure(lts: LTS, s) -> frozenset:
-    """The states `s` reaches by silent steps, itself included."""
-    out = lts._closures.get(s)
+def closure(lts: LTS, i: int) -> int:
+    """The mask of the states state `i` reaches by silent steps, itself
+    included."""
+    out = lts._closures.get(i)
     if out is None:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            cur = queue.popleft()
-            for label, dst in lts.steps(cur):
-                if label is TAU and dst not in seen:
-                    seen.add(dst)
-                    queue.append(dst)
-        out = lts._closures[s] = frozenset(seen)
+        out, stack, succ = 1 << i, [i], lts.succ
+        while stack:
+            for label, j in succ[stack.pop()]:
+                bit = 1 << j
+                if label is TAU and not out & bit:
+                    out |= bit
+                    stack.append(j)
+        lts._closures[i] = out
+    return out
+
+
+def tau_closure(lts: LTS, s) -> int:
+    """The mask of the states `s` reaches by silent steps, itself included."""
+    return closure(lts, lts.index_of(s))
+
+
+def weak_moves(lts: LTS, mask: int) -> dict:
+    """Each visible label a tau-closed mask of states performs, mapped to
+    the mask of its weak derivatives by it: the tau-closures of the label's
+    targets."""
+    out = lts._moves.get(mask)
+    if out is None:
+        out, succ = {}, lts.succ
+        for i in bits(mask):
+            for label, j in succ[i]:
+                if label is not TAU:
+                    out[label] = out.get(label, 0) | closure(lts, j)
+        lts._moves[mask] = out
+    return out
+
+
+def _derivatives(lts: LTS, mask: int, label) -> int:
+    """The weak derivatives of a tau-closed mask by one label: tau* label
+    tau* (for label tau: tau* passing one tau)."""
+    if label is not TAU:
+        return weak_moves(lts, mask).get(label, 0)
+    out = 0
+    for i in bits(mask):
+        for lab, j in lts.succ[i]:
+            if lab is TAU:
+                out |= closure(lts, j)
     return out
 
 
 def weak_step(lts: LTS, s, label) -> frozenset:
     """Weak derivatives: tau* label tau* (for label tau: tau* passing one tau)."""
-    key = (s, label)
+    i = lts.index_of(s)
+    key = (i, label)
     out = lts._weak.get(key)
     if out is None:
-        mids = set()
-        for q in tau_closure(lts, s):
-            for lab, dst in lts.steps(q):
-                if lab == label or (lab is TAU and label is TAU):
-                    mids.add(dst)
-        out = lts._weak[key] = frozenset().union(*(tau_closure(lts, m) for m in mids))
+        out = lts._weak[key] = lts.decode(_derivatives(lts, closure(lts, i), label))
     return out
 
 
@@ -228,27 +309,10 @@ def weak_trace_derivatives(lts: LTS, s, trace) -> frozenset:
     """States reachable via the weak transitions of an observable trace."""
     current = tau_closure(lts, s)
     for action in trace:
-        nxt = set()
-        for q in current:
-            nxt |= weak_step(lts, q, action)
-        current = frozenset(nxt)
+        current = _derivatives(lts, current, action)
         if not current:
             break
-    return current
-
-
-def weak_moves(lts: LTS, states: frozenset) -> dict:
-    """Each visible label a tau-closed set of states performs, mapped to the
-    set's weak derivatives by it: the tau-closures of the label's targets."""
-    out = lts._moves.get(states)
-    if out is None:
-        moves: dict = {}
-        for q in states:
-            for label, dst in lts.steps(q):
-                if label is not TAU:
-                    moves.setdefault(label, set()).update(tau_closure(lts, dst))
-        out = lts._moves[states] = {label: frozenset(qs) for label, qs in moves.items()}
-    return out
+    return lts.decode(current)
 
 
 def trace_tree(lts: LTS, s, depth: int) -> dict:
@@ -263,11 +327,11 @@ def trace_tree(lts: LTS, s, depth: int) -> dict:
     for _ in range(depth):
         nxt = []
         for trace in frontier:
-            for label, states in weak_moves(lts, tree[trace]).items():
-                tree[trace + (label,)] = states
+            for label, mask in weak_moves(lts, tree[trace]).items():
+                tree[trace + (label,)] = mask
                 nxt.append(trace + (label,))
         frontier = nxt
-    return tree
+    return {trace: lts.decode(mask) for trace, mask in tree.items()}
 
 
 def traces(lts: LTS, s, depth: int) -> frozenset:

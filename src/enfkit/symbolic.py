@@ -813,12 +813,20 @@ def subst_var(t, var: str, rep):
     return rebuild(t, enter)
 
 
-def heads(t, error) -> list:
+def unfold_binder(node):
+    """One unfolding of a binder: its body with the binder itself
+    substituted for its variable."""
+    shape = SHAPES[type(node)]
+    return subst_var(getattr(node, shape.child), getattr(node, shape.binds), node)
+
+
+def heads(t, error, unfold=None) -> list:
     """What `t` does next: the nodes it reaches, in source order with
     repeats, when a sum passes on its subterms and a binder its unfolding
-    (its body with itself substituted for its variable).  Anything else, a
-    prefix, a leaf or a free occurrence, is a head.  A binder met again on
-    its own unfolding path is unguarded, and raises `error`."""
+    (`unfold`, by default `unfold_binder`).  Anything else, a prefix, a leaf
+    or a free occurrence, is a head.  A binder met again on its own
+    unfolding path is unguarded, and raises `error`."""
+    unfold = unfold or unfold_binder
     out, stack = [], [(t, _EMPTY)]
     while stack:
         node, unfolding = stack.pop()
@@ -826,8 +834,7 @@ def heads(t, error) -> list:
         if shape.binds:
             if node in unfolding:
                 raise error("fixpoint is not guarded")
-            body = subst_var(getattr(node, shape.child), getattr(node, shape.binds), node)
-            stack.append((body, unfolding | {node}))
+            stack.append((unfold(node), unfolding | {node}))
         elif shape.many and shape.guard is None:
             stack.extend(zip(reversed(getattr(node, shape.child)), repeat(unfolding)))
         else:

@@ -31,6 +31,13 @@ that keeps a trace per class of derivative sets and open obligations;
 trees instead, and decide violation for all of them with `violating_traces`,
 one walk over the prefix trie of the candidates.
 
+An LTS numbers its states, and `processes.tau_closure`, `weak_moves`,
+`harness._trace_classes` and `bisim.bisim` read its integer successor lists
+and hold state sets as int bitmasks; `naive_tau_closure`,
+`naive_weak_moves` and `naive_trace_classes` step the states themselves
+through `LTS.steps` and hold frozensets of them, and `union_bisim` refines
+the disjoint union of both operands over `(side, state)` pairs.
+
 `parsing` reads every grammar with one explicit-stack loop over one
 tokenizer pass, and a spec file as one token list; `descent_parse_formula`,
 `descent_parse_process`, `descent_parse_transducer` and
@@ -473,6 +480,112 @@ def trie_violation_semantics(pair, depth: int) -> Verdict:
     except BoundExceeded as exc:
         return Verdict("violation-sem", subject, "inconclusive", str(exc))
     return Verdict("violation-sem", subject, "pass")
+
+
+def naive_tau_closure(lts, s) -> frozenset:
+    """The states `s` reaches by silent steps, itself included, as a set."""
+    seen = {s}
+    queue = deque([s])
+    while queue:
+        cur = queue.popleft()
+        for label, dst in lts.steps(cur):
+            if label is TAU and dst not in seen:
+                seen.add(dst)
+                queue.append(dst)
+    return frozenset(seen)
+
+
+def naive_weak_moves(lts, states: frozenset) -> dict:
+    """Each visible label a tau-closed set of states performs, mapped to the
+    set of the tau-closures of the label's targets."""
+    moves: dict = {}
+    for q in states:
+        for label, dst in lts.steps(q):
+            if label is not TAU:
+                moves.setdefault(label, set()).update(naive_tau_closure(lts, dst))
+    return {label: frozenset(qs) for label, qs in moves.items()}
+
+
+def naive_trace_classes(system, f, depth: int, composite=None) -> list:
+    """`harness._trace_classes` over sets of states: the same classes, each
+    key's derivative and obligation sets as frozensets of states."""
+    lts, root = system
+    empty = frozenset()
+
+    def fire(obligations, a):
+        nxt, reached = {}, False
+        for box, states in obligations:
+            cont = F.residual(box, a)
+            targets = None if cont is None else naive_weak_moves(lts, states).get(a)
+            if not targets:
+                continue
+            cont_boxes, cont_falsified = necessities(cont)
+            reached = reached or cont_falsified
+            for b in cont_boxes:
+                nxt.setdefault(b, set()).update(targets)
+        return frozenset((b, frozenset(qs)) for b, qs in nxt.items()), reached
+
+    boxes, falsified = necessities(f)
+    p0 = naive_tau_closure(lts, root)
+    c0 = empty if composite is None else naive_tau_closure(composite, composite.initial)
+    layer = [((), (p0, c0, frozenset((box, p0) for box in boxes), falsified))]
+    out, seen = list(layer), {layer[0][1]}
+    for _ in range(depth):
+        nxt_layer = []
+        for trace, (p_set, c_set, obligations, _) in layer:
+            p_moves = naive_weak_moves(lts, p_set)
+            c_moves = {} if composite is None else naive_weak_moves(composite, c_set)
+            for a in sorted(p_moves.keys() | c_moves.keys(), key=str):
+                p_next = p_moves.get(a, empty)
+                opened = fire(obligations, a) if p_next and obligations else (empty, False)
+                key = (p_next, c_moves.get(a, empty), *opened)
+                if key not in seen:
+                    seen.add(key)
+                    nxt_layer.append((trace + (a,), key))
+        out += nxt_layer
+        layer = nxt_layer
+    return out
+
+
+def naive_union(lts1, lts2) -> P.LTS:
+    """The disjoint union of two LTSs: state `s` of side `i` is `(i, s)`."""
+    sides = ((0, lts1), (1, lts2))
+    edges = [((i, s), label, (i, t)) for i, lts in sides for s, label, t in lts.transitions()]
+    return P.LTS((0, lts1.initial), edges, [(i, s) for i, lts in sides for s in lts.states])
+
+
+def naive_coarsest_partition(lts) -> dict:
+    """Signature refinement over an LTS's states themselves: the block index
+    of every state in the coarsest strong-bisimulation partition."""
+    block_of = dict.fromkeys(lts.states, 0)
+    n_blocks = 1
+    while True:
+        renumber = {}
+        new_block_of = {}
+        for s in lts.states:
+            key = (block_of[s], frozenset((label, block_of[t]) for label, t in lts.steps(s)))
+            new_block_of[s] = renumber.setdefault(key, len(renumber))
+        if len(renumber) == n_blocks:
+            return new_block_of
+        n_blocks = len(renumber)
+        block_of = new_block_of
+
+
+def union_bisim(lts1, s1, lts2, s2):
+    """`bisim.bisim` over the (side, state) union of its operands: the
+    verdict, and the first label in text order on which the roots'
+    successor block sets differ."""
+    union = naive_union(lts1, lts2)
+    block_of = naive_coarsest_partition(union)
+    left, right = (0, s1), (1, s2)
+    if block_of[left] == block_of[right]:
+        return True, None
+    succ: dict = {}
+    for side, s in enumerate((left, right)):
+        for label, t in union.steps(s):
+            succ.setdefault(label, (set(), set()))[side].add(block_of[t])
+    label = next((l for l in sorted(succ, key=str) if succ[l][0] != succ[l][1]), None)
+    return False, (str(label),) if label is not None else ("<structural>",)
 
 
 def depth_bounded_witness(system, f, d: Domain, depth: int):

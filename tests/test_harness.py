@@ -12,6 +12,7 @@ from enfkit import modelcheck, processes
 from enfkit.cli import main
 from enfkit.formulas import FF, TT, Box, FVar, Max
 from enfkit.harness import (
+    DEFAULT_DEPTH,
     HarnessError,
     Pair,
     Verdict,
@@ -930,3 +931,15 @@ def test_a_violator_without_a_violating_trace_within_the_depth_is_inconclusive()
     assert code == 3 and len(inconclusive) == 2
     assert all(line.endswith(" depth=1' inconclusive [no violating trace within depth 1]")
                for line in inconclusive)
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2, 3])
+def test_the_identity_enforcer_passes_nvtt_on_the_pinned_corpora(dom, seed):
+    # a control for the known criterion-8 failures: the same trace search
+    # over the composite of the identity enforcer finds no nvtt failure, so
+    # those failures come from the synthesised enforcers' suppressions
+    outcomes = Counter(
+        check_nvtt(Pair(f, p, dom, enforcer=ID), DEFAULT_DEPTH).outcome
+        for f, p in make_corpus(dom, 200, seed)
+    )
+    assert outcomes == {"pass": 200}

@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from enfkit.harness import gen_formula, gen_process
+from enfkit.bisim import bisim, naive_bisim
+from enfkit.formulas import FF
+from enfkit.harness import gen_formula, gen_process, violates
+from enfkit.modelcheck import satisfies, shortest_violation
 from enfkit.parsing import parse_lts, parse_process
 from enfkit.processes import (
     NIL,
@@ -11,6 +14,7 @@ from enfkit.processes import (
     as_lts,
     reachable,
     step,
+    tau_closure,
     trace_tree,
     traces,
     validate_process,
@@ -196,3 +200,32 @@ def test_as_lts_forms(terms):
     assert as_lts((lts, q), 10) == (lts, q)
     explored, state = as_lts(pg, 10)
     assert state == pg and explored.states == lts.states
+
+
+ROOT_LTS = parse_lts("init r\nr -tau-> s\ns -i?req-> t\n")
+#: Every entry point that takes a state of a given LTS, applied to `state`.
+STATE_ENTRY_POINTS = {
+    "LTS.steps": lambda state, d: ROOT_LTS.steps(state),
+    "tau_closure": lambda state, d: tau_closure(ROOT_LTS, state),
+    "weak_step": lambda state, d: weak_step(ROOT_LTS, state, act("i?req")),
+    "weak_trace_derivatives": lambda state, d: weak_trace_derivatives(ROOT_LTS, state, ()),
+    "traces": lambda state, d: traces(ROOT_LTS, state, 2),
+    "trace_tree": lambda state, d: trace_tree(ROOT_LTS, state, 2),
+    "bisim, left": lambda state, d: bisim(ROOT_LTS, state, ROOT_LTS, "r"),
+    "bisim, right": lambda state, d: bisim(ROOT_LTS, "r", ROOT_LTS, state),
+    "naive_bisim, left": lambda state, d: naive_bisim(ROOT_LTS, state, ROOT_LTS, "r"),
+    "naive_bisim, right": lambda state, d: naive_bisim(ROOT_LTS, "r", ROOT_LTS, state),
+    "satisfies": lambda state, d: satisfies((ROOT_LTS, state), FF, d),
+    "shortest_violation": lambda state, d: shortest_violation((ROOT_LTS, state), FF, d),
+    "violates": lambda state, d: violates((ROOT_LTS, state), (), FF, d),
+    "composite_lts": lambda state, d: composite_lts(ID, (ROOT_LTS, state), d),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STATE_ENTRY_POINTS))
+@pytest.mark.parametrize("state", ["x", ["r"]], ids=["unknown", "unhashable"])
+def test_a_root_that_is_no_state_of_the_lts_is_rejected(dom, entry, state):
+    with pytest.raises(ProcessError, match="is not a state of the LTS"):
+        STATE_ENTRY_POINTS[entry](state, dom)
+    # the states of the LTS are accepted
+    STATE_ENTRY_POINTS[entry]("r", dom)
