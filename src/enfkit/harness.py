@@ -276,8 +276,10 @@ def _trace_classes(system, f: Formula, depth: int, composite: Optional[LTS] = No
     P and C are the trace's weak derivatives in the system and in the
     composite (0 without one), as masks over their LTSs' state numbers;
     obligations pairs each open necessity with the mask of the tau-closed
-    states that must meet it, and falsified says whether they reach
-    falsehood, that is, whether the trace violates `f`.  An obligation
+    states that must meet it, and falsified says whether the trace's own
+    open obligations reach falsehood.  A violating trace leaves no open
+    obligation, so an extension of it reads False and `check_nvtt` examines
+    it as non-violating, though in sHML a violation is final.  An obligation
     steps by its necessity's `residual` and its states' `weak_moves`.  A
     trace's extensions depend only on that key, so each key is kept once,
     at the first trace to reach it.  Labels are those P or C perform: a

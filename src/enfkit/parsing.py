@@ -504,10 +504,14 @@ class SpecFile:
 _SET_RE = re.compile(r"\{([^}]*)\}")
 
 
-def _parse_name_set(line: str, what: str):
+def _parse_name_set(line: str, what: str, raw_line: str):
+    """The names of a `ports = {...}` or `payloads = {...}` line: its keyword,
+    `=` and the set, and nothing after the set."""
     m = _SET_RE.search(line)
     if not m:
         raise ParseError(f"expected {{...}} on the {what} line")
+    if not re.fullmatch(rf"{what}\s*=\s*", line[: m.start()]) or line[m.end() :].strip():
+        raise ParseError(f"cannot parse spec line {raw_line!r}")
     names = [n.strip() for n in m.group(1).split(",") if n.strip()]
     if not names:
         raise ParseError(f"{what} set must not be empty")
@@ -519,8 +523,7 @@ def parse_specfile(text: str) -> SpecFile:
     `kind name = body` line per definition; `#` starts a comment.  The file,
     its comments blanked, is tokenized once, and each body is read off its
     own run of tokens, so an error in a body gives its position in the file."""
-    ports = None
-    payloads = None
+    header = {"ports": None, "payloads": None}
     pending = []  # (kind, name, body start, body end)
     blanked = []
     offset = 0
@@ -532,10 +535,10 @@ def parse_specfile(text: str) -> SpecFile:
         if not line:
             continue
         head = line.split("=", 1)[0].strip().split()
-        if head and head[0] == "ports":
-            ports = _parse_name_set(line, "ports")
-        elif head and head[0] == "payloads":
-            payloads = _parse_name_set(line, "payloads")
+        if head and head[0] in header:
+            if header[head[0]] is not None:
+                raise ParseError(f"second {head[0]} line {raw_line!r}")
+            header[head[0]] = _parse_name_set(line, head[0], raw_line)
         else:
             if len(head) != 2 or head[0] not in ("process", "formula", "transducer"):
                 raise ParseError(f"cannot parse spec line {raw_line!r}")
@@ -544,9 +547,9 @@ def parse_specfile(text: str) -> SpecFile:
                 raise ParseError(f"missing '=' in definition of {name!r}")
             end = start + len(code.rstrip())
             pending.append((kind, name, end - len(line.split("=", 1)[1].strip()), end))
-    if ports is None or payloads is None:
+    if None in header.values():
         raise ParseError("spec file must declare ports = {...} and payloads = {...}")
-    domain = Domain(ports, payloads)
+    domain = Domain(header["ports"], header["payloads"])
     spec = SpecFile(domain)
     seen = set()
     parsers = {

@@ -1,31 +1,23 @@
 import pytest
 
-from enfkit import Domain, parse_formula, parse_process, parse_transducer
+from inputs import D23, corpus, worked_terms
 
 
 @pytest.fixture(scope="session")
 def dom():
-    return Domain({"i", "j"}, {"req", "ans", "cls"})
+    return D23
 
 
 @pytest.fixture(scope="session")
 def terms(dom):
     """The worked server example: formulas, systems, and hand-written enforcers."""
-    f = lambda t: parse_formula(t, dom)
-    p = lambda t: parse_process(t, dom)
-    e = lambda t: parse_transducer(t, dom)
-    return {
-        "phi0": f("max X.[i?req]([i!ans]X && [i?req]ff)"),
-        "phi1": f("max X.[(x)?req when x != j]([x!ans]X && [x?req]ff)"),
-        "phins": f("[i?req]ff || [i!ans]ff"),
-        "pg": p("rec X.(i?req.i!ans.X + i?cls.nil)"),
-        "pb": p("rec X.(i?req.X + i?req.i!ans.X + i?cls.nil)"),
-        "reqnil": p("i?req.nil"),
-        "ei": e("{* -> i?req}.{* -> i!ans}.id"),
-        "er": e("rec x.({(y)?req -> j?req}.x + {(y)!ans -> j!ans}.x + {(y)?cls -> j?cls}.x)"),
-        "es": e("rec x.({(y)?req when y != j -> tau}.x + {(y)!ans when y != j}.x)"),
-        "ess": e("rec x.{(y)?req when y != j}.rec z.({y!ans}.x + {y?req -> tau}.z)"),
-    }
+    return worked_terms()
+
+
+@pytest.fixture(scope="session")
+def corpus42():
+    """The pairs `verify --corpus random:200:42` reads, the criterion-8 corpus."""
+    return corpus(42)
 
 
 def act(text):

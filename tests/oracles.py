@@ -1,79 +1,19 @@
 """Slow test oracles for the fast algorithms of `enfkit`.
 
-`satisfiable` and `disjoint_under` decide their queries by an equality-class
-search; the functions here decide the same queries by trying every
-assignment of the variables into the domain's value universe.
+Each oracle computes what a fast function computes by the plain route the
+fast one replaced: it enumerates every assignment, recurses over each
+class's own constructors, steps states one by one and holds them in sets,
+lists every trace, or renames after the fact.  Its docstring names the
+function it checks and how it differs.  Which oracle checks which function,
+on which inputs and by which relation, is the table `ROWS` of
+tests/test_oracles.py.
 
-Conditions are terms of the engine: `eval_condition` and `cond_key` are
-bottom-up walks on an explicit stack, a condition's variables are the
-`free_data_vars` fact, substitution into it is `subst_data`, and
-`symbolic._decide` searches on an explicit stack over the condition itself.
-`naive_eval_condition`, `naive_cond_key`, `_naive_cond_vars` and
-`naive_subst_condition` recurse over the condition's own constructors
-instead, and `naive_decide` is the recursive solver that put the condition
-into a negation-normal-form clause first.
-
-`runtime.istep` reads memoised transform tables indexed by action;
-`naive_istep` steps the enforcer afresh with `tstep` and scans every
-transform for each system move.
-
-`processes.step` and `transducers.tstep` read `symbolic.heads`;
-`naive_step` and `naive_tstep` walk the term recursively by its own
-constructors instead.
-
-`modelcheck.shortest_violation` names a soundness witness from the search
-that decides satisfaction; `depth_bounded_witness` enumerates every trace of
-the system up to a depth and keeps the first violating one.
-
-`harness.check_nvtt` and `harness.check_violation_semantics` read one search
-that keeps a trace per class of derivative sets and open obligations;
-`trie_nvtt` and `trie_violation_semantics` list every trace of the trace
-trees instead, and decide violation for all of them with `violating_traces`,
-one walk over the prefix trie of the candidates.
-
-An LTS numbers its states, and `processes.tau_closure`, `weak_moves`,
-`harness._trace_classes` and `bisim.bisim` read its integer successor lists
-and hold state sets as int bitmasks; `naive_tau_closure`,
-`naive_weak_moves` and `naive_trace_classes` step the states themselves
-through `LTS.steps` and hold frozensets of them, and `union_bisim` refines
-the disjoint union of both operands over `(side, state)` pairs.
-
-`parsing` reads every grammar with one explicit-stack loop over one
-tokenizer pass, and a spec file as one token list; `descent_parse_formula`,
-`descent_parse_process`, `descent_parse_transducer` and
-`descent_parse_specfile` are the recursive-descent parser it replaced, one
-method per grammar level, a spec file read line by line.
-
-Every term prints by `symbolic.show`, one loop over a table of layouts;
-`method_str` is the printer it replaced, one method per class that
-parenthesises a subterm by its class's `PREC`.
-
-Terms are interned, so their `==` is identity; `structurally_equal`
-compares two terms field by field instead.
-
-The facts `symbolic.free_rec_vars`, `free_data_vars` and `unguarded`, and
-`formulas.is_shml`, are rules run once per distinct subterm on an explicit
-stack and kept in slots on the terms, and `formulas.is_shmlnf` checks each
-distinct subterm once; `naive_free_rec_vars`, `naive_free_data_vars`,
-`naive_unguarded`, `naive_is_shml` and `naive_is_shmlnf` recurse over each
-class's own fields instead, and decide guard disjointness by enumeration.
-
-`normalizer.stage5_powerset` keeps a lone variable's stage-4 body;
-`naive_stage5_powerset` aligns and splits every determinised state again.
-
-`normalizer.stage6_rebuild` lists the expansion on an explicit stack and
-names each binder once, in pre-order; `naive_stage6_rebuild` recurses,
-names binders in the order they are first referred to, and renames them all
-in pre-order over the built formula after.  `normalizer`'s pattern pre-pass
-draws fresh binders from one `symbolic.fresh_names` supply;
-`naive_normalize_formula_patterns` copies the used names at every guard and
-asks `fresh_name` afresh for each binder.
-
-The synthesis theorems hold for every system: `universal_soundness` checks
-an enforcer once per formula against the chaos process, and
-`universal_transparency` against the formula's residuals.  A wrong
-enforcer's witness trace becomes the one-path process `one_path`, on which
-the per-pair checks of `harness` must fail.
+`descent_parse_formula`, `descent_parse_process`, `descent_parse_transducer`
+and `descent_parse_specfile` are the recursive-descent parser that
+`parsing`'s one explicit-stack loop replaced, one method per grammar level,
+a spec file read line by line.  `method_str` is the printer that
+`symbolic.show` replaced, one method per class that parenthesises a subterm
+by its class's `PREC`.
 """
 import dataclasses
 import re
@@ -1365,13 +1305,18 @@ def descent_parse_specfile(text: str) -> SpecFile:
         if not line:
             continue
         head = line.split("=", 1)[0].strip().split()
+        shown = raw_line.splitlines()[0]
         if head and head[0] == "ports":
-            ports = _parse_name_set(line, "ports")
+            if ports is not None:
+                raise ParseError(f"second ports line {shown!r}")
+            ports = _parse_name_set(line, "ports", shown)
         elif head and head[0] == "payloads":
-            payloads = _parse_name_set(line, "payloads")
+            if payloads is not None:
+                raise ParseError(f"second payloads line {shown!r}")
+            payloads = _parse_name_set(line, "payloads", shown)
         else:
             if len(head) != 2 or head[0] not in ("process", "formula", "transducer"):
-                raise ParseError(f"cannot parse spec line {raw_line.splitlines()[0]!r}")
+                raise ParseError(f"cannot parse spec line {shown!r}")
             kind, name = head
             if "=" not in line:
                 raise ParseError(f"missing '=' in definition of {name!r}")

@@ -3,8 +3,9 @@ as it expands the determinised system.  On hand-written systems whose
 naming a first-reference or post-order numbering would get wrong, it gives
 the very term (terms are interned) that the recursive expansion renamed in
 pre-order after gives (`naive_stage6_rebuild`), and it counts the rebuild
-bound as that does.  The same identity on generated formulas and a corpus,
-and that of the pattern pre-pass, is checked in tests/test_powerset.py."""
+bound as that does.  The same identity on generated formulas, the ladder and
+a corpus, and that of the pattern pre-pass, is the `normaliser stages` row
+of tests/test_oracles.py."""
 import pytest
 
 from enfkit import normalizer

@@ -1,14 +1,10 @@
-import gzip
-import json
-import os
-import random
 import sys
 import time
 
 import pytest
 
 from enfkit.formulas import FF, TT, Box, Dia, FAnd, FOr, FVar, Max, Min
-from enfkit.harness import gen_formula, gen_process, make_corpus
+from enfkit.harness import gen_formula, gen_process
 from enfkit.normalizer import normalize
 from enfkit.parsing import (
     ParseError,
@@ -26,12 +22,12 @@ from enfkit.symbolic import (
 )
 from enfkit.synthesis import compile_formula
 from enfkit.transducers import ID, TPrefix, TRec, TSum, TVar
+from inputs import D23, DEPTH, deep_chain
 from oracles import (
     descent_parse_formula,
     descent_parse_process,
     descent_parse_specfile,
     descent_parse_transducer,
-    descent_tokenize,
     method_str,
 )
 
@@ -160,10 +156,7 @@ def test_a_repeated_free_slot_name_parses(dom):
 
 # ---------------------------------------------------------------------------
 # Positions in spec files, and agreement with the recursive-descent oracle
-
-D23 = Domain({"i", "j"}, {"req", "ans", "cls"})
-D34 = Domain({"i", "j", "k"}, {"req", "ans", "cls", "ack"})
-PINNED = os.path.join(os.path.dirname(__file__), "..", "perfbench", "pinned")
+# (on generated texts: the `parser` row of tests/test_oracles.py)
 
 
 @pytest.mark.parametrize(
@@ -196,6 +189,30 @@ def test_spec_errors_give_file_positions(text, message):
     with pytest.raises(ParseError) as oracle:
         descent_parse_specfile(text)
     assert str(oracle.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ports = {i}\nports = {j}\npayloads = {req}\n", "second ports line 'ports = {j}'"),
+        (
+            "ports = {i}\npayloads = {req}\npayloads = {ans}  # again\n",
+            "second payloads line 'payloads = {ans}  # again'",
+        ),
+        ("ports = {i} junk\npayloads = {req}\n", "cannot parse spec line 'ports = {i} junk'"),
+        ("ports {i}\npayloads = {req}\n", "cannot parse spec line 'ports {i}'"),
+        ("ports = {i}\npayloads {req} =\n", "cannot parse spec line 'payloads {req} ='"),
+    ],
+)
+def test_a_header_line_is_its_keyword_and_one_set_once(text, message):
+    # like a definition name, each header is declared once, and a header
+    # line holds its keyword, '=' and the set, and nothing after the set
+    for parse in (parse_specfile, descent_parse_specfile):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+    for parse in (parse_specfile, descent_parse_specfile):
+        assert parse("ports={i}  # one\npayloads =  {req}\n").domain == Domain({"i"}, {"req"})
 
 
 def _outcome(parse, *args):
@@ -260,101 +277,8 @@ def test_errors_match_the_oracle(kind, text, domain):
     assert not _agree(new, old, text, domain)
 
 
-def check_large_spec(key: int) -> str:
-    """The spec text of check-large's pool item `key` (`perfbench/workloads.py`)."""
-    formula = gen_formula(D23, 8 + key % 5, 7000 + key)
-    process = gen_process(D23, 48 + (3 * key) % 17, 9000 + key)
-    head = "ports = {i, j}\npayloads = {ans, cls, req}\n"
-    return head + f"formula f0 = {formula}\nprocess p0 = {process}\n"
-
-
-def _pinned_enforcers():
-    for name in ("compile-ladder", "enforce-online"):
-        with gzip.open(os.path.join(PINNED, f"{name}.json.gz"), "rt", encoding="utf-8") as fh:
-            for item in json.load(fh)["items"]:
-                if item.get("enforcer"):
-                    yield D34 if item["part"] == "3x4" else D23, item["enforcer"]
-
-
-def _seeded_texts():
-    """(new parse, oracle parse, domain, text) over seeded formulas,
-    processes and compiled enforcers."""
-    for d, top in ((D23, 24), (D34, 16)):
-        for seed in range(40):
-            f = gen_formula(d, 1 + seed % top, 8100 + seed)
-            yield parse_formula, descent_parse_formula, d, str(f)
-            yield parse_formula, descent_parse_formula, d, str(normalize(f, d))
-            p = gen_process(d, 1 + seed % 64, 8200 + seed)
-            yield parse_process, descent_parse_process, d, str(p)
-            if seed % 4 == 0:
-                e = compile_formula(gen_formula(d, 1 + seed % 8, 8300 + seed), d)
-                yield parse_transducer, descent_parse_transducer, d, str(e)
-
-
-def test_the_parser_returns_the_oracles_terms():
-    for new, old, d, text in _seeded_texts():
-        assert _agree(new, old, text, d)
-    for d, text in _pinned_enforcers():
-        assert _agree(parse_transducer, descent_parse_transducer, text, d)
-    for key in range(160):
-        assert _agree(parse_specfile, descent_parse_specfile, check_large_spec(key))
-
-
-def _mutants(words, rng, count):
-    """Up to `count` token lists, each one deletion, duplication or swap of
-    neighbours away from `words`."""
-    for _ in range(count):
-        k = rng.randrange(len(words))
-        how = rng.randrange(3)
-        if how == 0:
-            yield words[:k] + words[k + 1 :]
-        elif how == 1:
-            yield words[: k + 1] + words[k:]
-        elif k + 1 < len(words):
-            yield words[:k] + [words[k + 1], words[k]] + words[k + 2 :]
-
-
-def _words(text):
-    return [tok.text for tok in descent_tokenize(text)[:-1]]
-
-
-def test_the_parser_rejects_what_the_oracle_rejects():
-    rng = random.Random(5)
-    accepted = rejected = 0
-    texts = list(_seeded_texts())[::3]
-    texts += [
-        (parse_transducer, descent_parse_transducer, d, text)
-        for d, text in list(_pinned_enforcers())[:: 40]
-        if len(text) < 2000
-    ]
-    for new, old, d, text in texts:
-        for words in _mutants(_words(text), rng, 25):
-            ok = _agree(new, old, " ".join(words), d)
-            accepted, rejected = accepted + ok, rejected + (not ok)
-    for key in range(0, 160, 8):
-        lines = check_large_spec(key).splitlines()
-        for row in (2, 3):
-            head, body = lines[row].split(" = ", 1)
-            for words in _mutants(_words(body), rng, 25):
-                text = "\n".join([*lines[:row], f"{head} = {' '.join(words)}", *lines[row + 1 :]])
-                ok = _agree(parse_specfile, descent_parse_specfile, text)
-                accepted, rejected = accepted + ok, rejected + (not ok)
-    # most mutants are rejected; a few (two branches swapped, say) still parse
-    assert accepted >= 20 and rejected >= 2000
-
-
 # ---------------------------------------------------------------------------
 # Depth: the parser and the printer keep their stacks in lists, not in frames
-
-DEPTH = 10_000
-
-
-def _chain(wrap, leaf):
-    term = leaf
-    for _ in range(DEPTH):
-        term = wrap(term)
-    return term
-
 
 def _reads_and_prints(parse, text, term, dom):
     """`text` reads as `term`, and `term` prints as a text that reads back as it."""
@@ -367,19 +291,19 @@ def test_deep_prefix_chains_parse(dom):
     act, tau = parse_label("i?req"), parse_label("tau")
     box = parse_formula("[i?req]ff", dom).action
     for parse, text, term in [
-        (parse_process, "i?req." * DEPTH + "nil", _chain(lambda t: Prefix(act, t), NIL)),
-        (parse_process, "tau." * DEPTH + "nil", _chain(lambda t: Prefix(tau, t), NIL)),
-        (parse_formula, "[i?req]" * DEPTH + "ff", _chain(lambda t: Box(box, t), FF)),
-        (parse_formula, "<i?req>" * DEPTH + "tt", _chain(lambda t: Dia(box, t), TT)),
+        (parse_process, "i?req." * DEPTH + "nil", deep_chain(NIL, lambda t, k: Prefix(act, t))),
+        (parse_process, "tau." * DEPTH + "nil", deep_chain(NIL, lambda t, k: Prefix(tau, t))),
+        (parse_formula, "[i?req]" * DEPTH + "ff", deep_chain(FF, lambda t, k: Box(box, t))),
+        (parse_formula, "<i?req>" * DEPTH + "tt", deep_chain(TT, lambda t, k: Dia(box, t))),
     ]:
         _reads_and_prints(parse, text, term, dom)
     binding = parse_formula("[(x)?req when x != j]ff", dom).action
     text = "[(x)?req when x != j]" * DEPTH + "ff"
-    _reads_and_prints(parse_formula, text, _chain(lambda t: Box(binding, t), FF), dom)
+    _reads_and_prints(parse_formula, text, deep_chain(FF, lambda t, k: Box(binding, t)), dom)
     for text in ("{i?req}.", "{(x)?req when x != j -> x!ans}."):
         transform = parse_transducer(text + "id", dom)
-        _reads_and_prints(parse_transducer, text * DEPTH + "id", _chain(
-            lambda t: TPrefix(transform.pattern, transform.condition, transform.target, t), ID
+        _reads_and_prints(parse_transducer, text * DEPTH + "id", deep_chain(
+            ID, lambda t, k: TPrefix(transform.pattern, transform.condition, transform.target, t)
         ), dom)
 
 
@@ -413,7 +337,7 @@ def test_deep_parentheses_parse(dom):
     assert parse_formula(f"[i?req when {wrap('true')}]ff", dom) is parse_formula("[i?req]ff", dom)
     guard = f"[i?req when {'!' * DEPTH}true]ff"
     _reads_and_prints(parse_formula, guard, Box(SymbolicAction(
-        parse_formula("[i?req]ff", dom).action.pattern, _chain(Not, TRUE)), FF), dom)
+        parse_formula("[i?req]ff", dom).action.pattern, deep_chain(TRUE, lambda t, k: Not(t))), FF), dom)
     # a conjunction inside a conjunction, or a disjunction inside one, is
     # parenthesised; a conjunction inside a disjunction is not
     box = parse_formula("[i?req]ff", dom)
@@ -442,8 +366,8 @@ def test_wide_sums_parse(dom):
 
 def test_printing_time_is_linear_in_depth():
     act = parse_label("i?req")
-    chains = [_chain(lambda t: Prefix(act, t), NIL)]
-    chains.append(_chain(lambda t: Prefix(act, t), chains[0]))
+    chains = [deep_chain(NIL, lambda t, k: Prefix(act, t))]
+    chains.append(deep_chain(chains[0], lambda t, k: Prefix(act, t)))
 
     def best(t):
         times = []
@@ -459,32 +383,7 @@ def test_printing_time_is_linear_in_depth():
 
 # ---------------------------------------------------------------------------
 # Printing: one loop over the layouts prints what the per-class methods did
-
-
-def _printed_terms():
-    """Seeded formulas, normal forms, processes and enforcers, the compiled
-    enforcers of `random:200:42`, the pinned enforcers and the check-large
-    formulas and processes, each with the text it was read from, if any."""
-    for new, _, d, text in _seeded_texts():
-        yield new(text, d), text
-    for f, _ in make_corpus(D23, 200, 42):
-        yield compile_formula(f, D23), None
-    for d, text in _pinned_enforcers():
-        yield parse_transducer(text, d), text
-    for key in range(160):
-        spec = parse_specfile(check_large_spec(key))
-        lines = check_large_spec(key).splitlines()
-        yield spec.formulas["f0"], lines[2].split(" = ", 1)[1]
-        yield spec.processes["p0"], lines[3].split(" = ", 1)[1]
-
-
-def test_the_printer_prints_what_the_methods_printed():
-    count = 0
-    for t, text in _printed_terms():
-        assert str(t) == method_str(t)
-        assert text is None or str(t) == text
-        count += 1
-    assert count == 260 + 200 + 1560 + 320
+# (on generated terms: the `printer` row of tests/test_oracles.py)
 
 
 def test_the_printer_parenthesises_and_leaves_out_as_the_methods_did(dom):

@@ -1,9 +1,8 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
 from enfkit.bisim import bisim, naive_bisim
 from enfkit.formulas import FF
-from enfkit.harness import gen_formula, gen_process, violates
+from enfkit.harness import violates
 from enfkit.modelcheck import satisfies, shortest_violation
 from enfkit.parsing import parse_lts, parse_process
 from enfkit.processes import (
@@ -22,8 +21,7 @@ from enfkit.processes import (
     weak_trace_derivatives,
 )
 from enfkit.runtime import composite_lts
-from enfkit.symbolic import TAU, BoundExceeded
-from enfkit.synthesis import compile_formula
+from enfkit.symbolic import TAU
 from enfkit.transducers import ID
 
 from conftest import act
@@ -127,35 +125,6 @@ def test_weak_trace_derivatives(terms):
     pb = terms["pb"]
     lts = reachable(pb, 100)
     assert weak_trace_derivatives(lts, pb, (act("i?req"), act("i!ans"))) == {pb}
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    fsize=st.integers(1, 10),
-    fseed=st.integers(0, 10_000),
-    psize=st.integers(1, 24),
-    pseed=st.integers(0, 10_000),
-    depth=st.integers(0, 5),
-)
-def test_trace_tree_is_traces_with_their_derivatives(dom, fsize, fseed, psize, pseed, depth):
-    p = gen_process(dom, psize, pseed)
-    plts = reachable(p, 500)
-    try:
-        e = compile_formula(gen_formula(dom, fsize, fseed), dom)
-    except BoundExceeded:  # e.g. (10, 89) has 13 minterm conditions
-        assume(False)
-    comp = composite_lts(e, p, dom)
-    for lts, state in ((plts, p), (comp, comp.initial)):
-        tree = trace_tree(lts, state, depth)
-        assert tree.keys() == traces(lts, state, depth)
-        assert () in tree
-        for t, derivatives in tree.items():
-            assert derivatives == weak_trace_derivatives(lts, state, t)
-            # the keys are exactly the performable sequences up to the depth
-            assert derivatives
-            if len(t) < depth:
-                for a in dom.actions:
-                    assert (t + (a,) in tree) == bool(weak_trace_derivatives(lts, state, t + (a,)))
 
 
 def test_trace_tree_rejects_a_negative_depth(terms):

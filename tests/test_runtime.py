@@ -1,25 +1,20 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from enfkit.bisim import bisim
-from enfkit.harness import gen_formula, gen_process
 from enfkit.parsing import ParseError, parse_process, parse_transducer
 from enfkit.processes import (
     NIL,
     Prefix,
     StateBoundExceeded,
-    cached_step,
     reachable,
     step,
     traces,
 )
 from enfkit.runtime import Config, composite_lts, istep, simulate
-from enfkit.symbolic import INSERT, TAU, BoundExceeded, Domain, Val, Var
-from enfkit.synthesis import compile_formula
+from enfkit.symbolic import INSERT, TAU, Domain, Val, Var
 from enfkit.transducers import ID, TransducerError, free_data_vars, subst_data, tstep
 
 from conftest import act
-from oracles import naive_istep
 
 
 def system_steps(p):
@@ -71,41 +66,6 @@ def test_istep_asynchronous_tau(dom):
     e = parse_transducer("id", dom)
     steps = istep(Config(e, p), system_steps(p), dom)
     assert ("iAsy", TAU, Config(ID, parse_process("i?req.nil", dom))) in steps
-
-
-#: Hand-written enforcers that insert, redirect and suppress; the last one
-#: may insert at any state and has three transforms for i?req.
-HAND_WRITTEN = (
-    "ei", "er", "es", "ess",
-    "rec x.({* -> j!ans}.x + {(y)?req -> tau}.x + {(y)?(z) -> j!ans}.x + {i?(z)}.id)",
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    fsize=st.integers(1, 8),
-    fseed=st.integers(0, 10_000),
-    psize=st.integers(1, 24),
-    pseed=st.integers(0, 10_000),
-)
-def test_istep_matches_the_scanning_oracle(dom, terms, fsize, fseed, psize, pseed):
-    # at every configuration a composite reaches, the table lookups give the
-    # list a fresh tstep and a scan give, in order; and composing over the
-    # process's explored LTS gives the same composite as over its term
-    enforcers = [terms.get(e) or parse_transducer(e, dom) for e in HAND_WRITTEN]
-    try:
-        enforcers.append(compile_formula(gen_formula(dom, fsize, fseed), dom))
-    except BoundExceeded:
-        pass
-    p = gen_process(dom, psize, pseed)
-    plts = reachable(p, 10_000)
-    for e in enforcers:
-        comp = composite_lts(e, p, dom)
-        for cfg in comp.states:
-            assert istep(cfg, cached_step, dom) == naive_istep(cfg, step, dom), cfg
-        over_lts = composite_lts(e, (plts, p), dom)
-        assert over_lts.states == comp.states
-        assert list(over_lts.transitions()) == list(comp.transitions())
 
 
 def test_composite_contains_displayed_loop(dom, terms):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given
 
 from enfkit.symbolic import (
     INSERT,
@@ -15,7 +15,6 @@ from enfkit.symbolic import (
     Lit,
     And,
     Not,
-    Or,
     SymbolicAction,
     SymbolicError,
     TRUE,
@@ -27,7 +26,6 @@ from enfkit.symbolic import (
     disjoint,
     disjoint_under,
     eval_condition,
-    free_data_vars as cond_vars,
     match,
     normalize_pattern,
     pattern_key,
@@ -36,9 +34,10 @@ from enfkit.symbolic import (
     underline,
 )
 
+from inputs import CONDITIONS, D23, D34, SHARED
 from oracles import denote_under, naive_disjoint_under, naive_satisfiable, values_sub
 
-D = Domain({"i", "j"}, {"req", "ans", "cls"})
+D = D23
 
 IREQ = Action("i", True, "req")
 IANS = Action("i", False, "ans")
@@ -270,109 +269,27 @@ def test_underline():
 
 
 # ---------------------------------------------------------------------------
-# properties
-
-slots = st.sampled_from(
-    [Lit("i"), Lit("j"), Lit("req"), Lit("ans"), Lit("cls"), Binder("x"), Binder("y")]
-)
-conditions = st.sampled_from(
-    [
-        TRUE,
-        FALSE,
-        Cmp(Var("x"), Val("j"), False),
-        Cmp(Var("x"), Val("i"), True),
-        Cmp(Var("y"), Val("ans"), True),
-        And((Cmp(Var("x"), Val("j"), False), Cmp(Var("y"), Val("req"), True))),
-    ]
-)
+# properties, on the shared guards over the 2x3 domain
 
 
-@given(port=slots, is_input=st.booleans(), payload=slots, cond=conditions)
-def test_normalize_pattern_denotation_property(port, is_input, payload, cond):
-    if isinstance(port, Binder) and isinstance(payload, Binder) and port.name == payload.name:
-        payload = Binder("z")
-    try:
-        sa = SymbolicAction(ActionPattern(port, is_input, payload), cond)
-    except SymbolicError:
-        return
-    if not sa.is_closed():
-        return
-    assert denote(normalize_pattern(sa), D) == denote(sa, D)
+@given(sa=CONDITIONS[D23][1])
+def test_normalize_pattern_denotation_property(sa):
+    if sa.is_closed():
+        assert denote(normalize_pattern(sa), D) == denote(sa, D)
 
 
-@given(port=slots, is_input=st.booleans(), payload=slots)
-def test_match_substitution_domain_property(port, is_input, payload):
-    if isinstance(port, Binder) and isinstance(payload, Binder) and port.name == payload.name:
-        payload = Binder("z")
-    p = ActionPattern(port, is_input, payload)
+@given(sa=CONDITIONS[D23][1])
+def test_match_substitution_domain_property(sa):
+    assume(not sa.pattern.free_vars)
     for a in D.actions:
-        sub = match(p, a)
+        sub = match(sa.pattern, a)
         if sub is not None:
-            assert set(sub) == p.binders
+            assert set(sub) == sa.pattern.binders
 
 
 # ---------------------------------------------------------------------------
-# the equality-class solver against the enumerating oracles
-
-D34 = Domain({"i", "j", "k"}, {"req", "ans", "cls", "ack"})
-# ports and payloads share the name a; with one name, any x != y is false
-SHARED = Domain({"a"}, {"a", "b"})
-ONE = Domain({"a"}, {"a"})
-# at most three outer variables keep the enumeration near 0.3 s per example
-VARS = ("x", "y", "z")
-var_names = st.sampled_from(VARS)
-
-
-def strategies_for(d):
-    """Conditions and guards over the variables x, y, z, the domain's names
-    and one name that the domain does not declare."""
-    names = st.sampled_from(sorted(d.values) + ["zz"])
-    terms = st.one_of(st.builds(Var, var_names), st.builds(Val, names))
-    conds = st.recursive(
-        st.one_of(st.builds(Cmp, terms, terms, st.booleans()), st.sampled_from([TRUE, FALSE])),
-        lambda inner: st.one_of(
-            st.builds(And, st.lists(inner, max_size=3).map(tuple)),
-            st.builds(Or, st.lists(inner, max_size=3).map(tuple)),
-            st.builds(Not, inner),
-        ),
-        max_leaves=8,
-    )
-    slots = st.one_of(
-        st.builds(Binder, var_names), st.builds(Free, var_names), st.builds(Lit, names)
-    )
-
-    @st.composite
-    def guards(draw):
-        port, payload = draw(slots), draw(slots)
-        bound = [s.name for s in (port, payload) if not isinstance(s, Lit)]
-        # a pattern binds each name once and never names its own binder freely
-        assume(len(bound) == len(set(bound)))
-        return SymbolicAction(ActionPattern(port, draw(st.booleans()), payload), draw(conds))
-
-    return conds, guards()
-
-
-# domain -> (condition strategy, guard strategy), built once
-STRATEGIES = {d: strategies_for(d) for d in (D, D34, SHARED, ONE)}
-domains = st.sampled_from(sorted(STRATEGIES, key=lambda d: sorted(d.values)))
-
-
-@settings(deadline=None, max_examples=200)
-@given(d=domains, data=st.data())
-def test_satisfiable_agrees_with_enumeration(d, data):
-    c = data.draw(STRATEGIES[d][0])
-    variables = cond_vars(c) | data.draw(st.sets(var_names))
-    assert satisfiable(c, variables, d) == naive_satisfiable(c, variables, d)
-
-
-@settings(deadline=None, max_examples=200)
-@given(d=domains, data=st.data())
-def test_disjoint_under_agrees_with_enumeration(d, data):
-    sa1, sa2 = data.draw(STRATEGIES[d][1]), data.draw(STRATEGIES[d][1])
-    want = naive_disjoint_under(sa1, sa2, d)
-    assert disjoint_under(sa1, sa2, d) == want
-    assert disjoint_under(sa2, sa1, d) == want
-
+# the equality-class solver; its agreement with the enumerating oracles is
+# the `condition walkers` and `disjoint_under` rows of tests/test_oracles.py
 
 def test_satisfiable_needs_distinct_values():
     # pairwise distinct variables: only the colouring step sees the conflict

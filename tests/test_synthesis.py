@@ -2,16 +2,13 @@ import hashlib
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from enfkit.bisim import bisim
-from enfkit.harness import Pair, check_soundness, gen_formula, make_corpus
+from enfkit.harness import Pair, check_soundness, gen_formula
 from enfkit.normalizer import dump_stages, normalize
 from enfkit.parsing import parse_formula, parse_transducer
-from enfkit.symbolic import TAU, BoundExceeded, Domain, InsertPattern, underline
-from enfkit.synthesis import (
-    SynthesisError, _Names, _syn, compile_formula, normal_form, optimize, synthesize,
-)
+from enfkit.symbolic import TAU, InsertPattern, underline
+from enfkit.synthesis import SynthesisError, _Names, _syn, compile_formula, optimize, synthesize
 from enfkit.transducers import (
     ID,
     TPrefix,
@@ -21,6 +18,8 @@ from enfkit.transducers import (
     alpha_eq,
     transducer_lts,
 )
+
+from inputs import D23, D34, LADDER
 
 
 def test_synthesize_truth_and_falsehood(dom):
@@ -149,21 +148,18 @@ LADDER_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "compile_ladde
 LADDER_3X4_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "compile_ladder_3x4.txt")
 
 
-def test_compile_ladder_matches_the_golden_file(dom):
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_compile_ladder_matches_the_golden_file():
     # one line per formula of the 2x3 domain: size, seed and the sha256 of
     # the printed enforcer
     with open(LADDER_GOLDEN, encoding="utf-8") as fh:
         want = fh.read().splitlines()
-    got = []
-    for size in range(8, 21, 2):
-        for seed in range(10):
-            text = str(compile_formula(gen_formula(dom, size, seed), dom))
-            got.append(f"{size} {seed} {hashlib.sha256(text.encode()).hexdigest()}")
+    got = [f"{size} {seed} {_sha(str(compile_formula(gen_formula(d, size, seed), d)))}"
+           for d, size, seed in LADDER if d == D23]
     assert got == want
-
-
-def _sha(text):
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_compile_ladder_3x4_matches_the_golden_file():
@@ -172,12 +168,11 @@ def test_compile_ladder_3x4_matches_the_golden_file():
     # on.  Unlike the 2x3 ladder, these compiles freshen pattern binders
     # (`symbolic.avoid_capture`), e.g. gen_formula(3x4, 9, 36), so the file
     # pins the fresh names the normaliser picks.
-    d = Domain({"i", "j", "k"}, {"req", "ans", "cls", "ack"})
     with open(LADDER_3X4_GOLDEN, encoding="utf-8") as fh:
         want = fh.read().splitlines()
     got = []
-    for size in range(8, 17):
-        for seed in range(40):
+    for d, size, seed in LADDER:
+        if d == D34:
             f = gen_formula(d, size, seed)
             stages = dump_stages(f, d)
             stages = stages[stages.index("stage 2 ("):]
@@ -185,40 +180,8 @@ def test_compile_ladder_3x4_matches_the_golden_file():
     assert got == want
 
 
-# ---------------------------------------------------------------------------
 # compile_formula drops unused binders as it builds: optimize, run over the
-# raw synthesis, is its oracle.  Terms are hash-consed, so equal is identical.
-
-D23 = Domain({"i", "j"}, {"req", "ans", "cls"})
-D34 = Domain({"i", "j", "k"}, {"req", "ans", "cls", "ack"})
-DOMAINS = {"2x3": D23, "3x4": D34}
-
-
-def _compiles_as_optimised(f, d):
-    try:
-        nf = normal_form(f, d)
-    except BoundExceeded:  # the normaliser's safety bound, which compiles share
-        with pytest.raises(BoundExceeded):
-            compile_formula(f, d)
-        return
-    assert compile_formula(f, d) is optimize(synthesize(nf, d)), f
-
-
-@settings(max_examples=80, deadline=None)
-@given(dom=st.sampled_from(sorted(DOMAINS)), size=st.integers(1, 20), seed=st.integers(0, 10**6))
-def test_compile_is_optimize_of_synthesize_on_seeded_formulas(dom, size, seed):
-    _compiles_as_optimised(gen_formula(DOMAINS[dom], size, seed), DOMAINS[dom])
-
-
-def test_compile_is_optimize_of_synthesize_on_the_ladders_and_a_corpus(dom):
-    for size in range(8, 21, 2):
-        for seed in range(10):
-            _compiles_as_optimised(gen_formula(D23, size, seed), D23)
-    for size in range(8, 17):
-        for seed in range(40):
-            _compiles_as_optimised(gen_formula(D34, size, seed), D34)
-    for f, _ in make_corpus(dom, 200, 42):  # verify --corpus random:200:42
-        _compiles_as_optimised(f, dom)
+# raw synthesis, is its oracle (the `compile` row of tests/test_oracles.py).
 
 
 def test_an_inner_binder_of_the_same_name_keeps_no_outer_one_alive(dom):

@@ -6,16 +6,13 @@ the one-path process of their witness trace fails the per-pair check."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enfkit.harness import Pair, check_soundness, check_transparency, gen_formula, is_sat, make_corpus
-from enfkit.symbolic import BoundExceeded, Domain
+from enfkit.harness import Pair, check_soundness, check_transparency, gen_formula, is_sat
+from enfkit.symbolic import BoundExceeded
 from enfkit.synthesis import compile_formula
 from enfkit.transducers import ID
 
+from inputs import D23, DOMAINS
 from oracles import one_path, universal_soundness, universal_transparency
-
-D23 = Domain({"i", "j"}, {"req", "ans", "cls"})
-D34 = Domain({"i", "j", "k"}, {"req", "ans", "cls", "ack"})
-DOMAINS = {"2x3": D23, "3x4": D34}
 
 
 def _compiled(f, d):
@@ -82,9 +79,9 @@ def test_the_identity_and_another_formulas_enforcer_fail(dom):
     assert by_other == {"soundness", "transparency"}
 
 
-def test_passing_both_universal_checks_passes_every_pair_of_the_pinned_corpus():
+def test_passing_both_universal_checks_passes_every_pair_of_the_pinned_corpus(corpus42):
     checked = 0
-    for f, p in make_corpus(D23, 200, 42):  # `verify --corpus random:200:42`
+    for f, p in corpus42:  # `verify --corpus random:200:42`
         e = _compiled(f, D23)
         if e is None or universal_soundness(e, f, D23) is not None:
             continue

@@ -2,11 +2,9 @@
 substitution, validation, keys up to binder names, what a term does next,
 and the per-term facts and the map they run on; and every command on
 guards far deeper or wider than the recursion limit."""
-import os
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from enfkit.formulas import (
     FF, Box, FAnd, FormulaError, FVar, Max, all_names, classify, free_data_vars,
@@ -14,19 +12,18 @@ from enfkit.formulas import (
 )
 from enfkit.bisim import bisim
 from enfkit.harness import (
-    Pair, check_nvtt, check_soundness, check_transparency, check_violation_semantics, gen_formula,
-    gen_process,
+    Pair, check_nvtt, check_soundness, check_transparency, check_violation_semantics,
 )
 from enfkit.modelcheck import ModelCheckError, sat_oracle, satisfies
 from enfkit.normalizer import normalize, normalize_formula_patterns
-from enfkit.parsing import load_specfile, parse_formula, parse_process, parse_transducer
+from enfkit.parsing import parse_formula, parse_process, parse_transducer
 from enfkit.processes import (
     NIL, Choice, Prefix, ProcessError, PVar, Rec, free_proc_vars, reachable, step, subst_proc,
     validate_process,
 )
 from enfkit.runtime import composite_lts, simulate
 from enfkit.symbolic import (
-    INSERT, TAU, TRUE, ActionPattern, Binder, BoundExceeded, Cmp, Free, Lit, SymbolicAction,
+    TAU, TRUE, ActionPattern, Binder, Cmp, Free, Lit, SymbolicAction,
     Val, Var, fresh_names, heads, underline,
 )
 from enfkit.synthesis import compile_formula, optimize, synthesize
@@ -37,10 +34,8 @@ from enfkit.transducers import (
 )
 
 from conftest import act
-from oracles import naive_renumber_binders, naive_step, naive_tstep
-
-SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "server.spec")
-
+from inputs import DEPTH, deep_chain
+from oracles import naive_renumber_binders
 
 # ---------------------------------------------------------------------------
 # Recursion-variable substitution
@@ -163,38 +158,6 @@ def test_step_and_tstep_reject_unguarded_recursion(dom):
         tstep(TRec("x", TSum((ID, TVar("x")))), dom)
 
 
-def _assert_steps_match_the_oracles(lts, next_moves, oracle):
-    for state in lts.states:
-        assert next_moves(state) == oracle(state), state
-
-
-@settings(max_examples=60, deadline=None)
-@given(size=st.integers(1, 24), seed=st.integers(0, 10_000))
-def test_step_matches_the_recursive_walk(dom, size, seed):
-    lts = reachable(gen_process(dom, size, seed), 10_000)
-    _assert_steps_match_the_oracles(lts, step, naive_step)
-
-
-@settings(max_examples=40, deadline=None)
-@given(size=st.integers(1, 8), seed=st.integers(0, 10_000))
-def test_tstep_matches_the_recursive_walk_on_compiled_enforcers(dom, size, seed):
-    try:
-        e = compile_formula(gen_formula(dom, size, seed), dom)
-    except BoundExceeded:
-        return
-    lts = transducer_lts(e, dom)
-    _assert_steps_match_the_oracles(lts, lambda t: tstep(t, dom), lambda t: naive_tstep(t, dom))
-
-
-def test_tstep_matches_the_recursive_walk_on_the_server_enforcers():
-    spec = load_specfile(SPEC)
-    d = spec.domain
-    assert any(gamma is INSERT for (gamma, _), _ in tstep(spec.transducers["ei"], d))
-    for e in spec.transducers.values():
-        lts = transducer_lts(e, d)
-        _assert_steps_match_the_oracles(lts, lambda t: tstep(t, d), lambda t: naive_tstep(t, d))
-
-
 # ---------------------------------------------------------------------------
 # The satisfaction oracle's gate
 
@@ -211,17 +174,6 @@ def test_sat_oracle_rejects_a_data_open_formula(dom, terms):
 # ---------------------------------------------------------------------------
 # The fold and the map: each distinct subterm once, and no recursion limit.
 # Terms are interned, so hashing or comparing a deep chain never recurses.
-
-DEPTH = 10_000
-
-
-def _chain(depth, leaf, wrap):
-    """`wrap` applied `depth` times above `leaf`."""
-    t = leaf
-    for k in range(depth):
-        t = wrap(t, k)
-    return t
-
 
 def _spine(t, field, depth):
     for _ in range(depth):
@@ -275,7 +227,7 @@ def test_formula_walkers_pass_a_deep_chain(dom):
     differ = Cmp(Var("x"), Var("y"), False)
     bind = SymbolicAction(ActionPattern(Binder("x"), True, Binder("y")), differ)
     use = SymbolicAction(ActionPattern(Free("z"), False, Lit("ans")), TRUE)
-    body = _chain(DEPTH, Box(use, FVar("X")), lambda t, k: Max("Y", Box(bind, t)))
+    body = deep_chain(Box(use, FVar("X")), lambda t, k: Max("Y", Box(bind, t)))
     f = Max("X", Box(SymbolicAction(ActionPattern(Binder("z"), True, Lit("req")), TRUE), body))
     assert free_logic_vars(body) == {"X"} and free_data_vars(body) == {"z"}
     assert free_logic_vars(f) == free_data_vars(f) == frozenset()
@@ -310,7 +262,7 @@ def test_normalize_and_satisfies_pass_a_deep_chain(dom):
 
 
 def test_process_walkers_pass_a_deep_chain(dom):
-    chain = _chain(DEPTH, PVar("X"), lambda t, k: Prefix(act("i?req"), t))
+    chain = deep_chain(PVar("X"), lambda t, k: Prefix(act("i?req"), t))
     p = Rec("X", chain)
     assert free_proc_vars(chain) == {"X"} and free_proc_vars(p) == frozenset()
     validate_process(p)
@@ -321,7 +273,7 @@ def test_process_walkers_pass_a_deep_chain(dom):
 def test_transducer_walkers_pass_a_deep_chain(dom):
     source = ActionPattern(Binder("y"), True, Lit("req"))
     step = lambda t, k: TPrefix(source, Cmp(Var("y"), Var("z"), False), underline(source), t)
-    chain = _chain(DEPTH, TRec("w", TVar("x")), step)
+    chain = deep_chain(TRec("w", TVar("x")), step)
     outer = ActionPattern(Binder("z"), False, Lit("ans"))
     e = TRec("x", TPrefix(outer, TRUE, underline(outer), chain))
     assert free_rec_vars(chain) == {"x"} and transducers.free_data_vars(chain) == {"z"}
@@ -335,7 +287,7 @@ def test_transducer_walkers_pass_a_deep_chain(dom):
 def test_synthesis_passes_a_deep_normal_form_chain(dom):
     # in normal form already, so compile_formula synthesises it as it is
     req = SymbolicAction(ActionPattern(Lit("i"), True, Lit("req")), TRUE)
-    f = Max("Z", _chain(DEPTH, FVar("Z"), lambda t, k: Box(req, t)))
+    f = Max("Z", deep_chain(FVar("Z"), lambda t, k: Box(req, t)))
     assert str(compile_formula(f, dom)) == "rec x." + "{i?req}." * DEPTH + "x"
     sums = [f"rec y{k or ''}.{{i?req}}." for k in range(DEPTH)]
     assert str(synthesize(f, dom)) == "rec x." + "(".join(sums) + "x" + ")" * (DEPTH - 1)
@@ -345,21 +297,21 @@ def test_alpha_eq_passes_a_deep_chain():
     # the two chains differ only in the name of their recursion variable
     source = ActionPattern(Binder("v"), False, Lit("ans"))
     step = lambda t, k: TPrefix(source, Cmp(Var("v"), Val("i"), False), underline(source), t)
-    under = lambda var: TRec(var, _chain(DEPTH, TVar(var), step))
+    under = lambda var: TRec(var, deep_chain(TVar(var), step))
     assert alpha_eq(under("x"), under("y"))
 
 
 def test_steps_pass_a_deep_nest_of_sums(dom):
     # a sum inside a sum, DEPTH times, each level adding one prefix
     acts = dom.actions
-    p = _chain(DEPTH, NIL, lambda t, k: Choice((Prefix(acts[k % len(acts)], NIL), t)))
+    p = deep_chain(NIL, lambda t, k: Choice((Prefix(acts[k % len(acts)], NIL), t)))
     outermost_first = (acts[k % len(acts)] for k in reversed(range(DEPTH)))
     assert step(p) == [(a, NIL) for a in dict.fromkeys(outermost_first)]
     assert len(reachable(p, 2)) == 2
-    e = _chain(DEPTH, ID, lambda t, k: TSum((TPrefix(*_suppress(acts[k % len(acts)]), ID), t)))
+    e = deep_chain(ID, lambda t, k: TSum((TPrefix(*_suppress(acts[k % len(acts)]), ID), t)))
     assert len(tstep(e, dom)) == 2 * len(acts)
     box = parse_formula("[i?req]ff", dom)
-    f = _chain(DEPTH, FF, lambda t, k: FAnd((box, t)))
+    f = deep_chain(FF, lambda t, k: FAnd((box, t)))
     assert necessities(f) == ((box,) * DEPTH, True)
 
 
@@ -372,7 +324,7 @@ def _suppress(action):
 
 def test_classify_passes_a_deep_chain(dom):
     req = SymbolicAction(ActionPattern(Lit("i"), True, Lit("req")), TRUE)
-    f = Max("Z", _chain(DEPTH, FVar("Z"), lambda t, k: Box(req, t)))
+    f = Max("Z", deep_chain(FVar("Z"), lambda t, k: Box(req, t)))
     assert all(classify(f, dom))
 
 
@@ -381,7 +333,7 @@ def test_two_builds_of_a_deep_chain_are_one_term():
     # each level of the first, so hash, == and alpha_eq take no recursion
     source = ActionPattern(Binder("v"), True, Lit("cls"))
     step = lambda t, k: TPrefix(source, TRUE, underline(source), t)
-    build = lambda: TRec("x", _chain(DEPTH, TVar("x"), step))
+    build = lambda: TRec("x", deep_chain(TVar("x"), step))
     first, second = build(), build()
     assert second is first
     assert hash(second) == hash(first) and second == first
