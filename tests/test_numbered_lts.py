@@ -1,13 +1,16 @@
 """`reachable` unfolds each distinct recursive term once per exploration,
 from a memo that lives only as long as the exploration.  The integer core
-against its set-of-states oracles is the `integer core` row of
-tests/test_oracles.py."""
+agrees with its set-of-states oracles on the pinned corpora here, and on the
+other inputs in the `integer core` row of tests/test_oracles.py."""
 from collections import Counter
+
+import pytest
 
 from enfkit import processes, symbolic
 from enfkit.processes import Rec, explore, reachable, step
 
-from inputs import large_pairs
+from inputs import corpus, large_pairs
+from test_oracles import _integer_core_on
 
 
 def _counting_unfolds(monkeypatch):
@@ -51,3 +54,8 @@ def test_reachable_does_not_read_the_process_wide_step_memo(monkeypatch):
     monkeypatch.setattr(processes, "cached_step", None)
     got = reachable(p, 10_000)
     assert got.states == want.states and list(got.transitions()) == list(want.transitions())
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_the_integer_core_agrees_with_the_oracles_on_the_pinned_corpora(seed):
+    _integer_core_on(corpus(seed), 190)

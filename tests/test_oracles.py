@@ -16,11 +16,12 @@ family is one test below, run once per row that lists it:
 - `worked`: the worked server example;
 - `sweep`: a fixed sweep of the row's own.
 
-A new oracle adds a row here, over the families that exercise it."""
-import gzip
-import json
-import os
-import random
+A new oracle adds a row here, over the families that exercise it.  Four
+checks keep the tests they had before the table, each in the module of what
+it checks: per-term facts per domain (tests/test_facts.py), the integer core
+per pinned corpus (tests/test_numbered_lts.py), the parser on mutated texts
+(tests/test_parsing.py) and `satisfiable` on drawn conditions
+(tests/test_symbolic.py)."""
 from collections import Counter, namedtuple
 from functools import cache
 from itertools import combinations, islice, product
@@ -30,7 +31,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from enfkit import harness, symbolic
 from enfkit.bisim import bisim, naive_bisim
-from enfkit.formulas import Box, Max, subst_data as subst_formula_data, unfold
+from enfkit.formulas import Box
 from enfkit.harness import (
     Pair, _trace_classes, _trace_text, check_nvtt, check_violation_semantics, gen_formula,
     gen_process, violates,
@@ -39,34 +40,32 @@ from enfkit.modelcheck import sat_oracle, satisfies, shortest_violation
 from enfkit.normalizer import (
     EquationBoundExceeded, normalize, normalize_formula_patterns, stage5_powerset, stage6_rebuild,
 )
-from enfkit.parsing import parse_formula, parse_process, parse_specfile, parse_transducer
+from enfkit.parsing import parse_specfile, parse_transducer
 from enfkit.processes import (
     NIL, Prefix, cached_step, reachable, step, tau_closure, trace_tree, traces, weak_moves,
     weak_trace_derivatives,
 )
 from enfkit.runtime import composite_lts, istep
 from enfkit.symbolic import (
-    FALSE, INSERT, TAU, TRUE, And, BoundExceeded, Cmp, Not, Or, Val, Var, cond_key, disjoint_under,
-    eval_condition, free_data_vars, pattern_key, satisfiable, subst_data,
+    INSERT, TAU, BoundExceeded, Val, Var, cond_key, disjoint_under, eval_condition, free_data_vars,
+    pattern_key, satisfiable, subst_data,
 )
 from enfkit.synthesis import compile_formula, normal_form, optimize, synthesize
-from enfkit.transducers import ID, TPrefix, transducer_lts, tstep
+from enfkit.transducers import ID, transducer_lts, tstep
 
 from inputs import (
-    CONDITIONS, D23, D34, VARS, check_large_spec, condition_domains, corpus, ladder_formulas,
+    CONDITIONS, D23, VARS, check_large_spec, condition_domains, corpus, ladder_formulas,
     large_pairs, seeded_formulas, seeded_pairs, var_names, worked_terms,
 )
 from oracles import (
-    _naive_cond_vars, assignments, depth_bounded_witness, descent_parse_formula,
-    descent_parse_process, descent_parse_specfile, descent_parse_transducer, descent_tokenize,
-    in_order, method_str, naive_cond_key, naive_decide, naive_disjoint_under, naive_eval_condition,
-    naive_free_data_vars, naive_istep, naive_normalize_formula_patterns, naive_satisfiable,
-    naive_stage5_powerset, naive_stage6_rebuild, naive_step, naive_subst_condition,
-    naive_tau_closure, naive_trace_classes, naive_tstep, naive_weak_moves, shallow_traces,
-    trie_nvtt, trie_violation_semantics, union_bisim, values_sub, violating_traces,
+    _naive_cond_vars, assignments, depth_bounded_witness, descent_parse_specfile,
+    descent_parse_transducer, in_order, method_str, naive_cond_key, naive_decide,
+    naive_disjoint_under, naive_eval_condition, naive_istep, naive_normalize_formula_patterns,
+    naive_satisfiable, naive_stage5_powerset, naive_stage6_rebuild, naive_step,
+    naive_subst_condition, naive_tau_closure, naive_trace_classes, naive_tstep, naive_weak_moves,
+    shallow_traces, trie_nvtt, trie_violation_semantics, union_bisim, values_sub, violating_traces,
 )
-from test_facts import _assert_facts_match_the_reference, _forget, _post_order
-from test_parsing import _agree
+from test_parsing import _agree, _pinned_enforcers, _seeded_texts
 from test_powerset import _stage4
 
 # conditions: the walkers and the guard solver against their recursive and
@@ -489,79 +488,12 @@ def _isteps_agree(f, p, data):
 # the parser against the recursive-descent oracle, and the printer against
 # the per-class methods
 
-PINNED = os.path.join(os.path.dirname(__file__), "..", "perfbench", "pinned")
-
-
-def _pinned_enforcers():
-    for name in ("compile-ladder", "enforce-online"):
-        with gzip.open(os.path.join(PINNED, f"{name}.json.gz"), "rt", encoding="utf-8") as fh:
-            for item in json.load(fh)["items"]:
-                if item.get("enforcer"):
-                    yield D34 if item["part"] == "3x4" else D23, item["enforcer"]
-
-
-def _seeded_texts():
-    """(new parse, oracle parse, domain, text) over seeded formulas,
-    processes and compiled enforcers."""
-    for d, top in ((D23, 24), (D34, 16)):
-        for seed in range(40):
-            f = gen_formula(d, 1 + seed % top, 8100 + seed)
-            yield parse_formula, descent_parse_formula, d, str(f)
-            yield parse_formula, descent_parse_formula, d, str(normalize(f, d))
-            p = gen_process(d, 1 + seed % 64, 8200 + seed)
-            yield parse_process, descent_parse_process, d, str(p)
-            if seed % 4 == 0:
-                e = compile_formula(gen_formula(d, 1 + seed % 8, 8300 + seed), d)
-                yield parse_transducer, descent_parse_transducer, d, str(e)
-
-
-def _mutants(words, rng, count):
-    """Up to `count` token lists, each one deletion, duplication or swap of
-    neighbours away from `words`."""
-    for _ in range(count):
-        k = rng.randrange(len(words))
-        how = rng.randrange(3)
-        if how == 0:
-            yield words[:k] + words[k + 1 :]
-        elif how == 1:
-            yield words[: k + 1] + words[k:]
-        elif k + 1 < len(words):
-            yield words[:k] + [words[k + 1], words[k]] + words[k + 2 :]
-
-
-def _words(text):
-    return [tok.text for tok in descent_tokenize(text)[:-1]]
-
-
 def _parser_sweep():
-    # the oracle's terms on seeded texts and pinned enforcers; then its
-    # verdicts on mutants of them and of the check-large spec lines
+    # the oracle's terms on seeded texts and pinned enforcers
     for new, old, d, text in _seeded_texts():
         assert _agree(new, old, text, d)
     for d, text in _pinned_enforcers():
         assert _agree(parse_transducer, descent_parse_transducer, text, d)
-    rng = random.Random(5)
-    accepted = rejected = 0
-    texts = list(_seeded_texts())[::3]
-    texts += [
-        (parse_transducer, descent_parse_transducer, d, text)
-        for d, text in list(_pinned_enforcers())[:: 40]
-        if len(text) < 2000
-    ]
-    for new, old, d, text in texts:
-        for words in _mutants(_words(text), rng, 25):
-            ok = _agree(new, old, " ".join(words), d)
-            accepted, rejected = accepted + ok, rejected + (not ok)
-    for key in range(0, 160, 8):
-        lines = check_large_spec(key).splitlines()
-        for row in (2, 3):
-            head, body = lines[row].split(" = ", 1)
-            for words in _mutants(_words(body), rng, 25):
-                text = "\n".join([*lines[:row], f"{head} = {' '.join(words)}", *lines[row + 1 :]])
-                ok = _agree(parse_specfile, descent_parse_specfile, text)
-                accepted, rejected = accepted + ok, rejected + (not ok)
-    # most mutants are rejected; a few (two branches swapped, say) still parse
-    assert accepted >= 20 and rejected >= 2000
 
 
 def _parser_on_the_large_pairs(pairs):
@@ -592,56 +524,6 @@ def _printer_on_the_large_pairs(pairs):
             yield spec.processes["p0"], lines[3].split(" = ", 1)[1]
 
     _prints_as_the_methods(printed(), 320)
-
-
-# per-term facts in slots on the terms, against the recursive references,
-# whichever order filled the slots
-
-
-def _facts_sweep():
-    for d, largest in ((D23, 24), (D34, 16)):
-        formulas = [gen_formula(d, 1 + (3 * seed + size) % largest, seed)
-                    for seed in range(10) for size in (4, 11)]
-        _assert_facts_match_the_reference(formulas, d)
-        processes = [gen_process(d, 1 + (7 * seed) % 40, seed) for seed in range(10)]
-        _assert_facts_match_the_reference(processes, d)
-        enforcers = [compile_formula(gen_formula(d, 1 + seed % 10, seed), d) for seed in range(10)]
-        _assert_facts_match_the_reference(enforcers, d)
-        # inner fixpoints are open, and so are their unfoldings
-        fixpoints = [n for f in formulas for n in _post_order(f) if isinstance(n, Max)]
-        assert len(fixpoints) >= 10
-        _assert_facts_match_the_reference([unfold(m) for m in fixpoints], d)
-        # each open subterm closed by values, and renamed onto one variable,
-        # which a binder of that name must be freshened to avoid capturing
-        value, results = sorted(d.values)[0], []
-        for g in (n for t in formulas for n in _post_order(t) if naive_free_data_vars(n)):
-            free = naive_free_data_vars(g)
-            results.append(subst_formula_data(g, {v: Val(value) for v in free}))
-            results.append(subst_formula_data(g, {v: Var("x") for v in free}))
-        assert len(results) >= 20
-        _assert_facts_match_the_reference(results, d)
-        _condition_variables_match(formulas + enforcers)
-
-
-def _condition_variables_match(terms):
-    # the guards of generated formulas and of compiled enforcers (the
-    # normaliser's minterm conditions), and nested connectives
-    guards = [n for t in terms for n in _post_order(t) if isinstance(n, (Box, TPrefix))]
-    conditions = [getattr(g, "action", g).condition for g in guards]
-    x, y, i = Var("x"), Var("y"), Val("i")
-    nested = Or((Not(And((Cmp(x, y, False), Cmp(y, i, True)))), Not(Not(Cmp(Var("z"), x, True))), FALSE))
-    conditions += [nested, And((nested, TRUE, Cmp(i, Var("w"), False))), Not(nested)]
-    # the distinct subconditions, each after its own, and then their conjunction
-    kids = lambda c: getattr(c, "items", None) or ((c.item,) if isinstance(c, Not) else ())
-    nodes = _post_order(And(tuple(conditions)), kids)[:-1]
-    assert len(nodes) > 50 and any(isinstance(n, Not) for n in nodes)
-    expected = [_naive_cond_vars(n) for n in nodes]
-    rng = random.Random(0)
-    for order in (nodes[::-1], nodes, rng.sample(nodes, len(nodes))):
-        _forget(nodes)
-        for node in order:
-            symbolic.free_data_vars(node)
-        assert [symbolic.free_data_vars(n) for n in nodes] == expected
 
 
 # the table
@@ -678,7 +560,6 @@ ROWS = [
     row("integer core", "tau_closure, weak_moves, _trace_classes, check_nvtt's witness, bisim",
         "naive_tau_closure, naive_weak_moves, naive_trace_classes, _set_nvtt_witness, union_bisim",
         "equality", 40, seeded_pairs=_assert_agrees,
-        corpus=lambda: [_integer_core_on(corpus(seed), 190) for seed in (1, 42)],
         large_pairs=lambda pairs: _integer_core_on(pairs, len(pairs)),
         worked=lambda terms: _integer_core_on(
             [(terms[f], terms[p]) for f, p in product(("phi0", "phi1"), ("pg", "pb", "reqnil"))], 6)),
@@ -700,8 +581,6 @@ ROWS = [
         sweep=_printer_sweep,
         corpus=lambda: _prints_as_the_methods(((compile_formula(f, D23), None) for f, _ in corpus(42)), 200),
         large_pairs=_printer_on_the_large_pairs),
-    row("facts", "free_rec_vars, free_data_vars, unguarded, is_shml, is_shmlnf", "naive_ of each",
-        "equality, whichever order filled the slots", sweep=_facts_sweep),
 ]
 
 

@@ -1,3 +1,7 @@
+import gzip
+import json
+import os
+import random
 import sys
 import time
 
@@ -22,12 +26,13 @@ from enfkit.symbolic import (
 )
 from enfkit.synthesis import compile_formula
 from enfkit.transducers import ID, TPrefix, TRec, TSum, TVar
-from inputs import D23, DEPTH, deep_chain
+from inputs import D23, D34, DEPTH, check_large_spec, deep_chain
 from oracles import (
     descent_parse_formula,
     descent_parse_process,
     descent_parse_specfile,
     descent_parse_transducer,
+    descent_tokenize,
     method_str,
 )
 
@@ -156,7 +161,8 @@ def test_a_repeated_free_slot_name_parses(dom):
 
 # ---------------------------------------------------------------------------
 # Positions in spec files, and agreement with the recursive-descent oracle
-# (on generated texts: the `parser` row of tests/test_oracles.py)
+# (the terms of generated texts: the `parser` row of tests/test_oracles.py;
+# mutants of them: below)
 
 
 @pytest.mark.parametrize(
@@ -275,6 +281,77 @@ def test_errors_match_the_oracle(kind, text, domain):
         "transducer": (parse_transducer, descent_parse_transducer),
     }[kind]
     assert not _agree(new, old, text, domain)
+
+
+PINNED = os.path.join(os.path.dirname(__file__), "..", "perfbench", "pinned")
+
+
+def _pinned_enforcers():
+    for name in ("compile-ladder", "enforce-online"):
+        with gzip.open(os.path.join(PINNED, f"{name}.json.gz"), "rt", encoding="utf-8") as fh:
+            for item in json.load(fh)["items"]:
+                if item.get("enforcer"):
+                    yield D34 if item["part"] == "3x4" else D23, item["enforcer"]
+
+
+def _seeded_texts():
+    """(new parse, oracle parse, domain, text) over seeded formulas,
+    processes and compiled enforcers."""
+    for d, top in ((D23, 24), (D34, 16)):
+        for seed in range(40):
+            f = gen_formula(d, 1 + seed % top, 8100 + seed)
+            yield parse_formula, descent_parse_formula, d, str(f)
+            yield parse_formula, descent_parse_formula, d, str(normalize(f, d))
+            p = gen_process(d, 1 + seed % 64, 8200 + seed)
+            yield parse_process, descent_parse_process, d, str(p)
+            if seed % 4 == 0:
+                e = compile_formula(gen_formula(d, 1 + seed % 8, 8300 + seed), d)
+                yield parse_transducer, descent_parse_transducer, d, str(e)
+
+
+def _mutants(words, rng, count):
+    """Up to `count` token lists, each one deletion, duplication or swap of
+    neighbours away from `words`."""
+    for _ in range(count):
+        k = rng.randrange(len(words))
+        how = rng.randrange(3)
+        if how == 0:
+            yield words[:k] + words[k + 1 :]
+        elif how == 1:
+            yield words[: k + 1] + words[k:]
+        elif k + 1 < len(words):
+            yield words[:k] + [words[k + 1], words[k]] + words[k + 2 :]
+
+
+def _words(text):
+    return [tok.text for tok in descent_tokenize(text)[:-1]]
+
+
+def test_the_parser_rejects_what_the_oracle_rejects():
+    # the oracle's verdicts on mutants of seeded texts, of pinned enforcers
+    # and of the check-large spec lines
+    rng = random.Random(5)
+    accepted = rejected = 0
+    texts = list(_seeded_texts())[::3]
+    texts += [
+        (parse_transducer, descent_parse_transducer, d, text)
+        for d, text in list(_pinned_enforcers())[:: 40]
+        if len(text) < 2000
+    ]
+    for new, old, d, text in texts:
+        for words in _mutants(_words(text), rng, 25):
+            ok = _agree(new, old, " ".join(words), d)
+            accepted, rejected = accepted + ok, rejected + (not ok)
+    for key in range(0, 160, 8):
+        lines = check_large_spec(key).splitlines()
+        for row in (2, 3):
+            head, body = lines[row].split(" = ", 1)
+            for words in _mutants(_words(body), rng, 25):
+                text = "\n".join([*lines[:row], f"{head} = {' '.join(words)}", *lines[row + 1 :]])
+                ok = _agree(parse_specfile, descent_parse_specfile, text)
+                accepted, rejected = accepted + ok, rejected + (not ok)
+    # most mutants are rejected; a few (two branches swapped, say) still parse
+    assert accepted >= 20 and rejected >= 2000
 
 
 # ---------------------------------------------------------------------------

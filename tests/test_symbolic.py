@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings, strategies as st
 
 from enfkit.symbolic import (
     INSERT,
@@ -26,6 +26,7 @@ from enfkit.symbolic import (
     disjoint,
     disjoint_under,
     eval_condition,
+    free_data_vars,
     match,
     normalize_pattern,
     pattern_key,
@@ -34,7 +35,7 @@ from enfkit.symbolic import (
     underline,
 )
 
-from inputs import CONDITIONS, D23, D34, SHARED
+from inputs import CONDITIONS, D23, D34, SHARED, condition_domains, var_names
 from oracles import denote_under, naive_disjoint_under, naive_satisfiable, values_sub
 
 D = D23
@@ -289,7 +290,17 @@ def test_match_substitution_domain_property(sa):
 
 # ---------------------------------------------------------------------------
 # the equality-class solver; its agreement with the enumerating oracles is
-# the `condition walkers` and `disjoint_under` rows of tests/test_oracles.py
+# checked here on drawn conditions, and in the `condition walkers` and
+# `disjoint_under` rows of tests/test_oracles.py
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=condition_domains, data=st.data())
+def test_satisfiable_agrees_with_enumeration(d, data):
+    c = data.draw(CONDITIONS[d][0])
+    variables = free_data_vars(c) | data.draw(st.sets(var_names))
+    assert satisfiable(c, variables, d) == naive_satisfiable(c, variables, d)
+
 
 def test_satisfiable_needs_distinct_values():
     # pairwise distinct variables: only the colouring step sees the conflict
